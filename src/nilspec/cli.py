@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from typing import Callable
 
 from . import catalog as catalog_mod
 from .exterior import CochainComplexError
@@ -34,6 +34,7 @@ from .lie import (
     to_salamon,
 )
 from .spectral import (
+    LIMIT,
     InternalConsistencyError,
     SpectralTable,
     check_top_degree_forms,
@@ -63,33 +64,18 @@ def _exit_code_for(exc: Exception) -> int:
     raise exc
 
 
-def _worker_count(n_items: int) -> int:
-    cap = os.environ.get("NILSPEC_THREADS")
-    if cap:
-        try:
-            cap_n = max(1, int(cap))
-        except ValueError:
-            cap_n = 1
-    else:
-        cap_n = os.cpu_count() or 1
-    return max(1, min(cap_n, n_items))
-
-
 # ---------------------------------------------------------------------------
 # table rendering
 # ---------------------------------------------------------------------------
 
-def _page_items(table: SpectralTable, pages: str) -> list[tuple[str, tuple]]:
-    """(label, grid) pairs for the requested page selection."""
+def _page_items(table: SpectralTable, pages: str | tuple[int, ...]) -> list[tuple[str, tuple]]:
+    """(label, grid) pairs for the requested page selection (see ``_pages``)."""
     if pages == "limit":
         return [("limit", table.limit)]
     if pages == "all":
         selected = sorted(r for r in table.pages if r <= max(table.r0, 0))
     else:
-        try:
-            selected = sorted({int(p) for p in pages.split(",")})
-        except ValueError:
-            raise SalamonSyntaxError(f"bad page selection {pages!r}", 1)
+        selected = pages
     items = [(str(r), table.grid(r)) for r in selected]
     items.append(("limit", table.limit))
     return items
@@ -175,12 +161,16 @@ def _load_algebra(text: str) -> LieAlgebra:
     candidate = text.strip()
     if candidate.startswith("("):
         return parse_salamon(candidate)
-    if os.path.exists(candidate):
-        content = open(candidate, encoding="utf-8").read().strip()
+    if os.path.isfile(candidate):
+        try:
+            with open(candidate, encoding="utf-8") as fh:
+                content = fh.read().strip()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise AlgebraFormatError(f"cannot read {candidate}: {exc}") from exc
         if content.startswith("{"):
             try:
                 doc = json.loads(content)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise AlgebraFormatError(f"bad JSON in {candidate}: {exc}") from exc
             return algebra_from_json(doc)
         return parse_salamon(content)
@@ -199,48 +189,43 @@ def _resolve_input(args: argparse.Namespace) -> LieAlgebra:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_compute(args: argparse.Namespace) -> int:
-    if args.batch:
-        return _run_batch(args)
+def _fail(exc: Exception, prefix: str = "") -> int:
+    """Print one error line for an exception and return its exit code."""
+    code = _exit_code_for(exc)
+    print(f"error: {prefix}{exc}", file=sys.stderr)
+    return code
+
+
+def _compute_one(load: Callable[[], LieAlgebra], args: argparse.Namespace, prefix: str = "") -> int:
     try:
-        algebra = _resolve_input(args)
+        algebra = load()
         table = table_for(algebra, max_page=args.max_page)
     except Exception as exc:  # mapped to the exit-code contract
-        code = _exit_code_for(exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return code
+        return _fail(exc, prefix)
     meta = {"salamon": to_salamon(algebra), "id": None, "label": algebra.label}
-    print(render_table(table, meta, args.format, args.pages))
+    if args.batch and args.format == "json":
+        print(json.dumps(table_json(table, meta)))  # one line per algebra
+    else:
+        print(render_table(table, meta, args.format, args.pages))
     return EXIT_OK
 
 
-def _batch_line(line: str, args: argparse.Namespace) -> tuple[int, str]:
-    try:
-        algebra = _load_algebra(line)
-        table = table_for(algebra, max_page=args.max_page)
-    except Exception as exc:  # mapped to the exit-code contract
-        code = _exit_code_for(exc)
-        return code, f"error: {line.strip()}: {exc}"
-    meta = {"salamon": to_salamon(algebra), "id": None, "label": algebra.label}
-    if args.format == "json":
-        return EXIT_OK, json.dumps(table_json(table, meta))
-    return EXIT_OK, render_table(table, meta, args.format, args.pages)
-
-
-def _run_batch(args: argparse.Namespace) -> int:
+def cmd_compute(args: argparse.Namespace) -> int:
+    if not args.batch:
+        return _compute_one(lambda: _resolve_input(args), args)
     source = args.input or "-"
-    stream = sys.stdin if source == "-" else open(source, encoding="utf-8")
-    lines = [line for line in stream.read().splitlines() if line.strip()]
-    if stream is not sys.stdin:
-        stream.close()
-    if not lines:
-        return EXIT_OK
-    with ThreadPoolExecutor(max_workers=_worker_count(len(lines))) as pool:
-        results = list(pool.map(lambda ln: _batch_line(ln, args), lines))
+    try:
+        if source == "-":
+            text = sys.stdin.read()
+        else:
+            with open(source, encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        return _fail(AlgebraFormatError(f"cannot read batch file {source}: {exc}"))
     worst = EXIT_OK
-    for code, text in results:
-        print(text, file=sys.stdout if code == EXIT_OK else sys.stderr)
-        worst = max(worst, code)
+    for line in text.splitlines():
+        if line.strip():
+            worst = max(worst, _compute_one(lambda: _load_algebra(line), args, f"{line.strip()}: "))
     return worst
 
 
@@ -293,32 +278,21 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     return worst
 
 
-def _parse_page(text: str) -> int | None:
-    return None if text in ("limit", "inf", "oo") else int(text)
-
-
 def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        algebra = _resolve_input(args)
-    except Exception as exc:  # mapped to the exit-code contract
-        code = _exit_code_for(exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return code
     run_all = not (args.theorems or args.lemma or args.direct_sum is not None)
     reports = []
     try:
+        algebra = _resolve_input(args)
         if args.theorems or run_all:
             table = table_for(algebra)
             reports.append(check_limit_edges(table, complex_for(algebra)))
         if args.lemma or run_all:
             reports.append(check_top_degree_forms(complex_for(algebra)))
         if args.direct_sum is not None:
-            for page in (args.page or ["limit"]):
-                reports.append(check_abelian_extension(algebra, _parse_page(page), s=args.direct_sum))
+            for page in (args.page or [LIMIT]):
+                reports.append(check_abelian_extension(algebra, page, s=args.direct_sum))
     except Exception as exc:  # mapped to the exit-code contract
-        code = _exit_code_for(exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return code
+        return _fail(exc)
     if args.format == "json":
         print(json.dumps([{"name": r.name, "ok": r.ok, "checks": r.checks,
                            "violations": list(r.violations)} for r in reports], indent=2))
@@ -333,6 +307,36 @@ def cmd_check(args: argparse.Namespace) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _at_least(low: int) -> Callable[[str], int]:
+    def integer(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
+def _page(text: str) -> int | None:
+    """A page index: 'limit' (also 'inf', 'oo') or an integer >= 0."""
+    return LIMIT if text in ("limit", "inf", "oo") else _at_least(0)(text)
+
+
+def _pages(text: str) -> str | tuple[int, ...]:
+    """'all', 'limit', or a comma list of page indices >= 0 (sorted, deduplicated)."""
+    return text if text in ("all", "limit") else tuple(sorted({_at_least(0)(p) for p in text.split(",")}))
+
+
+def _census_dim(text: str) -> int:
+    dims = sorted({e.dim for e in catalog_mod.list_entries()})
+    dim = _at_least(1)(text)
+    if dim not in dims:
+        raise argparse.ArgumentTypeError(f"the catalog has dimensions {dims}, not {dim}")
+    return dim
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nilspec",
@@ -341,9 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compute = sub.add_parser("compute", help="compute and print page tables")
     p_compute.add_argument("input", nargs="?", help="salamon string, or a file path")
-    p_compute.add_argument("--m0", type=int, metavar="N",
-                           help="use the filiform algebra of dimension N")
-    p_compute.add_argument("--pages", default="all",
+    p_compute.add_argument("--m0", type=_at_least(3), metavar="N",
+                           help="use the filiform algebra of dimension N >= 3")
+    p_compute.add_argument("--pages", type=_pages, default="all",
                            help="'all' (default: 0..r0), 'limit', or a comma list like 0,1,2")
     p_compute.add_argument("--max-page", type=int, default=None,
                            help="also compute pages beyond r0, up to this index")
@@ -356,21 +360,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_catalog.add_argument("--dim", type=int, default=None)
     p_catalog.add_argument("--check", action="store_true",
                            help="golden tables plus structural checkers over the selection")
-    p_catalog.add_argument("--census", type=int, metavar="DIM",
+    p_catalog.add_argument("--census", type=_census_dim, metavar="DIM",
                            help="print (classes, distinct limit tables) for a dimension")
     p_catalog.add_argument("--format", choices=("text", "json"), default="text")
     p_catalog.set_defaults(func=cmd_catalog)
 
     p_check = sub.add_parser("check", help="run structural checkers on one algebra")
     p_check.add_argument("input", nargs="?", help="salamon string, or a file path")
-    p_check.add_argument("--m0", type=int, metavar="N")
+    p_check.add_argument("--m0", type=_at_least(3), metavar="N")
     p_check.add_argument("--theorems", action="store_true",
                          help="limit-edge identities (degrees 0, 1, m-1, m)")
     p_check.add_argument("--lemma", action="store_true",
                          help="top-degree closed/exact characterisation")
-    p_check.add_argument("--direct-sum", type=int, metavar="S",
+    p_check.add_argument("--direct-sum", type=_at_least(1), metavar="S",
                          help="direct-sum identities for R^S (+) this algebra")
-    p_check.add_argument("--page", action="append",
+    p_check.add_argument("--page", type=_page, action="append",
                          help="page for --direct-sum: an integer or 'limit' (repeatable)")
     p_check.add_argument("--format", choices=("text", "json"), default="text")
     p_check.set_defaults(func=cmd_check)

@@ -12,6 +12,12 @@ An independent construction of the same matrices, pointwise evaluation of
 the alternating-sum formula on tuples of primal basis vectors, is provided
 as a cross-check oracle for small dimensions.
 
+The complex stores each d_q as an integer ``LinearMap``: the structure
+constants are multiplied once by the lcm of their denominators
+(``clear_denominators``), which scales every d_q by the same nonzero factor
+and so changes no image, preimage, kernel or rank.  ``apply_d`` divides the
+factor back out, so forms stay exact.
+
 ``build_complex`` first performs a filtration-adapted change of dual basis,
 after which every piece Lambda^q V_i is a coordinate subspace: a basis
 q-form lies in Lambda^q V_i iff the largest filtration level among its
@@ -24,16 +30,16 @@ single 1 in the top row.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .linalg import Matrix, Subspace, rank, rat, rref, span, subspace_sum
+from .linalg import LinearMap, Row, Subspace, rank, rat, span, subspace_sum
 
 if TYPE_CHECKING:  # pragma: no cover
     from .lie import Filtration, LieAlgebra
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 MultiIndex = tuple[int, ...]
 SparseColumns = dict[int, list[tuple[int, Fraction]]]
@@ -75,24 +81,6 @@ def sort_indices(indices: Sequence[int]) -> tuple[int, MultiIndex] | None:
         if a == b:
             return None
     return sign, tuple(items)
-
-
-def wedge_vectors(u: Sequence[Fraction], v: Sequence[Fraction], m: int) -> list[Fraction]:
-    """Coordinates of u ^ v in the Lambda^2 basis, for 1-form coordinate rows."""
-    pos = index_positions(m, 2)
-    out = [_ZERO] * len(pos)
-    for i in range(m):
-        ui = u[i]
-        if not ui:
-            continue
-        for j in range(m):
-            vj = v[j]
-            if vj and i != j:
-                if i < j:
-                    out[pos[(i + 1, j + 1)]] += ui * vj
-                else:
-                    out[pos[(j + 1, i + 1)]] -= ui * vj
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +174,9 @@ def _one_form_terms(constants: Mapping[tuple[int, int, int], Fraction]) -> dict[
 
 
 def differential_columns(m: int, constants: Mapping[tuple[int, int, int], Fraction], q: int) -> SparseColumns:
-    """Sparse columns of d: Lambda^q -> Lambda^(q+1) built by the derivation rule."""
+    """Sparse columns of d: Lambda^q -> Lambda^(q+1) built by the derivation rule.
+
+    Integer constants give integer columns."""
     cols: SparseColumns = {}
     if q < 0 or q >= m:
         return cols
@@ -203,28 +193,11 @@ def differential_columns(m: int, constants: Mapping[tuple[int, int, int], Fracti
                 sign, new_idx = sorted_
                 coeff = c * sign if t % 2 == 0 else -c * sign
                 pos = target_pos[new_idx]
-                acc[pos] = acc.get(pos, _ZERO) + coeff
+                acc[pos] = acc.get(pos, 0) + coeff
         entries = [(pos, coeff) for pos, coeff in acc.items() if coeff]
         if entries:
             cols[col] = entries
     return cols
-
-
-def _columns_to_matrix(cols: SparseColumns, rows: int, ncols: int) -> Matrix:
-    grid = [[_ZERO] * ncols for _ in range(rows)]
-    for col, entries in cols.items():
-        for row, coeff in entries:
-            grid[row][col] = coeff
-    return Matrix(rows, ncols, grid)
-
-
-def binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def compose_is_zero(outer: SparseColumns, inner: SparseColumns) -> bool:
@@ -233,23 +206,31 @@ def compose_is_zero(outer: SparseColumns, inner: SparseColumns) -> bool:
         acc: dict[int, Fraction] = {}
         for mid, coeff in entries:
             for row, c2 in outer.get(mid, ()):
-                acc[row] = acc.get(row, _ZERO) + coeff * c2
+                acc[row] = acc.get(row, 0) + coeff * c2
         if any(acc.values()):
             return False
     return True
 
 
-def pointwise_differential(m: int, constants: Mapping[tuple[int, int, int], Fraction], q: int) -> Matrix:
+def clear_denominators(constants: Mapping[tuple[int, int, int], Fraction]
+                       ) -> tuple[dict[tuple[int, int, int], int], int]:
+    """The constants times the lcm of their denominators, and that lcm."""
+    scale = math.lcm(*(c.denominator for c in constants.values()))
+    return {key: c.numerator * (scale // c.denominator) for key, c in constants.items()}, scale
+
+
+def pointwise_differential(m: int, constants: Mapping[tuple[int, int, int], Fraction], q: int) -> LinearMap:
     """Oracle construction of d_q: evaluate the alternating-sum formula.
 
     The entry at (row T, column J) is dx(e_T) for x = e^J, computed directly
     as sum over i<j of (-1)^(i+j-1) x([u_i,u_j], ..).  Independent of the
-    derivation-rule construction; intended for small dimensions.
+    derivation-rule construction; intended for small dimensions.  Like the
+    complex's d_q, it is scaled by the lcm of the constants' denominators.
     """
     domain = multi_indices(m, q)
     target = multi_indices(m, q + 1)
-    bracket: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (i, j, k), c in constants.items():
+    bracket: dict[tuple[int, int], dict[int, int]] = {}
+    for (i, j, k), c in clear_denominators(constants)[0].items():
         if c:
             bracket.setdefault((i, j), {})[k] = c
 
@@ -260,10 +241,10 @@ def pointwise_differential(m: int, constants: Mapping[tuple[int, int, int], Frac
         sorted_ = sort_indices(tuple(order[a] for a in args))
         return 0 if sorted_ is None else sorted_[0]
 
-    grid = [[_ZERO] * len(domain) for _ in range(len(target))]
+    columns: dict[int, list[tuple[int, int]]] = {}
     for rpos, tup in enumerate(target):
         for cpos, idx in enumerate(domain):
-            total = _ZERO
+            total = 0
             for a in range(len(tup)):
                 for b in range(a + 1, len(tup)):
                     vals = bracket.get((tup[a], tup[b]))
@@ -275,8 +256,8 @@ def pointwise_differential(m: int, constants: Mapping[tuple[int, int, int], Frac
                         ev = eval_basis_form(idx, (k,) + rest)
                         if ev:
                             total += sign * c * ev
-            grid[rpos][cpos] = total
-    return Matrix(len(target), len(domain), grid)
+            columns.setdefault(cpos, []).append((rpos, total))
+    return LinearMap(len(target), len(domain), columns)
 
 
 # ---------------------------------------------------------------------------
@@ -295,23 +276,24 @@ class CochainComplex:
     m, k:            dimension and nilpotency index
     v_dims:          dims of V_0 .. V_k
     levels:          levels[j-1] = min{i : adapted covector j lies in V_i}
-    adapted_basis_change:  rows = adapted covectors in the original dual basis
+    adapted_basis_change:  integer rows = adapted covectors in the original dual basis
     adapted_constants:     structure constants in the adapted basis
-    d:               d[q] maps Lambda^q coordinates to Lambda^(q+1), q = 0..m
+    d:               d[q] maps Lambda^q coordinates to Lambda^(q+1), q = 0..m,
+                     as an integer map: d_scale times the true differential
+    d_scale:         lcm of the denominators of the adapted constants
     """
 
-    def __init__(self, m: int, k: int, v_dims: Sequence[int], adapted_basis_change: Matrix,
+    def __init__(self, m: int, k: int, v_dims: Sequence[int], adapted_basis_change: tuple[Row, ...],
                  adapted_constants: Mapping[tuple[int, int, int], Fraction],
-                 sparse_columns: list[SparseColumns]):
+                 d: Sequence[LinearMap], d_scale: int):
         self.m = m
         self.k = k
         self.v_dims = tuple(v_dims)
         self.adapted_basis_change = adapted_basis_change
         self.adapted_constants = dict(adapted_constants)
-        self._sparse = sparse_columns
+        self.d = tuple(d)
+        self.d_scale = d_scale
         self.levels = tuple(min(i for i in range(k + 1) if j < self.v_dims[i]) for j in range(m))
-        dims = [binomial(m, q) for q in range(m + 2)]
-        self.d = tuple(_columns_to_matrix(sparse_columns[q], dims[q + 1], dims[q]) for q in range(m + 1))
         # multi-index level = max index level; the empty index carries level 1
         self._index_levels: list[tuple[int, ...]] = []
         for q in range(m + 1):
@@ -326,7 +308,7 @@ class CochainComplex:
         self._rank_cache: dict[int, int] = {}
 
     def dim_lambda(self, q: int) -> int:
-        return binomial(self.m, q)
+        return math.comb(self.m, q)
 
     def apply_d(self, x: Form) -> Form:
         """Differential of a form in adapted coordinates, via the sparse columns."""
@@ -336,12 +318,12 @@ class CochainComplex:
         pos = index_positions(self.m, q)
         target = multi_indices(self.m, q + 1)
         acc: dict[MultiIndex, Fraction] = {}
-        cols = self._sparse[q]
+        cols = self.d[q].columns
         for idx, c in x.coords.items():
             for row, coeff in cols.get(pos[idx], ()):
                 t = target[row]
                 acc[t] = acc.get(t, _ZERO) + c * coeff
-        return Form(q + 1, acc)
+        return Form(q + 1, {t: v / self.d_scale for t, v in acc.items()})
 
     def d_rank(self, q: int) -> int:
         """Rank of d_q, cached; q outside 0..m counts as the zero map."""
@@ -374,65 +356,50 @@ def build_complex(a: "LieAlgebra", f: "Filtration") -> CochainComplex:
     """Adapted basis change + differentials for a validated nilpotent algebra."""
     m, k = a.m, f.k
     v_dims = [s.dim for s in f.spaces]
-    adapted_rows: list[list[Fraction]] = []
+    adapted_rows: list[Row] = []
     current = Subspace.zero(m)
     for i in range(1, k + 1):
-        for row in f.spaces[i].basis.entries:
+        for row in f.spaces[i].basis:
             if not current.contains_vector(row):
-                adapted_rows.append(list(row))
+                adapted_rows.append(row)
                 current = subspace_sum(current, span([row], m))
         if current.dim != v_dims[i]:
             raise CochainComplexError("filtration basis extension failed")
-    change = Matrix(m, m, adapted_rows)
+    change = tuple(adapted_rows)
 
-    if change == Matrix.identity(m):
+    if change == Subspace.full(m).basis:
         constants = dict(a.c)
     else:
         constants = transform_constants(a.c, change)
 
-    sparse_columns = [differential_columns(m, constants, q) for q in range(m + 1)]
+    integer_constants, scale = clear_denominators(constants)
+    columns = [differential_columns(m, integer_constants, q) for q in range(m + 1)]
     for q in range(m):
-        if not compose_is_zero(sparse_columns[q + 1], sparse_columns[q]):
+        if not compose_is_zero(columns[q + 1], columns[q]):
             raise CochainComplexError(f"d_{q + 1} . d_{q} != 0 after basis adaptation")
-    return CochainComplex(m, k, v_dims, change, constants, sparse_columns)
+    d = [LinearMap(math.comb(m, q + 1), math.comb(m, q), columns[q]) for q in range(m + 1)]
+    return CochainComplex(m, k, v_dims, change, constants, d, scale)
 
 
 def transform_constants(constants: Mapping[tuple[int, int, int], Fraction],
-                        change: Matrix) -> dict[tuple[int, int, int], Fraction]:
+                        change: Sequence[Row]) -> dict[tuple[int, int, int], Fraction]:
     """Structure constants after the dual change of basis f^a = sum_b P[a][b] e^b."""
-    m = change.rows
-    augmented = Matrix(m, 2 * m, [list(row) + [_ONE if i == j else _ZERO for j in range(m)]
-                                  for i, row in enumerate(change.entries)])
-    reduced, rk = rref(augmented)
-    if rk != m:
+    m = len(change)
+    # the canonical rows of [P | I] are [0..L_i..0 | L_i (P^-1)_i] iff P is invertible
+    augmented = span([list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(change)], 2 * m)
+    if not all(row[i] for i, row in enumerate(augmented.basis)):
         raise CochainComplexError("adapted basis change is singular")
-    inverse = [row[m:] for row in reduced.entries]  # rows of P^-1
+    inverse = [[Fraction(x, row[i]) for x in row[m:]] for i, row in enumerate(augmented.basis)]
+    old_basis = [Form(1, {(a + 1,): x for a, x in enumerate(row)}) for row in inverse]  # e^i in the f^a
 
     out: dict[tuple[int, int, int], Fraction] = {}
-    for jnew in range(1, m + 1):
-        # d f^jnew in original-wedge coordinates
-        two_form: dict[tuple[int, int], Fraction] = {}
+    for jnew, prow in enumerate(change, start=1):
+        # d f^jnew = sum_b P[jnew][b] de^b, rewritten in adapted wedges
+        two_form = Form(2)
         for (i, l, b), cval in constants.items():
-            pb = change.entries[jnew - 1][b - 1]
-            if pb and cval:
-                key = (i, l)
-                two_form[key] = two_form.get(key, _ZERO) + pb * cval
-        # rewrite e^i ^ e^l through the inverse into adapted wedges
-        for (i, l), cval in two_form.items():
-            if not cval:
-                continue
-            qi = inverse[i - 1]
-            ql = inverse[l - 1]
-            for aa in range(m):
-                for bb in range(aa + 1, m):
-                    coeff = qi[aa] * ql[bb] - qi[bb] * ql[aa]
-                    if coeff:
-                        key = (aa + 1, bb + 1, jnew)
-                        val = out.get(key, _ZERO) + cval * coeff
-                        if val:
-                            out[key] = val
-                        else:
-                            out.pop(key, None)
+            if prow[b - 1]:
+                two_form = two_form + wedge(old_basis[i - 1], old_basis[l - 1]).scale(prow[b - 1] * cval)
+        out.update({(aa, bb, jnew): coeff for (aa, bb), coeff in two_form.coords.items()})
     return out
 
 

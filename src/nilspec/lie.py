@@ -19,12 +19,13 @@ descending series through annihilator duality dim V_i + dim n^i = m.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
 
 from . import exterior
-from .linalg import Matrix, Subspace, preimage, rat, span
+from .linalg import LinearMap, Subspace, preimage, rat, span
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -121,20 +122,6 @@ class LieAlgebra:
         for (i, j, k), c in sorted(self.c.items()):
             yield i, j, k, c
 
-    def bracket_vector(self, i: int, j: int) -> list[Fraction]:
-        """[e_i, e_j] as a coordinate vector."""
-        out = [_ZERO] * self.m
-        if i == j:
-            return out
-        sign = _ONE
-        if i > j:
-            i, j, sign = j, i, -_ONE
-        for k in range(1, self.m + 1):
-            c = self.c.get((i, j, k))
-            if c:
-                out[k - 1] = sign * c
-        return out
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LieAlgebra) and self.m == other.m and self.c == other.c
 
@@ -159,20 +146,15 @@ def jacobi_holds(m: int, constants: Mapping[tuple[int, int, int], Fraction]) -> 
 
 def _dual_filtration_spaces(m: int, constants: Mapping[tuple[int, int, int], Fraction]) -> list[Subspace]:
     """V_0, V_1, ... from the dual side until stabilisation (at most m+1 spaces)."""
-    cols = exterior.differential_columns(m, constants, 1)
-    rows = exterior.binomial(m, 2)
-    grid = [[_ZERO] * m for _ in range(rows)]
-    for col, entries in cols.items():
-        for row, coeff in entries:
-            grid[row][col] = coeff
-    d1 = Matrix(rows, m, grid)
+    integer_constants, _ = exterior.clear_denominators(constants)
+    d1 = LinearMap(math.comb(m, 2), m, exterior.differential_columns(m, integer_constants, 1))
     spaces = [Subspace.zero(m)]
     full = Subspace.full(m)
     while True:
         prev = spaces[-1]
-        lam2 = span([exterior.wedge_vectors(u, v, m)
-                     for a, u in enumerate(prev.basis.entries)
-                     for v in prev.basis.entries[a + 1:]], exterior.binomial(m, 2))
+        forms = [exterior.Form(1, {(j + 1,): x for j, x in enumerate(row)}) for row in prev.basis]
+        lam2 = span([exterior.wedge(x, y).to_vector(m) for a, x in enumerate(forms) for y in forms[a + 1:]],
+                    d1.rows)
         nxt = preimage(d1, lam2, full)
         if nxt.dim == prev.dim:
             return spaces
@@ -187,17 +169,15 @@ def primal_series(a: LieAlgebra) -> list[Subspace]:
     while True:
         prev = series[-1]
         vecs = []
-        for i in range(1, a.m + 1):
-            for row in prev.basis.entries:
-                out = [_ZERO] * a.m
-                for j, x in enumerate(row):
-                    if x:
-                        br = a.bracket_vector(i, j + 1)
-                        for t, b in enumerate(br):
-                            if b:
-                                out[t] += x * b
-                if any(out):
-                    vecs.append(out)
+        for g in range(1, a.m + 1):
+            for row in prev.basis:
+                out = [_ZERO] * a.m  # [e_g, row]
+                for (i, j, k), c in a.c.items():
+                    if i == g:
+                        out[k - 1] += c * row[j - 1]
+                    elif j == g:
+                        out[k - 1] -= c * row[i - 1]
+                vecs.append(out)
         nxt = span(vecs, a.m)
         if nxt.dim == prev.dim:
             return series
@@ -214,10 +194,6 @@ def validate_algebra(a: LieAlgebra) -> ValidationReport:
     return ValidationReport(jacobi_ok=True, nilpotent_ok=True, nilpotency_index=len(spaces) - 1)
 
 
-def validate(a: LieAlgebra) -> ValidationReport:
-    return validate_algebra(a)
-
-
 def descending_series(a: LieAlgebra) -> Filtration:
     """Annihilator filtration of the dual, cross-checked against the primal series."""
     spaces = _dual_filtration_spaces(a.m, a.c)
@@ -229,8 +205,8 @@ def descending_series(a: LieAlgebra) -> Filtration:
     for i in range(k + 1):
         if spaces[i].dim + dims[i] != a.m:
             raise LieError("dual filtration disagrees with the primal descending series")
-        for x in spaces[i].basis.entries:
-            for u in (series[i].basis.entries if i < len(series) else ()):
+        for x in spaces[i].basis:
+            for u in (series[i].basis if i < len(series) else ()):
                 if sum(xv * uv for xv, uv in zip(x, u)):
                     raise LieError(f"V_{i} does not annihilate the primal ideal n^{i}")
     return Filtration(k=k, spaces=tuple(spaces), series_dims=tuple(dims))
@@ -295,14 +271,8 @@ def parse_salamon(text: str, label: str | None = None) -> LieAlgebra:
                 raise IndexRangeError(f"index pair {i},{l} out of range for dimension {m} in de^{j}")
             if i == l:
                 raise IndexPairError(f"repeated index {i}{l} in de^{j}")
-            if i > l:
-                i, l, coeff = l, i, -coeff
-            key = (i, l, j)
-            total = constants.get(key, _ZERO) + coeff
-            if total:
-                constants[key] = total
-            else:
-                constants.pop(key, None)
+            # LieAlgebra orders the pair (flipping the sign) and drops zeros
+            constants[(i, l, j)] = constants.get((i, l, j), _ZERO) + coeff
     return LieAlgebra(m, constants, label=label)
 
 
@@ -360,6 +330,8 @@ def _parse_entry(entry: str, offset: int, m: int) -> list[tuple[tuple[int, int],
         if pos < len(text) and text[pos] == "/":
             pos += 1
             denom = read_int("a denominator")
+            if not int(denom):
+                raise err("zero denominator", pos - len(denom))
             coeff = sign * Fraction(int(digits), int(denom))
             if pos >= len(text) or text[pos] != "*":
                 raise err("expected '*' after a rational coefficient", pos)
@@ -431,15 +403,28 @@ def algebra_to_json(a: LieAlgebra) -> dict:
     return doc
 
 
+def _json_int(value: object) -> int:
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def algebra_from_json(doc: object) -> LieAlgebra:
+    """Read ``{"dim": m, "brackets": [{"i", "j", "k", "c"}, ...], "label": ...}``.
+
+    Dimension and indices must be JSON integers; coefficients are
+    decimal-free rationals, as strings like ``"-3/2"`` or as integers.
+    """
     if not isinstance(doc, dict):
         raise AlgebraFormatError("algebra document must be a JSON object")
     try:
-        m = int(doc["dim"])
+        m = _json_int(doc["dim"])
+        if m < 1:
+            raise ValueError("dim must be at least 1")
         brackets = doc.get("brackets", [])
         constants: Constants = {}
         for item in brackets:
-            key = (int(item["i"]), int(item["j"]), int(item["k"]))
+            key = (_json_int(item["i"]), _json_int(item["j"]), _json_int(item["k"]))
             constants[key] = constants.get(key, _ZERO) + rat(item["c"])
     except (KeyError, TypeError, ValueError) as exc:
         raise AlgebraFormatError(f"malformed algebra document: {exc}") from exc

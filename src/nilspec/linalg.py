@@ -1,27 +1,30 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, carried out on integers.
 
 Everything downstream (filtrations, cochain complexes, spectral pages)
-reduces to row reduction, spans, sums, intersections, images and preimages
-of subspaces of Q^n.  Matrices are dense grids of ``fractions.Fraction``;
-a subspace is stored as its canonical reduced row-echelon basis, so two
-subspaces are equal as sets iff their basis matrices are identical.
+reduces to spans, sums, intersections, images and preimages of subspaces of
+Q^n.  A subspace is stored as its canonical basis: the reduced row-echelon
+rows, each scaled to a primitive integer vector (content 1) with a positive
+pivot.  That form is unique, so two subspaces are equal as sets iff their
+bases are identical.
 
-Row reduction runs on integer rows (cross-multiplication plus gcd
-normalisation) and divides by the pivot only when converting back to
-rationals.  This keeps every computation exact while staying fast on the
-sparse small-integer matrices that dominate here.
+A linear map is stored as sparse integer columns.  A nonzero scalar changes
+no image, preimage, kernel or rank, so callers clear denominators once and
+hand over integer maps.  Rational input vectors are converted to integer
+rows with the same span where they enter (``span`` and ``contains_vector``).
+Elimination is fraction-free: cross-multiplication plus gcd normalisation.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Sequence
 
-Rational = Fraction
+Row = tuple[int, ...]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_RATIONAL = re.compile(r"[+-]?\d+(?:/0*[1-9]\d*)?")  # no decimals, no zero denominator
 
 
 class DimensionMismatchError(ValueError):
@@ -29,37 +32,44 @@ class DimensionMismatchError(ValueError):
 
 
 def rat(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, Fraction or string like ``-3/2`` to an exact rational."""
+    """Coerce an int, Fraction or string like ``-3/2`` to an exact rational.
+
+    Strings must be decimal-free: an optional sign, digits, and optionally
+    ``/`` and a nonzero denominator.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip().replace("−", "-"))
+        text = value.strip().replace("−", "-")
+        if not _RATIONAL.fullmatch(text):
+            raise ValueError(f"{value!r} is not a decimal-free rational")
+        return Fraction(text)
     raise TypeError(f"cannot interpret {value!r} as a rational number")
+
+
+def _integer_row(vector: Sequence, ambient_dim: int) -> list[int]:
+    """A rational row as an integer row with the same span (times the lcm of denominators)."""
+    if len(vector) != ambient_dim:
+        raise DimensionMismatchError("vector length differs from ambient dimension")
+    row = list(vector)
+    if not set(map(type, row)) <= {int}:
+        row = [rat(x) for x in row]
+        scale = math.lcm(*(x.denominator for x in row))
+        row = [x.numerator * (scale // x.denominator) for x in row]
+    return row
 
 
 # ---------------------------------------------------------------------------
 # integer-row reduction core
 # ---------------------------------------------------------------------------
 
-def _row_to_ints(row: Sequence[Fraction]) -> list[int]:
-    """Scale a rational row by the lcm of its denominators (span-preserving)."""
-    scale = 1
-    for x in row:
-        d = x.denominator
-        if d != 1:
-            scale = scale * d // math.gcd(scale, d)
-    if scale == 1:
-        return [x.numerator for x in row]
-    return [x.numerator * (scale // x.denominator) for x in row]
-
-
-def _int_rref(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Gauss-Jordan on integer rows; returns reduced rows and pivot columns.
+def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan on integer rows (reduced in place); returns rows and pivot columns.
 
     Returned rows are in echelon order with positive pivot entries and zeros
-    above and below every pivot; they are not yet scaled to pivot 1.
+    above and below every pivot; zero rows are dropped.
     """
     nrows = len(rows)
     pivots: list[int] = []
@@ -116,122 +126,69 @@ def _int_rref(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[
     return rows[:r], pivots
 
 
-def _rref_rows(rows: Iterable[Sequence[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Canonical RREF rows (pivot entries 1) and pivot columns, zero rows dropped."""
-    int_rows = [_row_to_ints(row) for row in rows]
-    reduced, pivots = _int_rref(int_rows, ncols)
-    out = []
-    for row, c in zip(reduced, pivots):
-        piv = row[c]
-        out.append([Fraction(x, piv) for x in row])
-    return out, pivots
-
-
-def _kernel_rows(rows: Iterable[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right kernel {x : M x = 0} of the matrix with the given rows."""
-    reduced, pivots = _rref_rows(rows, ncols)
+def _kernel_rows(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """Integer basis of the right kernel {x : M x = 0} of the matrix with the given rows."""
+    reduced, pivots = _echelon(rows, ncols)
+    scale = math.lcm(*(row[c] for row, c in zip(reduced, pivots)))
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = [_ZERO] * ncols
-        vec[free] = _ONE
+        vec = [0] * ncols
+        vec[free] = scale
         for row, c in zip(reduced, pivots):
             if row[free]:
-                vec[c] = -row[free]
+                vec[c] = -row[free] * (scale // row[c])
         basis.append(vec)
     return basis
 
 
 # ---------------------------------------------------------------------------
-# matrices
+# linear maps
 # ---------------------------------------------------------------------------
 
-class Matrix:
-    """Immutable dense matrix of exact rationals."""
+class LinearMap:
+    """Integer matrix of shape rows x cols, stored as sparse columns.
 
-    __slots__ = ("rows", "cols", "entries")
+    ``columns[j]`` lists the nonzero entries ``(i, value)`` of column j in
+    increasing row order; zero columns are absent.
+    """
 
-    def __init__(self, rows: int, cols: int, entries: Iterable[Iterable[Fraction | int]]):
-        data = tuple(tuple(rat(x) for x in row) for row in entries)
-        if len(data) != rows or any(len(row) != cols for row in data):
-            raise DimensionMismatchError(f"entry grid does not have shape {rows}x{cols}")
+    __slots__ = ("rows", "cols", "columns")
+
+    def __init__(self, rows: int, cols: int, columns: dict[int, list[tuple[int, int]]]):
         self.rows = rows
         self.cols = cols
-        self.entries = data
+        self.columns = {}
+        for j, entries in columns.items():
+            entries = sorted((i, v) for i, v in entries if v)
+            if not (0 <= j < cols and all(0 <= i < rows for i, _ in entries)):
+                raise DimensionMismatchError(f"entry outside the {rows}x{cols} shape")
+            if entries:
+                self.columns[j] = entries
 
-    @classmethod
-    def from_rows(cls, entries: Sequence[Sequence[Fraction | int]], cols: int | None = None) -> Matrix:
-        rows = len(entries)
-        if cols is None:
-            if rows == 0:
-                raise DimensionMismatchError("cannot infer column count of an empty matrix")
-            cols = len(entries[0])
-        return cls(rows, cols, entries)
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> Matrix:
-        return cls(rows, cols, [[_ZERO] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, n: int) -> Matrix:
-        return cls(n, n, [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
-    def column(self, j: int) -> list[Fraction]:
-        return [row[j] for row in self.entries]
-
-    def transpose(self) -> Matrix:
-        return Matrix(self.cols, self.rows, zip(*self.entries)) if self.rows and self.cols else Matrix(self.cols, self.rows, [[_ZERO] * self.rows for _ in range(self.cols)])
-
-    def apply(self, vector: Sequence[Fraction]) -> list[Fraction]:
+    def apply(self, vector: Sequence[int]) -> list[int]:
         """Matrix-vector product; skips zero coordinates of the input."""
         if len(vector) != self.cols:
             raise DimensionMismatchError(f"vector of length {len(vector)} against {self.cols} columns")
-        out = [_ZERO] * self.rows
-        for j, v in enumerate(vector):
-            if v:
-                for i, row in enumerate(self.entries):
-                    e = row[j]
-                    if e:
-                        out[i] += v * e
+        out = [0] * self.rows
+        columns = self.columns
+        for j in compress(range(self.cols), vector):
+            v = vector[j]
+            for i, e in columns.get(j, ()):
+                out[i] += v * e
         return out
 
-    def __matmul__(self, other: Matrix) -> Matrix:
-        if self.cols != other.rows:
-            raise DimensionMismatchError(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        cols = [other.column(j) for j in range(other.cols)]
-        data = [[sum((row[k] * col[k] for k in range(self.cols) if row[k]), _ZERO) for col in cols]
-                for row in self.entries]
-        return Matrix(self.rows, other.cols, data)
-
     def is_zero(self) -> bool:
-        return all(not x for row in self.entries for x in row)
+        return not self.columns
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
+        return (isinstance(other, LinearMap) and self.rows == other.rows
+                and self.cols == other.cols and self.columns == other.columns)
 
     def __repr__(self) -> str:
-        return f"Matrix({self.rows}x{self.cols})"
-
-
-def rref(m: Matrix) -> tuple[Matrix, int]:
-    """Canonical reduced row-echelon form of ``m`` (same shape) and its rank."""
-    reduced, pivots = _rref_rows(m.entries, m.cols)
-    rank = len(reduced)
-    padded = reduced + [[_ZERO] * m.cols for _ in range(m.rows - rank)]
-    return Matrix(m.rows, m.cols, padded), rank
-
-
-def rank(m: Matrix) -> int:
-    return rref(m)[1]
+        return f"LinearMap({self.rows}x{self.cols})"
 
 
 # ---------------------------------------------------------------------------
@@ -239,88 +196,95 @@ def rank(m: Matrix) -> int:
 # ---------------------------------------------------------------------------
 
 class Subspace:
-    """Linear subspace of Q^n held as a canonical RREF basis, one vector per row.
+    """Linear subspace of Q^n held as its canonical basis, one integer row per vector.
 
-    Canonicity makes equality-of-sets the same as equality-of-bases, which is
-    what the golden-table comparisons rely on.
+    Rows are the RREF rows scaled to primitive integers with a positive
+    pivot.  Canonicity makes equality-of-sets the same as
+    equality-of-bases, which is what the golden-table comparisons rely on.
     """
 
     __slots__ = ("ambient_dim", "basis", "_pivots")
 
-    def __init__(self, ambient_dim: int, basis: Matrix, _pivots: tuple[int, ...] | None = None):
-        if basis.cols != ambient_dim:
-            raise DimensionMismatchError("basis width differs from ambient dimension")
+    def __init__(self, ambient_dim: int, basis: tuple[Row, ...], pivots: tuple[int, ...]):
         self.ambient_dim = ambient_dim
         self.basis = basis
-        if _pivots is None:
-            _pivots = tuple(next(j for j, x in enumerate(row) if x) for row in basis.entries)
-        self._pivots = _pivots
+        self._pivots = pivots
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.basis)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> Subspace:
-        return cls(ambient_dim, Matrix(0, ambient_dim, []), ())
+        return cls(ambient_dim, (), ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> Subspace:
-        return cls(ambient_dim, Matrix.identity(ambient_dim), tuple(range(ambient_dim)))
+        return cls.coordinate(range(ambient_dim), ambient_dim)
 
     @classmethod
     def coordinate(cls, positions: Iterable[int], ambient_dim: int) -> Subspace:
         """Span of the unit vectors at the given coordinate positions."""
-        pos = sorted(set(positions))
-        entries = []
-        for p in pos:
-            row = [_ZERO] * ambient_dim
-            row[p] = _ONE
-            entries.append(row)
-        return cls(ambient_dim, Matrix(len(pos), ambient_dim, entries), tuple(pos))
+        pos = tuple(sorted(set(positions)))
+        rows = tuple(tuple(int(j == p) for j in range(ambient_dim)) for p in pos)
+        return cls(ambient_dim, rows, pos)
 
-    def reduce(self, vector: Sequence[Fraction]) -> list[Fraction]:
-        """Residual of ``vector`` after eliminating this basis; zero iff contained."""
-        if len(vector) != self.ambient_dim:
-            raise DimensionMismatchError("vector length differs from ambient dimension")
+    def _residual(self, vector: Sequence[int]) -> tuple[int, list[int]]:
+        """``(s, s*vector - w)`` with w in this subspace, s > 0, zero at every pivot.
+
+        The residual is zero iff ``vector`` lies in the subspace.
+        """
         vec = list(vector)
-        for row, p in zip(self.basis.entries, self._pivots):
+        scale = 1
+        for row, p in zip(self.basis, self._pivots):
             f = vec[p]
             if f:
+                piv = row[p]
+                if piv != 1:
+                    g = math.gcd(f, piv)
+                    a, f = piv // g, f // g
+                    vec = [a * x for x in vec]
+                    scale *= a
                 for j in range(p, self.ambient_dim):
                     if row[j]:
                         vec[j] -= f * row[j]
-        return vec
+        return scale, vec
 
-    def contains_vector(self, vector: Sequence[Fraction]) -> bool:
-        return not any(self.reduce(vector))
+    def contains_vector(self, vector: Sequence) -> bool:
+        """Whether a row of ints, rationals or rational strings lies in the subspace."""
+        return not any(self._residual(_integer_row(vector, self.ambient_dim))[1])
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
-                and self.basis.entries == other.basis.entries)
+                and self.basis == other.basis)
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis.entries))
+        return hash((self.ambient_dim, self.basis))
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def span(vectors: Iterable[Sequence[Fraction | int]], ambient_dim: int) -> Subspace:
-    """Canonical subspace spanned by the given coordinate rows."""
-    rows = []
-    for v in vectors:
-        row = [rat(x) for x in v]
-        if len(row) != ambient_dim:
-            raise DimensionMismatchError("vector length differs from ambient dimension")
-        rows.append(row)
-    reduced, pivots = _rref_rows(rows, ambient_dim)
-    return Subspace(ambient_dim, Matrix(len(reduced), ambient_dim, reduced), tuple(pivots))
+def span(vectors: Iterable[Sequence], ambient_dim: int) -> Subspace:
+    """Canonical subspace spanned by the given coordinate rows (ints, rationals
+    or rational strings)."""
+    rows = [_integer_row(v, ambient_dim) for v in vectors]
+    reduced, pivots = _echelon(rows, ambient_dim)
+    basis = []
+    for row in reduced:
+        g = math.gcd(*row)
+        basis.append(tuple([x // g for x in row]) if g > 1 else tuple(row))
+    return Subspace(ambient_dim, tuple(basis), tuple(pivots))
 
 
 def _check_same_ambient(a: Subspace, b: Subspace) -> None:
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatchError(f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}")
+
+
+def _check_domain(m: LinearMap, domain: Subspace) -> None:
+    if m.cols != domain.ambient_dim:
+        raise DimensionMismatchError(f"map with {m.cols} columns applied to ambient {domain.ambient_dim}")
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -329,21 +293,16 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
         return a
     if a.dim == 0:
         return b
-    return span(list(a.basis.entries) + list(b.basis.entries), a.ambient_dim)
+    return span(a.basis + b.basis, a.ambient_dim)
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     """Intersection via the Zassenhaus block trick on [[A A], [B 0]]."""
     _check_same_ambient(a, b)
     n = a.ambient_dim
-    rows: list[list[Fraction]] = []
-    for row in a.basis.entries:
-        rows.append(list(row) + list(row))
-    for row in b.basis.entries:
-        rows.append(list(row) + [_ZERO] * n)
-    reduced, _ = _rref_rows(rows, 2 * n)
-    inter = [row[n:] for row in reduced if not any(row[:n])]
-    return span(inter, n)
+    rows = [list(row + row) for row in a.basis] + [list(row) + [0] * n for row in b.basis]
+    reduced, _ = _echelon(rows, 2 * n)
+    return span([row[n:] for row in reduced if not any(row[:n])], n)
 
 
 def contains(a: Subspace, b: Subspace) -> bool:
@@ -351,51 +310,59 @@ def contains(a: Subspace, b: Subspace) -> bool:
     _check_same_ambient(a, b)
     if b.dim > a.dim:
         return False
-    return all(a.contains_vector(row) for row in b.basis.entries)
+    return all(not any(a._residual(row)[1]) for row in b.basis)
 
 
-def image(m: Matrix, domain: Subspace) -> Subspace:
+def image(m: LinearMap, domain: Subspace) -> Subspace:
     """Span of ``m`` applied to a basis of ``domain``; lives in Q^(m.rows)."""
-    if m.cols != domain.ambient_dim:
-        raise DimensionMismatchError(f"matrix with {m.cols} columns applied to ambient {domain.ambient_dim}")
-    return span([m.apply(row) for row in domain.basis.entries], m.rows)
+    _check_domain(m, domain)
+    return span([m.apply(row) for row in domain.basis], m.rows)
 
 
-def preimage(m: Matrix, target: Subspace, domain: Subspace) -> Subspace:
+def preimage(m: LinearMap, target: Subspace, domain: Subspace) -> Subspace:
     """Largest subspace {x in domain : m x in target}, canonical."""
-    if m.cols != domain.ambient_dim:
-        raise DimensionMismatchError(f"matrix with {m.cols} columns applied to ambient {domain.ambient_dim}")
+    _check_domain(m, domain)
     if m.rows != target.ambient_dim:
-        raise DimensionMismatchError(f"matrix with {m.rows} rows against target ambient {target.ambient_dim}")
+        raise DimensionMismatchError(f"map with {m.rows} rows against target ambient {target.ambient_dim}")
     t = domain.dim
-    if t == 0:
+    if t == 0 or target.dim == target.ambient_dim:
         return domain
-    images = [m.apply(row) for row in domain.basis.entries]
-    if target.dim == target.ambient_dim:
-        return domain
-    # one linear constraint per coordinate outside the target's pivot set
-    residuals = [target.reduce(u) for u in images]
+    # residual i is s_i * m b_i minus a target vector, zero on the target's
+    # pivots; sum c'_i residual_i = 0 iff sum s_i c'_i m b_i lies in the target
+    scales, residuals = zip(*(target._residual(m.apply(row)) for row in domain.basis))
     pivot_set = set(target._pivots)
     constraint_rows = []
     for c in range(m.rows):
         if c in pivot_set:
             continue
-        row = [residuals[i][c] for i in range(t)]
+        row = [res[c] for res in residuals]
         if any(row):
             constraint_rows.append(row)
-    coeffs = _kernel_rows(constraint_rows, t)
+    supports = [[(j, s * brow[j]) for j in compress(range(len(brow)), brow)]
+                for s, brow in zip(scales, domain.basis)]
     vectors = []
-    for cvec in coeffs:
-        vec = [_ZERO] * domain.ambient_dim
-        for ci, brow in zip(cvec, domain.basis.entries):
+    for coeffs in _kernel_rows(constraint_rows, t):
+        vec = [0] * domain.ambient_dim
+        for ci, support in zip(coeffs, supports):
             if ci:
-                for j, x in enumerate(brow):
-                    if x:
-                        vec[j] += ci * x
+                for j, x in support:
+                    vec[j] += ci * x
         vectors.append(vec)
     return span(vectors, domain.ambient_dim)
 
 
-def kernel(m: Matrix) -> Subspace:
+def _dense_rows(m: LinearMap) -> list[list[int]]:
+    rows = [[0] * m.cols for _ in range(m.rows)]
+    for j, entries in m.columns.items():
+        for i, v in entries:
+            rows[i][j] = v
+    return rows
+
+
+def kernel(m: LinearMap) -> Subspace:
     """Right kernel {x : m x = 0} as a canonical subspace of Q^(m.cols)."""
-    return span(_kernel_rows(m.entries, m.cols), m.cols)
+    return span(_kernel_rows(_dense_rows(m), m.cols), m.cols)
+
+
+def rank(m: LinearMap) -> int:
+    return len(_echelon(_dense_rows(m), m.cols)[1])

@@ -21,13 +21,13 @@ degeneration bound r0 <= k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .exterior import (
     CochainComplex,
     Form,
-    binomial,
     build_complex,
     divisibility_subspace,
     lambda_subspace,
@@ -139,28 +139,31 @@ def a_space(c: CochainComplex, p: int, q: int, r: int) -> Subspace:
     return _a_space(c, n, c.k - p, c.k - p - r)
 
 
-def _entry(c: CochainComplex, p: int, q: int, r: int | None) -> PageEntry:
+def _quotient(c: CochainComplex, p: int, n: int, r: int | None) -> tuple[Subspace, Subspace]:
+    """Numerator and denominator of E_r^{p, n-p} for 0 <= n <= m; r = LIMIT
+    for the limit term."""
+    top = c.k - p
+    if r is LIMIT:
+        r = c.k + abs(p) + 1  # every level below clamps: the limit formula
+    numerator = _a_space(c, n, top, top - r)
+    closed_part = _a_space(c, n, top - 1, top - r)
+    if n == 0:
+        return numerator, closed_part
+    return numerator, subspace_sum(_d_image(c, n - 1, top + r - 1, top), closed_part)
+
+
+def page_entry(c: CochainComplex, p: int, q: int, r: int | None) -> PageEntry:
+    """E_r^{p,q} with its numerator and denominator dimensions; r = LIMIT
+    for the limit term."""
     n = p + q
     if n < 0 or n > c.m:
         return PageEntry(r, p, q, 0, 0, 0)
-    if r is None:
-        numerator = _a_space(c, n, c.k - p, 0)
-        exact_part = _d_image(c, n - 1, c.k, c.k - p) if n >= 1 else None
-        closed_part = _a_space(c, n, c.k - p - 1, 0)
-    else:
-        numerator = _a_space(c, n, c.k - p, c.k - p - r)
-        exact_part = _d_image(c, n - 1, c.k - p + r - 1, c.k - p) if n >= 1 else None
-        closed_part = _a_space(c, n, c.k - p - 1, c.k - p - r)
-    denominator = closed_part if exact_part is None else subspace_sum(exact_part, closed_part)
+    numerator, denominator = _quotient(c, p, n, r)
     if not contains(numerator, denominator):
         raise InternalConsistencyError(
             f"denominator not contained in numerator at (p={p}, q={q}, r={r})")
     return PageEntry(r, p, q, numerator.dim - denominator.dim,
                      numerator.dim, denominator.dim)
-
-
-def page_entry(c: CochainComplex, p: int, q: int, r: int) -> PageEntry:
-    return _entry(c, p, q, r)
 
 
 def limit_class_nonzero(c: CochainComplex, p: int, x: Form) -> bool:
@@ -171,32 +174,15 @@ def limit_class_nonzero(c: CochainComplex, p: int, x: Form) -> bool:
     if n < 0 or n > c.m or p < 0 or p >= c.k:
         return False
     vec = x.to_vector(c.m)
-    numerator = _a_space(c, n, c.k - p, 0)
-    if not numerator.contains_vector(vec):
-        return False
-    closed_part = _a_space(c, n, c.k - p - 1, 0)
-    if n >= 1:
-        denominator = subspace_sum(_d_image(c, n - 1, c.k, c.k - p), closed_part)
-    else:
-        denominator = closed_part
-    return not denominator.contains_vector(vec)
-
-
-def limit_entry(c: CochainComplex, p: int, q: int) -> PageEntry:
-    return _entry(c, p, q, None)
-
-
-def _grid(c: CochainComplex, r: int | None) -> Grid:
-    rows = []
-    for p in range(c.k - 1, -1, -1):
-        rows.append(tuple(_entry(c, p, deg - p, r).dim for deg in range(c.m + 1)))
-    return tuple(rows)
+    numerator, denominator = _quotient(c, p, n, LIMIT)
+    return numerator.contains_vector(vec) and not denominator.contains_vector(vec)
 
 
 def page_grid(c: CochainComplex, r: int | None) -> Grid:
-    """Dimension grid of one page (None for the limit): k rows with the top
+    """Dimension grid of one page (LIMIT for the limit): k rows with the top
     row p = k-1, m+1 columns indexed by total degree."""
-    return _grid(c, r)
+    return tuple(tuple(page_entry(c, p, deg - p, r).dim for deg in range(c.m + 1))
+                 for p in range(c.k - 1, -1, -1))
 
 
 def betti_numbers(c: CochainComplex) -> tuple[int, ...]:
@@ -210,7 +196,7 @@ def betti_numbers(c: CochainComplex) -> tuple[int, ...]:
 
 def full_table(c: CochainComplex, max_page: int | None = None) -> SpectralTable:
     """Pages 0..max(max_page, r0), the limit grid, Betti numbers and r0."""
-    limit = _grid(c, None)
+    limit = page_grid(c, LIMIT)
     betti = betti_numbers(c)
     for i in range(c.m + 1):
         if sum(row[i] for row in limit) != betti[i]:
@@ -219,7 +205,7 @@ def full_table(c: CochainComplex, max_page: int | None = None) -> SpectralTable:
     r0 = None
     r = 0
     while True:
-        grid = _grid(c, r)
+        grid = page_grid(c, r)
         pages[r] = grid
         if r0 is None and grid == limit:
             r0 = r
@@ -344,7 +330,7 @@ def _probe(algebra: LieAlgebra, t: SpectralTable, p: int, q: int, r: int | None)
     deg = p + q
     if 0 <= p < t.k and 0 <= deg <= t.m:
         return t.entry(r, p, q)
-    return _entry(complex_for(algebra), p, q, r).dim
+    return page_entry(complex_for(algebra), p, q, r).dim
 
 
 # ---------------------------------------------------------------------------
@@ -357,4 +343,4 @@ def page0_closed_form(c: CochainComplex, p: int, deg: int) -> int:
         return 0
     if deg == 0:
         return 1 if p == c.k - 1 else 0
-    return binomial(c.v_dims[c.k - p], deg) - binomial(c.v_dims[c.k - p - 1], deg)
+    return math.comb(c.v_dims[c.k - p], deg) - math.comb(c.v_dims[c.k - p - 1], deg)

@@ -12,8 +12,8 @@ from fractions import Fraction
 import pytest
 
 from nilspec import catalog, lie, spectral
-from nilspec.exterior import differential_columns, multi_indices
-from nilspec.linalg import Matrix, kernel
+from nilspec.exterior import clear_denominators, differential_columns, multi_indices
+from nilspec.linalg import LinearMap, kernel
 
 _COEFF_POOL = [0, 0, 0, 0, 1, 1, -1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2)]
 
@@ -24,22 +24,19 @@ def random_nilpotent(rng: random.Random, m: int) -> lie.LieAlgebra:
         sub = {key: v for key, v in constants.items() if key[2] < j}
         n = j - 1
         pairs = multi_indices(n, 2)
-        cols = differential_columns(n, sub, 2)
-        rows = len(multi_indices(n, 3))
-        grid = [[Fraction(0)] * len(pairs) for _ in range(rows)]
-        for col, entries in cols.items():
-            for row, coeff in entries:
-                grid[row][col] = coeff
-        closed = kernel(Matrix(rows, len(pairs), grid))
+        cols = differential_columns(n, clear_denominators(sub)[0], 2)
+        closed = kernel(LinearMap(len(multi_indices(n, 3)), len(pairs), cols))
         if closed.dim == 0:
             continue
         vec = [Fraction(0)] * len(pairs)
-        for basis_row in closed.basis.entries:
+        for basis_row in closed.basis:
             c = Fraction(rng.choice(_COEFF_POOL))
             if c:
+                # combine the RREF rows with pivot 1, as scaled by the kernel
+                pivot = next(x for x in basis_row if x)
                 for t, x in enumerate(basis_row):
                     if x:
-                        vec[t] += c * x
+                        vec[t] += c * Fraction(x, pivot)
         for (a, b), val in zip(pairs, vec):
             if val:
                 constants[(a, b, j)] = val

@@ -16,7 +16,6 @@ from nilspec.spectral import (
     check_limit_edges,
     check_abelian_extension,
     limit_class_nonzero,
-    limit_entry,
     page0_closed_form,
     page_entry,
     page_grid,
@@ -128,10 +127,10 @@ def test_criterion_6_filiform_family():
         c = spectral.complex_for(algebra)
         k = c.k
         # the closed-form degree-2 row
-        assert limit_entry(c, 0, 2).dim == (1 if m % 2 == 0 else 2), m
+        assert page_entry(c, 0, 2, LIMIT).dim == (1 if m % 2 == 0 else 2), m
         for p in range(1, m - 1):
             want = 0 if (p - m) % 2 == 0 else 1
-            assert limit_entry(c, p, 2 - p).dim == want, (m, p)
+            assert page_entry(c, p, 2 - p, LIMIT).dim == want, (m, p)
         # witnesses: closed, non-exact, surviving at exactly one p
         exact_two_forms = image(c.d[1], Subspace.full(c.m))
         for s in range(2, (m + 1) // 2 + 1):
@@ -145,7 +144,7 @@ def test_criterion_6_filiform_family():
         c = spectral.complex_for(lie.m0(m))
         early = page_entry(c, 0, 2, half - 1)
         assert early.dim >= 2, m
-        assert limit_entry(c, 0, 2).dim == 1, m
+        assert page_entry(c, 0, 2, LIMIT).dim == 1, m
     _verdict(6, "m = 4..10 degree-2 rows, witness landings, and the even-m "
                 "non-degeneration gap (page m/2 - 1 vs limit) all exact")
 
@@ -183,10 +182,10 @@ def test_criterion_9_degeneration_bound(catalog_tables, random_algebras_dim7):
                 for e, algebra, comp, table in catalog_tables.values()]
     for m in range(3, 8):
         comp = spectral.complex_for(lie.m0(m))
-        algebras.append((f"m0({m})", comp, page_grid(comp, None)))
+        algebras.append((f"m0({m})", comp, page_grid(comp, LIMIT)))
     for algebra in random_algebras_dim7:
         comp = spectral.complex_for(algebra)
-        algebras.append((lie.to_salamon(algebra), comp, page_grid(comp, None)))
+        algebras.append((lie.to_salamon(algebra), comp, page_grid(comp, LIMIT)))
     for name, comp, limit in algebras:
         for r in (comp.k, comp.k + 1, comp.k + 2):
             assert page_grid(comp, r) == limit, (name, r)

@@ -22,7 +22,7 @@ def test_every_salamon_parses_and_is_nilpotent(catalog_entries):
     for e in catalog_entries:
         a = e.algebra()
         assert a.m == e.dim
-        assert lie.validate(a).ok
+        assert lie.validate_algebra(a).ok
 
 
 def test_grid_shapes_match_nilpotency_index(catalog_tables):

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from nilspec import catalog, lie, spectral
 from nilspec.cli import main
 
@@ -131,12 +133,52 @@ def test_exit_code_missing_input(capsys):
     assert code == 2
 
 
+def _json_doc(**changes):
+    doc = {"dim": 3, "brackets": [{"i": 1, "j": 2, "k": 3, "c": "1"}]}
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("argv, content, tables", [
+    (["catalog", "--census", "7"], None, 0),
+    (["compute", "--m0", "2"], None, 0),
+    (["check", "(0,0,12)", "--direct-sum", "0"], None, 0),
+    (["check", "(0,0,12)", "--direct-sum", "1", "--page", "foo"], None, 0),
+    (["compute", "(0,0,12)", "--pages", "-1"], None, 0),
+    (["compute", "{dir}"], None, 0),
+    (["compute", "--batch", "{file}", "--format", "json"], "(0,0,12)\n{dir}\n(0,0,0,0)\n", 2),
+    (["compute", "{file}"], _json_doc(dim=True, brackets=[]), 0),
+    (["compute", "{file}"], _json_doc(dim=3.7), 0),
+    (["compute", "{file}"], _json_doc(brackets=[{"i": 1, "j": 2, "k": 3, "c": "0.5"}]), 0),
+    (["compute", "{file}"], _json_doc(brackets=[{"i": True, "j": 2, "k": 3, "c": "1"}]), 0),
+    (["compute", "{file}"], '{"dim": ' + "[" * 100000 + "]" * 100000 + "}", 0),
+    (["compute", "{file}"], _json_doc(brackets=[{"i": 1, "j": 2, "k": 3, "c": "1/0"}]), 0),
+    (["compute", "(0,0,1/0*12)"], None, 0),
+], ids=["census-7", "m0-2", "direct-sum-0", "page-foo", "pages-minus-1", "directory",
+        "batch-directory-line", "json-dim-bool", "json-dim-float", "json-decimal-c",
+        "json-bool-index", "json-too-deep", "json-zero-denominator", "salamon-zero-denominator"])
+def test_bad_input_exits_2_with_one_error_line(argv, content, tables, tmp_path, capsys):
+    def fill(text):
+        return text.replace("{dir}", str(tmp_path)).replace("{file}", str(tmp_path / "input.txt"))
+
+    if content is not None:
+        (tmp_path / "input.txt").write_text(fill(content))
+    try:
+        code = main([fill(arg) for arg in argv])
+    except SystemExit as exc:  # argparse rejects bad options itself
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert sum("error:" in line for line in captured.err.splitlines()) == 1, captured.err
+    assert "Traceback" not in captured.err
+    assert [json.loads(line)["m"] for line in captured.out.splitlines()] == [3, 4][:tables]
+
+
 # ---------------------------------------------------------------------------
 # batch
 # ---------------------------------------------------------------------------
 
-def test_batch_keeps_order_and_worst_exit(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("NILSPEC_THREADS", "2")
+def test_batch_keeps_order_and_worst_exit(tmp_path, capsys):
     path = tmp_path / "batch.txt"
     path.write_text("(0,0,12)\n(bad\n(0,0,0,0)\n")
     code = main(["compute", "--batch", str(path), "--pages", "limit", "--format", "json"])

@@ -9,6 +9,7 @@ from nilspec import lie, spectral
 from nilspec.exterior import (
     Form,
     build_complex,
+    compose_is_zero,
     divisibility_subspace,
     is_divisible_by_v1_top,
     lambda_subspace,
@@ -90,7 +91,7 @@ def test_d_squared_zero_everywhere(random_algebras_dim7):
     for a in random_algebras_dim7[:10]:
         c = spectral.complex_for(a)
         for q in range(a.m):
-            assert (c.d[q + 1] @ c.d[q]).is_zero()
+            assert compose_is_zero(c.d[q + 1].columns, c.d[q].columns)
 
 
 def test_filtration_invariance(random_algebras_dim7):
@@ -150,8 +151,7 @@ def test_non_adapted_basis_gives_same_tables():
     assert t.limit == reference.limit
     assert t.r0 == reference.r0
     c = spectral.complex_for(skew)
-    from nilspec.linalg import Matrix
-    assert c.adapted_basis_change != Matrix.identity(3)
+    assert c.adapted_basis_change != Subspace.full(3).basis
 
 
 def test_permuted_catalog_entry_gives_same_tables():

@@ -142,20 +142,20 @@ def test_json_malformed():
 # ---------------------------------------------------------------------------
 
 def test_validate_heisenberg():
-    rep = lie.validate(lie.parse_salamon("(0,0,12)"))
+    rep = lie.validate_algebra(lie.parse_salamon("(0,0,12)"))
     assert rep.ok and rep.jacobi_ok and rep.nilpotent_ok
     assert rep.nilpotency_index == 2
 
 
 def test_validate_abelian_index_one():
-    rep = lie.validate(lie.abelian(5))
+    rep = lie.validate_algebra(lie.abelian(5))
     assert rep.nilpotency_index == 1
 
 
 def test_validate_semisimple_like():
     # so(3)-style cyclic constants: Jacobi holds, series never reaches zero
     a = LieAlgebra(3, {(2, 3, 1): 1, (1, 3, 2): -1, (1, 2, 3): 1}, validate=False)
-    rep = lie.validate(a)
+    rep = lie.validate_algebra(a)
     assert rep.jacobi_ok and not rep.nilpotent_ok
     assert rep.nilpotency_index is None
 

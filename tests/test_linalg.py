@@ -2,7 +2,7 @@
 
 The property tests compare against an independent naive fraction
 implementation (plain (num, den) tuples, textbook elimination) on random
-small matrices, so the integer-row fast path is cross-checked end to end.
+small matrices, so the integer-row elimination is cross-checked end to end.
 """
 
 import math
@@ -13,14 +13,14 @@ import pytest
 
 from nilspec.linalg import (
     DimensionMismatchError,
-    Matrix,
+    LinearMap,
     Subspace,
     contains,
     image,
     kernel,
     preimage,
+    rank,
     rat,
-    rref,
     span,
     subspace_intersect,
     subspace_sum,
@@ -89,29 +89,49 @@ def random_subspace(rng, ambient, nvecs):
     return span(random_matrix(rng, nvecs, ambient), ambient)
 
 
+def as_map(grid, cols):
+    """The integer map of a rational grid (rows x cols), scaled by the lcm of
+    its denominators; the scale changes no image, preimage, kernel or rank."""
+    scale = math.lcm(*(Fraction(x).denominator for row in grid for x in row))
+    return LinearMap(len(grid), cols, {j: [(i, int(row[j] * scale)) for i, row in enumerate(grid)]
+                                       for j in range(cols)})
+
+
+def identity_map(n):
+    return LinearMap(n, n, {j: [(j, 1)] for j in range(n)})
+
+
+def primitive(row):
+    """A rational row scaled to a primitive integer vector with a positive
+    leading entry."""
+    scale = math.lcm(*(x.denominator for x in row))
+    ints = [int(x * scale) for x in row]
+    g = math.gcd(*ints)
+    sign = 1 if next(x for x in ints if x) > 0 else -1
+    return tuple(sign * x // g for x in ints)
+
+
 # ---------------------------------------------------------------------------
-# rref and span
+# canonical rows (RREF scaled to primitive integers) and span
 # ---------------------------------------------------------------------------
 
 def test_rref_identity():
-    m = Matrix.identity(3)
-    out, rank = rref(m)
-    assert out == m
-    assert rank == 3
+    rows = [[int(i == j) for j in range(3)] for i in range(3)]
+    s = span(rows, 3)
+    assert s.basis == tuple(map(tuple, rows))
+    assert s.dim == 3 and s == Subspace.full(3)
 
 
 def test_rref_zero():
-    m = Matrix.zero(2, 4)
-    out, rank = rref(m)
-    assert out == m
-    assert rank == 0
+    s = span([[0] * 4, [0] * 4], 4)
+    assert s.basis == ()
+    assert s.dim == 0 and s == Subspace.zero(4)
 
 
 def test_rref_dependent_rows():
-    m = Matrix.from_rows([[1, 2], [2, 4]])
-    out, rank = rref(m)
-    assert out == Matrix.from_rows([[1, 2], [0, 0]])
-    assert rank == 1
+    s = span([[1, 2], [2, 4]], 2)
+    assert s.basis == ((1, 2),)
+    assert s.dim == 1
 
 
 def test_rref_matches_naive_on_random_matrices():
@@ -119,24 +139,23 @@ def test_rref_matches_naive_on_random_matrices():
     for _ in range(60):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         grid = random_matrix(rng, rows, cols)
-        ours, rank = rref(Matrix.from_rows(grid, cols))
+        ours = span(grid, cols)
         naive, naive_rank = naive_rref([[(x.numerator, x.denominator) for x in row] for row in grid])
-        assert rank == naive_rank
-        for i in range(rows):
-            for j in range(cols):
-                num, den = naive[i][j]
-                assert ours.entries[i][j] == Fraction(num, den)
+        assert ours.dim == naive_rank
+        assert ours.basis == tuple(primitive([Fraction(num, den) for num, den in row])
+                                   for row in naive[:naive_rank])
 
 
 def test_rref_idempotent_and_span_preserving():
     rng = random.Random(7)
     for _ in range(30):
         rows, cols = rng.randint(1, 5), rng.randint(1, 6)
-        m = Matrix.from_rows(random_matrix(rng, rows, cols), cols)
-        once, rank = rref(m)
-        twice, rank2 = rref(once)
-        assert once == twice and rank == rank2
-        assert span(m.entries, cols) == span(once.entries, cols)
+        grid = random_matrix(rng, rows, cols)
+        once = span(grid, cols)
+        twice = span(once.basis, cols)
+        assert once.basis == twice.basis and once.dim == twice.dim
+        assert all(once.contains_vector(row) for row in grid)
+        assert once.dim == rank(as_map(grid, cols))
 
 
 def test_span_empty_is_zero_subspace():
@@ -211,7 +230,7 @@ def test_ambient_mismatch_raises():
     with pytest.raises(DimensionMismatchError):
         contains(Subspace.full(2), Subspace.full(3))
     with pytest.raises(DimensionMismatchError):
-        image(Matrix.identity(2), Subspace.full(3))
+        image(identity_map(2), Subspace.full(3))
 
 
 # ---------------------------------------------------------------------------
@@ -219,25 +238,25 @@ def test_ambient_mismatch_raises():
 # ---------------------------------------------------------------------------
 
 def test_image_of_zero_map():
-    m = Matrix.zero(3, 2)
+    m = LinearMap(3, 2, {})
     assert image(m, Subspace.full(2)) == Subspace.zero(3)
 
 
 def test_image_of_identity_restricted_to_domain():
     rng = random.Random(3)
     d = random_subspace(rng, 4, 2)
-    assert image(Matrix.identity(4), d) == d
+    assert image(identity_map(4), d) == d
 
 
 def test_preimage_of_full_target_is_domain():
     rng = random.Random(4)
-    m = Matrix.from_rows(random_matrix(rng, 3, 4), 4)
+    m = as_map(random_matrix(rng, 3, 4), 4)
     d = random_subspace(rng, 4, 3)
     assert preimage(m, Subspace.full(3), d) == d
 
 
 def test_preimage_of_zero_under_injective_map():
-    m = Matrix.from_rows([[1, 0], [0, 1], [1, 1]])
+    m = as_map([[1, 0], [0, 1], [1, 1]], 2)
     assert preimage(m, Subspace.zero(3), Subspace.full(2)) == Subspace.zero(2)
 
 
@@ -245,14 +264,14 @@ def test_preimage_is_largest_subspace_mapping_into_target():
     rng = random.Random(5)
     for _ in range(30):
         n, m_dim = rng.randint(1, 5), rng.randint(1, 5)
-        mat = Matrix.from_rows(random_matrix(rng, m_dim, n), n)
+        mat = as_map(random_matrix(rng, m_dim, n), n)
         domain = random_subspace(rng, n, rng.randint(0, n))
         target = random_subspace(rng, m_dim, rng.randint(0, m_dim))
         pre = preimage(mat, target, domain)
         assert contains(domain, pre)
         assert contains(target, image(mat, pre))
         # maximality: every domain basis vector outside pre must leave target
-        for row in domain.basis.entries:
+        for row in domain.basis:
             if not pre.contains_vector(row):
                 assert not target.contains_vector(mat.apply(row))
 
@@ -261,13 +280,15 @@ def test_kernel_matches_preimage_of_zero():
     rng = random.Random(6)
     for _ in range(20):
         n, m_dim = rng.randint(1, 5), rng.randint(1, 5)
-        mat = Matrix.from_rows(random_matrix(rng, m_dim, n), n)
+        mat = as_map(random_matrix(rng, m_dim, n), n)
         assert kernel(mat) == preimage(mat, Subspace.zero(m_dim), Subspace.full(n))
-        _, rk = rref(mat)
-        assert kernel(mat).dim == n - rk
+        assert kernel(mat).dim == n - rank(mat)
 
 
 def test_rat_parses_signed_fractions():
     assert rat("-3/2") == Fraction(-3, 2)
     assert rat("−3/2") == Fraction(-3, 2)
     assert rat(7) == Fraction(7)
+    for bad in ("0.5", "1e3", "1/2.0", True):
+        with pytest.raises((ValueError, TypeError)):
+            rat(bad)

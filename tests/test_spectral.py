@@ -12,7 +12,6 @@ from nilspec.spectral import (
     check_limit_edges,
     check_abelian_extension,
     full_table,
-    limit_entry,
     page0_closed_form,
     page_entry,
     table_for,
@@ -90,7 +89,7 @@ def test_entries_vanish_outside_band(random_algebras_dim7):
         for (p, q) in probes:
             for r in (0, 1, c.k, c.k + 3):
                 assert page_entry(c, p, q, r).dim == 0
-            assert limit_entry(c, p, q).dim == 0
+            assert page_entry(c, p, q, LIMIT).dim == 0
 
 
 def test_audit_trail_dimensions():
@@ -107,9 +106,9 @@ def test_audit_trail_dimensions():
 def test_limit_edge_values(random_algebras_dim7):
     for a in random_algebras_dim7[:8]:
         c = spectral.complex_for(a)
-        assert limit_entry(c, c.k - 1, 1 - c.k).dim == 1
-        assert limit_entry(c, 0, c.m).dim == 1
-        assert limit_entry(c, c.k - 1, 2 - c.k).dim == c.v_dims[1]
+        assert page_entry(c, c.k - 1, 1 - c.k, LIMIT).dim == 1
+        assert page_entry(c, 0, c.m, LIMIT).dim == 1
+        assert page_entry(c, c.k - 1, 2 - c.k, LIMIT).dim == c.v_dims[1]
 
 
 def test_limit_equals_page_at_k(random_algebras_dim7):
@@ -117,7 +116,7 @@ def test_limit_equals_page_at_k(random_algebras_dim7):
         c = spectral.complex_for(a)
         for p in range(c.k):
             for deg in range(c.m + 1):
-                lim = limit_entry(c, p, deg - p)
+                lim = page_entry(c, p, deg - p, LIMIT)
                 for r in (c.k, c.k + 1, c.k + 2):
                     assert page_entry(c, p, deg - p, r).dim == lim.dim
 
