@@ -177,7 +177,7 @@ def golden_check(entry: CatalogEntry, table: SpectralTable | None = None) -> Gol
     degeneration page does not exceed the printed one.
     """
     if table is None:
-        table = table_for(entry.algebra(), max_page=max(entry.golden_pages))
+        table = table_for(entry.algebra())
     mismatches = []
     for r, stored in sorted(entry.golden_pages.items()):
         computed = table.grid(r)

@@ -72,10 +72,7 @@ def _page_items(table: SpectralTable, pages: str | tuple[int, ...]) -> list[tupl
     """(label, grid) pairs for the requested page selection (see ``_pages``)."""
     if pages == "limit":
         return [("limit", table.limit)]
-    if pages == "all":
-        selected = sorted(r for r in table.pages if r <= max(table.r0, 0))
-    else:
-        selected = pages
+    selected = sorted(table.pages) if pages == "all" else pages
     items = [(str(r), table.grid(r)) for r in selected]
     items.append(("limit", table.limit))
     return items
@@ -134,8 +131,7 @@ def table_json(table: SpectralTable, meta: dict) -> dict:
         "k": table.k,
         "r0": table.r0,
         "betti": list(table.betti),
-        "pages": {str(r): [list(row) for row in grid]
-                  for r, grid in sorted(table.pages.items()) if r <= table.r0},
+        "pages": {str(r): [list(row) for row in grid] for r, grid in sorted(table.pages.items())},
         "limit": [list(row) for row in table.limit],
     }
 
@@ -199,7 +195,7 @@ def _fail(exc: Exception, prefix: str = "") -> int:
 def _compute_one(load: Callable[[], LieAlgebra], args: argparse.Namespace, prefix: str = "") -> int:
     try:
         algebra = load()
-        table = table_for(algebra, max_page=args.max_page)
+        table = table_for(algebra)
     except Exception as exc:  # mapped to the exit-code contract
         return _fail(exc, prefix)
     meta = {"salamon": to_salamon(algebra), "id": None, "label": algebra.label}
@@ -247,7 +243,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     for e in entries:
         try:
             algebra = e.algebra()
-            table = table_for(algebra, max_page=max(e.golden_pages))
+            table = table_for(algebra)
             comp = complex_for(algebra)
             golden = catalog_mod.golden_check(e, table)
             edges = check_limit_edges(table, comp)
@@ -279,6 +275,9 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    if args.page and args.direct_sum is None:
+        print("error: --page applies only with --direct-sum", file=sys.stderr)
+        return EXIT_PARSE
     run_all = not (args.theorems or args.lemma or args.direct_sum is not None)
     reports = []
     try:
@@ -329,7 +328,7 @@ def _pages(text: str) -> str | tuple[int, ...]:
     return text if text in ("all", "limit") else tuple(sorted({_at_least(0)(p) for p in text.split(",")}))
 
 
-def _census_dim(text: str) -> int:
+def _catalog_dim(text: str) -> int:
     dims = sorted({e.dim for e in catalog_mod.list_entries()})
     dim = _at_least(1)(text)
     if dim not in dims:
@@ -344,30 +343,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", help="compute and print page tables")
-    p_compute.add_argument("input", nargs="?", help="salamon string, or a file path")
-    p_compute.add_argument("--m0", type=_at_least(3), metavar="N",
-                           help="use the filiform algebra of dimension N >= 3")
+    source = p_compute.add_mutually_exclusive_group()
+    source.add_argument("input", nargs="?", help="salamon string, or a file path")
+    source.add_argument("--m0", type=_at_least(3), metavar="N",
+                        help="use the filiform algebra of dimension N >= 3")
     p_compute.add_argument("--pages", type=_pages, default="all",
                            help="'all' (default: 0..r0), 'limit', or a comma list like 0,1,2")
-    p_compute.add_argument("--max-page", type=int, default=None,
-                           help="also compute pages beyond r0, up to this index")
     p_compute.add_argument("--format", choices=("text", "json", "csv", "latex"), default="text")
     p_compute.add_argument("--batch", action="store_true",
                            help="treat input (or stdin with '-') as one salamon string per line")
     p_compute.set_defaults(func=cmd_compute)
 
     p_catalog = sub.add_parser("catalog", help="browse or verify the built-in catalog")
-    p_catalog.add_argument("--dim", type=int, default=None)
+    p_catalog.add_argument("--dim", type=_catalog_dim, default=None)
     p_catalog.add_argument("--check", action="store_true",
                            help="golden tables plus structural checkers over the selection")
-    p_catalog.add_argument("--census", type=_census_dim, metavar="DIM",
+    p_catalog.add_argument("--census", type=_catalog_dim, metavar="DIM",
                            help="print (classes, distinct limit tables) for a dimension")
     p_catalog.add_argument("--format", choices=("text", "json"), default="text")
     p_catalog.set_defaults(func=cmd_catalog)
 
     p_check = sub.add_parser("check", help="run structural checkers on one algebra")
-    p_check.add_argument("input", nargs="?", help="salamon string, or a file path")
-    p_check.add_argument("--m0", type=_at_least(3), metavar="N")
+    source = p_check.add_mutually_exclusive_group()
+    source.add_argument("input", nargs="?", help="salamon string, or a file path")
+    source.add_argument("--m0", type=_at_least(3), metavar="N")
     p_check.add_argument("--theorems", action="store_true",
                          help="limit-edge identities (degrees 0, 1, m-1, m)")
     p_check.add_argument("--lemma", action="store_true",

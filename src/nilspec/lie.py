@@ -13,8 +13,9 @@ the published tables use this form ("34+52") and the Jacobi identity pins
 the sign down.
 
 The filtration V_0 = 0, V_i = {x : dx in Lambda^2 V_(i-1)} of the dual is
-computed by exact preimages and cross-checked against the primal central
-descending series through annihilator duality dim V_i + dim n^i = m.
+computed once, at validation, by exact preimages on the integer constants,
+cross-checked against the primal central descending series through
+annihilator duality dim V_i + dim n^i = m, and carried by the algebra.
 """
 
 from __future__ import annotations
@@ -66,8 +67,15 @@ class AlgebraFormatError(LieError):
 @dataclass(frozen=True)
 class ValidationReport:
     jacobi_ok: bool
-    nilpotent_ok: bool
-    nilpotency_index: int | None
+    filtration: Filtration | None  # None unless the algebra is nilpotent
+
+    @property
+    def nilpotent_ok(self) -> bool:
+        return self.filtration is not None
+
+    @property
+    def nilpotency_index(self) -> int | None:
+        return None if self.filtration is None else self.filtration.k
 
     @property
     def ok(self) -> bool:
@@ -85,7 +93,7 @@ class Filtration:
 class LieAlgebra:
     """Immutable structure-constant presentation of a nilpotent Lie algebra."""
 
-    __slots__ = ("m", "c", "label")
+    __slots__ = ("m", "c", "label", "filtration")
 
     def __init__(self, m: int, constants: Mapping[tuple[int, int, int], Fraction | int],
                  label: str | None = None, validate: bool = True):
@@ -111,12 +119,9 @@ class LieAlgebra:
         self.m = m
         self.c = cleaned
         self.label = label
+        self.filtration: Filtration | None = None
         if validate:
-            report = validate_algebra(self)
-            if not report.jacobi_ok:
-                raise JacobiError("structure constants violate the Jacobi identity")
-            if not report.nilpotent_ok:
-                raise NotNilpotentError("algebra is not nilpotent")
+            self.filtration = descending_series(self)
 
     def brackets(self) -> Iterator[tuple[int, int, int, Fraction]]:
         for (i, j, k), c in sorted(self.c.items()):
@@ -137,79 +142,74 @@ class LieAlgebra:
 # validation and the filtration
 # ---------------------------------------------------------------------------
 
-def jacobi_holds(m: int, constants: Mapping[tuple[int, int, int], Fraction]) -> bool:
-    """Jacobi identity as d.d = 0 one degree up from the 1-forms."""
-    d1 = exterior.differential_columns(m, constants, 1)
-    d2 = exterior.differential_columns(m, constants, 2)
-    return exterior.compose_is_zero(d2, d1)
-
-
-def _dual_filtration_spaces(m: int, constants: Mapping[tuple[int, int, int], Fraction]) -> list[Subspace]:
+def _dual_filtration_spaces(m: int, d1: LinearMap) -> list[Subspace]:
     """V_0, V_1, ... from the dual side until stabilisation (at most m+1 spaces)."""
-    integer_constants, _ = exterior.clear_denominators(constants)
-    d1 = LinearMap(math.comb(m, 2), m, exterior.differential_columns(m, integer_constants, 1))
+    pairs = [(a - 1, b - 1) for a, b in exterior.multi_indices(m, 2)]
     spaces = [Subspace.zero(m)]
     full = Subspace.full(m)
-    while True:
-        prev = spaces[-1]
-        forms = [exterior.Form(1, {(j + 1,): x for j, x in enumerate(row)}) for row in prev.basis]
-        lam2 = span([exterior.wedge(x, y).to_vector(m) for a, x in enumerate(forms) for y in forms[a + 1:]],
-                    d1.rows)
+    while spaces[-1].dim < m:
+        prev = spaces[-1].basis
+        # Lambda^2 V_(i-1) is spanned by the wedges x ^ y, whose coordinates are 2x2 minors
+        lam2 = span([[x[a] * y[b] - x[b] * y[a] for a, b in pairs]
+                     for n, x in enumerate(prev) for y in prev[n + 1:]], d1.rows)
         nxt = preimage(d1, lam2, full)
-        if nxt.dim == prev.dim:
-            return spaces
+        if nxt.dim == len(prev):
+            break
         spaces.append(nxt)
-        if nxt.dim == m:
-            return spaces
+    return spaces
 
 
-def primal_series(a: LieAlgebra) -> list[Subspace]:
+def primal_series(m: int, constants: Mapping[tuple[int, int, int], int]) -> list[Subspace]:
     """Central descending series n^0 = n, n^i = [n, n^(i-1)], until stabilisation."""
-    series = [Subspace.full(a.m)]
+    series = [Subspace.full(m)]
     while True:
-        prev = series[-1]
         vecs = []
-        for g in range(1, a.m + 1):
-            for row in prev.basis:
-                out = [_ZERO] * a.m  # [e_g, row]
-                for (i, j, k), c in a.c.items():
-                    if i == g:
-                        out[k - 1] += c * row[j - 1]
-                    elif j == g:
-                        out[k - 1] -= c * row[i - 1]
-                vecs.append(out)
-        nxt = span(vecs, a.m)
-        if nxt.dim == prev.dim:
+        for row in series[-1].basis:
+            brackets = [[0] * m for _ in range(m)]  # brackets[g-1] = [e_g, row]
+            for (i, j, k), c in constants.items():
+                brackets[i - 1][k - 1] += c * row[j - 1]
+                brackets[j - 1][k - 1] -= c * row[i - 1]
+            vecs.extend(brackets)
+        nxt = span(vecs, m)
+        if nxt.dim == series[-1].dim:
             return series
         series.append(nxt)
 
 
 def validate_algebra(a: LieAlgebra) -> ValidationReport:
-    """Report Jacobi and nilpotency status without raising."""
-    if not jacobi_holds(a.m, a.c):
-        return ValidationReport(jacobi_ok=False, nilpotent_ok=False, nilpotency_index=None)
-    spaces = _dual_filtration_spaces(a.m, a.c)
+    """Check Jacobi and nilpotency on integer constants, and compute the
+    filtration; a LieError means the dual and primal series disagree."""
+    constants, _ = exterior.clear_denominators(a.c)
+    d1 = exterior.differential_columns(a.m, constants, 1)
+    if not exterior.compose_is_zero(exterior.differential_columns(a.m, constants, 2), d1):
+        return ValidationReport(jacobi_ok=False, filtration=None)
+    spaces = _dual_filtration_spaces(a.m, LinearMap(math.comb(a.m, 2), a.m, d1))
     if spaces[-1].dim != a.m:
-        return ValidationReport(jacobi_ok=True, nilpotent_ok=False, nilpotency_index=None)
-    return ValidationReport(jacobi_ok=True, nilpotent_ok=True, nilpotency_index=len(spaces) - 1)
+        return ValidationReport(jacobi_ok=True, filtration=None)
+    series = primal_series(a.m, constants)
+    series += [Subspace.zero(a.m)] * (len(spaces) - len(series))
+    for i, (v, n) in enumerate(zip(spaces, series)):
+        if v.dim + n.dim != a.m:
+            raise LieError("dual filtration disagrees with the primal descending series")
+        for x in v.basis:
+            for u in n.basis:
+                if sum(xv * uv for xv, uv in zip(x, u)):
+                    raise LieError(f"V_{i} does not annihilate the primal ideal n^{i}")
+    dims = tuple(n.dim for n in series)
+    return ValidationReport(jacobi_ok=True, filtration=Filtration(len(spaces) - 1, tuple(spaces), dims))
 
 
 def descending_series(a: LieAlgebra) -> Filtration:
-    """Annihilator filtration of the dual, cross-checked against the primal series."""
-    spaces = _dual_filtration_spaces(a.m, a.c)
-    if spaces[-1].dim != a.m:
-        raise NotNilpotentError("descending series stabilises at a nonzero ideal")
-    k = len(spaces) - 1
-    series = primal_series(a)
-    dims = [s.dim for s in series] + [0] * (k + 1 - len(series))
-    for i in range(k + 1):
-        if spaces[i].dim + dims[i] != a.m:
-            raise LieError("dual filtration disagrees with the primal descending series")
-        for x in spaces[i].basis:
-            for u in (series[i].basis if i < len(series) else ()):
-                if sum(xv * uv for xv, uv in zip(x, u)):
-                    raise LieError(f"V_{i} does not annihilate the primal ideal n^{i}")
-    return Filtration(k=k, spaces=tuple(spaces), series_dims=tuple(dims))
+    """Annihilator filtration of the dual, cross-checked against the primal
+    series: the one a validated algebra carries, else computed now."""
+    if a.filtration is not None:
+        return a.filtration
+    report = validate_algebra(a)
+    if not report.jacobi_ok:
+        raise JacobiError("structure constants violate the Jacobi identity")
+    if report.filtration is None:
+        raise NotNilpotentError("algebra is not nilpotent")
+    return report.filtration
 
 
 # ---------------------------------------------------------------------------

@@ -67,11 +67,12 @@ class CheckReport:
 
 @dataclass(frozen=True)
 class SpectralTable:
-    """All page grids up to degeneration, the limit grid, Betti numbers, r0.
+    """Page grids 0..r0, the limit grid, Betti numbers, r0.
 
-    Grids are laid out exactly like the published tables: k rows with the
-    top row p = k-1 and the bottom row p = 0, and m+1 columns indexed by
-    total degree.
+    Every page after r0 equals the limit, so ``grid(r)`` reads it as the
+    limit for r >= r0.  Grids are laid out exactly like the published
+    tables: k rows with the top row p = k-1 and the bottom row p = 0, and
+    m+1 columns indexed by total degree.
     """
     m: int
     k: int
@@ -194,27 +195,20 @@ def betti_numbers(c: CochainComplex) -> tuple[int, ...]:
     return tuple(out)
 
 
-def full_table(c: CochainComplex, max_page: int | None = None) -> SpectralTable:
-    """Pages 0..max(max_page, r0), the limit grid, Betti numbers and r0."""
+def full_table(c: CochainComplex) -> SpectralTable:
+    """Pages 0..r0, the limit grid, Betti numbers and r0 <= k; later pages
+    equal the limit and are not computed."""
     limit = page_grid(c, LIMIT)
     betti = betti_numbers(c)
     for i in range(c.m + 1):
         if sum(row[i] for row in limit) != betti[i]:
             raise InternalConsistencyError(f"limit column {i} does not sum to the Betti number")
     pages: dict[int, Grid] = {}
-    r0 = None
-    r = 0
-    while True:
-        grid = page_grid(c, r)
-        pages[r] = grid
-        if r0 is None and grid == limit:
-            r0 = r
-        if r0 is not None and (max_page is None or r >= max_page):
-            break
-        if r0 is None and r > c.k:
-            raise InternalConsistencyError("no degeneration at the nilpotency index")
-        r += 1
-    return SpectralTable(m=c.m, k=c.k, pages=pages, limit=limit, betti=betti, r0=r0)
+    for r in range(c.k + 1):
+        pages[r] = page_grid(c, r)
+        if pages[r] == limit:
+            return SpectralTable(m=c.m, k=c.k, pages=pages, limit=limit, betti=betti, r0=r)
+    raise InternalConsistencyError("no degeneration at the nilpotency index")
 
 
 @lru_cache(maxsize=256)
@@ -222,8 +216,8 @@ def complex_for(algebra: LieAlgebra) -> CochainComplex:
     return build_complex(algebra, descending_series(algebra))
 
 
-def table_for(algebra: LieAlgebra, max_page: int | None = None) -> SpectralTable:
-    return full_table(complex_for(algebra), max_page=max_page)
+def table_for(algebra: LieAlgebra) -> SpectralTable:
+    return full_table(complex_for(algebra))
 
 
 # ---------------------------------------------------------------------------

@@ -69,11 +69,11 @@ def catalog_entries():
 
 @pytest.fixture(scope="session")
 def catalog_tables(catalog_entries):
-    """id -> (entry, algebra, complex, table with pages up to the printed one)."""
+    """id -> (entry, algebra, complex, table)."""
     out = {}
     for e in catalog_entries:
         algebra = e.algebra()
         comp = spectral.complex_for(algebra)
-        table = spectral.full_table(comp, max_page=max(e.golden_pages))
+        table = spectral.full_table(comp)
         out[e.id] = (e, algebra, comp, table)
     return out

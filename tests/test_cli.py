@@ -154,9 +154,15 @@ def _json_doc(**changes):
     (["compute", "{file}"], '{"dim": ' + "[" * 100000 + "]" * 100000 + "}", 0),
     (["compute", "{file}"], _json_doc(brackets=[{"i": 1, "j": 2, "k": 3, "c": "1/0"}]), 0),
     (["compute", "(0,0,1/0*12)"], None, 0),
+    (["catalog", "--dim", "7", "--check"], None, 0),
+    (["catalog", "--dim", "0"], None, 0),
+    (["catalog", "--dim", "-3", "--check", "--format", "json"], None, 0),
+    (["compute", "(0,0,12)", "--m0", "4"], None, 0),
+    (["check", "(0,0,12)", "--page", "0"], None, 0),
 ], ids=["census-7", "m0-2", "direct-sum-0", "page-foo", "pages-minus-1", "directory",
         "batch-directory-line", "json-dim-bool", "json-dim-float", "json-decimal-c",
-        "json-bool-index", "json-too-deep", "json-zero-denominator", "salamon-zero-denominator"])
+        "json-bool-index", "json-too-deep", "json-zero-denominator", "salamon-zero-denominator",
+        "catalog-dim-7", "catalog-dim-0", "catalog-dim-minus-3", "input-and-m0", "page-without-direct-sum"])
 def test_bad_input_exits_2_with_one_error_line(argv, content, tables, tmp_path, capsys):
     def fill(text):
         return text.replace("{dir}", str(tmp_path)).replace("{file}", str(tmp_path / "input.txt"))

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilspec import lie
+from nilspec import lie, spectral
 from nilspec.lie import (
     IndexPairError,
     IndexRangeError,
@@ -158,6 +158,8 @@ def test_validate_semisimple_like():
     rep = lie.validate_algebra(a)
     assert rep.jacobi_ok and not rep.nilpotent_ok
     assert rep.nilpotency_index is None
+    with pytest.raises(NotNilpotentError):
+        lie.descending_series(a)
 
 
 def test_constructor_raises_on_jacobi_failure():
@@ -203,6 +205,20 @@ def test_annihilator_duality(random_algebras_dim7):
         f = lie.descending_series(a)
         for i in range(f.k + 1):
             assert f.spaces[i].dim + f.series_dims[i] == a.m
+
+
+def test_filtration_computed_once_per_algebra(monkeypatch):
+    calls = []
+    original = lie._dual_filtration_spaces
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(lie, "_dual_filtration_spaces", counting)
+    spectral.complex_for.cache_clear()  # a cached complex would hide a second computation
+    spectral.table_for(lie.parse_salamon("(0,0,12,13,23,14+25)"))
+    assert len(calls) == 1
 
 
 def test_strict_growth_to_full():

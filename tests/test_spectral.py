@@ -153,10 +153,10 @@ def test_abelian_table_r0_zero():
     assert t.limit == ((1, 4, 6, 4, 1),)
 
 
-def test_max_page_extends_past_r0():
-    t = table_for(lie.parse_salamon("(0,0,12)"), max_page=4)
-    assert set(t.pages) == {0, 1, 2, 3, 4}
-    assert t.pages[3] == t.limit and t.pages[4] == t.limit
+def test_pages_past_r0_read_as_limit():
+    t = table_for(lie.parse_salamon("(0,0,12)"))
+    assert set(t.pages) == {0, 1, 2}
+    assert t.grid(3) == t.grid(4) == t.limit
 
 
 def test_pages_monotone_nonincreasing(random_algebras_dim7):
