@@ -209,6 +209,9 @@ def _compute_one(load: Callable[[], LieAlgebra], args: argparse.Namespace, prefi
 def cmd_compute(args: argparse.Namespace) -> int:
     if not args.batch:
         return _compute_one(lambda: _resolve_input(args), args)
+    if args.m0 is not None:
+        print("error: --m0 does not apply with --batch", file=sys.stderr)
+        return EXIT_PARSE
     source = args.input or "-"
     try:
         if source == "-":
@@ -227,8 +230,14 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 def cmd_catalog(args: argparse.Namespace) -> int:
     if args.census is not None:
+        if args.check or args.dim is not None:
+            print("error: --census does not apply with --check or --dim", file=sys.stderr)
+            return EXIT_PARSE
         classes, distinct = catalog_mod.distinct_table_census(args.census)
-        print(f"{classes} classes, {distinct} distinct tables")
+        if args.format == "json":
+            print(json.dumps({"dim": args.census, "classes": classes, "distinct_tables": distinct}))
+        else:
+            print(f"{classes} classes, {distinct} distinct tables")
         return EXIT_OK
     entries = catalog_mod.list_entries(args.dim)
     if not args.check:

@@ -12,11 +12,12 @@ An independent construction of the same matrices, pointwise evaluation of
 the alternating-sum formula on tuples of primal basis vectors, is provided
 as a cross-check oracle for small dimensions.
 
-The complex stores each d_q as an integer ``LinearMap``: the structure
+A cochain is an integer coordinate row over the basis q-forms.  The structure
 constants are multiplied once by the lcm of their denominators
-(``clear_denominators``), which scales every d_q by the same nonzero factor
-and so changes no image, preimage, kernel or rank.  ``apply_d`` divides the
-factor back out, so forms stay exact.
+(``clear_denominators``), and the adapted basis change multiplies them by a
+further positive integer, so the complex's constants and its integer
+``LinearMap`` d_q are a positive multiple of the true ones; a positive scale
+changes no image, preimage, kernel or rank.
 
 ``build_complex`` first performs a filtration-adapted change of dual basis,
 after which every piece Lambda^q V_i is a coordinate subspace: a basis
@@ -29,41 +30,37 @@ single 1 in the top row.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .linalg import LinearMap, Row, Subspace, rank, rat, span, subspace_sum
+from .linalg import LinearMap, Row, Subspace, rank, span, subspace_sum
 
 if TYPE_CHECKING:  # pragma: no cover
+    from fractions import Fraction
+
     from .lie import Filtration, LieAlgebra
 
-_ZERO = Fraction(0)
-
 MultiIndex = tuple[int, ...]
-SparseColumns = dict[int, list[tuple[int, Fraction]]]
-
-_INDEX_CACHE: dict[tuple[int, int], tuple[MultiIndex, ...]] = {}
-_POSITION_CACHE: dict[tuple[int, int], dict[MultiIndex, int]] = {}
+Constants = Mapping[tuple[int, int, int], int]
+SparseColumns = dict[int, list[tuple[int, int]]]
 
 
+@functools.cache
 def multi_indices(m: int, q: int) -> tuple[MultiIndex, ...]:
     """All strictly increasing q-tuples from 1..m, lexicographically ordered."""
-    key = (m, q)
-    if key not in _INDEX_CACHE:
-        if q < 0 or q > m:
-            _INDEX_CACHE[key] = ()
-        else:
-            _INDEX_CACHE[key] = tuple(itertools.combinations(range(1, m + 1), q))
-    return _INDEX_CACHE[key]
+    return tuple(itertools.combinations(range(1, m + 1), q)) if 0 <= q <= m else ()
 
 
+@functools.cache
 def index_positions(m: int, q: int) -> dict[MultiIndex, int]:
-    key = (m, q)
-    if key not in _POSITION_CACHE:
-        _POSITION_CACHE[key] = {idx: pos for pos, idx in enumerate(multi_indices(m, q))}
-    return _POSITION_CACHE[key]
+    return {idx: pos for pos, idx in enumerate(multi_indices(m, q))}
+
+
+def wedge_minors(x: Sequence[int], y: Sequence[int], m: int) -> list[int]:
+    """Coordinates of the 2-form x ^ y of two 1-forms: its 2x2 minors."""
+    return [x[a - 1] * y[b - 1] - x[b - 1] * y[a - 1] for a, b in multi_indices(m, 2)]
 
 
 def sort_indices(indices: Sequence[int]) -> tuple[int, MultiIndex] | None:
@@ -84,106 +81,28 @@ def sort_indices(indices: Sequence[int]) -> tuple[int, MultiIndex] | None:
 
 
 # ---------------------------------------------------------------------------
-# forms
-# ---------------------------------------------------------------------------
-
-class Form:
-    """A q-form as a sparse map from multi-indices to rational coefficients."""
-
-    __slots__ = ("degree", "coords")
-
-    def __init__(self, degree: int, coords: Mapping[MultiIndex, Fraction | int] | None = None):
-        self.degree = degree
-        data: dict[MultiIndex, Fraction] = {}
-        for idx, coeff in (coords or {}).items():
-            c = rat(coeff)
-            if not c:
-                continue
-            if len(idx) != degree or any(a >= b for a, b in zip(idx, idx[1:])):
-                raise ValueError(f"{idx} is not an increasing multi-index of length {degree}")
-            data[tuple(idx)] = c
-        self.coords = data
-
-    @classmethod
-    def basis(cls, indices: Sequence[int], coeff: Fraction | int = 1) -> Form:
-        sorted_ = sort_indices(indices)
-        if sorted_ is None:
-            return cls(len(indices))
-        sign, idx = sorted_
-        return cls(len(indices), {idx: sign * rat(coeff)})
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def __add__(self, other: Form) -> Form:
-        if self.degree != other.degree:
-            raise ValueError("cannot add forms of different degree")
-        data = dict(self.coords)
-        for idx, c in other.coords.items():
-            data[idx] = data.get(idx, _ZERO) + c
-        return Form(self.degree, data)
-
-    def scale(self, factor: Fraction | int) -> Form:
-        f = rat(factor)
-        return Form(self.degree, {idx: c * f for idx, c in self.coords.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Form) and self.degree == other.degree and self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash((self.degree, tuple(sorted(self.coords.items()))))
-
-    def to_vector(self, m: int) -> list[Fraction]:
-        pos = index_positions(m, self.degree)
-        out = [_ZERO] * len(pos)
-        for idx, c in self.coords.items():
-            out[pos[idx]] = c
-        return out
-
-    def __repr__(self) -> str:
-        if not self.coords:
-            return f"Form(degree={self.degree}, 0)"
-        terms = " + ".join(f"{c}*e{list(idx)}" for idx, c in sorted(self.coords.items()))
-        return f"Form({terms})"
-
-
-def wedge(x: Form, y: Form) -> Form:
-    """Graded-commutative exterior product with shuffle signs."""
-    data: dict[MultiIndex, Fraction] = {}
-    for jx, cx in x.coords.items():
-        for jy, cy in y.coords.items():
-            sorted_ = sort_indices(jx + jy)
-            if sorted_ is None:
-                continue
-            sign, idx = sorted_
-            data[idx] = data.get(idx, _ZERO) + sign * cx * cy
-    return Form(x.degree + y.degree, data)
-
-
-# ---------------------------------------------------------------------------
 # differentials from structure constants
 # ---------------------------------------------------------------------------
 
-def _one_form_terms(constants: Mapping[tuple[int, int, int], Fraction]) -> dict[int, list[tuple[int, int, Fraction]]]:
+def _one_form_terms(constants: Constants) -> dict[int, list[tuple[int, int, int]]]:
     """de^k as a list of (i, j, coeff) with i < j, keyed by k."""
-    terms: dict[int, list[tuple[int, int, Fraction]]] = {}
+    terms: dict[int, list[tuple[int, int, int]]] = {}
     for (i, j, k), c in constants.items():
         if c:
             terms.setdefault(k, []).append((i, j, c))
     return terms
 
 
-def differential_columns(m: int, constants: Mapping[tuple[int, int, int], Fraction], q: int) -> SparseColumns:
-    """Sparse columns of d: Lambda^q -> Lambda^(q+1) built by the derivation rule.
-
-    Integer constants give integer columns."""
+def differential_columns(m: int, constants: Constants, q: int) -> SparseColumns:
+    """Sparse integer columns of d: Lambda^q -> Lambda^(q+1) built by the
+    derivation rule from integer constants."""
     cols: SparseColumns = {}
     if q < 0 or q >= m:
         return cols
     terms = _one_form_terms(constants)
     target_pos = index_positions(m, q + 1)
     for col, idx in enumerate(multi_indices(m, q)):
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, int] = {}
         for t, jt in enumerate(idx):
             for (a, b, c) in terms.get(jt, ()):
                 rest = idx[:t] + idx[t + 1:]
@@ -203,7 +122,7 @@ def differential_columns(m: int, constants: Mapping[tuple[int, int, int], Fracti
 def compose_is_zero(outer: SparseColumns, inner: SparseColumns) -> bool:
     """Whether outer . inner = 0, composing sparse column maps."""
     for col, entries in inner.items():
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, int] = {}
         for mid, coeff in entries:
             for row, c2 in outer.get(mid, ()):
                 acc[row] = acc.get(row, 0) + coeff * c2
@@ -212,20 +131,21 @@ def compose_is_zero(outer: SparseColumns, inner: SparseColumns) -> bool:
     return True
 
 
-def clear_denominators(constants: Mapping[tuple[int, int, int], Fraction]
+def clear_denominators(constants: Mapping[tuple[int, int, int], Fraction | int]
                        ) -> tuple[dict[tuple[int, int, int], int], int]:
     """The constants times the lcm of their denominators, and that lcm."""
     scale = math.lcm(*(c.denominator for c in constants.values()))
     return {key: c.numerator * (scale // c.denominator) for key, c in constants.items()}, scale
 
 
-def pointwise_differential(m: int, constants: Mapping[tuple[int, int, int], Fraction], q: int) -> LinearMap:
+def pointwise_differential(m: int, constants: Mapping[tuple[int, int, int], Fraction | int],
+                           q: int) -> LinearMap:
     """Oracle construction of d_q: evaluate the alternating-sum formula.
 
     The entry at (row T, column J) is dx(e_T) for x = e^J, computed directly
     as sum over i<j of (-1)^(i+j-1) x([u_i,u_j], ..).  Independent of the
-    derivation-rule construction; intended for small dimensions.  Like the
-    complex's d_q, it is scaled by the lcm of the constants' denominators.
+    derivation-rule construction; intended for small dimensions.  Rational
+    constants are scaled by the lcm of their denominators, as in the complex.
     """
     domain = multi_indices(m, q)
     target = multi_indices(m, q + 1)
@@ -277,22 +197,23 @@ class CochainComplex:
     v_dims:          dims of V_0 .. V_k
     levels:          levels[j-1] = min{i : adapted covector j lies in V_i}
     adapted_basis_change:  integer rows = adapted covectors in the original dual basis
-    adapted_constants:     structure constants in the adapted basis
+    adapted_constants:     integer structure constants in the adapted basis, a
+                           positive integer multiple of the true ones
     d:               d[q] maps Lambda^q coordinates to Lambda^(q+1), q = 0..m,
-                     as an integer map: d_scale times the true differential
-    d_scale:         lcm of the denominators of the adapted constants
+                     as the integer map built from adapted_constants (the
+                     same positive multiple of the true differential)
+
+    Cochains are integer coordinate rows in the adapted basis.
     """
 
     def __init__(self, m: int, k: int, v_dims: Sequence[int], adapted_basis_change: tuple[Row, ...],
-                 adapted_constants: Mapping[tuple[int, int, int], Fraction],
-                 d: Sequence[LinearMap], d_scale: int):
+                 adapted_constants: Constants, d: Sequence[LinearMap]):
         self.m = m
         self.k = k
         self.v_dims = tuple(v_dims)
         self.adapted_basis_change = adapted_basis_change
         self.adapted_constants = dict(adapted_constants)
         self.d = tuple(d)
-        self.d_scale = d_scale
         self.levels = tuple(min(i for i in range(k + 1) if j < self.v_dims[i]) for j in range(m))
         # multi-index level = max index level; the empty index carries level 1
         self._index_levels: list[tuple[int, ...]] = []
@@ -309,21 +230,6 @@ class CochainComplex:
 
     def dim_lambda(self, q: int) -> int:
         return math.comb(self.m, q)
-
-    def apply_d(self, x: Form) -> Form:
-        """Differential of a form in adapted coordinates, via the sparse columns."""
-        q = x.degree
-        if q >= self.m:
-            return Form(q + 1)
-        pos = index_positions(self.m, q)
-        target = multi_indices(self.m, q + 1)
-        acc: dict[MultiIndex, Fraction] = {}
-        cols = self.d[q].columns
-        for idx, c in x.coords.items():
-            for row, coeff in cols.get(pos[idx], ()):
-                t = target[row]
-                acc[t] = acc.get(t, _ZERO) + c * coeff
-        return Form(q + 1, {t: v / self.d_scale for t, v in acc.items()})
 
     def d_rank(self, q: int) -> int:
         """Rank of d_q, cached; q outside 0..m counts as the zero map."""
@@ -367,39 +273,38 @@ def build_complex(a: "LieAlgebra", f: "Filtration") -> CochainComplex:
             raise CochainComplexError("filtration basis extension failed")
     change = tuple(adapted_rows)
 
-    if change == Subspace.full(m).basis:
-        constants = dict(a.c)
-    else:
-        constants = transform_constants(a.c, change)
-
-    integer_constants, scale = clear_denominators(constants)
-    columns = [differential_columns(m, integer_constants, q) for q in range(m + 1)]
+    constants, _ = clear_denominators(a.c)
+    if change != Subspace.full(m).basis:
+        constants = transform_constants(constants, change)
+    columns = [differential_columns(m, constants, q) for q in range(m + 1)]
     for q in range(m):
         if not compose_is_zero(columns[q + 1], columns[q]):
             raise CochainComplexError(f"d_{q + 1} . d_{q} != 0 after basis adaptation")
     d = [LinearMap(math.comb(m, q + 1), math.comb(m, q), columns[q]) for q in range(m + 1)]
-    return CochainComplex(m, k, v_dims, change, constants, d, scale)
+    return CochainComplex(m, k, v_dims, change, constants, d)
 
 
-def transform_constants(constants: Mapping[tuple[int, int, int], Fraction],
-                        change: Sequence[Row]) -> dict[tuple[int, int, int], Fraction]:
-    """Structure constants after the dual change of basis f^a = sum_b P[a][b] e^b."""
+def transform_constants(constants: Constants, change: Sequence[Row]) -> dict[tuple[int, int, int], int]:
+    """Integer structure constants after the dual change of basis
+    f^a = sum_b P[a][b] e^b, times L^2 for the lcm L of the pivots below."""
     m = len(change)
     # the canonical rows of [P | I] are [0..L_i..0 | L_i (P^-1)_i] iff P is invertible
     augmented = span([list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(change)], 2 * m)
     if not all(row[i] for i, row in enumerate(augmented.basis)):
         raise CochainComplexError("adapted basis change is singular")
-    inverse = [[Fraction(x, row[i]) for x in row[m:]] for i, row in enumerate(augmented.basis)]
-    old_basis = [Form(1, {(a + 1,): x for a, x in enumerate(row)}) for row in inverse]  # e^i in the f^a
+    scale = math.lcm(*(row[i] for i, row in enumerate(augmented.basis)))
+    # L e^i in the f^a: the rows of L P^-1
+    old_basis = [[x * (scale // row[i]) for x in row[m:]] for i, row in enumerate(augmented.basis)]
+    minors = {(i, l): wedge_minors(old_basis[i - 1], old_basis[l - 1], m) for i, l, _ in constants}
 
-    out: dict[tuple[int, int, int], Fraction] = {}
+    out: dict[tuple[int, int, int], int] = {}
     for jnew, prow in enumerate(change, start=1):
-        # d f^jnew = sum_b P[jnew][b] de^b, rewritten in adapted wedges
-        two_form = Form(2)
+        # d f^jnew = sum_b P[jnew][b] de^b, with each e^i ^ e^l rewritten in the f^a
+        two_form = [0] * len(multi_indices(m, 2))
         for (i, l, b), cval in constants.items():
             if prow[b - 1]:
-                two_form = two_form + wedge(old_basis[i - 1], old_basis[l - 1]).scale(prow[b - 1] * cval)
-        out.update({(aa, bb, jnew): coeff for (aa, bb), coeff in two_form.coords.items()})
+                two_form = [t + prow[b - 1] * cval * x for t, x in zip(two_form, minors[i, l])]
+        out.update({(aa, bb, jnew): coeff for (aa, bb), coeff in zip(multi_indices(m, 2), two_form) if coeff})
     return out
 
 
@@ -419,12 +324,3 @@ def divisibility_subspace(c: CochainComplex) -> Subspace:
     required = set(range(1, n0 + 1))
     positions = [p for p, idx in enumerate(multi_indices(m, m - 1)) if required <= set(idx)]
     return Subspace.coordinate(positions, c.dim_lambda(m - 1))
-
-
-def is_divisible_by_v1_top(c: CochainComplex, x: Form) -> bool:
-    """Whether an (m-1)-form lies in (wedge of V_1 basis) ^ Lambda^(m-1-n0)."""
-    if x.degree != c.m - 1:
-        raise ValueError(f"form has degree {x.degree}, expected {c.m - 1}")
-    n0 = c.v_dims[1]
-    required = set(range(1, n0 + 1))
-    return all(required <= set(idx) for idx in x.coords)

@@ -144,13 +144,12 @@ class LieAlgebra:
 
 def _dual_filtration_spaces(m: int, d1: LinearMap) -> list[Subspace]:
     """V_0, V_1, ... from the dual side until stabilisation (at most m+1 spaces)."""
-    pairs = [(a - 1, b - 1) for a, b in exterior.multi_indices(m, 2)]
     spaces = [Subspace.zero(m)]
     full = Subspace.full(m)
     while spaces[-1].dim < m:
         prev = spaces[-1].basis
-        # Lambda^2 V_(i-1) is spanned by the wedges x ^ y, whose coordinates are 2x2 minors
-        lam2 = span([[x[a] * y[b] - x[b] * y[a] for a, b in pairs]
+        # Lambda^2 V_(i-1) is spanned by the wedges x ^ y of its basis rows
+        lam2 = span([exterior.wedge_minors(x, y, m)
                      for n, x in enumerate(prev) for y in prev[n + 1:]], d1.rows)
         nxt = preimage(d1, lam2, full)
         if nxt.dim == len(prev):

@@ -24,10 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from .exterior import (
     CochainComplex,
-    Form,
     build_complex,
     divisibility_subspace,
     lambda_subspace,
@@ -167,16 +167,14 @@ def page_entry(c: CochainComplex, p: int, q: int, r: int | None) -> PageEntry:
                      numerator.dim, denominator.dim)
 
 
-def limit_class_nonzero(c: CochainComplex, p: int, x: Form) -> bool:
-    """Whether the form defines a nonzero class in the limit term at
-    (p, deg - p): it must lie in the numerator of the limit quotient and
-    outside its denominator."""
-    n = x.degree
+def limit_class_nonzero(c: CochainComplex, p: int, n: int, x: Sequence[int]) -> bool:
+    """Whether the n-cochain with integer coordinates x defines a nonzero
+    class in the limit term at (p, n - p): it must lie in the numerator of
+    the limit quotient and outside its denominator."""
     if n < 0 or n > c.m or p < 0 or p >= c.k:
         return False
-    vec = x.to_vector(c.m)
     numerator, denominator = _quotient(c, p, n, LIMIT)
-    return numerator.contains_vector(vec) and not denominator.contains_vector(vec)
+    return numerator.contains_vector(x) and not denominator.contains_vector(x)
 
 
 def page_grid(c: CochainComplex, r: int | None) -> Grid:

@@ -5,10 +5,10 @@ as they pass.  All comparisons are exact integer equality; there are no
 tolerances anywhere.
 """
 
-from fractions import Fraction
+from math import comb
 
 from nilspec import catalog, lie, spectral
-from nilspec.exterior import Form, pointwise_differential
+from nilspec.exterior import index_positions, pointwise_differential, sort_indices
 from nilspec.linalg import Subspace, image
 from nilspec.spectral import (
     LIMIT,
@@ -108,10 +108,13 @@ def test_criterion_5_top_degree_forms(catalog_tables, random_algebras_dim7):
     _verdict(5, f"{count} algebras pass both top-degree statements")
 
 
-def _omega(s):
-    total = Form(2)
+def _omega(s, m):
+    """Twice the witness sum_{i=2}^{2s-1} (-1)^i/2 e^i ^ e^(2s+1-i), as an
+    integer coordinate row of Lambda^2."""
+    total = [0] * comb(m, 2)
     for i in range(2, 2 * s):
-        total = total + Form.basis([i, 2 * s + 1 - i], Fraction((-1) ** i, 2))
+        sign, idx = sort_indices((i, 2 * s + 1 - i))
+        total[index_positions(m, 2)[idx]] += sign * (-1) ** i
     return total
 
 
@@ -134,10 +137,10 @@ def test_criterion_6_filiform_family():
         # witnesses: closed, non-exact, surviving at exactly one p
         exact_two_forms = image(c.d[1], Subspace.full(c.m))
         for s in range(2, (m + 1) // 2 + 1):
-            w = _omega(s)
-            assert c.apply_d(w).is_zero(), (m, s)
-            assert not exact_two_forms.contains_vector(w.to_vector(m)), (m, s)
-            landing = [p for p in range(k) if limit_class_nonzero(c, p, w)]
+            w = _omega(s, m)
+            assert not any(c.d[2].apply(w)), (m, s)
+            assert not exact_two_forms.contains_vector(w), (m, s)
+            landing = [p for p in range(k) if limit_class_nonzero(c, p, 2, w)]
             assert landing == [m - 2 * s + 1], (m, s, landing)
     for half in range(2, 6):
         m = 2 * half

@@ -1,5 +1,6 @@
 """Command-line contract: formats, exit codes, batch mode."""
 
+import io
 import json
 import subprocess
 import sys
@@ -159,11 +160,17 @@ def _json_doc(**changes):
     (["catalog", "--dim", "-3", "--check", "--format", "json"], None, 0),
     (["compute", "(0,0,12)", "--m0", "4"], None, 0),
     (["check", "(0,0,12)", "--page", "0"], None, 0),
+    (["compute", "--batch", "--m0", "5"], None, 0),
+    (["catalog", "--census", "6", "--check"], None, 0),
+    (["catalog", "--census", "6", "--dim", "5"], None, 0),
 ], ids=["census-7", "m0-2", "direct-sum-0", "page-foo", "pages-minus-1", "directory",
         "batch-directory-line", "json-dim-bool", "json-dim-float", "json-decimal-c",
         "json-bool-index", "json-too-deep", "json-zero-denominator", "salamon-zero-denominator",
-        "catalog-dim-7", "catalog-dim-0", "catalog-dim-minus-3", "input-and-m0", "page-without-direct-sum"])
-def test_bad_input_exits_2_with_one_error_line(argv, content, tables, tmp_path, capsys):
+        "catalog-dim-7", "catalog-dim-0", "catalog-dim-minus-3", "input-and-m0", "page-without-direct-sum",
+        "batch-and-m0", "census-and-check", "census-and-dim"])
+def test_bad_input_exits_2_with_one_error_line(argv, content, tables, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("(0,0,12)\n"))  # read only by a stdin batch
+
     def fill(text):
         return text.replace("{dir}", str(tmp_path)).replace("{file}", str(tmp_path / "input.txt"))
 
@@ -196,7 +203,7 @@ def test_batch_keeps_order_and_worst_exit(tmp_path, capsys):
 
 
 def test_batch_from_stdin(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", __import__("io").StringIO("(0,0,12)\n"))
+    monkeypatch.setattr(sys, "stdin", io.StringIO("(0,0,12)\n"))
     code = main(["compute", "--batch", "--format", "json"])
     captured = capsys.readouterr()
     assert code == 0
@@ -217,6 +224,9 @@ def test_catalog_census(capsys):
     code, out, _ = run(capsys, "catalog", "--census", "6")
     assert code == 0
     assert "33 classes, 15 distinct tables" in out
+    code, out, _ = run(capsys, "catalog", "--census", "6", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"dim": 6, "classes": 33, "distinct_tables": 15}
 
 
 def test_catalog_check_dim5(capsys):
