@@ -123,7 +123,7 @@ def _render_csv(table: SpectralTable, meta: dict, pages: str) -> str:
     return "\n".join(lines)
 
 
-def table_json(table: SpectralTable, meta: dict) -> dict:
+def table_json(table: SpectralTable, meta: dict, pages: str | tuple[int, ...]) -> dict:
     return {
         "id": meta.get("id"),
         "salamon": meta["salamon"],
@@ -131,7 +131,8 @@ def table_json(table: SpectralTable, meta: dict) -> dict:
         "k": table.k,
         "r0": table.r0,
         "betti": list(table.betti),
-        "pages": {str(r): [list(row) for row in grid] for r, grid in sorted(table.pages.items())},
+        "pages": {label: [list(row) for row in grid]
+                  for label, grid in _page_items(table, pages) if label != "limit"},
         "limit": [list(row) for row in table.limit],
     }
 
@@ -140,7 +141,7 @@ def render_table(table: SpectralTable, meta: dict, fmt: str, pages: str) -> str:
     if fmt == "text":
         return _render_text(table, meta, pages)
     if fmt == "json":
-        return json.dumps(table_json(table, meta), indent=2)
+        return json.dumps(table_json(table, meta, pages), indent=2)
     if fmt == "csv":
         return _render_csv(table, meta, pages)
     if fmt == "latex":
@@ -200,7 +201,7 @@ def _compute_one(load: Callable[[], LieAlgebra], args: argparse.Namespace, prefi
         return _fail(exc, prefix)
     meta = {"salamon": to_salamon(algebra), "id": None, "label": algebra.label}
     if args.batch and args.format == "json":
-        print(json.dumps(table_json(table, meta)))  # one line per algebra
+        print(json.dumps(table_json(table, meta, args.pages)))  # one line per algebra
     else:
         print(render_table(table, meta, args.format, args.pages))
     return EXIT_OK

@@ -1,11 +1,10 @@
 """Exact linear algebra over the rationals, carried out on integers.
 
-Everything downstream (filtrations, cochain complexes, spectral pages)
-reduces to spans, sums, intersections, images and preimages of subspaces of
-Q^n.  A subspace is stored as its canonical basis: the reduced row-echelon
-rows, each scaled to a primitive integer vector (content 1) with a positive
-pivot.  That form is unique, so two subspaces are equal as sets iff their
-bases are identical.
+Filtrations, cochain complexes and the closed-form page quotients reduce to
+spans, sums, images and preimages of subspaces of Q^n.  A subspace is stored
+as its canonical basis: the reduced row-echelon rows, each scaled to a
+primitive integer vector (content 1) with a positive pivot.  That form is
+unique, so two subspaces are equal as sets iff their bases are identical.
 
 A linear map is stored as sparse integer columns.  A nonzero scalar changes
 no image, preimage, kernel or rank, so callers clear denominators once and
@@ -294,15 +293,6 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.dim == 0:
         return b
     return span(a.basis + b.basis, a.ambient_dim)
-
-
-def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the Zassenhaus block trick on [[A A], [B 0]]."""
-    _check_same_ambient(a, b)
-    n = a.ambient_dim
-    rows = [list(row + row) for row in a.basis] + [list(row) + [0] * n for row in b.basis]
-    reduced, _ = _echelon(rows, 2 * n)
-    return span([row[n:] for row in reduced if not any(row[:n])], n)
 
 
 def contains(a: Subspace, b: Subspace) -> bool:

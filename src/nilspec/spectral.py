@@ -1,22 +1,29 @@
-"""Spectral-sequence pages of the annihilator filtration, in closed form.
+"""Spectral-sequence pages of the annihilator filtration.
 
-Every page entry is computed straight from the quotient
+Tables are read off one persistence pairing per degree (Zomorodian-Carlsson
+2005; Basu-Parida 2017).  In the adapted basis a basis n-form x has a level
+l(x), lies in F^p iff l(x) <= k - p, and d never raises the level.
+Reducing the columns of d_n in (level, position) order splits the filtered
+complex over Q into essential forms and bars x -> y, y the last row of the
+reduced column of x.  A bar survives to E_r iff its gap l(x) - l(y) >= r:
+
+    dim E_r^{p,n-p} = (essential n-forms at level k-p)
+                      + (bars of gap >= r with an end among those n-forms),
+
+and the limit and the Betti numbers count essential forms only.
+
+The paper's closed form is kept for the checkers, ``limit_class_nonzero``
+and the tests that verify the pairing: every page entry is the quotient
 
     E_r^{p,q} ~ A_r^{p,q} / ( d(A_(r-1)^{p-r+1, q+r-2}) + A_(r-1)^{p+1, q-1} ),
     A_r^{p,q} = {x in Lambda^(p+q) V_(k-p) : dx in Lambda^(p+q+1) V_(k-p-r)},
 
 with the limit term given by the same shape with a closed-form numerator and
-the full dual in the exact part of the denominator.  The page differentials
-are never materialised: dimensions are the entire output.  Indices clamp at
-the boundary (V_i = 0 for i <= 0, V_i = everything for i >= k, degree-0
-spaces one-dimensional exactly when the filtration level is positive), so
-the vanishing band (zero for p < 0, p >= k, p+q < 0 or p+q > m) emerges
-from the computation instead of being special-cased.
-
-A-spaces and their differential images are cached per complex keyed on the
-clamped (degree, domain level, target level) triple; a page at r >= k hits
-exactly the cached spaces of the limit formula, which is the content of the
-degeneration bound r0 <= k.
+the full dual in the exact part of the denominator.  Indices clamp at the
+boundary (V_i = 0 for i <= 0, V_i = everything for i >= k, degree-0 spaces
+one-dimensional exactly when the filtration level is positive), so the
+vanishing band (zero for p < 0, p >= k, p+q < 0 or p+q > m) emerges from the
+computation.  A-spaces and their images are cached per complex.
 """
 
 from __future__ import annotations
@@ -193,19 +200,79 @@ def betti_numbers(c: CochainComplex) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _bars(c: CochainComplex, n: int) -> list[tuple[int, int]]:
+    """(l(x), l(y)) for every bar x -> y of d on n-forms, 0 <= n < m.
+
+    Columns are reduced in (level, position) order.  A row key is
+    level * size + position, so the low of a column, its last row in that
+    order, is its largest key.  A column whose low an earlier column holds
+    has that column eliminated from it, fraction-free, then is divided by
+    its content.
+    """
+    src, dst = c._index_levels[n], c._index_levels[n + 1]
+    size = len(dst)
+    columns = c.d[n].columns
+    pivots: dict[int, dict[int, int]] = {}
+    bars = []
+    for j in sorted(columns, key=lambda j: (src[j], j)):
+        col = {dst[i] * size + i: v for i, v in columns[j]}
+        while col:
+            low = max(col)
+            other = pivots.get(low)
+            if other is None:
+                pivots[low] = col
+                bars.append((src[j], low // size))
+                break
+            g = math.gcd(col[low], other[low])
+            a, b = other[low] // g, col[low] // g
+            if a != 1:
+                col = {i: a * v for i, v in col.items()}
+            for i, v in other.items():
+                w = col.get(i, 0) - b * v
+                if w:
+                    col[i] = w
+                else:
+                    del col[i]
+            g = math.gcd(*col.values())
+            if g > 1:
+                col = {i: v // g for i, v in col.items()}
+    return bars
+
+
+def require_poincare_duality(betti: Sequence[int]) -> None:
+    """b_i = b_(m-i), which holds because nilpotent Lie algebras are unimodular."""
+    if tuple(betti) != tuple(reversed(betti)):
+        raise InternalConsistencyError(f"Betti numbers {list(betti)} violate Poincare duality")
+
+
 def full_table(c: CochainComplex) -> SpectralTable:
-    """Pages 0..r0, the limit grid, Betti numbers and r0 <= k; later pages
-    equal the limit and are not computed."""
-    limit = page_grid(c, LIMIT)
-    betti = betti_numbers(c)
-    for i in range(c.m + 1):
-        if sum(row[i] for row in limit) != betti[i]:
-            raise InternalConsistencyError(f"limit column {i} does not sum to the Betti number")
+    """Pages 0..r0, the limit grid, Betti numbers and r0 <= k from the
+    persistence pairing; later pages equal the limit and are not computed."""
+    k, m = c.k, c.m
+    essential = [[0] * (k + 1) for _ in range(m + 1)]  # [n][level]
+    gaps: list[list[list[int]]] = [[[] for _ in range(k + 1)] for _ in range(m + 1)]
+    for n in range(m + 1):
+        for level in c._index_levels[n]:
+            essential[n][level] += 1
+    for n in range(m):
+        for x, y in _bars(c, n):
+            essential[n][x] -= 1
+            essential[n + 1][y] -= 1
+            gaps[n][x].append(x - y)
+            gaps[n + 1][y].append(x - y)
+
+    def grid(r: int) -> Grid:
+        return tuple(tuple(essential[n][k - p] + sum(g >= r for g in gaps[n][k - p])
+                           for n in range(m + 1)) for p in range(k - 1, -1, -1))
+
+    limit = grid(k)  # every gap is below k
+    betti = tuple(map(sum, essential))
+    require_poincare_duality(betti)
     pages: dict[int, Grid] = {}
-    for r in range(c.k + 1):
-        pages[r] = page_grid(c, r)
+    for r in range(k + 1):
+        pages[r] = grid(r)
         if pages[r] == limit:
-            return SpectralTable(m=c.m, k=c.k, pages=pages, limit=limit, betti=betti, r0=r)
+            return SpectralTable(m=m, k=k, pages=pages, limit=limit, betti=betti, r0=r)
     raise InternalConsistencyError("no degeneration at the nilpotency index")
 
 

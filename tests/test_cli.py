@@ -95,6 +95,22 @@ def test_compute_pages_selection(capsys):
     assert "E_0" in out and "E_2" in out and "E_1" not in out
 
 
+def test_compute_json_honours_pages(capsys, monkeypatch):
+    t = spectral.table_for(lie.parse_salamon("(0,0,12,13)"))
+    assert sorted(t.pages) == [0, 1, 2]
+    for pages, keys in (("limit", []), ("0", ["0"]), ("0,3", ["0", "3"]), ("all", ["0", "1", "2"])):
+        code, out, _ = run(capsys, "compute", "(0,0,12,13)", "--format", "json", "--pages", pages)
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc["pages"]) == keys, pages
+        for r, grid in doc["pages"].items():
+            assert tuple(tuple(row) for row in grid) == t.grid(int(r))
+        assert tuple(tuple(row) for row in doc["limit"]) == t.limit
+    monkeypatch.setattr(sys, "stdin", io.StringIO("(0,0,12,13)\n"))
+    code, out, _ = run(capsys, "compute", "--batch", "--format", "json", "--pages", "limit")
+    assert code == 0 and json.loads(out)["pages"] == {}
+
+
 def test_compute_from_json_file(tmp_path, capsys):
     doc = lie.algebra_to_json(lie.parse_salamon("(0,0,12)"))
     path = tmp_path / "algebra.json"

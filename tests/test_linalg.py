@@ -22,7 +22,6 @@ from nilspec.linalg import (
     rank,
     rat,
     span,
-    subspace_intersect,
     subspace_sum,
 )
 
@@ -175,7 +174,7 @@ def test_span_dependent_pair_is_a_line():
 
 
 # ---------------------------------------------------------------------------
-# sum / intersection / containment
+# sum / containment
 # ---------------------------------------------------------------------------
 
 def test_sum_with_zero_is_identity():
@@ -191,31 +190,6 @@ def test_sum_of_axes_is_full_plane():
     assert subspace_sum(a, b) == Subspace.full(2)
 
 
-def test_intersect_with_full_space():
-    rng = random.Random(2)
-    a = random_subspace(rng, 5, 3)
-    assert subspace_intersect(a, Subspace.full(5)) == a
-
-
-def test_intersect_coordinate_planes():
-    a = span([[1, 0, 0], [0, 1, 0]], 3)
-    b = span([[0, 1, 0], [0, 0, 1]], 3)
-    assert subspace_intersect(a, b) == span([[0, 1, 0]], 3)
-
-
-def test_grassmann_identity_on_random_pairs():
-    rng = random.Random(99)
-    for _ in range(40):
-        ambient = rng.randint(1, 6)
-        a = random_subspace(rng, ambient, rng.randint(0, ambient))
-        b = random_subspace(rng, ambient, rng.randint(0, ambient))
-        s = subspace_sum(a, b)
-        i = subspace_intersect(a, b)
-        assert s.dim + i.dim == a.dim + b.dim
-        assert contains(s, a) and contains(s, b)
-        assert contains(a, i) and contains(b, i)
-
-
 def test_contains_basics():
     assert contains(Subspace.full(3), span([[1, 2, 3]], 3))
     assert not contains(span([[1, 0]], 2), span([[0, 1]], 2))
@@ -225,8 +199,6 @@ def test_contains_basics():
 def test_ambient_mismatch_raises():
     with pytest.raises(DimensionMismatchError):
         subspace_sum(Subspace.full(2), Subspace.full(3))
-    with pytest.raises(DimensionMismatchError):
-        subspace_intersect(Subspace.full(2), Subspace.full(3))
     with pytest.raises(DimensionMismatchError):
         contains(Subspace.full(2), Subspace.full(3))
     with pytest.raises(DimensionMismatchError):

@@ -5,15 +5,20 @@ from math import comb
 import pytest
 
 from nilspec import lie, spectral
+from nilspec.linalg import Subspace
 from nilspec.spectral import (
     LIMIT,
+    InternalConsistencyError,
     a_space,
+    betti_numbers,
     check_top_degree_forms,
     check_limit_edges,
     check_abelian_extension,
     full_table,
     page0_closed_form,
     page_entry,
+    page_grid,
+    require_poincare_duality,
     table_for,
 )
 
@@ -188,6 +193,75 @@ def test_r0_bounded_by_nilpotency_index(random_algebras_dim7):
     for a in random_algebras_dim7:
         t = table_for(a)
         assert 0 <= t.r0 <= t.k
+
+
+# ---------------------------------------------------------------------------
+# the persistence pairing against the closed form and independent invariants
+# ---------------------------------------------------------------------------
+
+def _fresh_complex(a):
+    """The complex of ``a``, built outside the ``complex_for`` cache."""
+    return spectral.build_complex(a, lie.descending_series(a))
+
+
+def _reversed_twin(a):
+    """The same algebra with its indices reversed, i -> m+1-i."""
+    m = a.m
+    return lie.LieAlgebra(m, {(m + 1 - i, m + 1 - j, m + 1 - k): v for (i, j, k), v in a.c.items()})
+
+
+def _pairing_algebras(catalog_tables, random_algebras_dim7):
+    algebras = [(e.id, algebra) for e, algebra, _, _ in catalog_tables.values()]
+    algebras += [(f"m0({m})", lie.m0(m)) for m in range(3, 12)]
+    for a in random_algebras_dim7:
+        name = lie.to_salamon(a)
+        algebras += [(name, a), (f"{name} reversed", _reversed_twin(a))]
+    return algebras
+
+
+def test_pairing_equals_quotient_cell_by_cell(catalog_tables, random_algebras_dim7):
+    algebras = _pairing_algebras(catalog_tables, random_algebras_dim7)
+    transformed = 0
+    for name, a in algebras:
+        c = _fresh_complex(a)
+        t = full_table(c)
+        for r in range(t.r0 + 1):
+            assert t.pages[r] == page_grid(c, r), (name, r)
+        assert t.limit == page_grid(c, LIMIT), name
+        transformed += c.adapted_basis_change != Subspace.full(c.m).basis
+    assert len(algebras) == 44 + 9 + 2 * 50
+    assert transformed >= 40  # the adapted basis change is exercised
+
+
+def test_pairing_invariants(catalog_tables, random_algebras_dim7):
+    """Euler characteristic 0 on every page, the limit-edge identities and
+    r0 <= k, none of them through the A-spaces (full_table itself raises on
+    a Betti tuple that violates Poincare duality)."""
+    for name, a in _pairing_algebras(catalog_tables, random_algebras_dim7):
+        c = spectral.complex_for(a)
+        t = full_table(c)
+        for r, grid in [*t.pages.items(), (LIMIT, t.limit)]:
+            chi = sum((-1) ** deg * x for row in grid for deg, x in enumerate(row))
+            assert chi == 0, (name, r)
+        assert check_limit_edges(t, c).ok, name
+        assert 0 <= t.r0 <= t.k, name
+
+
+def test_pairing_betti_equals_rank_nullity_on_large_filiform():
+    for m in (12, 13):
+        c = _fresh_complex(lie.m0(m))
+        assert full_table(c).betti == betti_numbers(c), m
+
+
+def test_duality_check_rejects_non_palindromic_betti(monkeypatch):
+    require_poincare_duality((1, 2, 2, 1))
+    with pytest.raises(InternalConsistencyError, match="Poincare duality"):
+        require_poincare_duality((1, 2, 3, 1))
+    # a pairing that loses a bar of d_1 breaks duality, and full_table says so
+    bars = spectral._bars
+    monkeypatch.setattr(spectral, "_bars", lambda c, n: bars(c, n)[n == 1:])
+    with pytest.raises(InternalConsistencyError, match="Poincare duality"):
+        full_table(_fresh_complex(lie.parse_salamon("(0,0,12,13)")))
 
 
 # ---------------------------------------------------------------------------
