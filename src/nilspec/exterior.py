@@ -8,6 +8,14 @@ to higher degrees as an antiderivation:
 
     d(x ^ y) = dx ^ y + (-1)^deg(x) x ^ dy.
 
+``differential_columns`` works on bit masks: e^idx is the integer with bit i
+set for each index i (bit 0 unused), and ``mask_positions`` maps a mask to
+its lexicographic position.  For the t-th index j of a column mask M and a
+term c e^a ^ e^b (a < b) of de^j, let rest = M without bit j.  The term dies
+if rest has bit a or b; otherwise it lands on rest | a | b with sign
+(-1)^(t + #{i in rest : i < a} + #{i in rest : i < b}), two popcounts: moving
+e^j to the front, then e^a and e^b into place.
+
 An independent construction of the same matrices, pointwise evaluation of
 the alternating-sum formula on tuples of primal basis vectors, is provided
 as a cross-check oracle for small dimensions.
@@ -58,13 +66,23 @@ def index_positions(m: int, q: int) -> dict[MultiIndex, int]:
     return {idx: pos for pos, idx in enumerate(multi_indices(m, q))}
 
 
+@functools.cache
+def mask_positions(m: int, q: int) -> dict[int, int]:
+    """Bit mask of each q-multi-index -> its position, in lexicographic order."""
+    return {sum(1 << i for i in idx): pos for pos, idx in enumerate(multi_indices(m, q))}
+
+
 def wedge_minors(x: Sequence[int], y: Sequence[int], m: int) -> list[int]:
     """Coordinates of the 2-form x ^ y of two 1-forms: its 2x2 minors."""
     return [x[a - 1] * y[b - 1] - x[b - 1] * y[a - 1] for a, b in multi_indices(m, 2)]
 
 
 def sort_indices(indices: Sequence[int]) -> tuple[int, MultiIndex] | None:
-    """Sort a wedge of 1-form indices; returns (sign, tuple) or None if repeated."""
+    """Sort a wedge of 1-form indices; returns (sign, tuple) or None if repeated.
+
+    In the package only the pointwise oracle uses this; ``differential_columns``
+    counts signs on bit masks, so the two constructions stay independent.
+    """
     items = list(indices)
     sign = 1
     # insertion sort, counting transpositions; lists here are tiny
@@ -84,35 +102,35 @@ def sort_indices(indices: Sequence[int]) -> tuple[int, MultiIndex] | None:
 # differentials from structure constants
 # ---------------------------------------------------------------------------
 
-def _one_form_terms(constants: Constants) -> dict[int, list[tuple[int, int, int]]]:
-    """de^k as a list of (i, j, coeff) with i < j, keyed by k."""
-    terms: dict[int, list[tuple[int, int, int]]] = {}
-    for (i, j, k), c in constants.items():
+def _one_form_terms(constants: Constants) -> dict[int, list[tuple[int, int, int, int]]]:
+    """de^k as (mask of a and b, mask below a, mask below b, coeff) for each
+    c e^a ^ e^b with a < b, keyed by k."""
+    terms: dict[int, list[tuple[int, int, int, int]]] = {}
+    for (a, b, k), c in constants.items():
         if c:
-            terms.setdefault(k, []).append((i, j, c))
+            terms.setdefault(k, []).append(((1 << a) | (1 << b), (1 << a) - 1, (1 << b) - 1, c))
     return terms
 
 
 def differential_columns(m: int, constants: Constants, q: int) -> SparseColumns:
     """Sparse integer columns of d: Lambda^q -> Lambda^(q+1) built by the
-    derivation rule from integer constants."""
+    derivation rule from integer constants, on bit masks."""
     cols: SparseColumns = {}
     if q < 0 or q >= m:
         return cols
     terms = _one_form_terms(constants)
-    target_pos = index_positions(m, q + 1)
-    for col, idx in enumerate(multi_indices(m, q)):
+    target_pos = mask_positions(m, q + 1)
+    for col, (idx, mask) in enumerate(zip(multi_indices(m, q), mask_positions(m, q))):
         acc: dict[int, int] = {}
-        for t, jt in enumerate(idx):
-            for (a, b, c) in terms.get(jt, ()):
-                rest = idx[:t] + idx[t + 1:]
-                sorted_ = sort_indices((a, b) + rest)
-                if sorted_ is None:
+        for t, j in enumerate(idx):
+            rest = mask ^ (1 << j)
+            for ab, below_a, below_b, c in terms.get(j, ()):
+                if rest & ab:
                     continue
-                sign, new_idx = sorted_
-                coeff = c * sign if t % 2 == 0 else -c * sign
-                pos = target_pos[new_idx]
-                acc[pos] = acc.get(pos, 0) + coeff
+                pos = target_pos[rest | ab]
+                if (t + (rest & below_a).bit_count() + (rest & below_b).bit_count()) & 1:
+                    c = -c
+                acc[pos] = acc.get(pos, 0) + c
         entries = [(pos, coeff) for pos, coeff in acc.items() if coeff]
         if entries:
             cols[col] = entries
@@ -215,14 +233,10 @@ class CochainComplex:
         self.adapted_constants = dict(adapted_constants)
         self.d = tuple(d)
         self.levels = tuple(min(i for i in range(k + 1) if j < self.v_dims[i]) for j in range(m))
-        # multi-index level = max index level; the empty index carries level 1
-        self._index_levels: list[tuple[int, ...]] = []
-        for q in range(m + 1):
-            if q == 0:
-                self._index_levels.append((1,))
-            else:
-                self._index_levels.append(tuple(max(self.levels[j - 1] for j in idx)
-                                                for idx in multi_indices(m, q)))
+        # multi-index level = max index level = level of the last index, as
+        # levels is nondecreasing; the empty index carries level 1
+        self._index_levels: list[tuple[int, ...]] = [(1,)] + [
+            tuple(self.levels[idx[-1] - 1] for idx in multi_indices(m, q)) for q in range(1, m + 1)]
         self._lambda_cache: dict[tuple[int, int], Subspace] = {}
         self._space_cache: dict = {}
         self._image_cache: dict = {}

@@ -1,17 +1,21 @@
 """Complex construction: wedge minors, differentials, filtration pieces."""
 
+from math import comb
+
 from nilspec import lie, spectral
 from nilspec.exterior import (
     build_complex,
     compose_is_zero,
+    differential_columns,
     divisibility_subspace,
     index_positions,
     lambda_subspace,
+    mask_positions,
     multi_indices,
     pointwise_differential,
     wedge_minors,
 )
-from nilspec.linalg import Subspace, contains, image
+from nilspec.linalg import LinearMap, Subspace, contains, image
 
 
 def _complex(text):
@@ -28,8 +32,21 @@ def _unit(m, idx):
 
 
 def _binom(n, k):
-    from math import comb
     return comb(n, k) if 0 <= k <= n else 0
+
+
+def _twin(a):
+    """The same algebra with its indices reversed, i -> m+1-i."""
+    m = a.m
+    return lie.LieAlgebra(m, {(m + 1 - i, m + 1 - j, m + 1 - k): v for (i, j, k), v in a.c.items()})
+
+
+def _kernel_test_complexes(random_algebras_dim7, catalog_tables):
+    """Fixtures and their twins (which take the basis change), the catalog, m0(3..8)."""
+    algebras = [b for a in random_algebras_dim7 for b in (a, _twin(a))]
+    algebras += [lie.m0(m) for m in range(3, 9)]
+    return ([spectral.complex_for(a) for a in algebras]
+            + [comp for _, _, comp, _ in catalog_tables.values()])
 
 
 # ---------------------------------------------------------------------------
@@ -82,11 +99,36 @@ def test_filtration_invariance(random_algebras_dim7):
                 assert contains(lambda_subspace(c, q + 1, i), img)
 
 
-def test_pointwise_oracle_matches_derivation_rule(random_algebras_dim5):
-    for a in random_algebras_dim5[:8]:
-        c = spectral.complex_for(a)
-        for q in range(a.m + 1):
-            assert pointwise_differential(a.m, c.adapted_constants, q) == c.d[q]
+def test_pointwise_oracle_matches_derivation_rule(random_algebras_dim5, random_algebras_dim7,
+                                                  catalog_tables):
+    complexes = [spectral.complex_for(a) for a in random_algebras_dim5[:8]]
+    complexes += _kernel_test_complexes(random_algebras_dim7, catalog_tables)
+    signs = set()
+    for c in complexes:
+        for q in range(c.m + 1):
+            built = differential_columns(c.m, c.adapted_constants, q)
+            signs.update(v > 0 for entries in built.values() for _, v in entries)
+            as_map = LinearMap(comb(c.m, q + 1), comb(c.m, q), built)
+            assert as_map == c.d[q] == pointwise_differential(c.m, c.adapted_constants, q)
+    assert signs == {True, False}
+
+
+def test_mask_positions_match_index_positions():
+    for m in range(9):
+        for q in range(m + 1):
+            masks, indices = mask_positions(m, q), index_positions(m, q)
+            assert len(masks) == len(indices) == comb(m, q)
+            for idx, pos in indices.items():
+                assert masks[sum(1 << i for i in idx)] == pos
+
+
+def test_index_level_is_max_index_level(random_algebras_dim7, catalog_tables):
+    for c in _kernel_test_complexes(random_algebras_dim7, catalog_tables):
+        assert list(c.levels) == sorted(c.levels)
+        assert c._index_levels[0] == (1,)
+        for q in range(1, c.m + 1):
+            assert c._index_levels[q] == tuple(max(c.levels[j - 1] for j in idx)
+                                               for idx in multi_indices(c.m, q))
 
 
 def test_levels_and_lambda_dims():
@@ -142,7 +184,7 @@ def test_permuted_catalog_entry_gives_same_tables(random_algebras_dim7):
     changed = 0
     for a in random_algebras_dim7:
         m = a.m
-        twin = lie.LieAlgebra(m, {(m + 1 - i, m + 1 - j, m + 1 - k): v for (i, j, k), v in a.c.items()})
+        twin = _twin(a)
         t, ref = spectral.table_for(twin), spectral.table_for(a)
         assert (t.pages, t.limit, t.r0, t.betti) == (ref.pages, ref.limit, ref.r0, ref.betti)
         changed += spectral.complex_for(twin).adapted_basis_change != Subspace.full(m).basis
