@@ -298,8 +298,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         if args.lemma or run_all:
             reports.append(check_top_degree_forms(complex_for(algebra)))
         if args.direct_sum is not None:
-            for page in (args.page or [LIMIT]):
-                reports.append(check_abelian_extension(algebra, page, s=args.direct_sum))
+            reports += check_abelian_extension(algebra, args.page or [LIMIT], s=args.direct_sum)
     except Exception as exc:  # mapped to the exit-code contract
         return _fail(exc)
     if args.format == "json":

@@ -43,7 +43,7 @@ import itertools
 import math
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .linalg import LinearMap, Row, Subspace, rank, span, subspace_sum
+from .linalg import LinearMap, Row, Subspace, rank, span
 
 if TYPE_CHECKING:  # pragma: no cover
     from fractions import Fraction
@@ -276,14 +276,13 @@ def build_complex(a: "LieAlgebra", f: "Filtration") -> CochainComplex:
     """Adapted basis change + differentials for a validated nilpotent algebra."""
     m, k = a.m, f.k
     v_dims = [s.dim for s in f.spaces]
+    # RREF pivots of nested subspaces are nested, so the canonical rows of
+    # V_i at pivots new to V_i extend a basis of V_(i-1) to one of V_i
     adapted_rows: list[Row] = []
-    current = Subspace.zero(m)
-    for i in range(1, k + 1):
-        for row in f.spaces[i].basis:
-            if not current.contains_vector(row):
-                adapted_rows.append(row)
-                current = subspace_sum(current, span([row], m))
-        if current.dim != v_dims[i]:
+    for prev, space in zip(f.spaces, f.spaces[1:]):
+        old = set(prev.pivots)
+        adapted_rows += [row for row, p in zip(space.basis, space.pivots) if p not in old]
+        if len(adapted_rows) != space.dim:
             raise CochainComplexError("filtration basis extension failed")
     change = tuple(adapted_rows)
 

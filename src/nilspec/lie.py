@@ -13,7 +13,8 @@ the published tables use this form ("34+52") and the Jacobi identity pins
 the sign down.
 
 The filtration V_0 = 0, V_i = {x : dx in Lambda^2 V_(i-1)} of the dual is
-computed once, at validation, by exact preimages on the integer constants,
+computed once, at validation, as exact kernels on the integer constants
+(a 2-form w lies in Lambda^2 V iff i_u w = 0 for every u in ann(V)),
 cross-checked against the primal central descending series through
 annihilator duality dim V_i + dim n^i = m, and carried by the algebra.
 """
@@ -26,7 +27,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 from . import exterior
-from .linalg import LinearMap, Subspace, preimage, rat, span
+from .linalg import LinearMap, Subspace, kernel, rat, span
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -143,16 +144,38 @@ class LieAlgebra:
 # ---------------------------------------------------------------------------
 
 def _dual_filtration_spaces(m: int, d1: LinearMap) -> list[Subspace]:
-    """V_0, V_1, ... from the dual side until stabilisation (at most m+1 spaces)."""
+    """V_0, V_1, ... from the dual side until stabilisation (at most m+1 spaces).
+
+    A 2-form w lies in Lambda^2 V iff i_u w = 0 for every u in ann(V), so
+    V_i is the kernel of x -> (i_u dx)_u over a basis u of ann(V_(i-1)),
+    with i_u (e^a ^ e^b) = u_a e^b - u_b e^a.  That basis comes straight
+    from the canonical rows of V_(i-1): for each non-pivot column c,
+    L e_c - sum_i (L row_i[c] / row_i[p_i]) e_(p_i), L the lcm of the row_i[p_i].
+    """
     spaces = [Subspace.zero(m)]
-    full = Subspace.full(m)
     while spaces[-1].dim < m:
-        prev = spaces[-1].basis
-        # Lambda^2 V_(i-1) is spanned by the wedges x ^ y of its basis rows
-        lam2 = span([exterior.wedge_minors(x, y, m)
-                     for n, x in enumerate(prev) for y in prev[n + 1:]], d1.rows)
-        nxt = preimage(d1, lam2, full)
-        if nxt.dim == len(prev):
+        prev = spaces[-1]
+        scale = math.lcm(*(row[p] for row, p in zip(prev.basis, prev.pivots)))
+        annihilator = []
+        for c in sorted(set(range(m)) - set(prev.pivots)):
+            u = [0] * m
+            u[c] = scale
+            for row, p in zip(prev.basis, prev.pivots):
+                u[p] = -row[c] * (scale // row[p])
+            annihilator.append(u)
+        # row t*m + j holds the e^(j+1) coordinate of i_u dx for the t-th u
+        columns = {}
+        for col, entries in d1.columns.items():
+            acc: dict[int, int] = {}
+            for pos, v in entries:
+                a, b = exterior.multi_indices(m, 2)[pos]
+                for t, u in enumerate(annihilator):
+                    ra, rb = t * m + a - 1, t * m + b - 1
+                    acc[rb] = acc.get(rb, 0) + v * u[a - 1]
+                    acc[ra] = acc.get(ra, 0) - v * u[b - 1]
+            columns[col] = list(acc.items())
+        nxt = kernel(LinearMap(m * len(annihilator), m, columns))
+        if nxt.dim == prev.dim:
             break
         spaces.append(nxt)
     return spaces
@@ -168,7 +191,7 @@ def primal_series(m: int, constants: Mapping[tuple[int, int, int], int]) -> list
             for (i, j, k), c in constants.items():
                 brackets[i - 1][k - 1] += c * row[j - 1]
                 brackets[j - 1][k - 1] -= c * row[i - 1]
-            vecs.extend(brackets)
+            vecs.extend(b for b in brackets if any(b))
         nxt = span(vecs, m)
         if nxt.dim == series[-1].dim:
             return series

@@ -198,16 +198,16 @@ class Subspace:
     """Linear subspace of Q^n held as its canonical basis, one integer row per vector.
 
     Rows are the RREF rows scaled to primitive integers with a positive
-    pivot.  Canonicity makes equality-of-sets the same as
-    equality-of-bases, which is what the golden-table comparisons rely on.
+    pivot at column ``pivots[i]``.  Canonicity makes equality-of-sets the
+    same as equality-of-bases, which the golden-table comparisons rely on.
     """
 
-    __slots__ = ("ambient_dim", "basis", "_pivots")
+    __slots__ = ("ambient_dim", "basis", "pivots")
 
     def __init__(self, ambient_dim: int, basis: tuple[Row, ...], pivots: tuple[int, ...]):
         self.ambient_dim = ambient_dim
         self.basis = basis
-        self._pivots = pivots
+        self.pivots = pivots
 
     @property
     def dim(self) -> int:
@@ -235,7 +235,7 @@ class Subspace:
         """
         vec = list(vector)
         scale = 1
-        for row, p in zip(self.basis, self._pivots):
+        for row, p in zip(self.basis, self.pivots):
             f = vec[p]
             if f:
                 piv = row[p]
@@ -320,7 +320,7 @@ def preimage(m: LinearMap, target: Subspace, domain: Subspace) -> Subspace:
     # residual i is s_i * m b_i minus a target vector, zero on the target's
     # pivots; sum c'_i residual_i = 0 iff sum s_i c'_i m b_i lies in the target
     scales, residuals = zip(*(target._residual(m.apply(row)) for row in domain.basis))
-    pivot_set = set(target._pivots)
+    pivot_set = set(target.pivots)
     constraint_rows = []
     for c in range(m.rows):
         if c in pivot_set:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 from .exterior import (
@@ -249,24 +250,24 @@ def full_table(c: CochainComplex) -> SpectralTable:
     """Pages 0..r0, the limit grid, Betti numbers and r0 <= k from the
     persistence pairing; later pages equal the limit and are not computed."""
     k, m = c.k, c.m
-    essential = [[0] * (k + 1) for _ in range(m + 1)]  # [n][level]
-    gaps: list[list[list[int]]] = [[[] for _ in range(k + 1)] for _ in range(m + 1)]
+    # ends[n][level][g]: n-forms at that level that end a bar of gap g < k,
+    # with the essential ones at g = k; survivors to page r have g >= r
+    ends = [[[0] * (k + 1) for _ in range(k + 1)] for _ in range(m + 1)]
     for n in range(m + 1):
         for level in c._index_levels[n]:
-            essential[n][level] += 1
+            ends[n][level][k] += 1
     for n in range(m):
         for x, y in _bars(c, n):
-            essential[n][x] -= 1
-            essential[n + 1][y] -= 1
-            gaps[n][x].append(x - y)
-            gaps[n + 1][y].append(x - y)
+            for deg, level in ((n, x), (n + 1, y)):
+                ends[deg][level][x - y] += 1
+                ends[deg][level][k] -= 1
+    alive = [[list(accumulate(reversed(g)))[::-1] for g in row] for row in ends]
 
     def grid(r: int) -> Grid:
-        return tuple(tuple(essential[n][k - p] + sum(g >= r for g in gaps[n][k - p])
-                           for n in range(m + 1)) for p in range(k - 1, -1, -1))
+        return tuple(tuple(alive[n][k - p][r] for n in range(m + 1)) for p in range(k - 1, -1, -1))
 
     limit = grid(k)  # every gap is below k
-    betti = tuple(map(sum, essential))
+    betti = tuple(sum(level[k] for level in row) for row in ends)
     require_poincare_duality(betti)
     pages: dict[int, Grid] = {}
     for r in range(k + 1):
@@ -334,13 +335,13 @@ def check_top_degree_forms(c: CochainComplex) -> CheckReport:
     return CheckReport("top-degree-forms", checks, tuple(violations))
 
 
-def check_abelian_extension(h: LieAlgebra, r: int | None, s: int = 1) -> CheckReport:
+def check_abelian_extension(h: LieAlgebra, pages: Sequence[int | None], s: int = 1) -> list[CheckReport]:
     """Dimension identities for a rank-one abelian extension, iterated s times.
 
-    Compares the tables of base = R^(s-1) (+) h and ext = R^s (+) h at page
-    ``r`` (None for the limit): degree-0 and degree-1 rows transform as
-    stated, higher rows add with a degree shift; also the degeneration page
-    of R^s (+) h equals that of h.
+    Builds base = R^(s-1) (+) h and ext = R^s (+) h once and compares their
+    tables at each of ``pages`` (None for the limit), one report per page:
+    degree-0 and degree-1 rows transform as stated, higher rows add with a
+    degree shift; also the degeneration page of R^s (+) h equals that of h.
     """
     if s < 1:
         raise ValueError("s must be at least 1")
@@ -349,39 +350,42 @@ def check_abelian_extension(h: LieAlgebra, r: int | None, s: int = 1) -> CheckRe
     base = table_for(base_alg)
     ext = table_for(ext_alg)
     base_of_h = base if s == 1 else table_for(h)
-
-    violations = []
-    checks = 0
     k, m = ext.k, ext.m
 
-    def expect(got: int, want: int, what: str) -> None:
-        nonlocal checks
-        checks += 1
-        if got != want:
-            violations.append(f"{what}: got {got}, expected {want}")
+    def report(r: int | None) -> CheckReport:
+        violations = []
+        checks = 0
 
-    if base.k != k:
-        violations.append(f"extension changed the nilpotency index: {base.k} -> {k}")
-    # (1) nothing below total degree 0
-    for p in range(-1, k + 1):
-        expect(_probe(ext_alg, ext, p, -p - 1, r), 0, f"negative degree at p={p}")
-    # (2) degree 0
-    for p in range(k):
-        expect(ext.entry(r, p, -p), 1 if p == k - 1 else 0, f"degree 0 at p={p}")
-    # (3)/(4) degree 1
-    for p in range(k):
-        want = base.entry(r, p, 1 - p) + (1 if p == k - 1 else 0)
-        expect(ext.entry(r, p, 1 - p), want, f"degree 1 at p={p}")
-    expect(_probe(ext_alg, ext, k, 1 - k, r), 0, "degree 1 at p=k")
-    # (5) higher degrees add with a shift
-    for deg in range(2, m + 1):
+        def expect(got: int, want: int, what: str) -> None:
+            nonlocal checks
+            checks += 1
+            if got != want:
+                violations.append(f"{what}: got {got}, expected {want}")
+
+        if base.k != k:
+            violations.append(f"extension changed the nilpotency index: {base.k} -> {k}")
+        # (1) nothing below total degree 0
+        for p in range(-1, k + 1):
+            expect(_probe(ext_alg, ext, p, -p - 1, r), 0, f"negative degree at p={p}")
+        # (2) degree 0
         for p in range(k):
-            want = base.entry(r, p, deg - p) + base.entry(r, p, deg - 1 - p)
-            expect(ext.entry(r, p, deg - p), want, f"degree {deg} at p={p}")
-    # corollary: same degeneration page
-    expect(ext.r0, base_of_h.r0, "degeneration page")
-    return CheckReport(f"abelian-extension s={s} r={'limit' if r is None else r}",
-                       checks, tuple(violations))
+            expect(ext.entry(r, p, -p), 1 if p == k - 1 else 0, f"degree 0 at p={p}")
+        # (3)/(4) degree 1
+        for p in range(k):
+            want = base.entry(r, p, 1 - p) + (1 if p == k - 1 else 0)
+            expect(ext.entry(r, p, 1 - p), want, f"degree 1 at p={p}")
+        expect(_probe(ext_alg, ext, k, 1 - k, r), 0, "degree 1 at p=k")
+        # (5) higher degrees add with a shift
+        for deg in range(2, m + 1):
+            for p in range(k):
+                want = base.entry(r, p, deg - p) + base.entry(r, p, deg - 1 - p)
+                expect(ext.entry(r, p, deg - p), want, f"degree {deg} at p={p}")
+        # corollary: same degeneration page
+        expect(ext.r0, base_of_h.r0, "degeneration page")
+        return CheckReport(f"abelian-extension s={s} r={'limit' if r is None else r}",
+                           checks, tuple(violations))
+
+    return [report(r) for r in pages]
 
 
 def _probe(algebra: LieAlgebra, t: SpectralTable, p: int, q: int, r: int | None) -> int:

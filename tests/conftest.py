@@ -43,6 +43,35 @@ def random_nilpotent(rng: random.Random, m: int) -> lie.LieAlgebra:
     return lie.LieAlgebra(m, constants)
 
 
+def reversed_twin(a: lie.LieAlgebra) -> lie.LieAlgebra:
+    """The same algebra with its indices reversed, i -> m+1-i."""
+    m = a.m
+    return lie.LieAlgebra(m, {(m + 1 - i, m + 1 - j, m + 1 - k): v for (i, j, k), v in a.c.items()})
+
+
+def sheared(a: lie.LieAlgebra, rng: random.Random, shears: int = 3) -> lie.LieAlgebra:
+    """The algebra in a new primal basis reached by random shears
+    f_i = e_i + t e_j, so that its filtration is no longer by coordinates."""
+    m, constants = a.m, dict(a.c)
+    for _ in range(shears if m > 1 else 0):
+        i, j = rng.sample(range(1, m + 1), 2)
+        t = rng.choice([-2, -1, 1, 2])
+
+        def f(p: int) -> list[int]:  # f_p in the old basis
+            return [int(l == p) + (t if p == i and l == j else 0) for l in range(1, m + 1)]
+
+        new: dict[tuple[int, int, int], Fraction] = {}
+        for p in range(1, m + 1):
+            for q in range(p + 1, m + 1):
+                x, y, z = f(p), f(q), [Fraction(0)] * m
+                for (a1, b1, k), c in constants.items():
+                    z[k - 1] += c * (x[a1 - 1] * y[b1 - 1] - x[b1 - 1] * y[a1 - 1])
+                z[j - 1] -= t * z[i - 1]  # e_i = f_i - t f_j
+                new.update({(p, q, k): v for k, v in enumerate(z, start=1) if v})
+        constants = new
+    return lie.LieAlgebra(m, constants, validate=False)
+
+
 @pytest.fixture(scope="session")
 def rng_factory():
     return lambda seed: random.Random(seed)
@@ -53,6 +82,13 @@ def random_algebras_dim7():
     """The 50 randomized nilpotent algebras of dimension <= 7 (fixed seed)."""
     rng = random.Random(0xD1FF)
     return [random_nilpotent(rng, rng.randint(3, 7)) for _ in range(50)]
+
+
+@pytest.fixture(scope="session")
+def random_algebras_dim10():
+    """200 randomized nilpotent algebras of dimension 3-10 (fixed seed)."""
+    rng = random.Random(0x5EED)
+    return [random_nilpotent(rng, rng.randint(3, 10)) for _ in range(200)]
 
 
 @pytest.fixture(scope="session")

@@ -81,9 +81,8 @@ def test_criterion_4_direct_sum_identities():
     for text in bases:
         h = lie.parse_salamon(text)
         for s in (1, 2):
-            for r in (0, 1, 2, LIMIT):
-                rep = check_abelian_extension(h, r, s=s)
-                assert rep.ok, (text, s, r, rep.violations)
+            for rep in check_abelian_extension(h, (0, 1, 2, LIMIT), s=s):
+                assert rep.ok, (text, s, rep.name, rep.violations)
                 checks += rep.checks
     # the limit table of R (+) h3, value by value
     t = spectral.table_for(lie.direct_sum(lie.abelian(1), lie.parse_salamon("(0,0,12)")))

@@ -119,9 +119,8 @@ def test_decomposition_identities_at_stored_pages(catalog_tables):
             continue
         s, base_id = e.decomposition
         base = get_entry(base_id).algebra()
-        for r in sorted(e.golden_pages) + [spectral.LIMIT]:
-            rep = spectral.check_abelian_extension(base, r, s=s)
-            assert rep.ok, (e.id, r, rep.violations)
+        for rep in spectral.check_abelian_extension(base, sorted(e.golden_pages) + [spectral.LIMIT], s=s):
+            assert rep.ok, (e.id, rep.name, rep.violations)
 
 
 def test_get_entry_unknown():

@@ -1,7 +1,9 @@
 """Complex construction: wedge minors, differentials, filtration pieces."""
 
+import random
 from math import comb
 
+from conftest import reversed_twin, sheared
 from nilspec import lie, spectral
 from nilspec.exterior import (
     build_complex,
@@ -15,7 +17,8 @@ from nilspec.exterior import (
     pointwise_differential,
     wedge_minors,
 )
-from nilspec.linalg import LinearMap, Subspace, contains, image
+from nilspec.linalg import LinearMap, Subspace, contains, image, span
+from nilspec.spectral import LIMIT, betti_numbers, full_table, page_grid
 
 
 def _complex(text):
@@ -35,15 +38,9 @@ def _binom(n, k):
     return comb(n, k) if 0 <= k <= n else 0
 
 
-def _twin(a):
-    """The same algebra with its indices reversed, i -> m+1-i."""
-    m = a.m
-    return lie.LieAlgebra(m, {(m + 1 - i, m + 1 - j, m + 1 - k): v for (i, j, k), v in a.c.items()})
-
-
 def _kernel_test_complexes(random_algebras_dim7, catalog_tables):
     """Fixtures and their twins (which take the basis change), the catalog, m0(3..8)."""
-    algebras = [b for a in random_algebras_dim7 for b in (a, _twin(a))]
+    algebras = [b for a in random_algebras_dim7 for b in (a, reversed_twin(a))]
     algebras += [lie.m0(m) for m in range(3, 9)]
     return ([spectral.complex_for(a) for a in algebras]
             + [comp for _, _, comp, _ in catalog_tables.values()])
@@ -184,11 +181,54 @@ def test_permuted_catalog_entry_gives_same_tables(random_algebras_dim7):
     changed = 0
     for a in random_algebras_dim7:
         m = a.m
-        twin = _twin(a)
+        twin = reversed_twin(a)
         t, ref = spectral.table_for(twin), spectral.table_for(a)
         assert (t.pages, t.limit, t.r0, t.betti) == (ref.pages, ref.limit, ref.r0, ref.betti)
         changed += spectral.complex_for(twin).adapted_basis_change != Subspace.full(m).basis
     assert changed >= 40
+
+
+def _greedy_adapted_rows(f, m):
+    """The canonical rows of V_1, V_2, ... in order, each kept unless it lies
+    in the span of the rows kept before it."""
+    rows = []
+    for space in f.spaces[1:]:
+        for row in space.basis:
+            if not span(rows, m).contains_vector(row):
+                rows.append(row)
+    return tuple(rows)
+
+
+def test_adapted_rows_are_canonical_rows_at_new_pivots(catalog_tables, random_algebras_dim7,
+                                                       random_algebras_dim10):
+    rng = random.Random(0xAD4B)
+    algebras = [algebra for _, algebra, _, _ in catalog_tables.values()]
+    algebras += [lie.m0(m) for m in range(3, 15)]
+    algebras += [b for a in random_algebras_dim7 + random_algebras_dim10
+                 for b in (a, reversed_twin(a))]
+    algebras += [sheared(algebra, rng) for _, algebra, _, _ in catalog_tables.values()]
+    differ = 0
+    for a in algebras:
+        f = lie.descending_series(a)
+        c = spectral.complex_for(a)
+        for prev, space in zip(f.spaces, f.spaces[1:]):
+            new = [row for row, p in zip(space.basis, space.pivots) if p not in prev.pivots]
+            assert list(c.adapted_basis_change[prev.dim:space.dim]) == new
+            assert span(c.adapted_basis_change[:space.dim], a.m) == space
+        if a.m > 8 or c.adapted_basis_change == _greedy_adapted_rows(f, a.m):
+            continue  # tables above dim 8 take too long here
+        # another adapted basis than the greedy rule's: the pairing must still
+        # give the A-space quotient's pages, the rank-nullity Betti numbers
+        # and the tables of the index-reversed twin
+        differ += 1
+        t = full_table(c)
+        for r in range(t.r0 + 1):
+            assert t.pages[r] == page_grid(c, r), (lie.to_salamon(a), r)
+        assert t.limit == page_grid(c, LIMIT)
+        assert t.betti == betti_numbers(c)
+        twin = spectral.table_for(reversed_twin(a))
+        assert (t.pages, t.limit, t.r0, t.betti) == (twin.pages, twin.limit, twin.r0, twin.betti)
+    assert differ >= 80
 
 
 def test_rational_coefficients_supported():

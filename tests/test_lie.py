@@ -1,11 +1,16 @@
 """Structure constants, notation parsing, validation, series and sums."""
 
 import json
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from conftest import reversed_twin, sheared
 from nilspec import lie, spectral
+from nilspec.exterior import clear_denominators, differential_columns, wedge_minors
+from nilspec.linalg import LinearMap, Subspace, preimage, span
 from nilspec.lie import (
     IndexPairError,
     IndexRangeError,
@@ -205,6 +210,76 @@ def test_annihilator_duality(random_algebras_dim7):
         f = lie.descending_series(a)
         for i in range(f.k + 1):
             assert f.spaces[i].dim + f.series_dims[i] == a.m
+
+
+def _d1(a):
+    constants, _ = clear_denominators(a.c)
+    return LinearMap(comb(a.m, 2), a.m, differential_columns(a.m, constants, 1))
+
+
+def _lambda2_filtration(m, d1):
+    """Reference V_0, V_1, ...: V_i = preimage(d1, span of the wedge minors
+    x ^ y of the basis rows of V_(i-1)), until stabilisation."""
+    spaces = [Subspace.zero(m)]
+    while spaces[-1].dim < m:
+        prev = spaces[-1].basis
+        lam2 = span([wedge_minors(x, y, m) for n, x in enumerate(prev) for y in prev[n + 1:]], d1.rows)
+        nxt = preimage(d1, lam2, Subspace.full(m))
+        if nxt.dim == len(prev):
+            break
+        spaces.append(nxt)
+    return spaces
+
+
+def _same_spaces(got, want):
+    return [(s.basis, s.pivots) for s in got] == [(s.basis, s.pivots) for s in want]
+
+
+def test_contraction_filtration_equals_lambda2_preimages(catalog_tables, random_algebras_dim7,
+                                                          random_algebras_dim10):
+    rng = random.Random(0x5A1D)
+    algebras = [algebra for _, algebra, _, _ in catalog_tables.values()]
+    algebras += [lie.m0(m) for m in range(3, 15)]
+    # the twins keep coordinate filtrations; the sheared copies do not
+    algebras += [sheared(a, rng) for a in algebras]
+    algebras += [b for a in random_algebras_dim7 + random_algebras_dim10
+                 for b in (a, reversed_twin(a), sheared(a, rng))]
+    assert len(algebras) == 2 * (44 + 12) + 3 * (50 + 200)
+    for a in algebras:
+        d1 = _d1(a)
+        spaces = lie._dual_filtration_spaces(a.m, d1)
+        assert _same_spaces(spaces, _lambda2_filtration(a.m, d1)), lie.to_salamon(a)
+        assert _same_spaces(spaces, lie.descending_series(a).spaces)
+
+
+# so(3), the non-abelian 2-dim algebra de^2 = e^1 ^ e^2, and the latter
+# beside a nilpotent summand: Jacobi holds, the series stops short of n
+_NOT_NILPOTENT = [
+    (3, {(2, 3, 1): 1, (1, 3, 2): -1, (1, 2, 3): 1}),
+    (2, {(1, 2, 2): 1}),
+    (5, {(1, 2, 2): 1, (3, 4, 5): 1}),
+    (6, {(1, 2, 2): 1, (3, 4, 5): 1, (3, 5, 6): 2}),
+]
+_NOT_JACOBI = [
+    (6, {(1, 2, 3): 1, (1, 3, 4): 1, (2, 4, 5): 1, (3, 4, 6): 1, (2, 5, 6): 1}),
+    (5, {(1, 2, 3): Fraction(1, 2), (1, 3, 4): 1, (3, 4, 5): Fraction(-3, 2)}),
+]
+
+
+def test_contraction_filtration_on_invalid_inputs():
+    for m, constants in _NOT_NILPOTENT:
+        a = LieAlgebra(m, constants, validate=False)
+        spaces = lie._dual_filtration_spaces(m, _d1(a))
+        assert _same_spaces(spaces, _lambda2_filtration(m, _d1(a)))
+        assert spaces[-1].dim < m
+        rep = lie.validate_algebra(a)
+        assert rep.jacobi_ok and not rep.nilpotent_ok
+        with pytest.raises(NotNilpotentError):
+            LieAlgebra(m, constants)
+    for m, constants in _NOT_JACOBI:
+        assert not lie.validate_algebra(LieAlgebra(m, constants, validate=False)).jacobi_ok
+        with pytest.raises(JacobiError):
+            LieAlgebra(m, constants)
 
 
 def test_filtration_computed_once_per_algebra(monkeypatch):

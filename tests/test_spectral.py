@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from conftest import reversed_twin
 from nilspec import lie, spectral
 from nilspec.linalg import Subspace
 from nilspec.spectral import (
@@ -204,18 +205,12 @@ def _fresh_complex(a):
     return spectral.build_complex(a, lie.descending_series(a))
 
 
-def _reversed_twin(a):
-    """The same algebra with its indices reversed, i -> m+1-i."""
-    m = a.m
-    return lie.LieAlgebra(m, {(m + 1 - i, m + 1 - j, m + 1 - k): v for (i, j, k), v in a.c.items()})
-
-
 def _pairing_algebras(catalog_tables, random_algebras_dim7):
     algebras = [(e.id, algebra) for e, algebra, _, _ in catalog_tables.values()]
     algebras += [(f"m0({m})", lie.m0(m)) for m in range(3, 12)]
     for a in random_algebras_dim7:
         name = lie.to_salamon(a)
-        algebras += [(name, a), (f"{name} reversed", _reversed_twin(a))]
+        algebras += [(name, a), (f"{name} reversed", reversed_twin(a))]
     return algebras
 
 
@@ -283,13 +278,15 @@ def test_check_limit_edges_counts_checks():
 def test_direct_sum_identities_h3():
     h3 = lie.parse_salamon("(0,0,12)")
     for s in (1, 2):
-        for r in (0, 1, 2, LIMIT):
-            rep = check_abelian_extension(h3, r, s=s)
+        reports = check_abelian_extension(h3, (0, 1, 2, LIMIT), s=s)
+        assert [rep.name for rep in reports] == [f"abelian-extension s={s} r={r}"
+                                                 for r in (0, 1, 2, "limit")]
+        for rep in reports:
             assert rep.ok, rep.violations
 
 
 def test_direct_sum_identities_abelian_base():
-    rep = check_abelian_extension(lie.abelian(3), LIMIT, s=1)
+    [rep] = check_abelian_extension(lie.abelian(3), [LIMIT], s=1)
     assert rep.ok, rep.violations
 
 
