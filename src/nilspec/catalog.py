@@ -15,7 +15,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .lie import parse_salamon
-from .spectral import Grid, SpectralTable, table_for
+from .spectral import Grid, SpectralTable
 
 
 @dataclass(frozen=True)
@@ -169,15 +169,13 @@ class GoldenReport:
         return not self.hard_mismatches and self.r0_bound_ok
 
 
-def golden_check(entry: CatalogEntry, table: SpectralTable | None = None) -> GoldenReport:
+def golden_check(entry: CatalogEntry, table: SpectralTable) -> GoldenReport:
     """Diff every stored page grid and the limit grid against the engine.
 
     Mismatches at cells annotated as suspects are downgraded to reports; any
     other mismatch is a hard failure.  Also verifies that the computed
     degeneration page does not exceed the printed one.
     """
-    if table is None:
-        table = table_for(entry.algebra())
     mismatches = []
     for r, stored in sorted(entry.golden_pages.items()):
         computed = table.grid(r)

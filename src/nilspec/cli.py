@@ -13,6 +13,7 @@ consistency failure.  Batch lines are independent; the worst outcome wins.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -345,7 +346,9 @@ def _catalog_dim(text: str) -> int:
     return dim
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later ``main`` calls."""
     parser = argparse.ArgumentParser(
         prog="nilspec",
         description="Spectral sequences of nilpotent Lie algebras, exactly.")

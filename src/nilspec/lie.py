@@ -12,27 +12,32 @@ A reversed pair denotes the reversed wedge, so "52" contributes -e^2 ^ e^5;
 the published tables use this form ("34+52") and the Jacobi identity pins
 the sign down.
 
-The filtration V_0 = 0, V_i = {x : dx in Lambda^2 V_(i-1)} of the dual is
-computed once, at validation, as exact kernels on the integer constants
-(a 2-form w lies in Lambda^2 V iff i_u w = 0 for every u in ann(V)),
-cross-checked against the primal central descending series through
-annihilator duality dim V_i + dim n^i = m, and carried by the algebra.
+Every ``LieAlgebra`` is validated once, when it is built: the constructor
+raises JacobiError or NotNilpotentError unless the constants define a
+nilpotent Lie algebra, and stores the filtration V_0 = 0,
+V_i = {x : dx in Lambda^2 V_(i-1)} of the dual, computed as exact kernels on
+the integer constants (a 2-form w lies in Lambda^2 V iff i_u w = 0 for every
+u in ann(V)) and cross-checked against the primal central descending series
+through annihilator duality dim V_i + dim n^i = m.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
 
 from . import exterior
-from .linalg import LinearMap, Subspace, kernel, rat, span
+from .linalg import LinearMap, Subspace, kernel, span
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 Constants = dict[tuple[int, int, int], Fraction]
+
+_RATIONAL = re.compile(r"[+-]?\d+(?:/0*[1-9]\d*)?")  # no decimals, no zero denominator
 
 
 class LieError(Exception):
@@ -66,29 +71,29 @@ class AlgebraFormatError(LieError):
 
 
 @dataclass(frozen=True)
-class ValidationReport:
-    jacobi_ok: bool
-    filtration: Filtration | None  # None unless the algebra is nilpotent
-
-    @property
-    def nilpotent_ok(self) -> bool:
-        return self.filtration is not None
-
-    @property
-    def nilpotency_index(self) -> int | None:
-        return None if self.filtration is None else self.filtration.k
-
-    @property
-    def ok(self) -> bool:
-        return self.jacobi_ok and self.nilpotent_ok
-
-
-@dataclass(frozen=True)
 class Filtration:
     """Annihilator filtration V_0 .. V_k of the dual, with primal series dims."""
     k: int
     spaces: tuple[Subspace, ...]
     series_dims: tuple[int, ...]
+
+
+def rat(value: int | str | Fraction) -> Fraction:
+    """Coerce an int, Fraction or string like ``-3/2`` to an exact rational.
+
+    Strings must be decimal-free: an optional sign, digits, and optionally
+    ``/`` and a nonzero denominator.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str):
+        text = value.strip().replace("−", "-")
+        if not _RATIONAL.fullmatch(text):
+            raise ValueError(f"{value!r} is not a decimal-free rational")
+        return Fraction(text)
+    raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 
 class LieAlgebra:
@@ -97,7 +102,7 @@ class LieAlgebra:
     __slots__ = ("m", "c", "label", "filtration")
 
     def __init__(self, m: int, constants: Mapping[tuple[int, int, int], Fraction | int],
-                 label: str | None = None, validate: bool = True):
+                 label: str | None = None):
         if m < 1:
             raise LieError("dimension must be at least 1")
         cleaned: Constants = {}
@@ -120,9 +125,7 @@ class LieAlgebra:
         self.m = m
         self.c = cleaned
         self.label = label
-        self.filtration: Filtration | None = None
-        if validate:
-            self.filtration = descending_series(self)
+        self.filtration = validate_algebra(self)
 
     def brackets(self) -> Iterator[tuple[int, int, int, Fraction]]:
         for (i, j, k), c in sorted(self.c.items()):
@@ -143,7 +146,7 @@ class LieAlgebra:
 # validation and the filtration
 # ---------------------------------------------------------------------------
 
-def _dual_filtration_spaces(m: int, d1: LinearMap) -> list[Subspace]:
+def _dual_filtration_spaces(m: int, constants: Mapping[tuple[int, int, int], int]) -> list[Subspace]:
     """V_0, V_1, ... from the dual side until stabilisation (at most m+1 spaces).
 
     A 2-form w lies in Lambda^2 V iff i_u w = 0 for every u in ann(V), so
@@ -163,18 +166,17 @@ def _dual_filtration_spaces(m: int, d1: LinearMap) -> list[Subspace]:
             for row, p in zip(prev.basis, prev.pivots):
                 u[p] = -row[c] * (scale // row[p])
             annihilator.append(u)
-        # row t*m + j holds the e^(j+1) coordinate of i_u dx for the t-th u
-        columns = {}
-        for col, entries in d1.columns.items():
-            acc: dict[int, int] = {}
-            for pos, v in entries:
-                a, b = exterior.multi_indices(m, 2)[pos]
-                for t, u in enumerate(annihilator):
-                    ra, rb = t * m + a - 1, t * m + b - 1
-                    acc[rb] = acc.get(rb, 0) + v * u[a - 1]
-                    acc[ra] = acc.get(ra, 0) - v * u[b - 1]
-            columns[col] = list(acc.items())
-        nxt = kernel(LinearMap(m * len(annihilator), m, columns))
+        # column k-1 holds i_u de^k, de^k = sum c_abk e^a ^ e^b; row t*m + j
+        # holds its e^(j+1) coordinate for the t-th u
+        columns: dict[int, dict[int, int]] = {}
+        for (a, b, k), v in constants.items():
+            acc = columns.setdefault(k - 1, {})
+            for t, u in enumerate(annihilator):
+                ra, rb = t * m + a - 1, t * m + b - 1
+                acc[rb] = acc.get(rb, 0) + v * u[a - 1]
+                acc[ra] = acc.get(ra, 0) - v * u[b - 1]
+        nxt = kernel(LinearMap(m * len(annihilator), m,
+                               {col: list(acc.items()) for col, acc in columns.items()}))
         if nxt.dim == prev.dim:
             break
         spaces.append(nxt)
@@ -198,16 +200,17 @@ def primal_series(m: int, constants: Mapping[tuple[int, int, int], int]) -> list
         series.append(nxt)
 
 
-def validate_algebra(a: LieAlgebra) -> ValidationReport:
-    """Check Jacobi and nilpotency on integer constants, and compute the
-    filtration; a LieError means the dual and primal series disagree."""
+def validate_algebra(a: LieAlgebra) -> Filtration:
+    """The filtration of the dual, computed on integer constants; raises
+    JacobiError if d.d != 0 on 1-forms, NotNilpotentError if the filtration
+    stops short of the dual, LieError if it disagrees with the primal series."""
     constants, _ = exterior.clear_denominators(a.c)
     d1 = exterior.differential_columns(a.m, constants, 1)
     if not exterior.compose_is_zero(exterior.differential_columns(a.m, constants, 2), d1):
-        return ValidationReport(jacobi_ok=False, filtration=None)
-    spaces = _dual_filtration_spaces(a.m, LinearMap(math.comb(a.m, 2), a.m, d1))
+        raise JacobiError("structure constants violate the Jacobi identity")
+    spaces = _dual_filtration_spaces(a.m, constants)
     if spaces[-1].dim != a.m:
-        return ValidationReport(jacobi_ok=True, filtration=None)
+        raise NotNilpotentError("algebra is not nilpotent")
     series = primal_series(a.m, constants)
     series += [Subspace.zero(a.m)] * (len(spaces) - len(series))
     for i, (v, n) in enumerate(zip(spaces, series)):
@@ -217,21 +220,12 @@ def validate_algebra(a: LieAlgebra) -> ValidationReport:
             for u in n.basis:
                 if sum(xv * uv for xv, uv in zip(x, u)):
                     raise LieError(f"V_{i} does not annihilate the primal ideal n^{i}")
-    dims = tuple(n.dim for n in series)
-    return ValidationReport(jacobi_ok=True, filtration=Filtration(len(spaces) - 1, tuple(spaces), dims))
+    return Filtration(len(spaces) - 1, tuple(spaces), tuple(n.dim for n in series))
 
 
 def descending_series(a: LieAlgebra) -> Filtration:
-    """Annihilator filtration of the dual, cross-checked against the primal
-    series: the one a validated algebra carries, else computed now."""
-    if a.filtration is not None:
-        return a.filtration
-    report = validate_algebra(a)
-    if not report.jacobi_ok:
-        raise JacobiError("structure constants violate the Jacobi identity")
-    if report.filtration is None:
-        raise NotNilpotentError("algebra is not nilpotent")
-    return report.filtration
+    """Annihilator filtration of the dual, as validated when the algebra was built."""
+    return a.filtration
 
 
 # ---------------------------------------------------------------------------

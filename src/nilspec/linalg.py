@@ -8,55 +8,30 @@ unique, so two subspaces are equal as sets iff their bases are identical.
 
 A linear map is stored as sparse integer columns.  A nonzero scalar changes
 no image, preimage, kernel or rank, so callers clear denominators once and
-hand over integer maps.  Rational input vectors are converted to integer
-rows with the same span where they enter (``span`` and ``contains_vector``).
-Elimination is fraction-free: cross-multiplication plus gcd normalisation.
+hand over integer maps.  Elimination is fraction-free: cross-multiplication
+plus gcd normalisation.
 """
 
 from __future__ import annotations
 
 import math
-import re
-from fractions import Fraction
 from itertools import compress
 from typing import Iterable, Sequence
 
 Row = tuple[int, ...]
-
-_RATIONAL = re.compile(r"[+-]?\d+(?:/0*[1-9]\d*)?")  # no decimals, no zero denominator
 
 
 class DimensionMismatchError(ValueError):
     """Operands live in different ambient spaces or have incompatible shapes."""
 
 
-def rat(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, Fraction or string like ``-3/2`` to an exact rational.
-
-    Strings must be decimal-free: an optional sign, digits, and optionally
-    ``/`` and a nonzero denominator.
-    """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
-        text = value.strip().replace("−", "-")
-        if not _RATIONAL.fullmatch(text):
-            raise ValueError(f"{value!r} is not a decimal-free rational")
-        return Fraction(text)
-    raise TypeError(f"cannot interpret {value!r} as a rational number")
-
-
-def _integer_row(vector: Sequence, ambient_dim: int) -> list[int]:
-    """A rational row as an integer row with the same span (times the lcm of denominators)."""
+def _integer_row(vector: Sequence[int], ambient_dim: int) -> list[int]:
+    """A copy of an integer row, checked for length and entry type."""
     if len(vector) != ambient_dim:
         raise DimensionMismatchError("vector length differs from ambient dimension")
     row = list(vector)
     if not set(map(type, row)) <= {int}:
-        row = [rat(x) for x in row]
-        scale = math.lcm(*(x.denominator for x in row))
-        row = [x.numerator * (scale // x.denominator) for x in row]
+        raise TypeError("coordinate rows must hold ints")
     return row
 
 
@@ -249,8 +224,8 @@ class Subspace:
                         vec[j] -= f * row[j]
         return scale, vec
 
-    def contains_vector(self, vector: Sequence) -> bool:
-        """Whether a row of ints, rationals or rational strings lies in the subspace."""
+    def contains_vector(self, vector: Sequence[int]) -> bool:
+        """Whether an integer row lies in the subspace."""
         return not any(self._residual(_integer_row(vector, self.ambient_dim))[1])
 
     def __eq__(self, other: object) -> bool:
@@ -264,9 +239,8 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def span(vectors: Iterable[Sequence], ambient_dim: int) -> Subspace:
-    """Canonical subspace spanned by the given coordinate rows (ints, rationals
-    or rational strings)."""
+def span(vectors: Iterable[Sequence[int]], ambient_dim: int) -> Subspace:
+    """Canonical subspace spanned by the given integer coordinate rows."""
     rows = [_integer_row(v, ambient_dim) for v in vectors]
     reduced, pivots = _echelon(rows, ambient_dim)
     basis = []

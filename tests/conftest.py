@@ -69,7 +69,7 @@ def sheared(a: lie.LieAlgebra, rng: random.Random, shears: int = 3) -> lie.LieAl
                 z[j - 1] -= t * z[i - 1]  # e_i = f_i - t f_j
                 new.update({(p, q, k): v for k, v in enumerate(z, start=1) if v})
         constants = new
-    return lie.LieAlgebra(m, constants, validate=False)
+    return lie.LieAlgebra(m, constants)
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,8 @@ def test_every_salamon_parses_and_is_nilpotent(catalog_entries):
     for e in catalog_entries:
         a = e.algebra()
         assert a.m == e.dim
-        assert lie.validate_algebra(a).ok
+        f = lie.validate_algebra(a)
+        assert f.spaces[-1].dim == a.m and f.series_dims[-1] == 0
 
 
 def test_grid_shapes_match_nilpotency_index(catalog_tables):

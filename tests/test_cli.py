@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from nilspec import catalog, lie, spectral
-from nilspec.cli import main
+from nilspec.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -291,6 +291,18 @@ def test_check_json_format(capsys):
     assert code == 0
     reports = json.loads(out)
     assert all(r["ok"] for r in reports)
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys):
+    # main reuses one parser: no option value may carry over between calls
+    assert build_parser() is build_parser()
+    calls = [["check", "(0,0,12)", "--direct-sum", "1", "--page", "0", "--page", "1"],
+             ["check", "(0,0,12)", "--direct-sum", "1", "--page", "limit"],
+             ["catalog", "--check"]]
+    for argv in calls + calls:
+        result = run(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "nilspec.cli", *argv], capture_output=True, text=True)
+        assert result == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 # ---------------------------------------------------------------------------

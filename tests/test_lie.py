@@ -9,7 +9,7 @@ import pytest
 
 from conftest import reversed_twin, sheared
 from nilspec import lie, spectral
-from nilspec.exterior import clear_denominators, differential_columns, wedge_minors
+from nilspec.exterior import clear_denominators, compose_is_zero, differential_columns, wedge_minors
 from nilspec.linalg import LinearMap, Subspace, preimage, span
 from nilspec.lie import (
     IndexPairError,
@@ -147,24 +147,19 @@ def test_json_malformed():
 # ---------------------------------------------------------------------------
 
 def test_validate_heisenberg():
-    rep = lie.validate_algebra(lie.parse_salamon("(0,0,12)"))
-    assert rep.ok and rep.jacobi_ok and rep.nilpotent_ok
-    assert rep.nilpotency_index == 2
+    a = lie.parse_salamon("(0,0,12)")
+    f = lie.validate_algebra(a)
+    assert f.k == 2 and f == a.filtration
 
 
 def test_validate_abelian_index_one():
-    rep = lie.validate_algebra(lie.abelian(5))
-    assert rep.nilpotency_index == 1
+    assert lie.validate_algebra(lie.abelian(5)).k == 1
 
 
 def test_validate_semisimple_like():
     # so(3)-style cyclic constants: Jacobi holds, series never reaches zero
-    a = LieAlgebra(3, {(2, 3, 1): 1, (1, 3, 2): -1, (1, 2, 3): 1}, validate=False)
-    rep = lie.validate_algebra(a)
-    assert rep.jacobi_ok and not rep.nilpotent_ok
-    assert rep.nilpotency_index is None
     with pytest.raises(NotNilpotentError):
-        lie.descending_series(a)
+        LieAlgebra(3, {(2, 3, 1): 1, (1, 3, 2): -1, (1, 2, 3): 1})
 
 
 def test_constructor_raises_on_jacobi_failure():
@@ -212,9 +207,8 @@ def test_annihilator_duality(random_algebras_dim7):
             assert f.spaces[i].dim + f.series_dims[i] == a.m
 
 
-def _d1(a):
-    constants, _ = clear_denominators(a.c)
-    return LinearMap(comb(a.m, 2), a.m, differential_columns(a.m, constants, 1))
+def _d1(m, constants):
+    return LinearMap(comb(m, 2), m, differential_columns(m, constants, 1))
 
 
 def _lambda2_filtration(m, d1):
@@ -246,9 +240,9 @@ def test_contraction_filtration_equals_lambda2_preimages(catalog_tables, random_
                  for b in (a, reversed_twin(a), sheared(a, rng))]
     assert len(algebras) == 2 * (44 + 12) + 3 * (50 + 200)
     for a in algebras:
-        d1 = _d1(a)
-        spaces = lie._dual_filtration_spaces(a.m, d1)
-        assert _same_spaces(spaces, _lambda2_filtration(a.m, d1)), lie.to_salamon(a)
+        constants, _ = clear_denominators(a.c)
+        spaces = lie._dual_filtration_spaces(a.m, constants)
+        assert _same_spaces(spaces, _lambda2_filtration(a.m, _d1(a.m, constants))), lie.to_salamon(a)
         assert _same_spaces(spaces, lie.descending_series(a).spaces)
 
 
@@ -267,17 +261,17 @@ _NOT_JACOBI = [
 
 
 def test_contraction_filtration_on_invalid_inputs():
+    # the constants are listed with i < j, as LieAlgebra would store them
     for m, constants in _NOT_NILPOTENT:
-        a = LieAlgebra(m, constants, validate=False)
-        spaces = lie._dual_filtration_spaces(m, _d1(a))
-        assert _same_spaces(spaces, _lambda2_filtration(m, _d1(a)))
+        cleared, _ = clear_denominators(constants)
+        spaces = lie._dual_filtration_spaces(m, cleared)
+        assert _same_spaces(spaces, _lambda2_filtration(m, _d1(m, cleared)))
         assert spaces[-1].dim < m
-        rep = lie.validate_algebra(a)
-        assert rep.jacobi_ok and not rep.nilpotent_ok
         with pytest.raises(NotNilpotentError):
             LieAlgebra(m, constants)
     for m, constants in _NOT_JACOBI:
-        assert not lie.validate_algebra(LieAlgebra(m, constants, validate=False)).jacobi_ok
+        cleared, _ = clear_denominators(constants)
+        assert not compose_is_zero(differential_columns(m, cleared, 2), differential_columns(m, cleared, 1))
         with pytest.raises(JacobiError):
             LieAlgebra(m, constants)
 

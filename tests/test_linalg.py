@@ -20,10 +20,10 @@ from nilspec.linalg import (
     kernel,
     preimage,
     rank,
-    rat,
     span,
     subspace_sum,
 )
+from nilspec.lie import rat
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +84,13 @@ def random_matrix(rng, rows, cols, bound=4):
             for _ in range(rows)]
 
 
+def integer_rows(grid):
+    """Each rational row times the lcm of its denominators: the same span."""
+    return [[int(x * math.lcm(*(y.denominator for y in row))) for x in row] for row in grid]
+
+
 def random_subspace(rng, ambient, nvecs):
-    return span(random_matrix(rng, nvecs, ambient), ambient)
+    return span(integer_rows(random_matrix(rng, nvecs, ambient)), ambient)
 
 
 def as_map(grid, cols):
@@ -138,7 +143,7 @@ def test_rref_matches_naive_on_random_matrices():
     for _ in range(60):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         grid = random_matrix(rng, rows, cols)
-        ours = span(grid, cols)
+        ours = span(integer_rows(grid), cols)
         naive, naive_rank = naive_rref([[(x.numerator, x.denominator) for x in row] for row in grid])
         assert ours.dim == naive_rank
         assert ours.basis == tuple(primitive([Fraction(num, den) for num, den in row])
@@ -150,10 +155,10 @@ def test_rref_idempotent_and_span_preserving():
     for _ in range(30):
         rows, cols = rng.randint(1, 5), rng.randint(1, 6)
         grid = random_matrix(rng, rows, cols)
-        once = span(grid, cols)
+        once = span(integer_rows(grid), cols)
         twice = span(once.basis, cols)
         assert once.basis == twice.basis and once.dim == twice.dim
-        assert all(once.contains_vector(row) for row in grid)
+        assert all(once.contains_vector(row) for row in integer_rows(grid))
         assert once.dim == rank(as_map(grid, cols))
 
 
@@ -171,6 +176,15 @@ def test_span_overlapping_vectors():
 
 def test_span_dependent_pair_is_a_line():
     assert span([[1, 2], [2, 4]], 2).dim == 1
+
+
+def test_span_takes_integer_rows_only():
+    with pytest.raises(TypeError):
+        span([[1, 0], [Fraction(1, 2), 1]], 2)
+    with pytest.raises(TypeError):
+        Subspace.full(2).contains_vector([Fraction(1, 2), 1])
+    with pytest.raises(DimensionMismatchError):
+        span([[1, 0, 0]], 2)
 
 
 # ---------------------------------------------------------------------------
