@@ -10,16 +10,15 @@ check reports (rather than fails) when the engine contradicts such a cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
 from functools import lru_cache
-from importlib import resources
+from typing import NamedTuple
 
 from .lie import parse_salamon
 from .spectral import Grid, SpectralTable
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     id: str
     salamon: str
     label: str | None
@@ -117,8 +116,8 @@ def _parse_golden(text: str) -> list[CatalogEntry]:
 
 @lru_cache(maxsize=1)
 def _all_entries() -> tuple[CatalogEntry, ...]:
-    text = resources.files("nilspec").joinpath("golden_tables.txt").read_text()
-    return tuple(_parse_golden(text))
+    with open(os.path.join(os.path.dirname(__file__), "golden_tables.txt"), encoding="utf-8") as fh:
+        return tuple(_parse_golden(fh.read()))
 
 
 def list_entries(dim_filter: int | None = None) -> list[CatalogEntry]:
@@ -139,8 +138,7 @@ def get_entry(entry_id: str) -> CatalogEntry:
 # golden comparison
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CellMismatch:
+class CellMismatch(NamedTuple):
     page: int
     row: int
     col: int
@@ -149,8 +147,7 @@ class CellMismatch:
     suspect: bool
 
 
-@dataclass(frozen=True)
-class GoldenReport:
+class GoldenReport(NamedTuple):
     id: str
     mismatches: tuple[CellMismatch, ...]
     r0_computed: int

@@ -23,6 +23,7 @@ from . import catalog as catalog_mod
 from .exterior import CochainComplexError
 from .lie import (
     AlgebraFormatError,
+    FiltrationMismatchError,
     IndexPairError,
     IndexRangeError,
     JacobiError,
@@ -52,7 +53,7 @@ EXIT_INTERNAL = 4
 
 _PARSE_ERRORS = (SalamonSyntaxError, IndexRangeError, IndexPairError, AlgebraFormatError)
 _VALIDATION_ERRORS = (JacobiError, NotNilpotentError)
-_INTERNAL_ERRORS = (InternalConsistencyError, CochainComplexError)
+_INTERNAL_ERRORS = (InternalConsistencyError, CochainComplexError, FiltrationMismatchError)
 
 
 def _exit_code_for(exc: Exception) -> int:

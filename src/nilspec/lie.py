@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from . import exterior
 from .linalg import LinearMap, Subspace, kernel, span
@@ -70,8 +69,11 @@ class AlgebraFormatError(LieError):
     """A JSON algebra document is malformed."""
 
 
-@dataclass(frozen=True)
-class Filtration:
+class FiltrationMismatchError(LieError):
+    """The dual filtration disagrees with the primal series (engine bug)."""
+
+
+class Filtration(NamedTuple):
     """Annihilator filtration V_0 .. V_k of the dual, with primal series dims."""
     k: int
     spaces: tuple[Subspace, ...]
@@ -203,7 +205,8 @@ def primal_series(m: int, constants: Mapping[tuple[int, int, int], int]) -> list
 def validate_algebra(a: LieAlgebra) -> Filtration:
     """The filtration of the dual, computed on integer constants; raises
     JacobiError if d.d != 0 on 1-forms, NotNilpotentError if the filtration
-    stops short of the dual, LieError if it disagrees with the primal series."""
+    stops short of the dual, FiltrationMismatchError if it disagrees with the
+    primal series."""
     constants, _ = exterior.clear_denominators(a.c)
     d1 = exterior.differential_columns(a.m, constants, 1)
     if not exterior.compose_is_zero(exterior.differential_columns(a.m, constants, 2), d1):
@@ -215,11 +218,11 @@ def validate_algebra(a: LieAlgebra) -> Filtration:
     series += [Subspace.zero(a.m)] * (len(spaces) - len(series))
     for i, (v, n) in enumerate(zip(spaces, series)):
         if v.dim + n.dim != a.m:
-            raise LieError("dual filtration disagrees with the primal descending series")
+            raise FiltrationMismatchError("dual filtration disagrees with the primal descending series")
         for x in v.basis:
             for u in n.basis:
                 if sum(xv * uv for xv, uv in zip(x, u)):
-                    raise LieError(f"V_{i} does not annihilate the primal ideal n^{i}")
+                    raise FiltrationMismatchError(f"V_{i} does not annihilate the primal ideal n^{i}")
     return Filtration(len(spaces) - 1, tuple(spaces), tuple(n.dim for n in series))
 
 

@@ -29,10 +29,9 @@ computation.  A-spaces and their images are cached per complex.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exterior import (
     CochainComplex,
@@ -52,8 +51,7 @@ class InternalConsistencyError(RuntimeError):
     """A structural invariant failed while computing pages (engine bug)."""
 
 
-@dataclass(frozen=True)
-class PageEntry:
+class PageEntry(NamedTuple):
     r: int | None  # None for the limit page
     p: int
     q: int
@@ -62,8 +60,7 @@ class PageEntry:
     denominator_dim: int
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     name: str
     checks: int
     violations: tuple[str, ...]
@@ -73,8 +70,7 @@ class CheckReport:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class SpectralTable:
+class SpectralTable(NamedTuple):
     """Page grids 0..r0, the limit grid, Betti numbers, r0.
 
     Every page after r0 equals the limit, so ``grid(r)`` reads it as the

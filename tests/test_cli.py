@@ -9,6 +9,7 @@ import pytest
 
 from nilspec import catalog, lie, spectral
 from nilspec.cli import build_parser, main
+from nilspec.linalg import Subspace
 
 
 def run(capsys, *argv):
@@ -148,6 +149,25 @@ def test_exit_code_jacobi(capsys):
 def test_exit_code_missing_input(capsys):
     code, _, err = run(capsys, "compute")
     assert code == 2
+
+
+def test_filtration_mismatch_exits_4_without_traceback(tmp_path, capsys, monkeypatch):
+    # a primal series that never descends contradicts the dual filtration of
+    # every non-abelian algebra; abelian ones still agree with it
+    monkeypatch.setattr(lie, "primal_series", lambda m, constants: [Subspace.full(m)])
+    code, out, err = run(capsys, "compute", "(0,0,12)")
+    assert code == 4 and out == ""
+    assert err.splitlines() == ["error: dual filtration disagrees with the primal descending series"]
+    path = tmp_path / "batch.txt"
+    path.write_text("(0,0,12)\n(0,0,0)\n")
+    code, out, err = run(capsys, "compute", "--batch", str(path), "--format", "json")
+    assert code == 4
+    assert [json.loads(line)["m"] for line in out.splitlines()] == [3]
+    assert err.splitlines() == ["error: (0,0,12): dual filtration disagrees with the primal descending series"]
+    code, out, _ = run(capsys, "catalog", "--dim", "3", "--check")
+    assert code == 4
+    assert out.splitlines() == ["FAIL dim3-h3", "      dual filtration disagrees with the primal descending series",
+                                "0/1 entries pass"]
 
 
 def _json_doc(**changes):
@@ -308,6 +328,22 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
 # ---------------------------------------------------------------------------
 # installed entry point
 # ---------------------------------------------------------------------------
+
+def test_start_up_imports_no_introspection_modules():
+    # dataclasses imports inspect, and so does importlib.resources on Python
+    # 3.12+; together they took longer than the package itself.  site may
+    # preload some of them, so only new imports count
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "import nilspec.cli\n"
+              "from nilspec import catalog\n"
+              "catalog.list_entries()\n"
+              "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert "nilspec.catalog" in loaded
+    assert not loaded & {"dataclasses", "inspect", "importlib.resources"}, sorted(loaded)
+
 
 def test_console_script_runs():
     proc = subprocess.run([sys.executable, "-m", "nilspec.cli", "compute", "(0,0,12)"],
