@@ -6,8 +6,9 @@ Subcommands:
   check     run the structural checkers on one algebra
 
 Exit codes are a contract: 0 success, 2 parse error, 3 validation error
-(well-formed input that is not a nilpotent Lie algebra), 4 internal
-consistency failure.  Batch lines are independent; the worst outcome wins.
+(well-formed input that is not a nilpotent Lie algebra, or one above
+MAX_DIM), 4 internal consistency failure.  Batch lines are independent; the
+worst outcome wins.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .lie import (
     IndexRangeError,
     JacobiError,
     LieAlgebra,
+    LieError,
     NotNilpotentError,
     SalamonSyntaxError,
     algebra_from_json,
@@ -51,8 +53,21 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_INTERNAL = 4
 
+MAX_DIM = 20  # the table of m0(20) takes minutes and 350 MB (README, "Size cap")
+
+
+class TooLargeError(LieError):
+    """The algebra's dimension is above MAX_DIM; refused before validation."""
+
+
+def _within_cap(m: int) -> int:
+    if m > MAX_DIM:
+        raise TooLargeError(f"dimension {m} is above the cap of {MAX_DIM}")
+    return m
+
+
 _PARSE_ERRORS = (SalamonSyntaxError, IndexRangeError, IndexPairError, AlgebraFormatError)
-_VALIDATION_ERRORS = (JacobiError, NotNilpotentError)
+_VALIDATION_ERRORS = (JacobiError, NotNilpotentError, TooLargeError)
 _INTERNAL_ERRORS = (InternalConsistencyError, CochainComplexError, FiltrationMismatchError)
 
 
@@ -158,9 +173,9 @@ def render_table(table: SpectralTable, meta: dict, fmt: str, pages: str) -> str:
 def _load_algebra(text: str) -> LieAlgebra:
     """A salamon string, or a path to a salamon / JSON algebra file."""
     candidate = text.strip()
-    if candidate.startswith("("):
-        return parse_salamon(candidate)
-    if os.path.isfile(candidate):
+    if not candidate.startswith("("):
+        if not os.path.isfile(candidate):
+            raise SalamonSyntaxError(f"input {candidate!r} is neither a '(...)' string nor a file", 1)
         try:
             with open(candidate, encoding="utf-8") as fh:
                 content = fh.read().strip()
@@ -171,14 +186,18 @@ def _load_algebra(text: str) -> LieAlgebra:
                 doc = json.loads(content)
             except (json.JSONDecodeError, RecursionError) as exc:
                 raise AlgebraFormatError(f"bad JSON in {candidate}: {exc}") from exc
+            if isinstance(doc, dict) and type(doc.get("dim")) is int:
+                _within_cap(doc["dim"])
             return algebra_from_json(doc)
-        return parse_salamon(content)
-    raise SalamonSyntaxError(f"input {candidate!r} is neither a '(...)' string nor a file", 1)
+        candidate = content
+    if candidate.startswith("("):
+        _within_cap(candidate.count(",") + 1)  # parse_salamon reads one entry per field
+    return parse_salamon(candidate)
 
 
 def _resolve_input(args: argparse.Namespace) -> LieAlgebra:
     if args.m0 is not None:
-        return m0(args.m0)
+        return m0(_within_cap(args.m0))
     if args.input is None:
         raise SalamonSyntaxError("no input given (pass a salamon string, a file, or --m0 N)", 1)
     return _load_algebra(args.input)
@@ -294,6 +313,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     reports = []
     try:
         algebra = _resolve_input(args)
+        _within_cap(algebra.m + (args.direct_sum or 0))
         if args.theorems or run_all:
             table = table_for(algebra)
             reports.append(check_limit_edges(table, complex_for(algebra)))

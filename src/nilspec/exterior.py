@@ -8,13 +8,16 @@ to higher degrees as an antiderivation:
 
     d(x ^ y) = dx ^ y + (-1)^deg(x) x ^ dy.
 
-``differential_columns`` works on bit masks: e^idx is the integer with bit i
-set for each index i (bit 0 unused), and ``mask_positions`` maps a mask to
-its lexicographic position.  For the t-th index j of a column mask M and a
-term c e^a ^ e^b (a < b) of de^j, let rest = M without bit j.  The term dies
-if rest has bit a or b; otherwise it lands on rest | a | b with sign
-(-1)^(t + #{i in rest : i < a} + #{i in rest : i < b}), two popcounts: moving
-e^j to the front, then e^a and e^b into place.
+A basis q-form has one integer key: index i is bit m - i of its reversed
+mask R, and the key is (level << m) | (full ^ R), full = 2^m - 1.  In one
+degree lexicographic order is decreasing R, so keys sort by (level,
+lexicographic position); the level is that of the largest index, the
+lowest set bit of R.  ``form_columns`` builds d on keys: for an index j of
+a column form and a term c e^a ^ e^b (a < b) of de^j, let rest = R without
+bit j.  The term dies if rest has bit a or b; otherwise it lands on
+rest | a | b with sign (-1)^(#{i in rest : i < j} + #{i in rest : i < a} +
+#{i in rest : i < b}), the parity of one popcount of rest.  Positional
+``LinearMap``s are relabellings of these columns, made on first use.
 
 An independent construction of the same matrices, pointwise evaluation of
 the alternating-sum formula on tuples of primal basis vectors, is provided
@@ -41,7 +44,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .linalg import LinearMap, Row, Subspace, rank, span
 
@@ -53,23 +56,13 @@ if TYPE_CHECKING:  # pragma: no cover
 MultiIndex = tuple[int, ...]
 Constants = Mapping[tuple[int, int, int], int]
 SparseColumns = dict[int, list[tuple[int, int]]]
+KeyColumns = dict[int, dict[int, int]]
 
 
 @functools.cache
 def multi_indices(m: int, q: int) -> tuple[MultiIndex, ...]:
     """All strictly increasing q-tuples from 1..m, lexicographically ordered."""
     return tuple(itertools.combinations(range(1, m + 1), q)) if 0 <= q <= m else ()
-
-
-@functools.cache
-def index_positions(m: int, q: int) -> dict[MultiIndex, int]:
-    return {idx: pos for pos, idx in enumerate(multi_indices(m, q))}
-
-
-@functools.cache
-def mask_positions(m: int, q: int) -> dict[int, int]:
-    """Bit mask of each q-multi-index -> its position, in lexicographic order."""
-    return {sum(1 << i for i in idx): pos for pos, idx in enumerate(multi_indices(m, q))}
 
 
 def wedge_minors(x: Sequence[int], y: Sequence[int], m: int) -> list[int]:
@@ -80,7 +73,7 @@ def wedge_minors(x: Sequence[int], y: Sequence[int], m: int) -> list[int]:
 def sort_indices(indices: Sequence[int]) -> tuple[int, MultiIndex] | None:
     """Sort a wedge of 1-form indices; returns (sign, tuple) or None if repeated.
 
-    In the package only the pointwise oracle uses this; ``differential_columns``
+    In the package only the pointwise oracle uses this; ``form_columns``
     counts signs on bit masks, so the two constructions stay independent.
     """
     items = list(indices)
@@ -102,47 +95,71 @@ def sort_indices(indices: Sequence[int]) -> tuple[int, MultiIndex] | None:
 # differentials from structure constants
 # ---------------------------------------------------------------------------
 
-def _one_form_terms(constants: Constants) -> dict[int, list[tuple[int, int, int, int]]]:
-    """de^k as (mask of a and b, mask below a, mask below b, coeff) for each
-    c e^a ^ e^b with a < b, keyed by k."""
-    terms: dict[int, list[tuple[int, int, int, int]]] = {}
-    for (a, b, k), c in constants.items():
-        if c:
-            terms.setdefault(k, []).append(((1 << a) | (1 << b), (1 << a) - 1, (1 << b) - 1, c))
-    return terms
-
-
-def differential_columns(m: int, constants: Constants, q: int) -> SparseColumns:
-    """Sparse integer columns of d: Lambda^q -> Lambda^(q+1) built by the
-    derivation rule from integer constants, on bit masks."""
-    cols: SparseColumns = {}
+def form_columns(m: int, constants: Constants, q: int, levels: Sequence[int] = ()) -> KeyColumns:
+    """Columns of d: Lambda^q -> Lambda^(q+1) on form keys, {key: {key: coeff}},
+    built by the derivation rule from integer constants (each c e^a ^ e^b
+    of de^j with a < b).  levels[j-1] is the level of index j; without
+    levels every form has level 0.  Zero columns are absent."""
+    cols: KeyColumns = {}
     if q < 0 or q >= m:
         return cols
-    terms = _one_form_terms(constants)
-    target_pos = mask_positions(m, q + 1)
-    for col, (idx, mask) in enumerate(zip(multi_indices(m, q), mask_positions(m, q))):
+    full = (1 << m) - 1
+    # the key of a nonzero reversed mask R is base[R & -R] ^ R
+    base = {1 << (m - j): (lv << m) | full for j, lv in enumerate(levels or [0] * m, start=1)}
+    terms: dict[int, list[tuple[int, int, int]]] = {}  # bit of j -> (bits of a and b, sign mask, c)
+    for (a, b, j), c in constants.items():
+        if c:
+            above = [full ^ ((2 << (m - x)) - 1) for x in (a, b, j)]  # bits of the indices below x
+            terms.setdefault(1 << (m - j), []).append(
+                ((1 << (m - a)) | (1 << (m - b)), above[0] ^ above[1] ^ above[2], c))
+    active = sum(terms)
+    for mask in map(sum, itertools.combinations([1 << b for b in range(m)], q)):
+        todo = mask & active
+        if not todo:
+            continue
         acc: dict[int, int] = {}
-        for t, j in enumerate(idx):
-            rest = mask ^ (1 << j)
-            for ab, below_a, below_b, c in terms.get(j, ()):
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            rest = mask ^ bit
+            for ab, signs, c in terms[bit]:
                 if rest & ab:
                     continue
-                pos = target_pos[rest | ab]
-                if (t + (rest & below_a).bit_count() + (rest & below_b).bit_count()) & 1:
-                    c = -c
-                acc[pos] = acc.get(pos, 0) + c
-        entries = [(pos, coeff) for pos, coeff in acc.items() if coeff]
-        if entries:
-            cols[col] = entries
+                target = rest | ab
+                key = base[target & -target] ^ target
+                acc[key] = acc.get(key, 0) + (-c if (rest & signs).bit_count() & 1 else c)
+        if not all(acc.values()):
+            acc = {key: v for key, v in acc.items() if v}
+        if acc:
+            cols[base[mask & -mask] ^ mask] = acc
     return cols
 
 
-def compose_is_zero(outer: SparseColumns, inner: SparseColumns) -> bool:
-    """Whether outer . inner = 0, composing sparse column maps."""
-    for col, entries in inner.items():
+def _position(key: int, full: int) -> int:
+    """Lexicographic position of a basis form among the forms of its degree:
+    the rank of full ^ R in the combinatorial number system."""
+    bits = [b for b in range(full.bit_length()) if key >> b & 1]
+    return sum(math.comb(b, t) for t, b in enumerate(bits, start=1))
+
+
+def positional_columns(m: int, columns: KeyColumns) -> SparseColumns:
+    """Key columns relabelled to lexicographic positions."""
+    full = (1 << m) - 1
+    return {_position(src, full): [(_position(key, full), v) for key, v in col.items()]
+            for src, col in columns.items()}
+
+
+def differential_columns(m: int, constants: Constants, q: int) -> SparseColumns:
+    """``form_columns`` at lexicographic positions, on forms of level 0."""
+    return positional_columns(m, form_columns(m, constants, q))
+
+
+def compose_is_zero(outer: KeyColumns, inner: KeyColumns) -> bool:
+    """Whether outer . inner = 0, composing key columns."""
+    for col in inner.values():
         acc: dict[int, int] = {}
-        for mid, coeff in entries:
-            for row, c2 in outer.get(mid, ()):
+        for mid, coeff in col.items():
+            for row, c2 in outer.get(mid, {}).items():
                 acc[row] = acc.get(row, 0) + coeff * c2
         if any(acc.values()):
             return False
@@ -206,6 +223,18 @@ class CochainComplexError(RuntimeError):
     """The complex failed an internal structural check (engine bug)."""
 
 
+class _OnDemand(dict):
+    """A dict that builds a missing entry with ``build`` and keeps it."""
+
+    def __init__(self, build: Callable):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, key: object) -> object:
+        self[key] = value = self._build(key)
+        return value
+
+
 class CochainComplex:
     """The Chevalley-Eilenberg complex in a filtration-adapted dual basis.
 
@@ -217,41 +246,40 @@ class CochainComplex:
     adapted_basis_change:  integer rows = adapted covectors in the original dual basis
     adapted_constants:     integer structure constants in the adapted basis, a
                            positive integer multiple of the true ones
-    d:               d[q] maps Lambda^q coordinates to Lambda^(q+1), q = 0..m,
-                     as the integer map built from adapted_constants (the
-                     same positive multiple of the true differential)
+    columns:         columns[q] is d_q on form keys, q = 0..m, built from
+                     adapted_constants (the same positive multiple of the true
+                     differential); d[q] is its ``LinearMap``, made on first use
 
     Cochains are integer coordinate rows in the adapted basis.
     """
 
     def __init__(self, m: int, k: int, v_dims: Sequence[int], adapted_basis_change: tuple[Row, ...],
-                 adapted_constants: Constants, d: Sequence[LinearMap]):
+                 adapted_constants: Constants):
         self.m = m
         self.k = k
         self.v_dims = tuple(v_dims)
         self.adapted_basis_change = adapted_basis_change
         self.adapted_constants = dict(adapted_constants)
-        self.d = tuple(d)
         self.levels = tuple(min(i for i in range(k + 1) if j < self.v_dims[i]) for j in range(m))
-        # multi-index level = max index level = level of the last index, as
-        # levels is nondecreasing; the empty index carries level 1
-        self._index_levels: list[tuple[int, ...]] = [(1,)] + [
-            tuple(self.levels[idx[-1] - 1] for idx in multi_indices(m, q)) for q in range(1, m + 1)]
-        self._lambda_cache: dict[tuple[int, int], Subspace] = {}
+        self.columns = [form_columns(m, self.adapted_constants, q, self.levels) for q in range(m + 1)]
+        self.d = _OnDemand(lambda q: LinearMap(math.comb(m, q + 1), math.comb(m, q),
+                                               positional_columns(m, self.columns[q])))
+        self._lambda_cache = _OnDemand(self._lambda_subspace)
         self._space_cache: dict = {}
         self._image_cache: dict = {}
-        self._rank_cache: dict[int, int] = {}
+        self._rank_cache = _OnDemand(lambda q: rank(self.d[q]))
 
     def dim_lambda(self, q: int) -> int:
         return math.comb(self.m, q)
 
     def d_rank(self, q: int) -> int:
         """Rank of d_q, cached; q outside 0..m counts as the zero map."""
-        if q < 0 or q > self.m:
-            return 0
-        if q not in self._rank_cache:
-            self._rank_cache[q] = rank(self.d[q])
-        return self._rank_cache[q]
+        return self._rank_cache[q] if 0 <= q <= self.m else 0
+
+    def _lambda_subspace(self, key: tuple[int, int]) -> Subspace:
+        q, i = key
+        return Subspace.coordinate([p for p, idx in enumerate(multi_indices(self.m, q))
+                                    if (idx[-1] <= self.v_dims[i] if idx else i >= 1)], self.dim_lambda(q))
 
 
 def lambda_subspace(c: CochainComplex, q: int, i: int) -> Subspace:
@@ -261,15 +289,7 @@ def lambda_subspace(c: CochainComplex, q: int, i: int) -> Subspace:
     """
     if q < 0 or q > c.m:
         raise ValueError(f"degree {q} outside 0..{c.m}")
-    i = max(0, min(i, c.k))
-    key = (q, i)
-    cached = c._lambda_cache.get(key)
-    if cached is None:
-        levels = c._index_levels[q]
-        positions = [p for p, lv in enumerate(levels) if lv <= i]
-        cached = Subspace.coordinate(positions, len(levels))
-        c._lambda_cache[key] = cached
-    return cached
+    return c._lambda_cache[q, max(0, min(i, c.k))]
 
 
 def build_complex(a: "LieAlgebra", f: "Filtration") -> CochainComplex:
@@ -289,12 +309,11 @@ def build_complex(a: "LieAlgebra", f: "Filtration") -> CochainComplex:
     constants, _ = clear_denominators(a.c)
     if change != Subspace.full(m).basis:
         constants = transform_constants(constants, change)
-    columns = [differential_columns(m, constants, q) for q in range(m + 1)]
+    c = CochainComplex(m, k, v_dims, change, constants)
     for q in range(m):
-        if not compose_is_zero(columns[q + 1], columns[q]):
+        if not compose_is_zero(c.columns[q + 1], c.columns[q]):
             raise CochainComplexError(f"d_{q + 1} . d_{q} != 0 after basis adaptation")
-    d = [LinearMap(math.comb(m, q + 1), math.comb(m, q), columns[q]) for q in range(m + 1)]
-    return CochainComplex(m, k, v_dims, change, constants, d)
+    return c
 
 
 def transform_constants(constants: Constants, change: Sequence[Row]) -> dict[tuple[int, int, int], int]:
@@ -330,10 +349,8 @@ def divisibility_subspace(c: CochainComplex) -> Subspace:
 
     These are exactly the (m-1)-forms divisible by the wedge of a basis of
     the closed 1-forms; by the closed/exact characterisation of top-degree
-    forms this subspace coincides with the exact (m-1)-forms.
+    forms this subspace coincides with the exact (m-1)-forms.  The
+    (m-1)-form without index i sits at position m - i, and V_1 is spanned
+    by the first v_dims[1] covectors.
     """
-    m = c.m
-    n0 = c.v_dims[1]
-    required = set(range(1, n0 + 1))
-    positions = [p for p, idx in enumerate(multi_indices(m, m - 1)) if required <= set(idx)]
-    return Subspace.coordinate(positions, c.dim_lambda(m - 1))
+    return Subspace.coordinate(range(c.m - c.v_dims[1]), c.m)

@@ -208,8 +208,8 @@ def validate_algebra(a: LieAlgebra) -> Filtration:
     stops short of the dual, FiltrationMismatchError if it disagrees with the
     primal series."""
     constants, _ = exterior.clear_denominators(a.c)
-    d1 = exterior.differential_columns(a.m, constants, 1)
-    if not exterior.compose_is_zero(exterior.differential_columns(a.m, constants, 2), d1):
+    d1 = exterior.form_columns(a.m, constants, 1)
+    if not exterior.compose_is_zero(exterior.form_columns(a.m, constants, 2), d1):
         raise JacobiError("structure constants violate the Jacobi identity")
     spaces = _dual_filtration_spaces(a.m, constants)
     if spaces[-1].dim != a.m:

@@ -38,9 +38,10 @@ from .exterior import (
     build_complex,
     divisibility_subspace,
     lambda_subspace,
+    positional_columns,
 )
 from .lie import LieAlgebra, abelian, descending_series, direct_sum
-from .linalg import Subspace, contains, image, preimage, subspace_sum
+from .linalg import Subspace, contains, image, preimage, span, subspace_sum
 
 Grid = tuple[tuple[int, ...], ...]
 
@@ -200,39 +201,39 @@ def betti_numbers(c: CochainComplex) -> tuple[int, ...]:
 def _bars(c: CochainComplex, n: int) -> list[tuple[int, int]]:
     """(l(x), l(y)) for every bar x -> y of d on n-forms, 0 <= n < m.
 
-    Columns are reduced in (level, position) order.  A row key is
-    level * size + position, so the low of a column, its last row in that
-    order, is its largest key.  A column whose low an earlier column holds
-    has that column eliminated from it, fraction-free, then is divided by
-    its content.
+    Columns are reduced in form-key order, which is (level, position)
+    order, so the low of a column, its last row in that order, is its
+    largest key.  A column whose low an earlier column holds has that
+    column eliminated from it, fraction-free (a plain multiple of it when
+    its low entry is +-1).  Content is divided out lazily, only when a
+    column becomes a pivot.
     """
-    src, dst = c._index_levels[n], c._index_levels[n + 1]
-    size = len(dst)
-    columns = c.d[n].columns
+    columns = c.columns[n]
     pivots: dict[int, dict[int, int]] = {}
     bars = []
-    for j in sorted(columns, key=lambda j: (src[j], j)):
-        col = {dst[i] * size + i: v for i, v in columns[j]}
+    for src in sorted(columns):
+        col = dict(columns[src])
         while col:
             low = max(col)
             other = pivots.get(low)
             if other is None:
-                pivots[low] = col
-                bars.append((src[j], low // size))
+                g = math.gcd(*col.values())
+                pivots[low] = {i: v // g for i, v in col.items()} if g > 1 else col
+                bars.append((src >> c.m, low >> c.m))
                 break
-            g = math.gcd(col[low], other[low])
-            a, b = other[low] // g, col[low] // g
-            if a != 1:
-                col = {i: a * v for i, v in col.items()}
+            if other[low] in (1, -1):
+                b = col[low] * other[low]
+            else:
+                g = math.gcd(col[low], other[low])
+                a, b = other[low] // g, col[low] // g
+                if a != 1:
+                    col = {i: a * v for i, v in col.items()}
             for i, v in other.items():
                 w = col.get(i, 0) - b * v
                 if w:
                     col[i] = w
                 else:
                     del col[i]
-            g = math.gcd(*col.values())
-            if g > 1:
-                col = {i: v // g for i, v in col.items()}
     return bars
 
 
@@ -249,9 +250,10 @@ def full_table(c: CochainComplex) -> SpectralTable:
     # ends[n][level][g]: n-forms at that level that end a bar of gap g < k,
     # with the essential ones at g = k; survivors to page r have g >= r
     ends = [[[0] * (k + 1) for _ in range(k + 1)] for _ in range(m + 1)]
-    for n in range(m + 1):
-        for level in c._index_levels[n]:
-            ends[n][level][k] += 1
+    ends[0][1][k] = 1  # the constants
+    for n in range(1, m + 1):
+        for j, level in enumerate(c.levels, start=1):  # n-forms whose last index is j
+            ends[n][level][k] += math.comb(j - 1, n - 1)
     for n in range(m):
         for x, y in _bars(c, n):
             for deg, level in ((n, x), (n + 1, y)):
@@ -320,10 +322,11 @@ def check_top_degree_forms(c: CochainComplex) -> CheckReport:
     exactly the multiples of the wedge of a closed-1-form basis."""
     violations = []
     checks = 2
-    if not c.d[c.m - 1].is_zero():
+    if c.columns[c.m - 1]:
         violations.append("d is nonzero on (m-1)-forms")
     if c.m >= 2:
-        exact = image(c.d[c.m - 2], Subspace.full(c.dim_lambda(c.m - 2)))
+        exact = span([[col.get(i, 0) for i in range(c.m)]
+                      for col in map(dict, positional_columns(c.m, c.columns[c.m - 2]).values())], c.m)
         divisible = divisibility_subspace(c)
         if exact != divisible:
             violations.append(

@@ -18,6 +18,11 @@ from nilspec.linalg import LinearMap, kernel
 _COEFF_POOL = [0, 0, 0, 0, 1, 1, -1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2)]
 
 
+def index_positions(m: int, q: int) -> dict[tuple[int, ...], int]:
+    """Lexicographic position of each q-multi-index from 1..m."""
+    return {idx: pos for pos, idx in enumerate(multi_indices(m, q))}
+
+
 def random_nilpotent(rng: random.Random, m: int) -> lie.LieAlgebra:
     constants: dict[tuple[int, int, int], Fraction] = {}
     for j in range(3, m + 1):
@@ -65,7 +70,9 @@ def sheared(a: lie.LieAlgebra, rng: random.Random, shears: int = 3) -> lie.LieAl
             for q in range(p + 1, m + 1):
                 x, y, z = f(p), f(q), [Fraction(0)] * m
                 for (a1, b1, k), c in constants.items():
-                    z[k - 1] += c * (x[a1 - 1] * y[b1 - 1] - x[b1 - 1] * y[a1 - 1])
+                    w = x[a1 - 1] * y[b1 - 1] - x[b1 - 1] * y[a1 - 1]
+                    if w:
+                        z[k - 1] += c * w
                 z[j - 1] -= t * z[i - 1]  # e_i = f_i - t f_j
                 new.update({(p, q, k): v for k, v in enumerate(z, start=1) if v})
         constants = new
@@ -96,6 +103,18 @@ def random_algebras_dim5():
     """The 20 randomized dimension <= 5 algebras for the oracle comparison."""
     rng = random.Random(0xACE5)
     return [random_nilpotent(rng, rng.randint(3, 5)) for _ in range(20)]
+
+
+@pytest.fixture(scope="session")
+def twins_dim7(random_algebras_dim7):
+    """``reversed_twin`` of each of the 50 dimension <= 7 algebras, in order."""
+    return [reversed_twin(a) for a in random_algebras_dim7]
+
+
+@pytest.fixture(scope="session")
+def twins_dim10(random_algebras_dim10):
+    """``reversed_twin`` of each of the 200 dimension 3-10 algebras, in order."""
+    return [reversed_twin(a) for a in random_algebras_dim10]
 
 
 @pytest.fixture(scope="session")

@@ -7,8 +7,9 @@ tolerances anywhere.
 
 from math import comb
 
+from conftest import index_positions
 from nilspec import catalog, lie, spectral
-from nilspec.exterior import index_positions, pointwise_differential, sort_indices
+from nilspec.exterior import pointwise_differential, sort_indices
 from nilspec.linalg import Subspace, image
 from nilspec.spectral import (
     LIMIT,

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from nilspec import catalog, lie, spectral
+from nilspec import catalog, cli, lie, spectral
 from nilspec.cli import build_parser, main
 from nilspec.linalg import Subspace
 
@@ -168,6 +168,38 @@ def test_filtration_mismatch_exits_4_without_traceback(tmp_path, capsys, monkeyp
     assert code == 4
     assert out.splitlines() == ["FAIL dim3-h3", "      dual filtration disagrees with the primal descending series",
                                 "0/1 entries pass"]
+
+
+def test_size_cap_refuses_before_validation_and_build(tmp_path, capsys, monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("validation or the complex build ran")
+
+    monkeypatch.setattr(lie, "validate_algebra", must_not_run)
+    monkeypatch.setattr(spectral, "build_complex", must_not_run)
+    big = "(" + ",".join(["0"] * 40) + ")"
+    (tmp_path / "big.txt").write_text(big + "\n")
+    (tmp_path / "big.json").write_text(json.dumps({"dim": 40, "brackets": []}))
+    refused = "dimension 40 is above the cap of 20"
+    for argv, prefix in [(["compute", "--m0", "40"], ""), (["compute", big], ""),
+                         (["check", "--m0", "40"], ""), (["check", big, "--lemma"], ""),
+                         (["compute", str(tmp_path / "big.txt")], ""),
+                         (["compute", str(tmp_path / "big.json")], ""),
+                         (["compute", "--batch", str(tmp_path / "big.txt")], f"{big}: ")]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (3, "", f"error: {prefix}{refused}\n"), argv
+
+
+def test_size_cap_on_direct_sums_and_batches(tmp_path, capsys, monkeypatch):
+    assert cli._within_cap(cli.MAX_DIM) == cli.MAX_DIM
+    monkeypatch.setattr(cli, "check_abelian_extension", lambda *args, **kwargs: 1 / 0)
+    code, out, err = run(capsys, "check", "(0,0,12)", "--direct-sum", str(cli.MAX_DIM - 2))
+    assert (code, out, err) == (3, "", f"error: dimension {cli.MAX_DIM + 1} is above the cap of 20\n")
+    path = tmp_path / "batch.txt"
+    path.write_text("(0,0,12)\n(" + ",".join(["0"] * 21) + ")\n(0,0,0)\n")
+    code, out, err = run(capsys, "compute", "--batch", str(path), "--format", "json")
+    assert code == 3
+    assert [json.loads(line)["m"] for line in out.splitlines()] == [3, 3]
+    assert err.splitlines() == ["error: (" + ",".join(["0"] * 21) + "): dimension 21 is above the cap of 20"]
 
 
 def _json_doc(**changes):

@@ -3,16 +3,16 @@
 import random
 from math import comb
 
-from conftest import reversed_twin, sheared
+from conftest import index_positions, reversed_twin, sheared
 from nilspec import lie, spectral
 from nilspec.exterior import (
     build_complex,
     compose_is_zero,
     differential_columns,
     divisibility_subspace,
-    index_positions,
+    _position,
+    form_columns,
     lambda_subspace,
-    mask_positions,
     multi_indices,
     pointwise_differential,
     wedge_minors,
@@ -38,9 +38,9 @@ def _binom(n, k):
     return comb(n, k) if 0 <= k <= n else 0
 
 
-def _kernel_test_complexes(random_algebras_dim7, catalog_tables):
+def _kernel_test_complexes(random_algebras_dim7, twins_dim7, catalog_tables):
     """Fixtures and their twins (which take the basis change), the catalog, m0(3..8)."""
-    algebras = [b for a in random_algebras_dim7 for b in (a, reversed_twin(a))]
+    algebras = [b for pair in zip(random_algebras_dim7, twins_dim7) for b in pair]
     algebras += [lie.m0(m) for m in range(3, 9)]
     return ([spectral.complex_for(a) for a in algebras]
             + [comp for _, _, comp, _ in catalog_tables.values()])
@@ -84,7 +84,7 @@ def test_d_squared_zero_everywhere(random_algebras_dim7):
     for a in random_algebras_dim7[:10]:
         c = spectral.complex_for(a)
         for q in range(a.m):
-            assert compose_is_zero(c.d[q + 1].columns, c.d[q].columns)
+            assert compose_is_zero(c.columns[q + 1], c.columns[q])
 
 
 def test_filtration_invariance(random_algebras_dim7):
@@ -97,9 +97,9 @@ def test_filtration_invariance(random_algebras_dim7):
 
 
 def test_pointwise_oracle_matches_derivation_rule(random_algebras_dim5, random_algebras_dim7,
-                                                  catalog_tables):
+                                                  twins_dim7, catalog_tables):
     complexes = [spectral.complex_for(a) for a in random_algebras_dim5[:8]]
-    complexes += _kernel_test_complexes(random_algebras_dim7, catalog_tables)
+    complexes += _kernel_test_complexes(random_algebras_dim7, twins_dim7, catalog_tables)
     signs = set()
     for c in complexes:
         for q in range(c.m + 1):
@@ -112,20 +112,27 @@ def test_pointwise_oracle_matches_derivation_rule(random_algebras_dim5, random_a
 
 def test_mask_positions_match_index_positions():
     for m in range(9):
+        full = (1 << m) - 1
         for q in range(m + 1):
-            masks, indices = mask_positions(m, q), index_positions(m, q)
-            assert len(masks) == len(indices) == comb(m, q)
+            indices = index_positions(m, q)
+            assert len(indices) == comb(m, q)
+            # the key of a level-0 form is full ^ R, R its reversed mask
+            keys = {idx: full ^ sum(1 << (m - i) for i in idx) for idx in indices}
             for idx, pos in indices.items():
-                assert masks[sum(1 << i for i in idx)] == pos
+                assert _position(keys[idx], full) == pos
+            assert sorted(indices, key=keys.get) == list(indices)
 
 
-def test_index_level_is_max_index_level(random_algebras_dim7, catalog_tables):
-    for c in _kernel_test_complexes(random_algebras_dim7, catalog_tables):
+def test_index_level_is_max_index_level(random_algebras_dim7, twins_dim7, catalog_tables):
+    for c in _kernel_test_complexes(random_algebras_dim7, twins_dim7, catalog_tables):
         assert list(c.levels) == sorted(c.levels)
-        assert c._index_levels[0] == (1,)
-        for q in range(1, c.m + 1):
-            assert c._index_levels[q] == tuple(max(c.levels[j - 1] for j in idx)
-                                               for idx in multi_indices(c.m, q))
+        assert not form_columns(c.m, c.adapted_constants, 0, c.levels)
+        full = (1 << c.m) - 1
+        for q in range(c.m):
+            for src, col in c.columns[q].items():
+                for key, degree in ((src, q), *((key, q + 1) for key in col)):
+                    idx = multi_indices(c.m, degree)[_position(key, full)]
+                    assert key >> c.m == max(c.levels[j - 1] for j in idx)
 
 
 def test_levels_and_lambda_dims():
@@ -200,12 +207,12 @@ def _greedy_adapted_rows(f, m):
 
 
 def test_adapted_rows_are_canonical_rows_at_new_pivots(catalog_tables, random_algebras_dim7,
-                                                       random_algebras_dim10):
+                                                       random_algebras_dim10, twins_dim7, twins_dim10):
     rng = random.Random(0xAD4B)
     algebras = [algebra for _, algebra, _, _ in catalog_tables.values()]
     algebras += [lie.m0(m) for m in range(3, 15)]
-    algebras += [b for a in random_algebras_dim7 + random_algebras_dim10
-                 for b in (a, reversed_twin(a))]
+    algebras += [b for pair in zip(random_algebras_dim7 + random_algebras_dim10, twins_dim7 + twins_dim10)
+                 for b in pair]
     algebras += [sheared(algebra, rng) for _, algebra, _, _ in catalog_tables.values()]
     differ = 0
     for a in algebras:

@@ -7,9 +7,9 @@ from math import comb
 
 import pytest
 
-from conftest import reversed_twin, sheared
+from conftest import sheared
 from nilspec import lie, spectral
-from nilspec.exterior import clear_denominators, compose_is_zero, differential_columns, wedge_minors
+from nilspec.exterior import clear_denominators, compose_is_zero, differential_columns, form_columns, wedge_minors
 from nilspec.linalg import LinearMap, Subspace, preimage, span
 from nilspec.lie import (
     IndexPairError,
@@ -230,14 +230,14 @@ def _same_spaces(got, want):
 
 
 def test_contraction_filtration_equals_lambda2_preimages(catalog_tables, random_algebras_dim7,
-                                                          random_algebras_dim10):
+                                                          random_algebras_dim10, twins_dim7, twins_dim10):
     rng = random.Random(0x5A1D)
     algebras = [algebra for _, algebra, _, _ in catalog_tables.values()]
     algebras += [lie.m0(m) for m in range(3, 15)]
     # the twins keep coordinate filtrations; the sheared copies do not
     algebras += [sheared(a, rng) for a in algebras]
-    algebras += [b for a in random_algebras_dim7 + random_algebras_dim10
-                 for b in (a, reversed_twin(a), sheared(a, rng))]
+    algebras += [b for a, twin in zip(random_algebras_dim7 + random_algebras_dim10, twins_dim7 + twins_dim10)
+                 for b in (a, twin, sheared(a, rng))]
     assert len(algebras) == 2 * (44 + 12) + 3 * (50 + 200)
     for a in algebras:
         constants, _ = clear_denominators(a.c)
@@ -271,7 +271,7 @@ def test_contraction_filtration_on_invalid_inputs():
             LieAlgebra(m, constants)
     for m, constants in _NOT_JACOBI:
         cleared, _ = clear_denominators(constants)
-        assert not compose_is_zero(differential_columns(m, cleared, 2), differential_columns(m, cleared, 1))
+        assert not compose_is_zero(form_columns(m, cleared, 2), form_columns(m, cleared, 1))
         with pytest.raises(JacobiError):
             LieAlgebra(m, constants)
 

@@ -1,11 +1,13 @@
 """Page entries, limit terms, tables and the structural checkers."""
 
-from math import comb
+import subprocess
+import sys
+from math import comb, gcd
 
 import pytest
 
-from conftest import reversed_twin
-from nilspec import lie, spectral
+from nilspec import exterior, lie, spectral
+from nilspec.exterior import multi_indices
 from nilspec.linalg import Subspace
 from nilspec.spectral import (
     LIMIT,
@@ -205,17 +207,17 @@ def _fresh_complex(a):
     return spectral.build_complex(a, lie.descending_series(a))
 
 
-def _pairing_algebras(catalog_tables, random_algebras_dim7):
+def _pairing_algebras(catalog_tables, random_algebras_dim7, twins_dim7):
     algebras = [(e.id, algebra) for e, algebra, _, _ in catalog_tables.values()]
     algebras += [(f"m0({m})", lie.m0(m)) for m in range(3, 12)]
-    for a in random_algebras_dim7:
+    for a, twin in zip(random_algebras_dim7, twins_dim7):
         name = lie.to_salamon(a)
-        algebras += [(name, a), (f"{name} reversed", reversed_twin(a))]
+        algebras += [(name, a), (f"{name} reversed", twin)]
     return algebras
 
 
-def test_pairing_equals_quotient_cell_by_cell(catalog_tables, random_algebras_dim7):
-    algebras = _pairing_algebras(catalog_tables, random_algebras_dim7)
+def test_pairing_equals_quotient_cell_by_cell(catalog_tables, random_algebras_dim7, twins_dim7):
+    algebras = _pairing_algebras(catalog_tables, random_algebras_dim7, twins_dim7)
     transformed = 0
     for name, a in algebras:
         c = _fresh_complex(a)
@@ -228,11 +230,64 @@ def test_pairing_equals_quotient_cell_by_cell(catalog_tables, random_algebras_di
     assert transformed >= 40  # the adapted basis change is exercised
 
 
-def test_pairing_invariants(catalog_tables, random_algebras_dim7):
+def _reference_bars(c, n):
+    """The pairing on positional maps: the columns of c.d[n] reduced in
+    (level, position) order with row key level * size + position, and the
+    content divided out after every addition."""
+    src, dst = ([max((c.levels[j - 1] for j in idx), default=1) for idx in multi_indices(c.m, q)]
+                for q in (n, n + 1))
+    size = len(dst)
+    columns = c.d[n].columns
+    pivots = {}
+    bars = []
+    for j in sorted(columns, key=lambda j: (src[j], j)):
+        col = {dst[i] * size + i: v for i, v in columns[j]}
+        while col:
+            low = max(col)
+            other = pivots.get(low)
+            if other is None:
+                pivots[low] = col
+                bars.append((src[j], low // size))
+                break
+            g = gcd(col[low], other[low])
+            a, b = other[low] // g, col[low] // g
+            if a != 1:
+                col = {i: a * v for i, v in col.items()}
+            for i, v in other.items():
+                w = col.get(i, 0) - b * v
+                if w:
+                    col[i] = w
+                else:
+                    del col[i]
+            g = gcd(*col.values())
+            if g > 1:
+                col = {i: v // g for i, v in col.items()}
+    return bars
+
+
+def test_pairing_equals_positional_reference(catalog_tables, random_algebras_dim7, twins_dim7):
+    algebras = [algebra for _, algebra, _, _ in catalog_tables.values()]
+    algebras += [lie.m0(m) for m in range(3, 13)]
+    algebras += [b for pair in zip(random_algebras_dim7, twins_dim7) for b in pair]
+    assert len(algebras) == 44 + 10 + 2 * 50
+    rational = transformed = 0
+    for a in algebras:
+        c = _fresh_complex(a)
+        for n in range(c.m):
+            assert spectral._bars(c, n) == _reference_bars(c, n), (lie.to_salamon(a), n)
+        if any(abs(v) != 1 for col in c.columns for entries in col.values() for v in entries.values()):
+            # only non-unit coefficients tell lazy content from dividing after
+            # every addition; the catalog's complexes have none
+            rational += any(x.denominator != 1 for x in a.c.values())
+            transformed += c.adapted_basis_change != Subspace.full(c.m).basis
+    assert rational >= 40 and transformed >= 40, (rational, transformed)
+
+
+def test_pairing_invariants(catalog_tables, random_algebras_dim7, twins_dim7):
     """Euler characteristic 0 on every page, the limit-edge identities and
     r0 <= k, none of them through the A-spaces (full_table itself raises on
     a Betti tuple that violates Poincare duality)."""
-    for name, a in _pairing_algebras(catalog_tables, random_algebras_dim7):
+    for name, a in _pairing_algebras(catalog_tables, random_algebras_dim7, twins_dim7):
         c = spectral.complex_for(a)
         t = full_table(c)
         for r, grid in [*t.pages.items(), (LIMIT, t.limit)]:
@@ -246,6 +301,30 @@ def test_pairing_betti_equals_rank_nullity_on_large_filiform():
     for m in (12, 13):
         c = _fresh_complex(lie.m0(m))
         assert full_table(c).betti == betti_numbers(c), m
+
+
+def test_table_builds_no_positional_map():
+    # in a fresh interpreter: the table path reads the key columns only, and
+    # catalog --check relabels just the columns its top-degree check reads
+    script = ("import contextlib, io\n"
+              "from nilspec import catalog, cli, exterior, lie, spectral\n"
+              "relabelled = []\n"
+              "def counting(m, columns):\n"
+              "    relabelled.append(m)\n"
+              "    return positional(m, columns)\n"
+              "positional = exterior.positional_columns\n"
+              "exterior.positional_columns = spectral.positional_columns = counting\n"
+              "spectral.table_for(lie.m0(12))\n"
+              "c = spectral.complex_for(lie.m0(12))\n"
+              "print(len(c.d), exterior.multi_indices.cache_info().currsize, len(relabelled))\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = cli.main(['catalog', '--check'])\n"
+              "entries = catalog.list_entries()\n"
+              "print(code, sum(len(spectral.complex_for(e.algebra()).d) for e in entries),\n"
+              "      len(relabelled) == len(entries))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["0", "0", "0", "0", "0", "True"]
+    assert not hasattr(exterior, "mask_positions")
 
 
 def test_duality_check_rejects_non_palindromic_betti(monkeypatch):
