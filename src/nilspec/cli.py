@@ -184,7 +184,7 @@ def _load_algebra(text: str) -> LieAlgebra:
         if content.startswith("{"):
             try:
                 doc = json.loads(content)
-            except (json.JSONDecodeError, RecursionError) as exc:
+            except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
                 raise AlgebraFormatError(f"bad JSON in {candidate}: {exc}") from exc
             if isinstance(doc, dict) and type(doc.get("dim")) is int:
                 _within_cap(doc["dim"])

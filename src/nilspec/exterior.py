@@ -16,8 +16,8 @@ lowest set bit of R.  ``form_columns`` builds d on keys: for an index j of
 a column form and a term c e^a ^ e^b (a < b) of de^j, let rest = R without
 bit j.  The term dies if rest has bit a or b; otherwise it lands on
 rest | a | b with sign (-1)^(#{i in rest : i < j} + #{i in rest : i < a} +
-#{i in rest : i < b}), the parity of one popcount of rest.  Positional
-``LinearMap``s are relabellings of these columns, made on first use.
+#{i in rest : i < b}), the parity of one popcount of rest.
+``positional_columns`` relabels key columns to lexicographic positions.
 
 An independent construction of the same matrices, pointwise evaluation of
 the alternating-sum formula on tuples of primal basis vectors, is provided
@@ -26,9 +26,9 @@ as a cross-check oracle for small dimensions.
 A cochain is an integer coordinate row over the basis q-forms.  The structure
 constants are multiplied once by the lcm of their denominators
 (``clear_denominators``), and the adapted basis change multiplies them by a
-further positive integer, so the complex's constants and its integer
-``LinearMap`` d_q are a positive multiple of the true ones; a positive scale
-changes no image, preimage, kernel or rank.
+further positive integer, so the complex's constants and its differentials
+are a positive multiple of the true ones; a positive scale changes no image,
+preimage, kernel or rank.
 
 ``build_complex`` first performs a filtration-adapted change of dual basis,
 after which every piece Lambda^q V_i is a coordinate subspace: a basis
@@ -44,9 +44,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .linalg import LinearMap, Row, Subspace, rank, span
+from .linalg import LinearMap, Row, Subspace, span
+# the benchmark's tracer (bench/tracing.py) wraps this name here; nothing else reads it
+from .linalg import rank  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover
     from fractions import Fraction
@@ -223,18 +225,6 @@ class CochainComplexError(RuntimeError):
     """The complex failed an internal structural check (engine bug)."""
 
 
-class _OnDemand(dict):
-    """A dict that builds a missing entry with ``build`` and keeps it."""
-
-    def __init__(self, build: Callable):
-        super().__init__()
-        self._build = build
-
-    def __missing__(self, key: object) -> object:
-        self[key] = value = self._build(key)
-        return value
-
-
 class CochainComplex:
     """The Chevalley-Eilenberg complex in a filtration-adapted dual basis.
 
@@ -248,7 +238,7 @@ class CochainComplex:
                            positive integer multiple of the true ones
     columns:         columns[q] is d_q on form keys, q = 0..m, built from
                      adapted_constants (the same positive multiple of the true
-                     differential); d[q] is its ``LinearMap``, made on first use
+                     differential)
 
     Cochains are integer coordinate rows in the adapted basis.
     """
@@ -262,34 +252,6 @@ class CochainComplex:
         self.adapted_constants = dict(adapted_constants)
         self.levels = tuple(min(i for i in range(k + 1) if j < self.v_dims[i]) for j in range(m))
         self.columns = [form_columns(m, self.adapted_constants, q, self.levels) for q in range(m + 1)]
-        self.d = _OnDemand(lambda q: LinearMap(math.comb(m, q + 1), math.comb(m, q),
-                                               positional_columns(m, self.columns[q])))
-        self._lambda_cache = _OnDemand(self._lambda_subspace)
-        self._space_cache: dict = {}
-        self._image_cache: dict = {}
-        self._rank_cache = _OnDemand(lambda q: rank(self.d[q]))
-
-    def dim_lambda(self, q: int) -> int:
-        return math.comb(self.m, q)
-
-    def d_rank(self, q: int) -> int:
-        """Rank of d_q, cached; q outside 0..m counts as the zero map."""
-        return self._rank_cache[q] if 0 <= q <= self.m else 0
-
-    def _lambda_subspace(self, key: tuple[int, int]) -> Subspace:
-        q, i = key
-        return Subspace.coordinate([p for p, idx in enumerate(multi_indices(self.m, q))
-                                    if (idx[-1] <= self.v_dims[i] if idx else i >= 1)], self.dim_lambda(q))
-
-
-def lambda_subspace(c: CochainComplex, q: int, i: int) -> Subspace:
-    """Lambda^q V_i as a coordinate subspace of Lambda^q; i is clamped to 0..k.
-
-    Degree 0 follows the constants convention: one dimension iff i >= 1.
-    """
-    if q < 0 or q > c.m:
-        raise ValueError(f"degree {q} outside 0..{c.m}")
-    return c._lambda_cache[q, max(0, min(i, c.k))]
 
 
 def build_complex(a: "LieAlgebra", f: "Filtration") -> CochainComplex:

@@ -317,6 +317,12 @@ def _parse_entry(entry: str, offset: int, m: int) -> list[tuple[tuple[int, int],
             raise err(f"expected {what}", start)
         return text[start:pos]
 
+    def number(digits: str, at: int) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # longer than the interpreter's limit on int() of a string
+            raise err(f"a run of {len(digits)} digits is too long", at) from None
+
     skip_ws()
     if pos == len(text):
         raise err("empty entry", pos)
@@ -344,34 +350,38 @@ def _parse_entry(entry: str, offset: int, m: int) -> list[tuple[tuple[int, int],
             skip_ws()
         elif not first:
             raise err("expected '+' or '-' between terms", pos)
+        at = pos
         digits = read_int("an index pair or coefficient")
         coeff = sign
         if pos < len(text) and text[pos] == "/":
             pos += 1
-            denom = read_int("a denominator")
-            if not int(denom):
-                raise err("zero denominator", pos - len(denom))
-            coeff = sign * Fraction(int(digits), int(denom))
+            denom_at = pos
+            denom = number(read_int("a denominator"), denom_at)
+            if not denom:
+                raise err("zero denominator", denom_at)
+            coeff = sign * Fraction(number(digits, at), denom)
             if pos >= len(text) or text[pos] != "*":
                 raise err("expected '*' after a rational coefficient", pos)
             pos += 1
+            at = pos
             digits = read_int("an index pair")
         elif pos < len(text) and text[pos] == "*":
-            coeff = sign * Fraction(int(digits))
+            coeff = sign * Fraction(number(digits, at))
             pos += 1
+            at = pos
             digits = read_int("an index pair")
         if m >= 10:
             if pos < len(text) and text[pos] == ".":
                 pos += 1
                 second = read_int("a second index")
-                pair = (int(digits), int(second))
+                pair = (number(digits, at), number(second, pos - len(second)))
             else:
                 raise err("expected a dot-separated index pair for dimension >= 10", pos)
         elif len(digits) == 2:
             pair = (int(digits[0]), int(digits[1]))
         elif len(digits) > 2:
             # juxtaposed integer coefficient, as in "2*14" written "214"
-            coeff = coeff * int(digits[:-2])
+            coeff = coeff * number(digits[:-2], at)
             pair = (int(digits[-2]), int(digits[-1]))
         else:
             raise err(f"cannot read index pair from {digits!r}", pos - len(digits))

@@ -12,18 +12,11 @@ reduced column of x.  A bar survives to E_r iff its gap l(x) - l(y) >= r:
 
 and the limit and the Betti numbers count essential forms only.
 
-The paper's closed form is kept for the checkers, ``limit_class_nonzero``
-and the tests that verify the pairing: every page entry is the quotient
-
-    E_r^{p,q} ~ A_r^{p,q} / ( d(A_(r-1)^{p-r+1, q+r-2}) + A_(r-1)^{p+1, q-1} ),
-    A_r^{p,q} = {x in Lambda^(p+q) V_(k-p) : dx in Lambda^(p+q+1) V_(k-p-r)},
-
-with the limit term given by the same shape with a closed-form numerator and
-the full dual in the exact part of the denominator.  Indices clamp at the
-boundary (V_i = 0 for i <= 0, V_i = everything for i >= k, degree-0 spaces
-one-dimensional exactly when the filtration level is positive), so the
-vanishing band (zero for p < 0, p >= k, p+q < 0 or p+q > m) emerges from the
-computation.  A-spaces and their images are cached per complex.
+The paper's closed form, each entry as a quotient of A-spaces, is not part
+of the package and no CLI command uses it.  It lives in
+``tests/reference.py``, and the cell-by-cell test of ``test_spectral.py``
+and the adapted-rows test of ``test_exterior.py`` compare the pairing with
+it.
 """
 
 from __future__ import annotations
@@ -33,15 +26,11 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple, Sequence
 
-from .exterior import (
-    CochainComplex,
-    build_complex,
-    divisibility_subspace,
-    lambda_subspace,
-    positional_columns,
-)
+from .exterior import CochainComplex, build_complex, divisibility_subspace, positional_columns
 from .lie import LieAlgebra, abelian, descending_series, direct_sum
-from .linalg import Subspace, contains, image, preimage, span, subspace_sum
+from .linalg import span
+# the benchmark's tracer (bench/tracing.py) wraps these names here; nothing else reads them
+from .linalg import contains, image, preimage, subspace_sum  # noqa: F401
 
 Grid = tuple[tuple[int, ...], ...]
 
@@ -50,15 +39,6 @@ LIMIT: None = None  # page index standing for r = infinity
 
 class InternalConsistencyError(RuntimeError):
     """A structural invariant failed while computing pages (engine bug)."""
-
-
-class PageEntry(NamedTuple):
-    r: int | None  # None for the limit page
-    p: int
-    q: int
-    dim: int
-    numerator_dim: int
-    denominator_dim: int
 
 
 class CheckReport(NamedTuple):
@@ -101,101 +81,6 @@ class SpectralTable(NamedTuple):
         if 0 <= p < self.k and 0 <= deg <= self.m:
             return grid[self.k - 1 - p][deg]
         return 0
-
-
-# ---------------------------------------------------------------------------
-# A-spaces and quotient entries
-# ---------------------------------------------------------------------------
-
-def _a_space(c: CochainComplex, n: int, i: int, t: int) -> Subspace:
-    """{x in Lambda^n V_i : dx in Lambda^(n+1) V_t}, with clamped levels."""
-    i = max(0, min(i, c.k))
-    t = max(0, min(t, c.k))
-    domain = lambda_subspace(c, n, i)
-    if t >= i or domain.dim == 0:
-        return domain  # d preserves the filtration, so the constraint is vacuous
-    key = (n, i, t)
-    cached = c._space_cache.get(key)
-    if cached is None:
-        if n == c.m:
-            cached = domain  # top forms map into Lambda^(m+1) = 0
-        else:
-            cached = preimage(c.d[n], lambda_subspace(c, n + 1, t), domain)
-        c._space_cache[key] = cached
-    return cached
-
-
-def _d_image(c: CochainComplex, n: int, i: int, t: int) -> Subspace:
-    """d applied to the A-space one degree down; lives in Lambda^(n+1)."""
-    i = max(0, min(i, c.k))
-    t = max(0, min(t, c.k))
-    key = (n, i, t)
-    cached = c._image_cache.get(key)
-    if cached is None:
-        cached = image(c.d[n], _a_space(c, n, i, t))
-        c._image_cache[key] = cached
-    return cached
-
-
-def a_space(c: CochainComplex, p: int, q: int, r: int) -> Subspace:
-    """A_r^{p,q} as a subspace of Lambda^(p+q) in adapted coordinates."""
-    n = p + q
-    if n < 0 or n > c.m:
-        return Subspace.zero(0)
-    return _a_space(c, n, c.k - p, c.k - p - r)
-
-
-def _quotient(c: CochainComplex, p: int, n: int, r: int | None) -> tuple[Subspace, Subspace]:
-    """Numerator and denominator of E_r^{p, n-p} for 0 <= n <= m; r = LIMIT
-    for the limit term."""
-    top = c.k - p
-    if r is LIMIT:
-        r = c.k + abs(p) + 1  # every level below clamps: the limit formula
-    numerator = _a_space(c, n, top, top - r)
-    closed_part = _a_space(c, n, top - 1, top - r)
-    if n == 0:
-        return numerator, closed_part
-    return numerator, subspace_sum(_d_image(c, n - 1, top + r - 1, top), closed_part)
-
-
-def page_entry(c: CochainComplex, p: int, q: int, r: int | None) -> PageEntry:
-    """E_r^{p,q} with its numerator and denominator dimensions; r = LIMIT
-    for the limit term."""
-    n = p + q
-    if n < 0 or n > c.m:
-        return PageEntry(r, p, q, 0, 0, 0)
-    numerator, denominator = _quotient(c, p, n, r)
-    if not contains(numerator, denominator):
-        raise InternalConsistencyError(
-            f"denominator not contained in numerator at (p={p}, q={q}, r={r})")
-    return PageEntry(r, p, q, numerator.dim - denominator.dim,
-                     numerator.dim, denominator.dim)
-
-
-def limit_class_nonzero(c: CochainComplex, p: int, n: int, x: Sequence[int]) -> bool:
-    """Whether the n-cochain with integer coordinates x defines a nonzero
-    class in the limit term at (p, n - p): it must lie in the numerator of
-    the limit quotient and outside its denominator."""
-    if n < 0 or n > c.m or p < 0 or p >= c.k:
-        return False
-    numerator, denominator = _quotient(c, p, n, LIMIT)
-    return numerator.contains_vector(x) and not denominator.contains_vector(x)
-
-
-def page_grid(c: CochainComplex, r: int | None) -> Grid:
-    """Dimension grid of one page (LIMIT for the limit): k rows with the top
-    row p = k-1, m+1 columns indexed by total degree."""
-    return tuple(tuple(page_entry(c, p, deg - p, r).dim for deg in range(c.m + 1))
-                 for p in range(c.k - 1, -1, -1))
-
-
-def betti_numbers(c: CochainComplex) -> tuple[int, ...]:
-    """Betti numbers by rank-nullity on the differential matrices."""
-    out = []
-    for i in range(c.m + 1):
-        kernel_dim = c.dim_lambda(i) - c.d_rank(i)
-        out.append(kernel_dim - c.d_rank(i - 1))
-    return tuple(out)
 
 
 def _bars(c: CochainComplex, n: int) -> list[tuple[int, int]]:
@@ -365,7 +250,7 @@ def check_abelian_extension(h: LieAlgebra, pages: Sequence[int | None], s: int =
             violations.append(f"extension changed the nilpotency index: {base.k} -> {k}")
         # (1) nothing below total degree 0
         for p in range(-1, k + 1):
-            expect(_probe(ext_alg, ext, p, -p - 1, r), 0, f"negative degree at p={p}")
+            expect(ext.entry(r, p, -p - 1), 0, f"negative degree at p={p}")
         # (2) degree 0
         for p in range(k):
             expect(ext.entry(r, p, -p), 1 if p == k - 1 else 0, f"degree 0 at p={p}")
@@ -373,7 +258,7 @@ def check_abelian_extension(h: LieAlgebra, pages: Sequence[int | None], s: int =
         for p in range(k):
             want = base.entry(r, p, 1 - p) + (1 if p == k - 1 else 0)
             expect(ext.entry(r, p, 1 - p), want, f"degree 1 at p={p}")
-        expect(_probe(ext_alg, ext, k, 1 - k, r), 0, "degree 1 at p=k")
+        expect(ext.entry(r, k, 1 - k), 0, "degree 1 at p=k")
         # (5) higher degrees add with a shift
         for deg in range(2, m + 1):
             for p in range(k):
@@ -385,14 +270,6 @@ def check_abelian_extension(h: LieAlgebra, pages: Sequence[int | None], s: int =
                            checks, tuple(violations))
 
     return [report(r) for r in pages]
-
-
-def _probe(algebra: LieAlgebra, t: SpectralTable, p: int, q: int, r: int | None) -> int:
-    """Entry at arbitrary (p, q), recomputing outside the stored band."""
-    deg = p + q
-    if 0 <= p < t.k and 0 <= deg <= t.m:
-        return t.entry(r, p, q)
-    return page_entry(complex_for(algebra), p, q, r).dim
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,168 @@
+"""The paper's quotient formula, a second engine the tests compare the pairing with.
+
+Every page entry is the quotient
+
+    E_r^{p,q} ~ A_r^{p,q} / ( d(A_(r-1)^{p-r+1, q+r-2}) + A_(r-1)^{p+1, q-1} ),
+    A_r^{p,q} = {x in Lambda^(p+q) V_(k-p) : dx in Lambda^(p+q+1) V_(k-p-r)},
+
+with the limit term given by the same shape with a closed-form numerator and
+the full dual in the exact part of the denominator.  Indices clamp at the
+boundary (V_i = 0 for i <= 0, V_i = everything for i >= k, degree-0 spaces
+one-dimensional exactly when the filtration level is positive), so the
+vanishing band (zero for p < 0, p >= k, p+q < 0 or p+q > m) emerges from the
+computation.
+
+The subspaces live in Lambda^n at lexicographic positions, and d_n is the
+positional ``LinearMap`` relabelled from the complex's key columns.  The
+maps, A-spaces, images and ranks are cached per complex, for as long as the
+complex lives.  Nothing in the package imports this module.
+"""
+
+from __future__ import annotations
+
+import weakref
+from math import comb
+from typing import NamedTuple, Sequence
+
+from nilspec.exterior import CochainComplex, multi_indices, positional_columns
+from nilspec.linalg import LinearMap, Subspace, contains, image, preimage, rank, subspace_sum
+from nilspec.spectral import LIMIT, Grid, InternalConsistencyError
+
+
+class PageEntry(NamedTuple):
+    r: int | None  # None for the limit page
+    p: int
+    q: int
+    dim: int
+    numerator_dim: int
+    denominator_dim: int
+
+
+_caches: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _cache(c: CochainComplex, name: str) -> dict:
+    """The cache ``name`` of complex c."""
+    return _caches.setdefault(c, {}).setdefault(name, {})
+
+
+def positional_d(c: CochainComplex, q: int) -> LinearMap:
+    """d_q with rows and columns at lexicographic positions."""
+    cache = _cache(c, "d")
+    if q not in cache:
+        cache[q] = LinearMap(comb(c.m, q + 1), comb(c.m, q), positional_columns(c.m, c.columns[q]))
+    return cache[q]
+
+
+def d_rank(c: CochainComplex, q: int) -> int:
+    """Rank of d_q; q outside 0..m counts as the zero map."""
+    if not 0 <= q <= c.m:
+        return 0
+    cache = _cache(c, "rank")
+    if q not in cache:
+        cache[q] = rank(positional_d(c, q))
+    return cache[q]
+
+
+def lambda_subspace(c: CochainComplex, q: int, i: int) -> Subspace:
+    """Lambda^q V_i as a coordinate subspace of Lambda^q; i is clamped to 0..k.
+
+    Degree 0 follows the constants convention: one dimension iff i >= 1.
+    """
+    if q < 0 or q > c.m:
+        raise ValueError(f"degree {q} outside 0..{c.m}")
+    i = max(0, min(i, c.k))
+    cache = _cache(c, "lambda")
+    if (q, i) not in cache:
+        cache[q, i] = Subspace.coordinate([p for p, idx in enumerate(multi_indices(c.m, q))
+                                           if (idx[-1] <= c.v_dims[i] if idx else i >= 1)], comb(c.m, q))
+    return cache[q, i]
+
+
+def _a_space(c: CochainComplex, n: int, i: int, t: int) -> Subspace:
+    """{x in Lambda^n V_i : dx in Lambda^(n+1) V_t}, with clamped levels."""
+    i = max(0, min(i, c.k))
+    t = max(0, min(t, c.k))
+    domain = lambda_subspace(c, n, i)
+    if t >= i or domain.dim == 0:
+        return domain  # d preserves the filtration, so the constraint is vacuous
+    key = (n, i, t)
+    cache = _cache(c, "space")
+    cached = cache.get(key)
+    if cached is None:
+        if n == c.m:
+            cached = domain  # top forms map into Lambda^(m+1) = 0
+        else:
+            cached = preimage(positional_d(c, n), lambda_subspace(c, n + 1, t), domain)
+        cache[key] = cached
+    return cached
+
+
+def _d_image(c: CochainComplex, n: int, i: int, t: int) -> Subspace:
+    """d applied to the A-space one degree down; lives in Lambda^(n+1)."""
+    i = max(0, min(i, c.k))
+    t = max(0, min(t, c.k))
+    key = (n, i, t)
+    cache = _cache(c, "image")
+    cached = cache.get(key)
+    if cached is None:
+        cached = image(positional_d(c, n), _a_space(c, n, i, t))
+        cache[key] = cached
+    return cached
+
+
+def a_space(c: CochainComplex, p: int, q: int, r: int) -> Subspace:
+    """A_r^{p,q} as a subspace of Lambda^(p+q) in adapted coordinates."""
+    n = p + q
+    if n < 0 or n > c.m:
+        return Subspace.zero(0)
+    return _a_space(c, n, c.k - p, c.k - p - r)
+
+
+def _quotient(c: CochainComplex, p: int, n: int, r: int | None) -> tuple[Subspace, Subspace]:
+    """Numerator and denominator of E_r^{p, n-p} for 0 <= n <= m; r = LIMIT
+    for the limit term."""
+    top = c.k - p
+    if r is LIMIT:
+        r = c.k + abs(p) + 1  # every level below clamps: the limit formula
+    numerator = _a_space(c, n, top, top - r)
+    closed_part = _a_space(c, n, top - 1, top - r)
+    if n == 0:
+        return numerator, closed_part
+    return numerator, subspace_sum(_d_image(c, n - 1, top + r - 1, top), closed_part)
+
+
+def page_entry(c: CochainComplex, p: int, q: int, r: int | None) -> PageEntry:
+    """E_r^{p,q} with its numerator and denominator dimensions; r = LIMIT
+    for the limit term."""
+    n = p + q
+    if n < 0 or n > c.m:
+        return PageEntry(r, p, q, 0, 0, 0)
+    numerator, denominator = _quotient(c, p, n, r)
+    if not contains(numerator, denominator):
+        raise InternalConsistencyError(
+            f"denominator not contained in numerator at (p={p}, q={q}, r={r})")
+    return PageEntry(r, p, q, numerator.dim - denominator.dim,
+                     numerator.dim, denominator.dim)
+
+
+def limit_class_nonzero(c: CochainComplex, p: int, n: int, x: Sequence[int]) -> bool:
+    """Whether the n-cochain with integer coordinates x defines a nonzero
+    class in the limit term at (p, n - p): it must lie in the numerator of
+    the limit quotient and outside its denominator."""
+    if n < 0 or n > c.m or p < 0 or p >= c.k:
+        return False
+    numerator, denominator = _quotient(c, p, n, LIMIT)
+    return numerator.contains_vector(x) and not denominator.contains_vector(x)
+
+
+def page_grid(c: CochainComplex, r: int | None) -> Grid:
+    """Dimension grid of one page (LIMIT for the limit): k rows with the top
+    row p = k-1, m+1 columns indexed by total degree."""
+    return tuple(tuple(page_entry(c, p, deg - p, r).dim for deg in range(c.m + 1))
+                 for p in range(c.k - 1, -1, -1))
+
+
+def betti_numbers(c: CochainComplex) -> tuple[int, ...]:
+    """Betti numbers by rank-nullity on the differential matrices."""
+    return tuple(comb(c.m, i) - d_rank(c, i) - d_rank(c, i - 1) for i in range(c.m + 1))

@@ -208,6 +208,9 @@ def _json_doc(**changes):
     return json.dumps(doc)
 
 
+LONG = "2" * 5000  # a run of digits longer than the interpreter's limit on int() of a string
+
+
 @pytest.mark.parametrize("argv, content, tables", [
     (["catalog", "--census", "7"], None, 0),
     (["compute", "--m0", "2"], None, 0),
@@ -231,11 +234,17 @@ def _json_doc(**changes):
     (["compute", "--batch", "--m0", "5"], None, 0),
     (["catalog", "--census", "6", "--check"], None, 0),
     (["catalog", "--census", "6", "--dim", "5"], None, 0),
+    (["compute", f"(0,0,{LONG}*12)"], None, 0),
+    (["compute", f"(0,0,1/{LONG}*12)"], None, 0),
+    (["compute", "--batch", "{file}", "--format", "json"], f"(0,0,12)\n(0,0,1/{LONG}*12)\n(0,0,0,0)\n", 2),
+    (["compute", "{file}"], '{"dim": ' + LONG + ', "brackets": []}', 0),
+    (["compute", "{file}"], '{"dim": 3, "brackets": [{"i": 1, "j": 2, "k": 3, "c": ' + LONG + '}]}', 0),
 ], ids=["census-7", "m0-2", "direct-sum-0", "page-foo", "pages-minus-1", "directory",
         "batch-directory-line", "json-dim-bool", "json-dim-float", "json-decimal-c",
         "json-bool-index", "json-too-deep", "json-zero-denominator", "salamon-zero-denominator",
         "catalog-dim-7", "catalog-dim-0", "catalog-dim-minus-3", "input-and-m0", "page-without-direct-sum",
-        "batch-and-m0", "census-and-check", "census-and-dim"])
+        "batch-and-m0", "census-and-check", "census-and-dim", "salamon-long-coefficient",
+        "salamon-long-denominator", "batch-long-line", "json-long-dim", "json-long-c"])
 def test_bad_input_exits_2_with_one_error_line(argv, content, tables, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("(0,0,12)\n"))  # read only by a stdin batch
 

@@ -3,10 +3,11 @@
 import pytest
 
 from nilspec import catalog, lie, spectral
+from reference import PageEntry
 
 RECORDS = [
     (lie.Filtration, ("k", "spaces", "series_dims")),
-    (spectral.PageEntry, ("r", "p", "q", "dim", "numerator_dim", "denominator_dim")),
+    (PageEntry, ("r", "p", "q", "dim", "numerator_dim", "denominator_dim")),
     (spectral.CheckReport, ("name", "checks", "violations")),
     (spectral.SpectralTable, ("m", "k", "pages", "limit", "betti", "r0")),
     (catalog.CatalogEntry, ("id", "salamon", "label", "decomposition", "golden_pages",
