@@ -24,6 +24,7 @@ from . import catalog as catalog_mod
 from .exterior import CochainComplexError
 from .lie import (
     AlgebraFormatError,
+    CoefficientSizeError,
     FiltrationMismatchError,
     IndexPairError,
     IndexRangeError,
@@ -66,7 +67,8 @@ def _within_cap(m: int) -> int:
     return m
 
 
-_PARSE_ERRORS = (SalamonSyntaxError, IndexRangeError, IndexPairError, AlgebraFormatError)
+_PARSE_ERRORS = (SalamonSyntaxError, IndexRangeError, IndexPairError, AlgebraFormatError,
+                 CoefficientSizeError)
 _VALIDATION_ERRORS = (JacobiError, NotNilpotentError, TooLargeError)
 _INTERNAL_ERRORS = (InternalConsistencyError, CochainComplexError, FiltrationMismatchError)
 

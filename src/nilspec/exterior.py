@@ -12,11 +12,11 @@ A basis q-form has one integer key: index i is bit m - i of its reversed
 mask R, and the key is (level << m) | (full ^ R), full = 2^m - 1.  In one
 degree lexicographic order is decreasing R, so keys sort by (level,
 lexicographic position); the level is that of the largest index, the
-lowest set bit of R.  ``form_columns`` builds d on keys: for an index j of
-a column form and a term c e^a ^ e^b (a < b) of de^j, let rest = R without
-bit j.  The term dies if rest has bit a or b; otherwise it lands on
-rest | a | b with sign (-1)^(#{i in rest : i < j} + #{i in rest : i < a} +
-#{i in rest : i < b}), the parity of one popcount of rest.
+lowest set bit of R.  ``form_columns`` builds d on keys term by term: a
+term c e^a ^ e^b (a < b) of de^j reaches only the columns rest | j, rest
+any q - 1 indices other than a, b and j, and adds to row rest | a | b the
+sign (-1)^(#{i in rest : i < j} + #{i in rest : i < a} + #{i in rest :
+i < b}) times c, the parity of one popcount of rest.
 ``positional_columns`` relabels key columns to lexicographic positions.
 
 An independent construction of the same matrices, pointwise evaluation of
@@ -99,41 +99,34 @@ def sort_indices(indices: Sequence[int]) -> tuple[int, MultiIndex] | None:
 
 def form_columns(m: int, constants: Constants, q: int, levels: Sequence[int] = ()) -> KeyColumns:
     """Columns of d: Lambda^q -> Lambda^(q+1) on form keys, {key: {key: coeff}},
-    built by the derivation rule from integer constants (each c e^a ^ e^b
-    of de^j with a < b).  levels[j-1] is the level of index j; without
-    levels every form has level 0.  Zero columns are absent."""
+    built term by term from integer constants (each c e^a ^ e^b of de^j with
+    a < b).  levels[j-1] is the level of index j; without levels every form
+    has level 0.  Cancelled entries and zero columns are absent."""
     cols: KeyColumns = {}
-    if q < 0 or q >= m:
+    if not 0 < q < m:
         return cols
     full = (1 << m) - 1
     # the key of a nonzero reversed mask R is base[R & -R] ^ R
     base = {1 << (m - j): (lv << m) | full for j, lv in enumerate(levels or [0] * m, start=1)}
-    terms: dict[int, list[tuple[int, int, int]]] = {}  # bit of j -> (bits of a and b, sign mask, c)
+    bits = [1 << n for n in range(m)]
     for (a, b, j), c in constants.items():
-        if c:
-            above = [full ^ ((2 << (m - x)) - 1) for x in (a, b, j)]  # bits of the indices below x
-            terms.setdefault(1 << (m - j), []).append(
-                ((1 << (m - a)) | (1 << (m - b)), above[0] ^ above[1] ^ above[2], c))
-    active = sum(terms)
-    for mask in map(sum, itertools.combinations([1 << b for b in range(m)], q)):
-        todo = mask & active
-        if not todo:
-            continue
-        acc: dict[int, int] = {}
-        while todo:
-            bit = todo & -todo
-            todo ^= bit
-            rest = mask ^ bit
-            for ab, signs, c in terms[bit]:
-                if rest & ab:
-                    continue
-                target = rest | ab
-                key = base[target & -target] ^ target
-                acc[key] = acc.get(key, 0) + (-c if (rest & signs).bit_count() & 1 else c)
-        if not all(acc.values()):
-            acc = {key: v for key, v in acc.items() if v}
-        if acc:
-            cols[base[mask & -mask] ^ mask] = acc
+        jbit, ab = 1 << (m - j), (1 << (m - a)) | (1 << (m - b))
+        # bits of the indices below a, below b and below j, each flipping the sign
+        signs = full ^ ((2 << (m - a)) - 1) ^ ((2 << (m - b)) - 1) ^ ((2 << (m - j)) - 1)
+        for rest in map(sum, itertools.combinations([x for x in bits if not x & (ab | jbit)], q - 1)):
+            src, target = rest | jbit, rest | ab
+            src, target = base[src & -src] ^ src, base[target & -target] ^ target
+            v = -c if (rest & signs).bit_count() & 1 else c
+            col = cols.get(src)
+            if col is None:
+                cols[src] = {target: v}
+            else:
+                col[target] = col.get(target, 0) + v
+    for src, col in list(cols.items()):
+        if not all(col.values()):
+            col = cols[src] = {key: v for key, v in col.items() if v}
+            if not col:
+                del cols[src]
     return cols
 
 

@@ -25,11 +25,14 @@ from __future__ import annotations
 
 import math
 import re
+import sys
+from collections import defaultdict
 from fractions import Fraction
+from itertools import compress
 from typing import Iterator, Mapping, NamedTuple
 
 from . import exterior
-from .linalg import LinearMap, Subspace, kernel, span
+from .linalg import Subspace, null_space, span
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -63,6 +66,10 @@ class JacobiError(LieError):
 
 class NotNilpotentError(LieError):
     """The central descending series stabilises at a nonzero ideal."""
+
+
+class CoefficientSizeError(LieError):
+    """A summed structure constant has more digits than the interpreter prints."""
 
 
 class AlgebraFormatError(LieError):
@@ -108,6 +115,7 @@ class LieAlgebra:
         if m < 1:
             raise LieError("dimension must be at least 1")
         cleaned: Constants = {}
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
         for (i, j, k), value in constants.items():
             coeff = rat(value)
             if not coeff:
@@ -120,6 +128,9 @@ class LieAlgebra:
                 i, j, coeff = j, i, -coeff
             key = (i, j, k)
             total = cleaned.get(key, _ZERO) + coeff
+            big = max(abs(total.numerator), total.denominator)  # str() refuses it past `digits` digits
+            if digits and big.bit_length() > 3 * digits and big >= 10 ** digits:
+                raise CoefficientSizeError(f"coefficient of c[{i},{j}]^{k} has more than {digits} digits")
             if total:
                 cleaned[key] = total
             else:
@@ -156,29 +167,27 @@ def _dual_filtration_spaces(m: int, constants: Mapping[tuple[int, int, int], int
     with i_u (e^a ^ e^b) = u_a e^b - u_b e^a.  That basis comes straight
     from the canonical rows of V_(i-1): for each non-pivot column c,
     L e_c - sum_i (L row_i[c] / row_i[p_i]) e_(p_i), L the lcm of the row_i[p_i].
+    Only the rows (u, e^b) that some term reaches through a nonzero u_a are
+    built, and only the nonzero ones go to the elimination.
     """
     spaces = [Subspace.zero(m)]
     while spaces[-1].dim < m:
         prev = spaces[-1]
         scale = math.lcm(*(row[p] for row, p in zip(prev.basis, prev.pivots)))
-        annihilator = []
-        for c in sorted(set(range(m)) - set(prev.pivots)):
-            u = [0] * m
-            u[c] = scale
+        # reach[a] lists (t, u_a) over the basis vectors u of ann(V) with u_a != 0
+        reach: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+        for t, c in enumerate(sorted(set(range(m)) - set(prev.pivots))):
+            reach[c].append((t, scale))
             for row, p in zip(prev.basis, prev.pivots):
-                u[p] = -row[c] * (scale // row[p])
-            annihilator.append(u)
-        # column k-1 holds i_u de^k, de^k = sum c_abk e^a ^ e^b; row t*m + j
-        # holds its e^(j+1) coordinate for the t-th u
-        columns: dict[int, dict[int, int]] = {}
+                if row[c]:
+                    reach[p].append((t, -row[c] * (scale // row[p])))
+        # row (t, b) holds the e^b coordinate of i_u de^k in column k-1, for the t-th u
+        rows: defaultdict[tuple[int, int], list[int]] = defaultdict(lambda: [0] * m)
         for (a, b, k), v in constants.items():
-            acc = columns.setdefault(k - 1, {})
-            for t, u in enumerate(annihilator):
-                ra, rb = t * m + a - 1, t * m + b - 1
-                acc[rb] = acc.get(rb, 0) + v * u[a - 1]
-                acc[ra] = acc.get(ra, 0) - v * u[b - 1]
-        nxt = kernel(LinearMap(m * len(annihilator), m,
-                               {col: list(acc.items()) for col, acc in columns.items()}))
+            for inner, outer, c in ((a, b, v), (b, a, -v)):
+                for t, u_inner in reach[inner - 1]:
+                    rows[t, outer][k - 1] += c * u_inner
+        nxt = null_space([row for row in rows.values() if any(row)], m)
         if nxt.dim == prev.dim:
             break
         spaces.append(nxt)
@@ -187,15 +196,20 @@ def _dual_filtration_spaces(m: int, constants: Mapping[tuple[int, int, int], int
 
 def primal_series(m: int, constants: Mapping[tuple[int, int, int], int]) -> list[Subspace]:
     """Central descending series n^0 = n, n^i = [n, n^(i-1)], until stabilisation."""
+    # brackets_with[j] lists (g, k, c): [e_g, e_j] has c at e_k
+    brackets_with: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]
+    for (i, j, k), c in constants.items():
+        brackets_with[j - 1].append((i - 1, k - 1, c))
+        brackets_with[i - 1].append((j - 1, k - 1, -c))
     series = [Subspace.full(m)]
     while True:
         vecs = []
         for row in series[-1].basis:
-            brackets = [[0] * m for _ in range(m)]  # brackets[g-1] = [e_g, row]
-            for (i, j, k), c in constants.items():
-                brackets[i - 1][k - 1] += c * row[j - 1]
-                brackets[j - 1][k - 1] -= c * row[i - 1]
-            vecs.extend(b for b in brackets if any(b))
+            brackets: defaultdict[int, list[int]] = defaultdict(lambda: [0] * m)  # g -> [e_(g+1), row]
+            for j in compress(range(m), row):
+                for g, k, c in brackets_with[j]:
+                    brackets[g][k] += c * row[j]
+            vecs.extend(b for b in brackets.values() if any(b))
         nxt = span(vecs, m)
         if nxt.dim == series[-1].dim:
             return series
@@ -219,9 +233,10 @@ def validate_algebra(a: LieAlgebra) -> Filtration:
     for i, (v, n) in enumerate(zip(spaces, series)):
         if v.dim + n.dim != a.m:
             raise FiltrationMismatchError("dual filtration disagrees with the primal descending series")
+        supports = [[(j, x) for j, x in enumerate(u) if x] for u in n.basis]
         for x in v.basis:
-            for u in n.basis:
-                if sum(xv * uv for xv, uv in zip(x, u)):
+            for support in supports:
+                if sum(x[j] * uj for j, uj in support):
                     raise FiltrationMismatchError(f"V_{i} does not annihilate the primal ideal n^{i}")
     return Filtration(len(spaces) - 1, tuple(spaces), tuple(n.dim for n in series))
 

@@ -100,22 +100,23 @@ def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[i
     return rows[:r], pivots
 
 
-def _kernel_rows(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Integer basis of the right kernel {x : M x = 0} of the matrix with the given rows."""
-    reduced, pivots = _echelon(rows, ncols)
-    scale = math.lcm(*(row[c] for row, c in zip(reduced, pivots)))
+def null_space(rows: list[list[int]], ncols: int) -> Subspace:
+    """``kernel`` of the matrix with the given dense integer rows."""
+    last = ncols - 1
+    reduced, pivots = _echelon([row[::-1] for row in rows], ncols)
     pivot_set = set(pivots)
+    free = tuple(f for f in range(ncols) if last - f not in pivot_set)
     basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
+    for f in free:
+        hits = [(row, p) for row, p in zip(reduced, pivots) if row[last - f]]
+        scale = math.lcm(*(row[p] for row, p in hits))
         vec = [0] * ncols
-        vec[free] = scale
-        for row, c in zip(reduced, pivots):
-            if row[free]:
-                vec[c] = -row[free] * (scale // row[c])
-        basis.append(vec)
-    return basis
+        vec[f] = scale
+        for row, p in hits:
+            vec[last - p] = -row[last - f] * (scale // row[p])
+        g = math.gcd(*vec)
+        basis.append(tuple([x // g for x in vec]) if g > 1 else tuple(vec))
+    return Subspace(ncols, tuple(basis), free)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +306,7 @@ def preimage(m: LinearMap, target: Subspace, domain: Subspace) -> Subspace:
     supports = [[(j, s * brow[j]) for j in compress(range(len(brow)), brow)]
                 for s, brow in zip(scales, domain.basis)]
     vectors = []
-    for coeffs in _kernel_rows(constraint_rows, t):
+    for coeffs in null_space(constraint_rows, t).basis:
         vec = [0] * domain.ambient_dim
         for ci, support in zip(coeffs, supports):
             if ci:
@@ -324,8 +325,14 @@ def _dense_rows(m: LinearMap) -> list[list[int]]:
 
 
 def kernel(m: LinearMap) -> Subspace:
-    """Right kernel {x : m x = 0} as a canonical subspace of Q^(m.cols)."""
-    return span(_kernel_rows(_dense_rows(m), m.cols), m.cols)
+    """Right kernel {x : m x = 0} as a canonical subspace of Q^(m.cols).
+
+    With the columns eliminated right to left, a reduced row is nonzero only
+    at its pivot and at free columns left of it.  So the null vector of a free
+    column f leads at f and is zero at every other free column: these vectors
+    are already the kernel's RREF rows and, made primitive, its canonical rows.
+    """
+    return null_space(_dense_rows(m), m.cols)
 
 
 def rank(m: LinearMap) -> int:

@@ -16,16 +16,25 @@ The subspaces live in Lambda^n at lexicographic positions, and d_n is the
 positional ``LinearMap`` relabelled from the complex's key columns.  The
 maps, A-spaces, images and ranks are cached per complex, for as long as the
 complex lives.  Nothing in the package imports this module.
+
+It also keeps two earlier constructions the package replaced, as references
+for tests: the differential built by walking every q-form and every term of
+each of its indices (``mask_walk_columns``), and the kernel from a
+left-to-right elimination whose null vectors are reduced a second time
+(``two_step_kernel``).
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import weakref
 from math import comb
 from typing import NamedTuple, Sequence
 
-from nilspec.exterior import CochainComplex, multi_indices, positional_columns
-from nilspec.linalg import LinearMap, Subspace, contains, image, preimage, rank, subspace_sum
+from nilspec.exterior import CochainComplex, Constants, KeyColumns, multi_indices, positional_columns
+from nilspec.linalg import (LinearMap, Subspace, _dense_rows, _echelon, contains, image, preimage, rank, span,
+                            subspace_sum)
 from nilspec.spectral import LIMIT, Grid, InternalConsistencyError
 
 
@@ -166,3 +175,57 @@ def page_grid(c: CochainComplex, r: int | None) -> Grid:
 def betti_numbers(c: CochainComplex) -> tuple[int, ...]:
     """Betti numbers by rank-nullity on the differential matrices."""
     return tuple(comb(c.m, i) - d_rank(c, i) - d_rank(c, i - 1) for i in range(c.m + 1))
+
+
+def mask_walk_columns(m: int, constants: Constants, q: int, levels: Sequence[int] = ()) -> KeyColumns:
+    """``exterior.form_columns`` by the mask walk: for every q-form R and every
+    index j of R with de^j != 0, each term c e^a ^ e^b of de^j is tried on
+    rest = R without j.  It dies if rest has bit a or b; otherwise it lands
+    on rest | a | b with the sign of one popcount of rest."""
+    cols: KeyColumns = {}
+    if q < 0 or q >= m:
+        return cols
+    full = (1 << m) - 1
+    base = {1 << (m - j): (lv << m) | full for j, lv in enumerate(levels or [0] * m, start=1)}
+    terms: dict[int, list[tuple[int, int, int]]] = {}  # bit of j -> (bits of a and b, sign mask, c)
+    for (a, b, j), c in constants.items():
+        if c:
+            above = [full ^ ((2 << (m - x)) - 1) for x in (a, b, j)]  # bits of the indices below x
+            terms.setdefault(1 << (m - j), []).append(
+                ((1 << (m - a)) | (1 << (m - b)), above[0] ^ above[1] ^ above[2], c))
+    active = sum(terms)
+    for mask in map(sum, itertools.combinations([1 << b for b in range(m)], q)):
+        todo = mask & active
+        if not todo:
+            continue
+        acc: dict[int, int] = {}
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            rest = mask ^ bit
+            for ab, signs, c in terms[bit]:
+                if rest & ab:
+                    continue
+                target = rest | ab
+                key = base[target & -target] ^ target
+                acc[key] = acc.get(key, 0) + (-c if (rest & signs).bit_count() & 1 else c)
+        acc = {key: v for key, v in acc.items() if v}
+        if acc:
+            cols[base[mask & -mask] ^ mask] = acc
+    return cols
+
+
+def two_step_kernel(m: LinearMap) -> Subspace:
+    """``linalg.kernel`` by a left-to-right elimination, one null vector per
+    free column scaled by the lcm of all pivots, and ``span`` of those."""
+    reduced, pivots = _echelon(_dense_rows(m), m.cols)
+    scale = math.lcm(*(row[c] for row, c in zip(reduced, pivots)))
+    basis = []
+    for free in sorted(set(range(m.cols)) - set(pivots)):
+        vec = [0] * m.cols
+        vec[free] = scale
+        for row, c in zip(reduced, pivots):
+            if row[free]:
+                vec[c] = -row[free] * (scale // row[c])
+        basis.append(vec)
+    return span(basis, m.cols)

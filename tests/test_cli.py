@@ -209,6 +209,7 @@ def _json_doc(**changes):
 
 
 LONG = "2" * 5000  # a run of digits longer than the interpreter's limit on int() of a string
+NINES = "9" * 4300  # within that limit, but twice it is one digit longer
 
 
 @pytest.mark.parametrize("argv, content, tables", [
@@ -239,12 +240,15 @@ LONG = "2" * 5000  # a run of digits longer than the interpreter's limit on int(
     (["compute", "--batch", "{file}", "--format", "json"], f"(0,0,12)\n(0,0,1/{LONG}*12)\n(0,0,0,0)\n", 2),
     (["compute", "{file}"], '{"dim": ' + LONG + ', "brackets": []}', 0),
     (["compute", "{file}"], '{"dim": 3, "brackets": [{"i": 1, "j": 2, "k": 3, "c": ' + LONG + '}]}', 0),
+    (["compute", f"(0,0,{NINES}*12+{NINES}*12)"], None, 0),
+    (["compute", "--batch", "{file}", "--format", "json"], f"(0,0,12)\n(0,0,{NINES}*12+{NINES}*12)\n(0,0,0,0)\n", 2),
 ], ids=["census-7", "m0-2", "direct-sum-0", "page-foo", "pages-minus-1", "directory",
         "batch-directory-line", "json-dim-bool", "json-dim-float", "json-decimal-c",
         "json-bool-index", "json-too-deep", "json-zero-denominator", "salamon-zero-denominator",
         "catalog-dim-7", "catalog-dim-0", "catalog-dim-minus-3", "input-and-m0", "page-without-direct-sum",
         "batch-and-m0", "census-and-check", "census-and-dim", "salamon-long-coefficient",
-        "salamon-long-denominator", "batch-long-line", "json-long-dim", "json-long-c"])
+        "salamon-long-denominator", "batch-long-line", "json-long-dim", "json-long-c",
+        "salamon-long-sum", "batch-long-sum"])
 def test_bad_input_exits_2_with_one_error_line(argv, content, tables, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("(0,0,12)\n"))  # read only by a stdin batch
 

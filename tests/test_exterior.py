@@ -7,6 +7,7 @@ from conftest import index_positions, reversed_twin, sheared
 from nilspec import lie, spectral
 from nilspec.exterior import (
     build_complex,
+    clear_denominators,
     compose_is_zero,
     differential_columns,
     divisibility_subspace,
@@ -18,7 +19,7 @@ from nilspec.exterior import (
 )
 from nilspec.linalg import LinearMap, Subspace, contains, image, span
 from nilspec.spectral import LIMIT, full_table
-from reference import betti_numbers, lambda_subspace, page_grid, positional_d
+from reference import betti_numbers, lambda_subspace, mask_walk_columns, page_grid, positional_d
 
 
 def _complex(text):
@@ -108,6 +109,27 @@ def test_pointwise_oracle_matches_derivation_rule(random_algebras_dim5, random_a
             as_map = LinearMap(comb(c.m, q + 1), comb(c.m, q), built)
             assert as_map == positional_d(c, q) == pointwise_differential(c.m, c.adapted_constants, q)
     assert signs == {True, False}
+
+
+def test_term_driven_columns_match_mask_walk(random_algebras_dim7, twins_dim7, catalog_tables, rng_factory):
+    """form_columns equals the mask walk of tests/reference.py on every degree,
+    with and without levels: the catalog, m0(3..12), the dimension <= 7
+    fixtures (rational constants) and their twins, and sheared algebras,
+    whose complexes take transform_constants."""
+    rng = rng_factory(0x7E2A)
+    algebras = [b for pair in zip(random_algebras_dim7, twins_dim7) for b in pair]
+    algebras += [lie.m0(m) for m in range(3, 13)] + [a for _, a, _, _ in catalog_tables.values()]
+    algebras += [sheared(a, rng) for a in random_algebras_dim7[:20]]
+    transformed = rational = 0
+    for a in algebras:
+        c = spectral.complex_for(a)
+        transformed += c.adapted_basis_change != Subspace.full(a.m).basis
+        rational += any(v.denominator > 1 for v in a.c.values())
+        for constants, levels in ((clear_denominators(a.c)[0], ()), (c.adapted_constants, c.levels),
+                                  (c.adapted_constants, ())):
+            for q in range(a.m + 1):
+                assert form_columns(a.m, constants, q, levels) == mask_walk_columns(a.m, constants, q, levels)
+    assert len(catalog_tables) == 44 and transformed >= 20 and rational > 0
 
 
 def test_mask_positions_match_index_positions():

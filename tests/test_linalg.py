@@ -24,6 +24,7 @@ from nilspec.linalg import (
     subspace_sum,
 )
 from nilspec.lie import rat
+from reference import two_step_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +270,27 @@ def test_kernel_matches_preimage_of_zero():
         mat = as_map(random_matrix(rng, m_dim, n), n)
         assert kernel(mat) == preimage(mat, Subspace.zero(m_dim), Subspace.full(n))
         assert kernel(mat).dim == n - rank(mat)
+
+
+def test_one_elimination_kernel_equals_two_step_kernel():
+    """kernel's right-to-left elimination gives the same canonical basis and
+    pivots as span of the left-to-right null vectors, on seeded random
+    integer matrices, with empty, all-zero, full-rank and zero-row cases."""
+    rng = random.Random(0x4B3E)
+    maps = [LinearMap(0, 0, {}), LinearMap(3, 0, {}), LinearMap(0, 4, {}), LinearMap(3, 5, {}),
+            identity_map(4), LinearMap(2, 2, {0: [(0, 2), (1, 4)], 1: [(0, 3), (1, 6)]})]
+    while len(maps) < 2500:
+        rows, cols = rng.randint(0, 7), rng.randint(0, 8)
+        density = rng.random()
+        pool = rng.choice([[1, -1], [-3, -2, -1, 1, 2, 5, 7], list(range(-12, 13))])
+        maps.append(LinearMap(rows, cols, {j: [(i, rng.choice(pool)) for i in range(rows) if rng.random() < density]
+                                           for j in range(cols)}))
+    full_rank = 0
+    for mat in maps:
+        got, want = kernel(mat), two_step_kernel(mat)
+        assert (got.ambient_dim, got.basis, got.pivots) == (want.ambient_dim, want.basis, want.pivots)
+        full_rank += mat.cols > 0 and got.dim == max(0, mat.cols - mat.rows)
+    assert full_rank > 100
 
 
 def test_rat_parses_signed_fractions():
