@@ -12,9 +12,10 @@ A reversed pair denotes the reversed wedge, so "52" contributes -e^2 ^ e^5;
 the published tables use this form ("34+52") and the Jacobi identity pins
 the sign down.
 
-Every ``LieAlgebra`` is validated once, when it is built: the constructor
-raises JacobiError or NotNilpotentError unless the constants define a
-nilpotent Lie algebra, and stores the filtration V_0 = 0,
+Every ``LieAlgebra`` is validated when it is built, once per distinct algebra
+(same m and constants) per process: the constructor raises JacobiError or
+NotNilpotentError unless the constants define a nilpotent Lie algebra, and
+stores the filtration V_0 = 0,
 V_i = {x : dx in Lambda^2 V_(i-1)} of the dual, computed as exact kernels on
 the integer constants (a 2-form w lies in Lambda^2 V iff i_u w = 0 for every
 u in ann(V)) and cross-checked against the primal central descending series
@@ -27,6 +28,7 @@ import math
 import re
 import sys
 from collections import defaultdict
+from functools import lru_cache
 from fractions import Fraction
 from itertools import compress
 from typing import Iterator, Mapping, NamedTuple
@@ -108,7 +110,7 @@ def rat(value: int | str | Fraction) -> Fraction:
 class LieAlgebra:
     """Immutable structure-constant presentation of a nilpotent Lie algebra."""
 
-    __slots__ = ("m", "c", "label", "filtration")
+    __slots__ = ("m", "c", "label", "filtration", "_key")
 
     def __init__(self, m: int, constants: Mapping[tuple[int, int, int], Fraction | int],
                  label: str | None = None):
@@ -138,17 +140,18 @@ class LieAlgebra:
         self.m = m
         self.c = cleaned
         self.label = label
+        self._key = (m, tuple(sorted(cleaned.items())))
         self.filtration = validate_algebra(self)
 
     def brackets(self) -> Iterator[tuple[int, int, int, Fraction]]:
-        for (i, j, k), c in sorted(self.c.items()):
+        for (i, j, k), c in self._key[1]:
             yield i, j, k, c
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LieAlgebra) and self.m == other.m and self.c == other.c
 
     def __hash__(self) -> int:
-        return hash((self.m, tuple(sorted(self.c.items()))))
+        return hash(self._key)
 
     def __repr__(self) -> str:
         name = f" {self.label!r}" if self.label else ""
@@ -216,11 +219,12 @@ def primal_series(m: int, constants: Mapping[tuple[int, int, int], int]) -> list
         series.append(nxt)
 
 
+@lru_cache(maxsize=256)
 def validate_algebra(a: LieAlgebra) -> Filtration:
-    """The filtration of the dual, computed on integer constants; raises
-    JacobiError if d.d != 0 on 1-forms, NotNilpotentError if the filtration
-    stops short of the dual, FiltrationMismatchError if it disagrees with the
-    primal series."""
+    """The filtration of the dual, computed on integer constants and memoised
+    per algebra (a raise is not stored); raises JacobiError if d.d != 0 on
+    1-forms, NotNilpotentError if the filtration stops short of the dual,
+    FiltrationMismatchError if it disagrees with the primal series."""
     constants, _ = exterior.clear_denominators(a.c)
     d1 = exterior.form_columns(a.m, constants, 1)
     if not exterior.compose_is_zero(exterior.form_columns(a.m, constants, 2), d1):

@@ -5,12 +5,14 @@ Tables are read off one persistence pairing per degree (Zomorodian-Carlsson
 l(x), lies in F^p iff l(x) <= k - p, and d never raises the level.
 Reducing the columns of d_n in (level, position) order splits the filtered
 complex over Q into essential forms and bars x -> y, y the last row of the
-reduced column of x.  A bar survives to E_r iff its gap l(x) - l(y) >= r:
+reduced column of x.  A bar survives to E_r iff its gap l(x) - l(y) >= r, so
+E_0^{p,n-p} counts the n-forms at level k-p and
 
-    dim E_r^{p,n-p} = (essential n-forms at level k-p)
-                      + (bars of gap >= r with an end among those n-forms),
+    dim E_(r+1)^{p,n-p} = dim E_r^{p,n-p} - #(bars of gap r with an end among them).
 
-and the limit and the Betti numbers count essential forms only.
+A bar of gap g counts in two cells of every page r <= g, so the pages stop at
+r0 = 1 + the largest gap (0 without bars); page r0 is the limit, which counts
+essential forms only, and its column sums are the Betti numbers.
 
 The paper's closed form, each entry as a quotient of A-spaces, is not part
 of the package and no CLI command uses it.  It lives in
@@ -23,10 +25,9 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate
 from typing import NamedTuple, Sequence
 
-from .exterior import CochainComplex, build_complex, divisibility_subspace, positional_columns
+from .exterior import CochainComplex, build_complex, divisibility_subspace
 from .lie import LieAlgebra, abelian, descending_series, direct_sum
 from .linalg import span
 # the benchmark's tracer (bench/tracing.py) wraps these names here; nothing else reads them
@@ -130,34 +131,32 @@ def require_poincare_duality(betti: Sequence[int]) -> None:
 
 def full_table(c: CochainComplex) -> SpectralTable:
     """Pages 0..r0, the limit grid, Betti numbers and r0 <= k from the
-    persistence pairing; later pages equal the limit and are not computed."""
+    persistence pairing: dim E_(r+1) = dim E_r less the ends of the bars of
+    gap r, and r0 = 1 + the largest gap.  Later pages equal the limit and
+    are not computed."""
     k, m = c.k, c.m
-    # ends[n][level][g]: n-forms at that level that end a bar of gap g < k,
-    # with the essential ones at g = k; survivors to page r have g >= r
-    ends = [[[0] * (k + 1) for _ in range(k + 1)] for _ in range(m + 1)]
-    ends[0][1][k] = 1  # the constants
+    # cells[level - 1][n]: the n-forms at that level alive on the current page,
+    # rows running from p = k-1 down to p = 0 as in a grid
+    cells = [[0] * (m + 1) for _ in range(k)]
+    cells[0][0] = 1  # the constants
     for n in range(1, m + 1):
         for j, level in enumerate(c.levels, start=1):  # n-forms whose last index is j
-            ends[n][level][k] += math.comb(j - 1, n - 1)
+            cells[level - 1][n] += math.comb(j - 1, n - 1)
+    ends: list[list[tuple[int, int]]] = [[] for _ in range(k)]  # ends[g]: (level, degree) of each end
     for n in range(m):
         for x, y in _bars(c, n):
-            for deg, level in ((n, x), (n + 1, y)):
-                ends[deg][level][x - y] += 1
-                ends[deg][level][k] -= 1
-    alive = [[list(accumulate(reversed(g)))[::-1] for g in row] for row in ends]
-
-    def grid(r: int) -> Grid:
-        return tuple(tuple(alive[n][k - p][r] for n in range(m + 1)) for p in range(k - 1, -1, -1))
-
-    limit = grid(k)  # every gap is below k
-    betti = tuple(sum(level[k] for level in row) for row in ends)
+            if not 0 <= x - y < k:  # a gap of k or more would leave no degeneration by page k
+                raise InternalConsistencyError(f"bar of d_{n} from level {x} to level {y}: gap outside 0..{k - 1}")
+            ends[x - y] += ((x, n), (y, n + 1))
+    r0 = max((g + 1 for g, bucket in enumerate(ends) if bucket), default=0)
+    pages = {0: tuple(map(tuple, cells))}
+    for r in range(r0):
+        for level, n in ends[r]:
+            cells[level - 1][n] -= 1
+        pages[r + 1] = tuple(map(tuple, cells))
+    betti = tuple(map(sum, zip(*pages[r0])))
     require_poincare_duality(betti)
-    pages: dict[int, Grid] = {}
-    for r in range(k + 1):
-        pages[r] = grid(r)
-        if pages[r] == limit:
-            return SpectralTable(m=m, k=k, pages=pages, limit=limit, betti=betti, r0=r)
-    raise InternalConsistencyError("no degeneration at the nilpotency index")
+    return SpectralTable(m=m, k=k, pages=pages, limit=pages[r0], betti=betti, r0=r0)
 
 
 @lru_cache(maxsize=256)
@@ -210,8 +209,10 @@ def check_top_degree_forms(c: CochainComplex) -> CheckReport:
     if c.columns[c.m - 1]:
         violations.append("d is nonzero on (m-1)-forms")
     if c.m >= 2:
-        exact = span([[col.get(i, 0) for i in range(c.m)]
-                      for col in map(dict, positional_columns(c.m, c.columns[c.m - 2]).values())], c.m)
+        full = (1 << c.m) - 1  # the (m-1)-form without index i: position m - i, the one low set bit of its key
+        by_position = [{(key & full).bit_length() - 1: v for key, v in col.items()}
+                       for col in c.columns[c.m - 2].values()]
+        exact = span([[col.get(i, 0) for i in range(c.m)] for col in by_position], c.m)
         divisible = divisibility_subspace(c)
         if exact != divisible:
             violations.append(

@@ -17,11 +17,12 @@ positional ``LinearMap`` relabelled from the complex's key columns.  The
 maps, A-spaces, images and ranks are cached per complex, for as long as the
 complex lives.  Nothing in the package imports this module.
 
-It also keeps two earlier constructions the package replaced, as references
+It also keeps three earlier constructions the package replaced, as references
 for tests: the differential built by walking every q-form and every term of
-each of its indices (``mask_walk_columns``), and the kernel from a
+each of its indices (``mask_walk_columns``), the kernel from a
 left-to-right elimination whose null vectors are reduced a second time
-(``two_step_kernel``).
+(``two_step_kernel``), and the table assembled from a cube of bar ends per
+(degree, level, gap) with suffix sums over the gaps (``ends_cube_table``).
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from typing import NamedTuple, Sequence
 from nilspec.exterior import CochainComplex, Constants, KeyColumns, multi_indices, positional_columns
 from nilspec.linalg import (LinearMap, Subspace, _dense_rows, _echelon, contains, image, preimage, rank, span,
                             subspace_sum)
-from nilspec.spectral import LIMIT, Grid, InternalConsistencyError
+from nilspec import spectral
+from nilspec.spectral import LIMIT, Grid, InternalConsistencyError, SpectralTable, require_poincare_duality
 
 
 class PageEntry(NamedTuple):
@@ -229,3 +231,35 @@ def two_step_kernel(m: LinearMap) -> Subspace:
                 vec[c] = -row[free] * (scale // row[c])
         basis.append(vec)
     return span(basis, m.cols)
+
+
+def ends_cube_table(c: CochainComplex) -> SpectralTable:
+    """``spectral.full_table`` by the ends cube: ends[n][level][g] counts the
+    n-forms at that level that end a bar of gap g < k, with the essential ones
+    at g = k; page r keeps the suffix sum over g >= r, and r0 is the first
+    page equal to the limit."""
+    k, m = c.k, c.m
+    ends = [[[0] * (k + 1) for _ in range(k + 1)] for _ in range(m + 1)]
+    ends[0][1][k] = 1  # the constants
+    for n in range(1, m + 1):
+        for j, level in enumerate(c.levels, start=1):  # n-forms whose last index is j
+            ends[n][level][k] += math.comb(j - 1, n - 1)
+    for n in range(m):
+        for x, y in spectral._bars(c, n):
+            for deg, level in ((n, x), (n + 1, y)):
+                ends[deg][level][x - y] += 1
+                ends[deg][level][k] -= 1
+    alive = [[list(itertools.accumulate(reversed(g)))[::-1] for g in row] for row in ends]
+
+    def grid(r: int) -> Grid:
+        return tuple(tuple(alive[n][k - p][r] for n in range(m + 1)) for p in range(k - 1, -1, -1))
+
+    limit = grid(k)  # every gap is below k
+    betti = tuple(sum(level[k] for level in row) for row in ends)
+    require_poincare_duality(betti)
+    pages: dict[int, Grid] = {}
+    for r in range(k + 1):
+        pages[r] = grid(r)
+        if pages[r] == limit:
+            return SpectralTable(m=m, k=k, pages=pages, limit=limit, betti=betti, r0=r)
+    raise InternalConsistencyError("no degeneration at the nilpotency index")

@@ -155,6 +155,7 @@ def test_filtration_mismatch_exits_4_without_traceback(tmp_path, capsys, monkeyp
     # a primal series that never descends contradicts the dual filtration of
     # every non-abelian algebra; abelian ones still agree with it
     monkeypatch.setattr(lie, "primal_series", lambda m, constants: [Subspace.full(m)])
+    lie.validate_algebra.cache_clear()  # a memoised filtration would hide the patched series
     code, out, err = run(capsys, "compute", "(0,0,12)")
     assert code == 4 and out == ""
     assert err.splitlines() == ["error: dual filtration disagrees with the primal descending series"]

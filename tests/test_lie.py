@@ -285,9 +285,25 @@ def test_filtration_computed_once_per_algebra(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(lie, "_dual_filtration_spaces", counting)
-    spectral.complex_for.cache_clear()  # a cached complex would hide a second computation
-    spectral.table_for(lie.parse_salamon("(0,0,12,13,23,14+25)"))
+    # a memoised filtration or cached complex would hide a second computation
+    lie.validate_algebra.cache_clear()
+    spectral.complex_for.cache_clear()
+    a = lie.parse_salamon("(0,0,12,13,23,14+25)", label="first")
+    b = lie.parse_salamon("(0,0,12,13,23,14+25)", label="second")
+    spectral.table_for(a)
+    spectral.table_for(b)
     assert len(calls) == 1
+    assert a.filtration is b.filtration
+
+
+def test_invalid_algebra_raises_on_every_construction():
+    # the memo stores no exception: the second construction validates again
+    lie.validate_algebra.cache_clear()
+    for _ in range(2):
+        with pytest.raises(JacobiError):
+            lie.parse_salamon("(0,0,12,13,24,34+25)")
+    info = lie.validate_algebra.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
 
 
 def test_strict_growth_to_full():

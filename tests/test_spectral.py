@@ -22,7 +22,7 @@ from nilspec.spectral import (
     require_poincare_duality,
     table_for,
 )
-from reference import a_space, betti_numbers, lambda_subspace, page_entry, page_grid, positional_d
+from reference import a_space, betti_numbers, ends_cube_table, lambda_subspace, page_entry, page_grid, positional_d
 
 
 def _c(text):
@@ -206,6 +206,12 @@ def _fresh_complex(a):
     return spectral.build_complex(a, lie.descending_series(a))
 
 
+def _heisenberg(n):
+    """The Heisenberg algebra h_(2n+1)."""
+    m = 2 * n + 1
+    return lie.LieAlgebra(m, {(2 * i - 1, 2 * i, m): 1 for i in range(1, n + 1)}, label=f"h{m}")
+
+
 def _pairing_algebras(catalog_tables, random_algebras_dim7, twins_dim7):
     algebras = [(e.id, algebra) for e, algebra, _, _ in catalog_tables.values()]
     algebras += [(f"m0({m})", lie.m0(m)) for m in range(3, 12)]
@@ -328,14 +334,13 @@ def test_heisenberg_betti_numbers_match_santharoubane():
     # and b_(2n+1-i) = b_i
     for n in range(1, 8):
         m = 2 * n + 1
-        h = lie.LieAlgebra(m, {(2 * i - 1, 2 * i, m): 1 for i in range(1, n + 1)})
         low = [comb(2 * n, i) - (comb(2 * n, i - 2) if i >= 2 else 0) for i in range(n + 1)]
-        assert full_table(_fresh_complex(h)).betti == tuple(low + low[::-1]), m
+        assert full_table(_fresh_complex(_heisenberg(n))).betti == tuple(low + low[::-1]), m
 
 
 def test_table_builds_no_positional_map():
-    # in a fresh interpreter: the table path reads the key columns only, and
-    # catalog --check relabels just the columns its top-degree check reads
+    # in a fresh interpreter: the table path and catalog --check, top-degree
+    # check included, read the key columns only and relabel nothing
     script = ("import contextlib, io\n"
               "from nilspec import catalog, cli, exterior, lie, spectral\n"
               "relabelled = []\n"
@@ -343,7 +348,7 @@ def test_table_builds_no_positional_map():
               "    relabelled.append(m)\n"
               "    return positional(m, columns)\n"
               "positional = exterior.positional_columns\n"
-              "exterior.positional_columns = spectral.positional_columns = counting\n"
+              "exterior.positional_columns = counting\n"
               "spectral.table_for(lie.m0(12))\n"
               "c = spectral.complex_for(lie.m0(12))\n"
               "print(int(hasattr(c, 'd')), exterior.multi_indices.cache_info().currsize, len(relabelled))\n"
@@ -351,10 +356,34 @@ def test_table_builds_no_positional_map():
               "    code = cli.main(['catalog', '--check'])\n"
               "entries = catalog.list_entries()\n"
               "print(code, sum(hasattr(spectral.complex_for(e.algebra()), 'd') for e in entries),\n"
-              "      len(relabelled) == len(entries))\n")
+              "      len(relabelled))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == ["0", "0", "0", "0", "0", "True"]
+    assert proc.stdout.split() == ["0", "0", "0", "0", "0", "0"]
+    assert not hasattr(spectral, "positional_columns")
     assert not hasattr(exterior, "mask_positions")
+
+
+def test_delta_assembly_equals_ends_cube(catalog_tables, random_algebras_dim7, twins_dim7):
+    algebras = [algebra for _, algebra, _, _ in catalog_tables.values()]
+    algebras += [lie.direct_sum(lie.abelian(1), algebra) for e, algebra, _, _ in catalog_tables.values()
+                 if e.dim <= 5]
+    algebras += [lie.m0(m) for m in range(3, 15)]
+    algebras += [b for pair in zip(random_algebras_dim7, twins_dim7) for b in pair]
+    algebras += [_heisenberg(n) for n in range(1, 5)]
+    assert len(algebras) == 44 + 11 + 12 + 2 * 50 + 4
+    for a in algebras:
+        c = spectral.complex_for(a)
+        assert full_table(c) == ends_cube_table(c), lie.to_salamon(a)
+
+
+def test_bar_outside_the_gap_range_is_an_engine_bug(monkeypatch):
+    c = _fresh_complex(lie.parse_salamon("(0,0,12,13)"))
+    bars = spectral._bars
+    # a bar that raises the level, and one of gap k
+    for bad in [(1, 2), (c.k + 1, 1)]:
+        monkeypatch.setattr(spectral, "_bars", lambda c, n, bad=bad: bars(c, n) + [bad] * (n == 1))
+        with pytest.raises(InternalConsistencyError, match="bar of d_1"):
+            full_table(c)
 
 
 def test_duality_check_rejects_non_palindromic_betti(monkeypatch):
