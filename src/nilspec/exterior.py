@@ -12,16 +12,13 @@ A basis q-form has one integer key: index i is bit m - i of its reversed
 mask R, and the key is (level << m) | (full ^ R), full = 2^m - 1.  In one
 degree lexicographic order is decreasing R, so keys sort by (level,
 lexicographic position); the level is that of the largest index, the
-lowest set bit of R.  ``form_columns`` builds d on keys term by term: a
-term c e^a ^ e^b (a < b) of de^j reaches only the columns rest | j, rest
-any q - 1 indices other than a, b and j, and adds to row rest | a | b the
-sign (-1)^(#{i in rest : i < j} + #{i in rest : i < a} + #{i in rest :
-i < b}) times c, the parity of one popcount of rest.
+lowest set bit of R.  ``form_columns`` builds d on keys term by term, and
+one walk per term fills every degree: a term c e^a ^ e^b (a < b) of de^j
+reaches only the columns rest | j, rest any set of indices other than a, b
+and j (q - 1 of them for d_q), and adds to row rest | a | b the sign
+(-1)^(#{i in rest : i < j} + #{i in rest : i < a} + #{i in rest : i < b})
+times c, the parity of one popcount of rest.
 ``positional_columns`` relabels key columns to lexicographic positions.
-
-An independent construction of the same matrices, pointwise evaluation of
-the alternating-sum formula on tuples of primal basis vectors, is provided
-as a cross-check oracle for small dimensions.
 
 A cochain is an integer coordinate row over the basis q-forms.  The structure
 constants are multiplied once by the lcm of their denominators
@@ -46,7 +43,7 @@ import itertools
 import math
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .linalg import LinearMap, Row, Subspace, span
+from .linalg import Row, Subspace, span
 # the benchmark's tracer (bench/tracing.py) wraps this name here; nothing else reads it
 from .linalg import rank  # noqa: F401
 
@@ -72,39 +69,19 @@ def wedge_minors(x: Sequence[int], y: Sequence[int], m: int) -> list[int]:
     return [x[a - 1] * y[b - 1] - x[b - 1] * y[a - 1] for a, b in multi_indices(m, 2)]
 
 
-def sort_indices(indices: Sequence[int]) -> tuple[int, MultiIndex] | None:
-    """Sort a wedge of 1-form indices; returns (sign, tuple) or None if repeated.
-
-    In the package only the pointwise oracle uses this; ``form_columns``
-    counts signs on bit masks, so the two constructions stay independent.
-    """
-    items = list(indices)
-    sign = 1
-    # insertion sort, counting transpositions; lists here are tiny
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1] > items[j]:
-            items[j - 1], items[j] = items[j], items[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(items, items[1:]):
-        if a == b:
-            return None
-    return sign, tuple(items)
-
-
 # ---------------------------------------------------------------------------
 # differentials from structure constants
 # ---------------------------------------------------------------------------
 
-def form_columns(m: int, constants: Constants, q: int, levels: Sequence[int] = ()) -> KeyColumns:
-    """Columns of d: Lambda^q -> Lambda^(q+1) on form keys, {key: {key: coeff}},
-    built term by term from integer constants (each c e^a ^ e^b of de^j with
-    a < b).  levels[j-1] is the level of index j; without levels every form
-    has level 0.  Cancelled entries and zero columns are absent."""
-    cols: KeyColumns = {}
-    if not 0 < q < m:
-        return cols
+def form_columns(m: int, constants: Constants, levels: Sequence[int] = ()) -> list[KeyColumns]:
+    """cols[q] holds the columns of d: Lambda^q -> Lambda^(q+1) on form keys,
+    {key: {key: coeff}}, for q = 0..m, all from one walk over the terms of
+    integer constants (each c e^a ^ e^b of de^j with a < b): a term reaches
+    the columns rest | j of every degree, rest running over the sets of each
+    size of indices other than a, b and j.  levels[j-1] is the level of index
+    j; without levels every form has level 0.  Cancelled entries and zero
+    columns are absent."""
+    cols: list[KeyColumns] = [{} for _ in range(m + 1)]
     full = (1 << m) - 1
     # the key of a nonzero reversed mask R is base[R & -R] ^ R
     base = {1 << (m - j): (lv << m) | full for j, lv in enumerate(levels or [0] * m, start=1)}
@@ -113,20 +90,24 @@ def form_columns(m: int, constants: Constants, q: int, levels: Sequence[int] = (
         jbit, ab = 1 << (m - j), (1 << (m - a)) | (1 << (m - b))
         # bits of the indices below a, below b and below j, each flipping the sign
         signs = full ^ ((2 << (m - a)) - 1) ^ ((2 << (m - b)) - 1) ^ ((2 << (m - j)) - 1)
-        for rest in map(sum, itertools.combinations([x for x in bits if not x & (ab | jbit)], q - 1)):
-            src, target = rest | jbit, rest | ab
-            src, target = base[src & -src] ^ src, base[target & -target] ^ target
-            v = -c if (rest & signs).bit_count() & 1 else c
-            col = cols.get(src)
-            if col is None:
-                cols[src] = {target: v}
-            else:
-                col[target] = col.get(target, 0) + v
-    for src, col in list(cols.items()):
-        if not all(col.values()):
-            col = cols[src] = {key: v for key, v in col.items() if v}
-            if not col:
-                del cols[src]
+        free = [x for x in bits if not x & (ab | jbit)]
+        for size in range(len(free) + 1):
+            degree = cols[size + 1]
+            for rest in map(sum, itertools.combinations(free, size)):
+                src, target = rest | jbit, rest | ab
+                src, target = base[src & -src] ^ src, base[target & -target] ^ target
+                v = -c if (rest & signs).bit_count() & 1 else c
+                col = degree.get(src)
+                if col is None:
+                    degree[src] = {target: v}
+                else:
+                    col[target] = col.get(target, 0) + v
+    for degree in cols:
+        for src, col in list(degree.items()):
+            if not all(col.values()):
+                col = degree[src] = {key: v for key, v in col.items() if v}
+                if not col:
+                    del degree[src]
     return cols
 
 
@@ -145,8 +126,9 @@ def positional_columns(m: int, columns: KeyColumns) -> SparseColumns:
 
 
 def differential_columns(m: int, constants: Constants, q: int) -> SparseColumns:
-    """``form_columns`` at lexicographic positions, on forms of level 0."""
-    return positional_columns(m, form_columns(m, constants, q))
+    """d_q of ``form_columns`` at lexicographic positions, on forms of level 0;
+    q = 0..m."""
+    return positional_columns(m, form_columns(m, constants)[q])
 
 
 def compose_is_zero(outer: KeyColumns, inner: KeyColumns) -> bool:
@@ -166,48 +148,6 @@ def clear_denominators(constants: Mapping[tuple[int, int, int], Fraction | int]
     """The constants times the lcm of their denominators, and that lcm."""
     scale = math.lcm(*(c.denominator for c in constants.values()))
     return {key: c.numerator * (scale // c.denominator) for key, c in constants.items()}, scale
-
-
-def pointwise_differential(m: int, constants: Mapping[tuple[int, int, int], Fraction | int],
-                           q: int) -> LinearMap:
-    """Oracle construction of d_q: evaluate the alternating-sum formula.
-
-    The entry at (row T, column J) is dx(e_T) for x = e^J, computed directly
-    as sum over i<j of (-1)^(i+j-1) x([u_i,u_j], ..).  Independent of the
-    derivation-rule construction; intended for small dimensions.  Rational
-    constants are scaled by the lcm of their denominators, as in the complex.
-    """
-    domain = multi_indices(m, q)
-    target = multi_indices(m, q + 1)
-    bracket: dict[tuple[int, int], dict[int, int]] = {}
-    for (i, j, k), c in clear_denominators(constants)[0].items():
-        if c:
-            bracket.setdefault((i, j), {})[k] = c
-
-    def eval_basis_form(idx: MultiIndex, args: Sequence[int]) -> int:
-        if set(args) != set(idx) or len(set(args)) != len(args):
-            return 0
-        order = {v: n for n, v in enumerate(idx)}
-        sorted_ = sort_indices(tuple(order[a] for a in args))
-        return 0 if sorted_ is None else sorted_[0]
-
-    columns: dict[int, list[tuple[int, int]]] = {}
-    for rpos, tup in enumerate(target):
-        for cpos, idx in enumerate(domain):
-            total = 0
-            for a in range(len(tup)):
-                for b in range(a + 1, len(tup)):
-                    vals = bracket.get((tup[a], tup[b]))
-                    if not vals:
-                        continue
-                    rest = tup[:a] + tup[a + 1:b] + tup[b + 1:]
-                    sign = 1 if (a + b) % 2 else -1  # (-1)^(i+j-1) with 1-based i, j = a+1, b+1
-                    for k, c in vals.items():
-                        ev = eval_basis_form(idx, (k,) + rest)
-                        if ev:
-                            total += sign * c * ev
-            columns.setdefault(cpos, []).append((rpos, total))
-    return LinearMap(len(target), len(domain), columns)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +184,7 @@ class CochainComplex:
         self.adapted_basis_change = adapted_basis_change
         self.adapted_constants = dict(adapted_constants)
         self.levels = tuple(min(i for i in range(k + 1) if j < self.v_dims[i]) for j in range(m))
-        self.columns = [form_columns(m, self.adapted_constants, q, self.levels) for q in range(m + 1)]
+        self.columns = form_columns(m, self.adapted_constants, self.levels)
 
 
 def build_complex(a: "LieAlgebra", f: "Filtration") -> CochainComplex:

@@ -25,6 +25,11 @@ class DimensionMismatchError(ValueError):
     """Operands live in different ambient spaces or have incompatible shapes."""
 
 
+def _unit_row(n: int, p: int) -> Row:
+    """The unit row of Q^n with its 1 at position p."""
+    return (0,) * p + (1,) + (0,) * (n - 1 - p)
+
+
 def _integer_row(vector: Sequence[int], ambient_dim: int) -> list[int]:
     """A copy of an integer row, checked for length and entry type."""
     if len(vector) != ambient_dim:
@@ -101,7 +106,10 @@ def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[i
 
 
 def null_space(rows: list[list[int]], ncols: int) -> Subspace:
-    """``kernel`` of the matrix with the given dense integer rows."""
+    """``kernel`` of the matrix with the given dense integer rows.
+
+    A free column that no reduced row touches has its unit vector as null vector.
+    """
     last = ncols - 1
     reduced, pivots = _echelon([row[::-1] for row in rows], ncols)
     pivot_set = set(pivots)
@@ -109,6 +117,9 @@ def null_space(rows: list[list[int]], ncols: int) -> Subspace:
     basis = []
     for f in free:
         hits = [(row, p) for row, p in zip(reduced, pivots) if row[last - f]]
+        if not hits:
+            basis.append(_unit_row(ncols, f))
+            continue
         scale = math.lcm(*(row[p] for row, p in hits))
         vec = [0] * ncols
         vec[f] = scale
@@ -201,8 +212,7 @@ class Subspace:
     def coordinate(cls, positions: Iterable[int], ambient_dim: int) -> Subspace:
         """Span of the unit vectors at the given coordinate positions."""
         pos = tuple(sorted(set(positions)))
-        rows = tuple(tuple(int(j == p) for j in range(ambient_dim)) for p in pos)
-        return cls(ambient_dim, rows, pos)
+        return cls(ambient_dim, tuple([_unit_row(ambient_dim, p) for p in pos]), pos)
 
     def _residual(self, vector: Sequence[int]) -> tuple[int, list[int]]:
         """``(s, s*vector - w)`` with w in this subspace, s > 0, zero at every pivot.
@@ -242,7 +252,11 @@ class Subspace:
 
 def span(vectors: Iterable[Sequence[int]], ambient_dim: int) -> Subspace:
     """Canonical subspace spanned by the given integer coordinate rows."""
-    rows = [_integer_row(v, ambient_dim) for v in vectors]
+    return _span([_integer_row(v, ambient_dim) for v in vectors], ambient_dim)
+
+
+def _span(rows: list[list[int]], ambient_dim: int) -> Subspace:
+    """``span`` of fresh int lists of length ambient_dim, unchecked and reduced in place."""
     reduced, pivots = _echelon(rows, ambient_dim)
     basis = []
     for row in reduced:

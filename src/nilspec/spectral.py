@@ -271,16 +271,3 @@ def check_abelian_extension(h: LieAlgebra, pages: Sequence[int | None], s: int =
                            checks, tuple(violations))
 
     return [report(r) for r in pages]
-
-
-# ---------------------------------------------------------------------------
-# closed-form cross-checks used by the acceptance suite
-# ---------------------------------------------------------------------------
-
-def page0_closed_form(c: CochainComplex, p: int, deg: int) -> int:
-    """Dim of the page-0 entry from the binomial quotient formula."""
-    if p < 0 or p >= c.k or deg < 0 or deg > c.m:
-        return 0
-    if deg == 0:
-        return 1 if p == c.k - 1 else 0
-    return math.comb(c.v_dims[c.k - p], deg) - math.comb(c.v_dims[c.k - p - 1], deg)

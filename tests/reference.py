@@ -23,6 +23,10 @@ each of its indices (``mask_walk_columns``), the kernel from a
 left-to-right elimination whose null vectors are reduced a second time
 (``two_step_kernel``), and the table assembled from a cube of bar ends per
 (degree, level, gap) with suffix sums over the gaps (``ends_cube_table``).
+Two independent cross-checks complete it: the differential by pointwise
+evaluation of the alternating-sum formula on tuples of primal basis vectors
+(``pointwise_differential``, for small dimensions), and the page-0 entries
+from binomials (``page0_closed_form``).
 """
 
 from __future__ import annotations
@@ -30,10 +34,12 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
+from fractions import Fraction
 from math import comb
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from nilspec.exterior import CochainComplex, Constants, KeyColumns, multi_indices, positional_columns
+from nilspec.exterior import (CochainComplex, Constants, KeyColumns, MultiIndex, clear_denominators, multi_indices,
+                              positional_columns)
 from nilspec.linalg import (LinearMap, Subspace, _dense_rows, _echelon, contains, image, preimage, rank, span,
                             subspace_sum)
 from nilspec import spectral
@@ -263,3 +269,75 @@ def ends_cube_table(c: CochainComplex) -> SpectralTable:
         if pages[r] == limit:
             return SpectralTable(m=m, k=k, pages=pages, limit=limit, betti=betti, r0=r)
     raise InternalConsistencyError("no degeneration at the nilpotency index")
+
+
+def sort_indices(indices: Sequence[int]) -> tuple[int, MultiIndex] | None:
+    """Sort a wedge of 1-form indices; returns (sign, tuple) or None if repeated.
+
+    Only the pointwise oracle and the tests use this; ``exterior.form_columns``
+    counts signs on bit masks, so the two constructions stay independent.
+    """
+    items = list(indices)
+    sign = 1
+    # insertion sort, counting transpositions; lists here are tiny
+    for i in range(1, len(items)):
+        j = i
+        while j > 0 and items[j - 1] > items[j]:
+            items[j - 1], items[j] = items[j], items[j - 1]
+            sign = -sign
+            j -= 1
+    for a, b in zip(items, items[1:]):
+        if a == b:
+            return None
+    return sign, tuple(items)
+
+
+def pointwise_differential(m: int, constants: Mapping[tuple[int, int, int], Fraction | int],
+                           q: int) -> LinearMap:
+    """Oracle construction of d_q: evaluate the alternating-sum formula.
+
+    The entry at (row T, column J) is dx(e_T) for x = e^J, computed directly
+    as sum over i<j of (-1)^(i+j-1) x([u_i,u_j], ..).  Independent of the
+    derivation-rule construction; intended for small dimensions.  Rational
+    constants are scaled by the lcm of their denominators, as in the complex.
+    """
+    domain = multi_indices(m, q)
+    target = multi_indices(m, q + 1)
+    bracket: dict[tuple[int, int], dict[int, int]] = {}
+    for (i, j, k), c in clear_denominators(constants)[0].items():
+        if c:
+            bracket.setdefault((i, j), {})[k] = c
+
+    def eval_basis_form(idx: MultiIndex, args: Sequence[int]) -> int:
+        if set(args) != set(idx) or len(set(args)) != len(args):
+            return 0
+        order = {v: n for n, v in enumerate(idx)}
+        sorted_ = sort_indices(tuple(order[a] for a in args))
+        return 0 if sorted_ is None else sorted_[0]
+
+    columns: dict[int, list[tuple[int, int]]] = {}
+    for rpos, tup in enumerate(target):
+        for cpos, idx in enumerate(domain):
+            total = 0
+            for a in range(len(tup)):
+                for b in range(a + 1, len(tup)):
+                    vals = bracket.get((tup[a], tup[b]))
+                    if not vals:
+                        continue
+                    rest = tup[:a] + tup[a + 1:b] + tup[b + 1:]
+                    sign = 1 if (a + b) % 2 else -1  # (-1)^(i+j-1) with 1-based i, j = a+1, b+1
+                    for k, c in vals.items():
+                        ev = eval_basis_form(idx, (k,) + rest)
+                        if ev:
+                            total += sign * c * ev
+            columns.setdefault(cpos, []).append((rpos, total))
+    return LinearMap(len(target), len(domain), columns)
+
+
+def page0_closed_form(c: CochainComplex, p: int, deg: int) -> int:
+    """Dim of the page-0 entry from the binomial quotient formula."""
+    if p < 0 or p >= c.k or deg < 0 or deg > c.m:
+        return 0
+    if deg == 0:
+        return 1 if p == c.k - 1 else 0
+    return math.comb(c.v_dims[c.k - p], deg) - math.comb(c.v_dims[c.k - p - 1], deg)

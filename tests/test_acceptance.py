@@ -9,16 +9,15 @@ from math import comb
 
 from conftest import index_positions
 from nilspec import catalog, lie, spectral
-from nilspec.exterior import pointwise_differential, sort_indices
 from nilspec.linalg import Subspace, image
 from nilspec.spectral import (
     LIMIT,
     check_top_degree_forms,
     check_limit_edges,
     check_abelian_extension,
-    page0_closed_form,
 )
-from reference import betti_numbers, limit_class_nonzero, page_entry, page_grid, positional_d
+from reference import (betti_numbers, limit_class_nonzero, page0_closed_form, page_entry, page_grid,
+                       pointwise_differential, positional_d, sort_indices)
 
 
 def _verdict(criterion, detail):

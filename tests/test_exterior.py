@@ -14,12 +14,11 @@ from nilspec.exterior import (
     _position,
     form_columns,
     multi_indices,
-    pointwise_differential,
     wedge_minors,
 )
 from nilspec.linalg import LinearMap, Subspace, contains, image, span
 from nilspec.spectral import LIMIT, full_table
-from reference import betti_numbers, lambda_subspace, mask_walk_columns, page_grid, positional_d
+from reference import betti_numbers, lambda_subspace, mask_walk_columns, page_grid, pointwise_differential, positional_d
 
 
 def _complex(text):
@@ -127,8 +126,10 @@ def test_term_driven_columns_match_mask_walk(random_algebras_dim7, twins_dim7, c
         rational += any(v.denominator > 1 for v in a.c.values())
         for constants, levels in ((clear_denominators(a.c)[0], ()), (c.adapted_constants, c.levels),
                                   (c.adapted_constants, ())):
+            columns = form_columns(a.m, constants, levels)
+            assert len(columns) == a.m + 1
             for q in range(a.m + 1):
-                assert form_columns(a.m, constants, q, levels) == mask_walk_columns(a.m, constants, q, levels)
+                assert columns[q] == mask_walk_columns(a.m, constants, q, levels)
     assert len(catalog_tables) == 44 and transformed >= 20 and rational > 0
 
 
@@ -148,7 +149,7 @@ def test_mask_positions_match_index_positions():
 def test_index_level_is_max_index_level(random_algebras_dim7, twins_dim7, catalog_tables):
     for c in _kernel_test_complexes(random_algebras_dim7, twins_dim7, catalog_tables):
         assert list(c.levels) == sorted(c.levels)
-        assert not form_columns(c.m, c.adapted_constants, 0, c.levels)
+        assert not c.columns[0] and not c.columns[c.m]
         full = (1 << c.m) - 1
         for q in range(c.m):
             for src, col in c.columns[q].items():

@@ -271,9 +271,61 @@ def test_contraction_filtration_on_invalid_inputs():
             LieAlgebra(m, constants)
     for m, constants in _NOT_JACOBI:
         cleared, _ = clear_denominators(constants)
-        assert not compose_is_zero(form_columns(m, cleared, 2), form_columns(m, cleared, 1))
+        d = form_columns(m, cleared)
+        assert not compose_is_zero(d[2], d[1])
         with pytest.raises(JacobiError):
             LieAlgebra(m, constants)
+
+
+def _random_constants(rng, m):
+    """A few integer constants c_abj (a < b), mostly with j > b as in a
+    nilpotent algebra; repeated keys add up and may cancel."""
+    constants = {}
+    for _ in range(rng.randint(1, m)):
+        a, b = sorted(rng.sample(range(1, m + 1), 2))
+        j = rng.randint(b + 1, m) if b < m and rng.random() < 0.85 else rng.randint(1, m)
+        constants[a, b, j] = constants.get((a, b, j), 0) + rng.choice([-2, -1, 1, 1, 2])
+    return {key: c for key, c in constants.items() if c}
+
+
+def test_jacobi_from_constants_equals_d_squared(catalog_tables, random_algebras_dim7, twins_dim7):
+    """lie._jacobi_holds agrees with d2 . d1 = 0 on the columns of form_columns:
+    2400 seeded random constant sets of dimension 3-8, and the catalog, the
+    dimension <= 7 fixtures and their twins, each as is and with one
+    constant moved by +-1.  Both outcomes occur, and so does Jacobi holding
+    only because the d of the terms of some de^j cancel in the sum."""
+    rng = random.Random(0x1AC0B1)
+    cases = [(m, _random_constants(rng, m)) for m in (rng.randint(3, 8) for _ in range(2400))]
+    algebras = [a for _, a, _, _ in catalog_tables.values()] + random_algebras_dim7 + twins_dim7
+    for a in algebras:
+        constants, _ = clear_denominators(a.c)
+        cases.append((a.m, constants))
+        if constants:
+            key = rng.choice(sorted(constants))
+            cases.append((a.m, {**constants, key: constants[key] + rng.choice([-1, 1])}))
+    outcomes = {True: 0, False: 0}
+    cancelled = 0
+    for m, constants in cases:
+        d = form_columns(m, constants)
+        holds = compose_is_zero(d[2], d[1])
+        assert lie._jacobi_holds(m, constants) == holds, (m, constants)
+        outcomes[holds] += 1
+        # some term e^a ^ e^b of some de^j has d(e^a ^ e^b) != 0
+        cancelled += holds and any(d[2].get(key) for col in d[1].values() for key in col)
+    assert len(cases) >= 2000 and min(outcomes.values()) > 1000 and cancelled > 30, (outcomes, cancelled)
+
+
+def test_jacobi_error_comes_before_any_filtration_work(monkeypatch):
+    def fail(*args):
+        raise AssertionError("filtration work started")
+
+    monkeypatch.setattr(lie, "_dual_filtration_spaces", fail)
+    for m, constants in _NOT_JACOBI:
+        with pytest.raises(JacobiError):
+            LieAlgebra(m, constants)
+    lie.validate_algebra.cache_clear()  # a memoised filtration would skip the patched function
+    with pytest.raises(AssertionError, match="filtration work started"):
+        lie.m0(4)
 
 
 def test_filtration_computed_once_per_algebra(monkeypatch):

@@ -18,6 +18,7 @@ from nilspec.linalg import (
     contains,
     image,
     kernel,
+    null_space,
     preimage,
     rank,
     span,
@@ -291,6 +292,39 @@ def test_one_elimination_kernel_equals_two_step_kernel():
         assert (got.ambient_dim, got.basis, got.pivots) == (want.ambient_dim, want.basis, want.pivots)
         full_rank += mat.cols > 0 and got.dim == max(0, mat.cols - mat.rows)
     assert full_rank > 100
+
+
+def test_null_space_equals_two_step_kernel():
+    """null_space, whose untouched free columns take their unit vectors
+    directly, equals the two-step kernel of tests/reference.py on seeded
+    random integer rows: zero matrices (every free column untouched),
+    matrices where every free column is touched, and mixtures."""
+    rng = random.Random(0x0A11)
+    grids = [([[0] * cols for _ in range(rows)], cols) for rows in range(4) for cols in range(1, 7)]
+    grids += [([[1] * cols], cols) for cols in range(1, 7)]
+    while len(grids) < 2000:
+        rows, cols = rng.randint(1, 6), rng.randint(1, 8)
+        density = rng.random()
+        grids.append(([[rng.randint(-5, 5) if rng.random() < density else 0 for _ in range(cols)]
+                       for _ in range(rows)], cols))
+    kinds = {"untouched": 0, "touched": 0, "mixed": 0}
+    for grid, cols in grids:
+        got = null_space([list(row) for row in grid], cols)
+        want = two_step_kernel(LinearMap(len(grid), cols, {j: [(i, row[j]) for i, row in enumerate(grid)]
+                                                           for j in range(cols)}))
+        assert (got.ambient_dim, got.basis, got.pivots) == (want.ambient_dim, want.basis, want.pivots)
+        units = sum(row == Subspace.coordinate([p], cols).basis[0] for row, p in zip(got.basis, got.pivots))
+        if got.dim:
+            kinds["untouched" if units == got.dim else "touched" if not units else "mixed"] += 1
+    assert min(kinds.values()) > 100, kinds
+
+
+def test_coordinate_subspace_of_every_position_is_the_identity():
+    assert Subspace.coordinate(range(0), 0).basis == Subspace.full(0).basis == ()
+    for n in range(1, 8):
+        identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        assert Subspace.coordinate(range(n), n).basis == Subspace.full(n).basis == identity
+        assert Subspace.coordinate([n - 1, 0, n - 1], n).basis == tuple(identity[p] for p in sorted({0, n - 1}))
 
 
 def test_rat_parses_signed_fractions():

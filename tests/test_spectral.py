@@ -18,11 +18,11 @@ from nilspec.spectral import (
     check_limit_edges,
     check_abelian_extension,
     full_table,
-    page0_closed_form,
     require_poincare_duality,
     table_for,
 )
-from reference import a_space, betti_numbers, ends_cube_table, lambda_subspace, page_entry, page_grid, positional_d
+from reference import (a_space, betti_numbers, ends_cube_table, lambda_subspace, page0_closed_form, page_entry,
+                       page_grid, positional_d)
 
 
 def _c(text):
