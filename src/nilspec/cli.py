@@ -249,6 +249,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     for line in text.splitlines():
         if line.strip():
             worst = max(worst, _compute_one(lambda: _load_algebra(line), args, f"{line.strip()}: "))
+            complex_for.cache_clear()  # a finished line's complex is not reused: keep memory flat
     return worst
 
 
@@ -291,6 +292,8 @@ def cmd_catalog(args: argparse.Namespace) -> int:
             for mm in golden.hard_mismatches:
                 notes.append(f"MISMATCH page {mm.page} [{mm.row}][{mm.col}]: "
                              f"stored {mm.stored}, engine {mm.computed}")
+            if not golden.r0_bound_ok:
+                notes.append(f"r0 = {golden.r0_computed} is above the printed limit page {e.golden_limit_page}")
             notes.extend(edges.violations)
             notes.extend(lemma.violations)
             reports.append({"id": e.id, "ok": ok, "r0": golden.r0_computed, "notes": notes})

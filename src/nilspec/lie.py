@@ -5,12 +5,14 @@ of [e_i, e_j] = sum_k c_ijk e_k; antisymmetry is implicit.  The sign
 convention is dx(u, v) = x([u, v]) on 1-forms, under which the compact
 string "(0,0,12)" says de^3 = e^1 ^ e^2, i.e. c_123 = 1.
 
-The string notation lists de^1, ..., de^m: each entry is 0 or a signed sum
-of terms, a term being an optional rational coefficient (with '*'), then an
-index pair -- two digits for m <= 9, dot-separated like "1.10" for m >= 10.
-A reversed pair denotes the reversed wedge, so "52" contributes -e^2 ^ e^5;
-the published tables use this form ("34+52") and the Jacobi identity pins
-the sign down.
+The string notation lists de^1, ..., de^m: each entry is 0 or a sum of
+terms, a term being an optional sign, an optional coefficient "n*" or
+"n/d*", then an index pair -- two digits for m <= 9, dot-separated like
+"1.10" for m >= 10.  Digits are ASCII 0-9 only.  A reversed pair denotes
+the reversed wedge, so "52" contributes -e^2 ^ e^5; the published tables
+use this form ("34+52") and the Jacobi identity pins the sign down.
+Coefficients stay ints until the input has a '/'; the constructor turns
+each constant into a Fraction and adds only where two terms share a key.
 
 Every ``LieAlgebra`` is validated when it is built, once per distinct algebra
 (same m and constants) per process: the constructor raises JacobiError unless
@@ -38,12 +40,9 @@ from typing import Iterator, Mapping, NamedTuple
 from . import exterior
 from .linalg import Subspace, _span, null_space
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 Constants = dict[tuple[int, int, int], Fraction]
 
-_RATIONAL = re.compile(r"[+-]?\d+(?:/0*[1-9]\d*)?")  # no decimals, no zero denominator
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/0*[1-9][0-9]*)?")  # ASCII digits, no decimals, no zero denominator
 
 
 class LieError(Exception):
@@ -94,8 +93,8 @@ class Filtration(NamedTuple):
 def rat(value: int | str | Fraction) -> Fraction:
     """Coerce an int, Fraction or string like ``-3/2`` to an exact rational.
 
-    Strings must be decimal-free: an optional sign, digits, and optionally
-    ``/`` and a nonzero denominator.
+    Strings must be decimal-free: an optional sign, ASCII digits, and
+    optionally ``/`` and a nonzero denominator.
     """
     if isinstance(value, Fraction):
         return value
@@ -131,7 +130,7 @@ class LieAlgebra:
             if i > j:
                 i, j, coeff = j, i, -coeff
             key = (i, j, k)
-            total = cleaned.get(key, _ZERO) + coeff
+            total = cleaned[key] + coeff if key in cleaned else coeff
             big = max(abs(total.numerator), total.denominator)  # str() refuses it past `digits` digits
             if digits and big.bit_length() > 3 * digits and big >= 10 ** digits:
                 raise CoefficientSizeError(f"coefficient of c[{i},{j}]^{k} has more than {digits} digits")
@@ -285,7 +284,7 @@ def m0(m: int) -> LieAlgebra:
     """The filiform algebra with de^i = e^1 ^ e^(i-1) for i = 3..m."""
     if m < 3:
         raise LieError("the filiform family starts at dimension 3")
-    return LieAlgebra(m, {(1, i - 1, i): _ONE for i in range(3, m + 1)}, label=f"m0({m})")
+    return LieAlgebra(m, {(1, i - 1, i): 1 for i in range(3, m + 1)}, label=f"m0({m})")
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
@@ -317,47 +316,48 @@ def parse_salamon(text: str, label: str | None = None) -> LieAlgebra:
         raise SalamonSyntaxError("expected '('", len(text) - len(text.lstrip()) + 1)
     if not stripped.endswith(")"):
         raise SalamonSyntaxError("expected ')'", len(text))
-    open_pos = text.index("(")
-    body = stripped[1:-1]
-    entries: list[tuple[str, int]] = []  # (entry text, offset of entry in text)
-    offset = open_pos + 1
-    for part in body.split(","):
-        entries.append((part, offset))
-        offset += len(part) + 1
+    entries = stripped[1:-1].split(",")
     m = len(entries)
-    constants: Constants = {}
-    for j, (entry, entry_offset) in enumerate(entries, start=1):
-        for (i, l), coeff in _parse_entry(entry, entry_offset, m):
+    offset = text.index("(") + 1  # of the current entry in text
+    constants: dict[tuple[int, int, int], int | Fraction] = {}
+    for j, entry in enumerate(entries, start=1):
+        for (i, l), coeff in _parse_entry(entry, offset, m):
             if not (1 <= i <= m and 1 <= l <= m):
                 raise IndexRangeError(f"index pair {i},{l} out of range for dimension {m} in de^{j}")
             if i == l:
                 raise IndexPairError(f"repeated index {i}{l} in de^{j}")
             # LieAlgebra orders the pair (flipping the sign) and drops zeros
-            constants[(i, l, j)] = constants.get((i, l, j), _ZERO) + coeff
+            constants[(i, l, j)] = constants.get((i, l, j), 0) + coeff
+        offset += len(entry) + 1
     return LieAlgebra(m, constants, label=label)
 
 
-def _parse_entry(entry: str, offset: int, m: int) -> list[tuple[tuple[int, int], Fraction]]:
-    """One differential entry: 0, or a signed sum of coefficient/pair terms."""
+def _parse_entry(entry: str, offset: int, m: int) -> list[tuple[tuple[int, int], int | Fraction]]:
+    """One differential entry: 0, or terms, each an optional sign, an optional
+    ``n*`` or ``n/d*`` coefficient, then an index pair.  Digits are ASCII;
+    a coefficient stays an int unless it has a denominator."""
     pos = 0
-    text = entry
 
     def err(msg: str, at: int) -> SalamonSyntaxError:
         return SalamonSyntaxError(msg, offset + at + 1)
 
+    def peek() -> str:
+        return entry[pos:pos + 1]
+
     def skip_ws() -> None:
         nonlocal pos
-        while pos < len(text) and text[pos].isspace():
+        while peek().isspace():
             pos += 1
 
-    def read_int(what: str) -> str:
+    def read_int(what: str) -> tuple[str, int]:
+        """The run of ASCII digits at ``pos``, and where it starts."""
         nonlocal pos
         start = pos
-        while pos < len(text) and text[pos].isdigit():
+        while "0" <= peek() <= "9":
             pos += 1
         if pos == start:
             raise err(f"expected {what}", start)
-        return text[start:pos]
+        return entry[start:pos], start
 
     def number(digits: str, at: int) -> int:
         try:
@@ -366,70 +366,54 @@ def _parse_entry(entry: str, offset: int, m: int) -> list[tuple[tuple[int, int],
             raise err(f"a run of {len(digits)} digits is too long", at) from None
 
     skip_ws()
-    if pos == len(text):
+    if pos == len(entry):
         raise err("empty entry", pos)
-    if text[pos] == "0":
-        probe = pos + 1
-        while probe < len(text) and text[probe].isspace():
-            probe += 1
-        if probe == len(text):
-            return []
-        raise err("unexpected text after '0'", probe)
-
-    terms: list[tuple[tuple[int, int], Fraction]] = []
-    first = True
-    while True:
+    if peek() == "0":
+        pos += 1
         skip_ws()
-        if pos == len(text):
-            if first:
-                raise err("empty entry", pos)
-            break
-        sign = _ONE
-        if text[pos] in "+-":
-            if text[pos] == "-":
-                sign = -_ONE
+        if pos < len(entry):
+            raise err("unexpected text after '0'", pos)
+        return []
+    terms: list[tuple[tuple[int, int], int | Fraction]] = []
+    while True:
+        sign = -1 if peek() == "-" else 1
+        if peek() in ("+", "-"):
             pos += 1
             skip_ws()
-        elif not first:
+        elif terms:
             raise err("expected '+' or '-' between terms", pos)
-        at = pos
-        digits = read_int("an index pair or coefficient")
-        coeff = sign
-        if pos < len(text) and text[pos] == "/":
+        digits, at = read_int("an index pair or coefficient")
+        coeff: int | Fraction = sign
+        if peek() == "/":
             pos += 1
-            denom_at = pos
-            denom = number(read_int("a denominator"), denom_at)
+            denom_digits, denom_at = read_int("a denominator")
+            denom = number(denom_digits, denom_at)
             if not denom:
                 raise err("zero denominator", denom_at)
-            coeff = sign * Fraction(number(digits, at), denom)
-            if pos >= len(text) or text[pos] != "*":
+            coeff = Fraction(sign * number(digits, at), denom)
+            if peek() != "*":
                 raise err("expected '*' after a rational coefficient", pos)
+        elif peek() == "*":
+            coeff = sign * number(digits, at)
+        if peek() == "*":
             pos += 1
-            at = pos
-            digits = read_int("an index pair")
-        elif pos < len(text) and text[pos] == "*":
-            coeff = sign * Fraction(number(digits, at))
-            pos += 1
-            at = pos
-            digits = read_int("an index pair")
+            digits, at = read_int("an index pair")
         if m >= 10:
-            if pos < len(text) and text[pos] == ".":
-                pos += 1
-                second = read_int("a second index")
-                pair = (number(digits, at), number(second, pos - len(second)))
-            else:
+            if peek() != ".":
                 raise err("expected a dot-separated index pair for dimension >= 10", pos)
-        elif len(digits) == 2:
-            pair = (int(digits[0]), int(digits[1]))
-        elif len(digits) > 2:
-            # juxtaposed integer coefficient, as in "2*14" written "214"
-            coeff = coeff * number(digits[:-2], at)
-            pair = (int(digits[-2]), int(digits[-1]))
+            pos += 1
+            second, second_at = read_int("a second index")
+            pair = (number(digits, at), number(second, second_at))
+        elif len(digits) < 2:
+            raise err(f"cannot read index pair from {digits!r}", at)
         else:
-            raise err(f"cannot read index pair from {digits!r}", pos - len(digits))
+            if len(digits) > 2:  # juxtaposed integer coefficient, as in "2*14" written "214"
+                coeff *= number(digits[:-2], at)
+            pair = (int(digits[-2]), int(digits[-1]))
         terms.append((pair, coeff))
-        first = False
-    return terms
+        skip_ws()
+        if pos == len(entry):
+            return terms
 
 
 def to_salamon(a: LieAlgebra) -> str:
@@ -496,7 +480,8 @@ def algebra_from_json(doc: object) -> LieAlgebra:
         constants: Constants = {}
         for item in brackets:
             key = (_json_int(item["i"]), _json_int(item["j"]), _json_int(item["k"]))
-            constants[key] = constants.get(key, _ZERO) + rat(item["c"])
+            value = rat(item["c"])
+            constants[key] = constants[key] + value if key in constants else value
     except (KeyError, TypeError, ValueError) as exc:
         raise AlgebraFormatError(f"malformed algebra document: {exc}") from exc
     label = doc.get("label")

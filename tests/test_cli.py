@@ -243,13 +243,19 @@ NINES = "9" * 4300  # within that limit, but twice it is one digit longer
     (["compute", "{file}"], '{"dim": 3, "brackets": [{"i": 1, "j": 2, "k": 3, "c": ' + LONG + '}]}', 0),
     (["compute", f"(0,0,{NINES}*12+{NINES}*12)"], None, 0),
     (["compute", "--batch", "{file}", "--format", "json"], f"(0,0,12)\n(0,0,{NINES}*12+{NINES}*12)\n(0,0,0,0)\n", 2),
+    (["compute", "(0,0,1\u00b2)"], None, 0),
+    (["compute", "(0,0,\u00b2*12)"], None, 0),
+    (["compute", "(0,0,\u0661\u0662)"], None, 0),
+    (["compute", "{file}"], _json_doc(brackets=[{"i": 1, "j": 2, "k": 3, "c": "\u0661\u0662"}]), 0),
+    (["compute", "--batch", "{file}", "--format", "json"], "(0,0,12)\n(0,0,1\u00b2)\n(0,0,0,0)\n", 2),
 ], ids=["census-7", "m0-2", "direct-sum-0", "page-foo", "pages-minus-1", "directory",
         "batch-directory-line", "json-dim-bool", "json-dim-float", "json-decimal-c",
         "json-bool-index", "json-too-deep", "json-zero-denominator", "salamon-zero-denominator",
         "catalog-dim-7", "catalog-dim-0", "catalog-dim-minus-3", "input-and-m0", "page-without-direct-sum",
         "batch-and-m0", "census-and-check", "census-and-dim", "salamon-long-coefficient",
         "salamon-long-denominator", "batch-long-line", "json-long-dim", "json-long-c",
-        "salamon-long-sum", "batch-long-sum"])
+        "salamon-long-sum", "batch-long-sum", "salamon-superscript-digit", "salamon-superscript-coefficient",
+        "salamon-arabic-indic-digits", "json-arabic-indic-c", "batch-superscript-line"])
 def test_bad_input_exits_2_with_one_error_line(argv, content, tables, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("(0,0,12)\n"))  # read only by a stdin batch
 
@@ -284,6 +290,14 @@ def test_batch_keeps_order_and_worst_exit(tmp_path, capsys):
     assert "syntax" in captured.err
 
 
+def test_batch_keeps_only_the_current_lines_complex(tmp_path, capsys):
+    path = tmp_path / "batch.txt"
+    path.write_text("(0,0,12)\n(0,0,12,13)\n(0,0,0,12,13)\n")
+    code = main(["compute", "--batch", str(path), "--format", "json"])
+    assert code == 0 and len(capsys.readouterr().out.splitlines()) == 3
+    assert spectral.complex_for.cache_info().currsize <= 1
+
+
 def test_batch_from_stdin(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("(0,0,12)\n"))
     code = main(["compute", "--batch", "--format", "json"])
@@ -316,6 +330,39 @@ def test_catalog_check_dim5(capsys):
     assert code == 0
     assert out.count("PASS") == 8
     assert "8/8 entries pass" in out
+
+
+def _patched_catalog(monkeypatch, entry_id, **changes):
+    """The catalog with one entry's golden data replaced."""
+    entries = tuple(e._replace(**changes) if e.id == entry_id else e for e in catalog.list_entries())
+    monkeypatch.setattr(catalog, "_all_entries", lambda: entries)
+    return catalog.get_entry(entry_id)
+
+
+def test_catalog_check_reports_one_wrong_limit_cell_once(capsys, monkeypatch):
+    e = catalog.get_entry("dim5-3")
+    limit = [list(row) for row in e.golden_limit]
+    limit[2][3] += 1
+    pages = dict(e.golden_pages)
+    pages[e.golden_limit_page] = tuple(map(tuple, limit))
+    patched = _patched_catalog(monkeypatch, "dim5-3", golden_pages=pages)
+    report = catalog.golden_check(patched, spectral.table_for(patched.algebra()))
+    assert [(m.page, m.row, m.col, m.stored, m.computed) for m in report.hard_mismatches] == \
+        [(e.golden_limit_page, 2, 3, limit[2][3], limit[2][3] - 1)]
+    code, out, _ = run(capsys, "catalog", "--dim", "5", "--check")
+    assert code == 4
+    assert out.count("MISMATCH") == 1
+    assert (f"      MISMATCH page {e.golden_limit_page} [2][3]: stored {limit[2][3]}, engine {limit[2][3] - 1}"
+            in out.splitlines())
+    assert "FAIL dim5-3" in out and out.endswith("7/8 entries pass\n")
+
+
+def test_catalog_check_notes_r0_above_the_printed_limit_page(capsys, monkeypatch):
+    _patched_catalog(monkeypatch, "dim3-h3", golden_limit_page=1)  # the engine's r0 is 2
+    code, out, _ = run(capsys, "catalog", "--dim", "3", "--check")
+    assert code == 4
+    assert out.splitlines() == ["FAIL dim3-h3", "      r0 = 2 is above the printed limit page 1",
+                                "0/1 entries pass"]
 
 
 def test_catalog_check_json(capsys):

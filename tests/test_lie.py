@@ -102,6 +102,68 @@ def test_parse_rejects_empty_entry():
         lie.parse_salamon("(0,,12)")
 
 
+LONG = "2" * 5000  # a run of digits longer than the interpreter's limit on int() of a string
+TEN = "(0,0,0,0,0,0,0,0,0,{})"  # dimension 10: dot-separated pairs
+
+SYNTAX_ERRORS = [  # (text, 1-based position, message)
+    ("", 1, "empty input"),
+    ("  x", 3, "expected '('"),
+    ("(0,0,12) x", 10, "expected ')'"),
+    ("(0,,12)", 4, "empty entry"),
+    ("(0,0, )", 7, "empty entry"),
+    ("(0,0,0 1)", 8, "unexpected text after '0'"),
+    ("(0,0,00)", 7, "unexpected text after '0'"),
+    ("(0,0,12 13)", 9, "expected '+' or '-' between terms"),
+    ("(0,0,12+)", 9, "expected an index pair or coefficient"),
+    ("(0,0,-)", 7, "expected an index pair or coefficient"),
+    ("(0,0,1/*12)", 8, "expected a denominator"),
+    ("(0,0,1/000*12)", 8, "zero denominator"),
+    (f"(0,0,{LONG}/0*12)", 5007, "zero denominator"),
+    (f"(0,0,{LONG}*12)", 6, "a run of 5000 digits is too long"),
+    (f"(0,0,1/{LONG}*12)", 8, "a run of 5000 digits is too long"),
+    ("(0,0,1/2 12)", 9, "expected '*' after a rational coefficient"),
+    ("(0,0,1/212)", 11, "expected '*' after a rational coefficient"),
+    ("(0,0,2* 12)", 8, "expected an index pair"),
+    (TEN.format("12"), 22, "expected a dot-separated index pair for dimension >= 10"),
+    (TEN.format("1."), 22, "expected a second index"),
+    ("(0,0,1)", 6, "cannot read index pair from '1'"),
+    ("(0,0,2*3*12)", 8, "cannot read index pair from '3'"),
+    # digits are ASCII 0-9: any other digit is text the grammar does not know
+    ("(0,0,1\u00b2)", 6, "cannot read index pair from '1'"),
+    ("(0,0,\u00b2*12)", 6, "expected an index pair or coefficient"),
+    ("(0,0,\u0661\u0662)", 6, "expected an index pair or coefficient"),
+    ("(0,0,1/\u00b2*12)", 8, "expected a denominator"),
+    (TEN.format("1.\u0661"), 22, "expected a second index"),
+]
+
+
+def test_every_syntax_error_names_its_message_and_position():
+    for text, position, message in SYNTAX_ERRORS:
+        with pytest.raises(SalamonSyntaxError) as info:
+            lie.parse_salamon(text)
+        assert (info.value.position, str(info.value)) == \
+            (position, f"syntax error at position {position}: {message}"), text[:40]
+
+
+def test_cancelling_terms_give_the_abelian_algebra():
+    # the parser sums 12 - 12 to 0; the constructor flips 21 and cancels it against 12
+    for text in ("(0,0,12-12)", "(0,0,12+21)"):
+        a = lie.parse_salamon(text)
+        assert a == lie.abelian(3) and a.c == {}, text
+
+
+def test_integral_input_makes_no_fraction_addition(monkeypatch, catalog_entries):
+    def refuse(*args):
+        raise AssertionError("a Fraction addition")
+
+    texts = [e.salamon for e in catalog_entries] + ["(0,0,2*12+3*12,13-13+223)"]
+    monkeypatch.setattr(Fraction, "__add__", refuse)
+    monkeypatch.setattr(Fraction, "__radd__", refuse)
+    for text in texts:
+        assert all(type(c) is Fraction for c in lie.parse_salamon(text).c.values())
+    lie.algebra_from_json({"dim": 3, "brackets": [{"i": 1, "j": 2, "k": 3, "c": 2}]})
+
+
 # ---------------------------------------------------------------------------
 # serialisation
 # ---------------------------------------------------------------------------
@@ -140,6 +202,9 @@ def test_json_malformed():
         lie.algebra_from_json([1, 2])
     with pytest.raises(lie.AlgebraFormatError):
         lie.algebra_from_json({"brackets": []})
+    for c in ("\u0661\u0662", "1/\u0662", "\u00b2"):  # digits are ASCII
+        with pytest.raises(lie.AlgebraFormatError):
+            lie.algebra_from_json({"dim": 3, "brackets": [{"i": 1, "j": 2, "k": 3, "c": c}]})
 
 
 # ---------------------------------------------------------------------------
