@@ -70,7 +70,8 @@ def _within_cap(m: int) -> int:
 _PARSE_ERRORS = (SalamonSyntaxError, IndexRangeError, IndexPairError, AlgebraFormatError,
                  CoefficientSizeError)
 _VALIDATION_ERRORS = (JacobiError, NotNilpotentError, TooLargeError)
-_INTERNAL_ERRORS = (InternalConsistencyError, CochainComplexError, FiltrationMismatchError)
+_INTERNAL_ERRORS = (InternalConsistencyError, CochainComplexError, FiltrationMismatchError,
+                    catalog_mod.CatalogFormatError)
 
 
 def _exit_code_for(exc: Exception) -> int:
@@ -246,7 +247,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         return _fail(AlgebraFormatError(f"cannot read batch file {source}: {exc}"))
     worst = EXIT_OK
-    for line in text.splitlines():
+    for line in text.split("\n"):  # not splitlines, which also splits at U+2028, \x0c and the like
         if line.strip():
             worst = max(worst, _compute_one(lambda: _load_algebra(line), args, f"{line.strip()}: "))
             complex_for.cache_clear()  # a finished line's complex is not reused: keep memory flat

@@ -180,25 +180,15 @@ def check_limit_edges(t: SpectralTable, c: CochainComplex) -> CheckReport:
     (3) degree m-1 concentrates at p = 0 with dim = beta_(m-1);
     (4) degree m concentrates at p = 0 with dim 1.
     """
-    violations = []
-    checks = 0
     k, m = t.k, t.m
-    n0 = c.v_dims[1]
-
-    def expect(p: int, q: int, want: int, what: str) -> None:
-        nonlocal checks
-        checks += 1
-        got = t.entry(LIMIT, p, q)
-        if got != want:
-            violations.append(f"{what}: e({p},{q}) = {got}, expected {want}")
-
-    for p in range(k):
-        expect(p, -p, 1 if p == k - 1 else 0, "degree 0")
-        expect(p, 1 - p, n0 if p == k - 1 else 0, "degree 1")
-        if m >= 1:
-            expect(p, m - 1 - p, t.betti[m - 1] if p == 0 else 0, "degree m-1")
-        expect(p, m - p, 1 if p == 0 else 0, "degree m")
-    return CheckReport("theorem-limit-edges", checks, tuple(violations))
+    cells = [cell for p in range(k) for cell in (
+        (p, -p, int(p == k - 1), "degree 0"),
+        (p, 1 - p, c.v_dims[1] if p == k - 1 else 0, "degree 1"),
+        (p, m - 1 - p, t.betti[m - 1] if p == 0 else 0, "degree m-1"),
+        (p, m - p, int(p == 0), "degree m"))]
+    violations = [f"{what}: e({p},{q}) = {t.entry(LIMIT, p, q)}, expected {want}"
+                  for p, q, want, what in cells if t.entry(LIMIT, p, q) != want]
+    return CheckReport("theorem-limit-edges", len(cells), tuple(violations))
 
 
 def check_top_degree_forms(c: CochainComplex) -> CheckReport:
@@ -223,51 +213,36 @@ def check_top_degree_forms(c: CochainComplex) -> CheckReport:
 def check_abelian_extension(h: LieAlgebra, pages: Sequence[int | None], s: int = 1) -> list[CheckReport]:
     """Dimension identities for a rank-one abelian extension, iterated s times.
 
-    Builds base = R^(s-1) (+) h and ext = R^s (+) h once and compares their
-    tables at each of ``pages`` (None for the limit), one report per page:
-    degree-0 and degree-1 rows transform as stated, higher rows add with a
-    degree shift; also the degeneration page of R^s (+) h equals that of h.
+    Compares the tables of base = R^(s-1) (+) h and ext = R^s (+) h at each
+    of ``pages`` (None for the limit), one report per page.  R adds one class
+    of degree 0 and one of degree 1, both at p = k-1, so on every page
+
+        E(ext)^{p,deg-p} = E(base)^{p,deg-p} + E(base)^{p,deg-1-p}.
+
+    The five identity groups, each check labelled with its degree: (1)
+    nothing in negative degree; (2) degree 0: one class, at p = k-1; (3)
+    degree 1 at p = k-1: one more than the base; (4) degree 1 elsewhere as in
+    the base, nothing at p = k; (5) every higher degree a shifted sum.  Also
+    R^s (+) h degenerates at the page where h does.
     """
     if s < 1:
         raise ValueError("s must be at least 1")
-    base_alg = h if s == 1 else direct_sum(abelian(s - 1), h)
-    ext_alg = direct_sum(abelian(s), h)
-    base = table_for(base_alg)
-    ext = table_for(ext_alg)
+    base = table_for(h if s == 1 else direct_sum(abelian(s - 1), h))
+    ext = table_for(direct_sum(abelian(s), h))
     base_of_h = base if s == 1 else table_for(h)
     k, m = ext.k, ext.m
+    note = [f"extension changed the nilpotency index: {base.k} -> {k}"] if base.k != k else []
 
     def report(r: int | None) -> CheckReport:
-        violations = []
-        checks = 0
-
-        def expect(got: int, want: int, what: str) -> None:
-            nonlocal checks
-            checks += 1
-            if got != want:
-                violations.append(f"{what}: got {got}, expected {want}")
-
-        if base.k != k:
-            violations.append(f"extension changed the nilpotency index: {base.k} -> {k}")
-        # (1) nothing below total degree 0
-        for p in range(-1, k + 1):
-            expect(ext.entry(r, p, -p - 1), 0, f"negative degree at p={p}")
-        # (2) degree 0
-        for p in range(k):
-            expect(ext.entry(r, p, -p), 1 if p == k - 1 else 0, f"degree 0 at p={p}")
-        # (3)/(4) degree 1
-        for p in range(k):
-            want = base.entry(r, p, 1 - p) + (1 if p == k - 1 else 0)
-            expect(ext.entry(r, p, 1 - p), want, f"degree 1 at p={p}")
-        expect(ext.entry(r, k, 1 - k), 0, "degree 1 at p=k")
-        # (5) higher degrees add with a shift
-        for deg in range(2, m + 1):
-            for p in range(k):
-                want = base.entry(r, p, deg - p) + base.entry(r, p, deg - 1 - p)
-                expect(ext.entry(r, p, deg - p), want, f"degree {deg} at p={p}")
-        # corollary: same degeneration page
-        expect(ext.r0, base_of_h.r0, "degeneration page")
+        checks = [(ext.entry(r, p, -p - 1), 0, f"negative degree at p={p}") for p in range(-1, k + 1)]
+        for deg in range(m + 1):
+            checks += [(ext.entry(r, p, deg - p), base.entry(r, p, deg - p) + base.entry(r, p, deg - 1 - p),
+                        f"degree {deg} at p={p}") for p in range(k)]
+            if deg == 1:
+                checks.append((ext.entry(r, k, 1 - k), 0, "degree 1 at p=k"))
+        checks.append((ext.r0, base_of_h.r0, "degeneration page"))
+        violations = note + [f"{what}: got {got}, expected {want}" for got, want, what in checks if got != want]
         return CheckReport(f"abelian-extension s={s} r={'limit' if r is None else r}",
-                           checks, tuple(violations))
+                           len(checks), tuple(violations))
 
     return [report(r) for r in pages]

@@ -298,6 +298,22 @@ def test_batch_keeps_only_the_current_lines_complex(tmp_path, capsys):
     assert spectral.complex_for.cache_info().currsize <= 1
 
 
+@pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\u0085", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+def test_batch_lines_end_only_at_newline(sep, tmp_path, capsys, monkeypatch):
+    # str.splitlines would split at each of these; here they stay inside their line,
+    # and CRLF line ends lose their \r with the other surrounding whitespace
+    text = f"(0,0,12{sep})\r\n(0,0,12){sep}(0,0,0)\r\n(0,0,0,0)\r\n"
+    path = tmp_path / "batch.txt"
+    path.write_bytes(text.encode())
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))  # read without newline translation
+    for source in (str(path), "-"):
+        code, out, err = run(capsys, "compute", "--batch", source, "--format", "json")
+        assert code == 2
+        assert [json.loads(line)["m"] for line in out.splitlines()] == [3, 4]
+        assert err.split("\n") == [f"error: (0,0,12){sep}(0,0,0): syntax error at position 8: "
+                                   "expected '+' or '-' between terms", ""]
+
+
 def test_batch_from_stdin(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("(0,0,12)\n"))
     code = main(["compute", "--batch", "--format", "json"])
@@ -363,6 +379,22 @@ def test_catalog_check_notes_r0_above_the_printed_limit_page(capsys, monkeypatch
     assert code == 4
     assert out.splitlines() == ["FAIL dim3-h3", "      r0 = 2 is above the printed limit page 1",
                                 "0/1 entries pass"]
+
+
+def test_catalog_check_fails_an_entry_whose_stored_page_has_another_shape(capsys, monkeypatch):
+    e = catalog.get_entry("dim3-h3")
+    _patched_catalog(monkeypatch, "dim3-h3", golden_pages={**e.golden_pages, 0: e.golden_pages[0][:-1]})
+    note = "dim3-h3: stored page 0 has shape 1x4, engine 2x4"
+    code, out, _ = run(capsys, "catalog", "--check")
+    assert code == 4
+    lines = out.splitlines()
+    assert lines[:2] == ["FAIL dim3-h3", f"      {note}"]
+    assert [line for line in lines if not line.startswith(" ")][1:-1] == \
+        [f"PASS {other.id}" for other in catalog.list_entries()[1:]]  # the other entries still run
+    assert lines[-1] == "43/44 entries pass"
+    code, out, _ = run(capsys, "catalog", "--dim", "3", "--check", "--format", "json")
+    assert code == 4
+    assert json.loads(out) == [{"id": "dim3-h3", "ok": False, "r0": None, "notes": [note]}]
 
 
 def test_catalog_check_json(capsys):

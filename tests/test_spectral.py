@@ -428,6 +428,84 @@ def test_direct_sum_identities_abelian_base():
     assert rep.ok, rep.violations
 
 
+def _tampered(t, cells, r0=None):
+    """``t`` with each cell (page, row, column) raised by its delta, page
+    LIMIT meaning the limit grid, and optionally another r0."""
+    grids = {r: [list(row) for row in grid] for r, grid in [*t.pages.items(), (LIMIT, t.limit)]}
+    for (r, row, col), delta in cells.items():
+        grids[r][row][col] += delta
+    frozen = {r: tuple(map(tuple, grid)) for r, grid in grids.items()}
+    limit = frozen.pop(LIMIT)
+    return t._replace(pages=frozen, limit=limit, r0=t.r0 if r0 is None else r0)
+
+
+def test_check_limit_edges_reports_each_wrong_cell():
+    h3 = lie.parse_salamon("(0,0,12)")
+    c = spectral.complex_for(h3)
+    t = table_for(h3)  # limit ((1, 2, 0, 0), (0, 0, 2, 1)), k = 2
+    bad = _tampered(t, {(LIMIT, 1, 0): 1, (LIMIT, 0, 1): -1, (LIMIT, 0, 2): 1, (LIMIT, 1, 3): 1})
+    rep = check_limit_edges(bad._replace(betti=(1, 2, 3, 1)), c)
+    assert rep.checks == 8
+    assert rep.violations == (
+        "degree 0: e(0,0) = 1, expected 0",
+        "degree m-1: e(0,2) = 2, expected 3",
+        "degree m: e(0,3) = 2, expected 1",
+        "degree 1: e(1,0) = 1, expected 2",
+        "degree m-1: e(1,1) = 1, expected 0",
+    )
+    # a complex whose V_1 is one dimension too large: only degree 1 at p = k-1 notices
+    c5 = _fresh_complex(lie.m0(5))
+    c5.v_dims = (0, 3, 3, 4, 5)
+    rep = check_limit_edges(table_for(lie.m0(5)), c5)
+    assert rep.checks == 16
+    assert rep.violations == ("degree 1: e(3,-2) = 2, expected 3",)
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_check_abelian_extension_reports_each_wrong_cell(s, monkeypatch):
+    h3 = lie.parse_salamon("(0,0,12)")
+    real = spectral.table_for
+
+    def table(a):
+        t = real(a)
+        if a.m == 3 + s:  # R^s (+) h3: one cell wrong on each page and the limit, r0 one too large
+            return _tampered(t, {(0, 0, 0): 1, (1, 1, 3): 1, (2, 1, 4): -1, (LIMIT, 0, 1): -1}, r0=t.r0 + 1)
+        if a.m == 2 + s:  # the base R^(s-1) (+) h3: one wrong cell of degree 1 on page 1
+            return _tampered(t, {(1, 0, 1): 1})
+        return t
+
+    monkeypatch.setattr(spectral, "table_for", table)
+    reports = check_abelian_extension(h3, (0, 1, 2, LIMIT), s=s)
+    m = 3 + s
+    assert [rep.checks for rep in reports] == [(m + 2) * 2 + 4] * 4
+    # page 1: the base's extra degree-1 class shifts into degrees 1 and 2 of the expectation
+    page1 = {1: ("degree 1 at p=1: got 3, expected 4", "degree 2 at p=1: got 3, expected 4",
+                 "degree 3 at p=0: got 4, expected 3"),
+             2: ("degree 1 at p=1: got 4, expected 5", "degree 2 at p=1: got 6, expected 7",
+                 "degree 3 at p=0: got 7, expected 6")}
+    degeneration = "degeneration page: got 3, expected 2"
+    assert [rep.violations for rep in reports] == [
+        ("degree 0 at p=1: got 2, expected 1", degeneration),
+        (*page1[s], degeneration),
+        (f"degree 4 at p=0: got {(s - 1) * 3}, expected {(s - 1) * 3 + 1}", degeneration),
+        (f"degree 1 at p=1: got {s + 1}, expected {s + 2}", degeneration),
+    ]
+
+
+def test_check_top_degree_forms_reports_a_changed_column():
+    c = _fresh_complex(lie.parse_salamon("(0,0,12)"))
+    c.columns[1] = {22: {18: 1}}  # d e^3 = e^1 ^ e^3 (level 2, key 18) instead of e^1 ^ e^2 (key 9)
+    rep = check_top_degree_forms(c)
+    assert (rep.checks, rep.violations) == (2, ("exact (m-1)-forms have dim 1, divisible subspace dim 1",))
+    c = _fresh_complex(lie.m0(5))
+    first, *_, last = sorted(c.columns[3])
+    c.columns[3][last] = dict(c.columns[3][first])  # two equal columns: the exact forms lose a dimension
+    c.columns[4] = {next(iter(c.columns[3][first])): {4 << 5: 1}}  # d of a 4-form onto the 5-form (level 4)
+    rep = check_top_degree_forms(c)
+    assert (rep.checks, rep.violations) == (2, ("d is nonzero on (m-1)-forms",
+                                                "exact (m-1)-forms have dim 2, divisible subspace dim 3"))
+
+
 def test_example_3_5_limit_values():
     t = table_for(lie.direct_sum(lie.abelian(1), lie.parse_salamon("(0,0,12)")))
     values = {(0, 0): 0, (1, -1): 1, (1, 0): 3, (0, 1): 0, (0, 2): 2,
