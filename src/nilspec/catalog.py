@@ -116,8 +116,11 @@ def _parse_golden(text: str) -> list[CatalogEntry]:
 
 @lru_cache(maxsize=1)
 def _all_entries() -> tuple[CatalogEntry, ...]:
-    with open(os.path.join(os.path.dirname(__file__), "golden_tables.txt"), encoding="utf-8") as fh:
-        return tuple(_parse_golden(fh.read()))
+    try:
+        with open(os.path.join(os.path.dirname(__file__), "golden_tables.txt"), encoding="utf-8") as fh:
+            return tuple(_parse_golden(fh.read()))
+    except (ValueError, IndexError) as exc:  # not a number, a page cut short, not UTF-8
+        raise CatalogFormatError(f"golden_tables.txt: {exc}") from exc
 
 
 def list_entries(dim_filter: int | None = None) -> list[CatalogEntry]:

@@ -420,8 +420,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:  # the catalog is read while parsing --dim and --census, and by every catalog command
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except catalog_mod.CatalogFormatError as exc:
+        return _fail(exc)
 
 
 if __name__ == "__main__":

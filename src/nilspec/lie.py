@@ -11,18 +11,20 @@ terms, a term being an optional sign, an optional coefficient "n*" or
 "1.10" for m >= 10.  Digits are ASCII 0-9 only.  A reversed pair denotes
 the reversed wedge, so "52" contributes -e^2 ^ e^5; the published tables
 use this form ("34+52") and the Jacobi identity pins the sign down.
-Coefficients stay ints until the input has a '/'; the constructor turns
-each constant into a Fraction and adds only where two terms share a key.
+Coefficients stay ints unless the input has a '/', which alone imports
+``fractions``: ``a.c`` holds an int for every integral constant.
 
 Every ``LieAlgebra`` is validated when it is built, once per distinct algebra
 (same m and constants) per process: the constructor raises JacobiError unless
 d(de^j) = 0 for every j, checked on the constants through d(e^a ^ e^b) =
 de^a ^ e^b - e^a ^ de^b without building d, raises NotNilpotentError unless
 the algebra is nilpotent, and stores the filtration V_0 = 0,
-V_i = {x : dx in Lambda^2 V_(i-1)} of the dual, computed as exact kernels on
-the integer constants (a 2-form w lies in Lambda^2 V iff i_u w = 0 for every
-u in ann(V)) and cross-checked against the primal central descending series
-through annihilator duality dim V_i + dim n^i = m.
+V_i = {x : dx in Lambda^2 V_(i-1)} of the dual, cross-checked against the
+primal central descending series through annihilator duality
+dim V_i + dim n^i = m.  Each side first reads its own coordinate candidate
+off the integer constants and keeps it only if ``linalg.sparse_rank`` proves
+it; otherwise it eliminates: V_i as an exact kernel (w lies in Lambda^2 V
+iff i_u w = 0 for every u in ann(V)), n^i as a span.
 """
 
 from __future__ import annotations
@@ -33,14 +35,16 @@ import re
 import sys
 from collections import defaultdict
 from functools import lru_cache
-from fractions import Fraction
 from itertools import compress
-from typing import Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple
 
 from . import exterior
-from .linalg import Subspace, _span, null_space
+from .linalg import Subspace, _span, null_space, sparse_rank
 
-Constants = dict[tuple[int, int, int], Fraction]
+if TYPE_CHECKING:  # pragma: no cover
+    from fractions import Fraction
+
+Constants = dict[tuple[int, int, int], "int | Fraction"]
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/0*[1-9][0-9]*)?")  # ASCII digits, no decimals, no zero denominator
 
@@ -90,22 +94,24 @@ class Filtration(NamedTuple):
     series_dims: tuple[int, ...]
 
 
-def rat(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, Fraction or string like ``-3/2`` to an exact rational.
-
-    Strings must be decimal-free: an optional sign, ASCII digits, and
-    optionally ``/`` and a nonzero denominator.
-    """
-    if isinstance(value, Fraction):
-        return value
+def rat(value: int | str | Fraction) -> int | Fraction:
+    """An int, Fraction or decimal-free string (optional sign, ASCII digits,
+    optional ``/`` and nonzero denominator) as an exact rational, an int when
+    integral; an int, or a string without ``/``, never imports ``fractions``."""
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return int(value)
     if isinstance(value, str):
         text = value.strip().replace("−", "-")
         if not _RATIONAL.fullmatch(text):
             raise ValueError(f"{value!r} is not a decimal-free rational")
-        return Fraction(text)
-    raise TypeError(f"cannot interpret {value!r} as a rational number")
+        if "/" not in text:
+            return int(text)
+    from fractions import Fraction
+    if isinstance(value, str):
+        value = Fraction(text)
+    elif not isinstance(value, Fraction):
+        raise TypeError(f"cannot interpret {value!r} as a rational number")
+    return value.numerator if value.denominator == 1 else value
 
 
 class LieAlgebra:
@@ -131,6 +137,8 @@ class LieAlgebra:
                 i, j, coeff = j, i, -coeff
             key = (i, j, k)
             total = cleaned[key] + coeff if key in cleaned else coeff
+            if total.denominator == 1:  # a sum of Fractions may be integral
+                total = total.numerator
             big = max(abs(total.numerator), total.denominator)  # str() refuses it past `digits` digits
             if digits and big.bit_length() > 3 * digits and big >= 10 ** digits:
                 raise CoefficientSizeError(f"coefficient of c[{i},{j}]^{k} has more than {digits} digits")
@@ -145,7 +153,7 @@ class LieAlgebra:
         self._hash = hash(self._key)
         self.filtration = validate_algebra(self)
 
-    def brackets(self) -> Iterator[tuple[int, int, int, Fraction]]:
+    def brackets(self) -> Iterator[tuple[int, int, int, int | Fraction]]:
         for (i, j, k), c in self._key[1]:
             yield i, j, k, c
 
@@ -164,6 +172,46 @@ class LieAlgebra:
 # validation and the filtration
 # ---------------------------------------------------------------------------
 
+def _coordinate_dual(m: int, constants: Mapping[tuple[int, int, int], int]) -> list[Subspace] | None:
+    """V_0, V_1, ... spanned by basis covectors, or None where the constants do not prove it:
+    e^j joins V_i once de^j lies in Lambda^2 V_(i-1), and that is V_i iff the
+    parts of the other de^j off Lambda^2 V_(i-1) are independent."""
+    spaces = [Subspace.zero(m)]
+    inside: set[int] = set()  # the covectors spanning V_(i-1), 1-based
+    while len(inside) < m:
+        off: defaultdict[int, dict[tuple[int, int], int]] = defaultdict(dict)  # j -> de^j off Lambda^2 V_(i-1)
+        for (a, b, j), c in constants.items():
+            if a not in inside or b not in inside:
+                off[j][a, b] = c
+        if sparse_rank(off.values()) < len(off):
+            return None
+        if len(off) == m - len(inside):  # nothing joined: V_i = V_(i-1)
+            break
+        inside = set(range(1, m + 1)) - off.keys()
+        spaces.append(Subspace.coordinate([j - 1 for j in inside], m))
+    return spaces
+
+
+def _coordinate_series(m: int, constants: Mapping[tuple[int, int, int], int]) -> list[Subspace] | None:
+    """n^0, n^1, ... spanned by basis vectors, or None where the constants do not prove it:
+    n^i is spanned by the brackets [e_a, e_b] with e_a or e_b in n^(i-1), and
+    by the e_k they reach iff they have full rank on those."""
+    brackets: defaultdict[tuple[int, int], dict[int, int]] = defaultdict(dict)  # (a, b) -> [e_a, e_b]
+    for (a, b, k), c in constants.items():
+        brackets[a, b][k] = c
+    series = [Subspace.full(m)]
+    ideal = set(range(1, m + 1))
+    while True:
+        reached = [v for (a, b), v in brackets.items() if a in ideal or b in ideal]
+        nxt = set().union(*reached)
+        if sparse_rank(reached) < len(nxt):
+            return None
+        if len(nxt) == len(ideal):
+            return series
+        ideal = nxt
+        series.append(Subspace.coordinate([k - 1 for k in ideal], m))
+
+
 def _dual_filtration_spaces(m: int, constants: Mapping[tuple[int, int, int], int]) -> list[Subspace]:
     """V_0, V_1, ... from the dual side until stabilisation (at most m+1 spaces).
 
@@ -173,8 +221,11 @@ def _dual_filtration_spaces(m: int, constants: Mapping[tuple[int, int, int], int
     from the canonical rows of V_(i-1): for each non-pivot column c,
     L e_c - sum_i (L row_i[c] / row_i[p_i]) e_(p_i), L the lcm of the row_i[p_i].
     Only the rows (u, e^b) that some term reaches through a nonzero u_a are
-    built, and only the nonzero ones go to the elimination.
+    built, and only the nonzero ones go to the elimination, where
+    ``_coordinate_dual`` declines.
     """
+    if (coordinate := _coordinate_dual(m, constants)) is not None:
+        return coordinate
     spaces = [Subspace.zero(m)]
     while spaces[-1].dim < m:
         prev = spaces[-1]
@@ -200,7 +251,10 @@ def _dual_filtration_spaces(m: int, constants: Mapping[tuple[int, int, int], int
 
 
 def primal_series(m: int, constants: Mapping[tuple[int, int, int], int]) -> list[Subspace]:
-    """Central descending series n^0 = n, n^i = [n, n^(i-1)], until stabilisation."""
+    """Central descending series n^0 = n, n^i = [n, n^(i-1)], until stabilisation;
+    eliminated only where ``_coordinate_series`` declines."""
+    if (coordinate := _coordinate_series(m, constants)) is not None:
+        return coordinate
     # brackets_with[j] lists (g, k, c): [e_g, e_j] has c at e_k
     brackets_with: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]
     for (i, j, k), c in constants.items():
@@ -390,6 +444,7 @@ def _parse_entry(entry: str, offset: int, m: int) -> list[tuple[tuple[int, int],
             denom = number(denom_digits, denom_at)
             if not denom:
                 raise err("zero denominator", denom_at)
+            from fractions import Fraction
             coeff = Fraction(sign * number(digits, at), denom)
             if peek() != "*":
                 raise err("expected '*' after a rational coefficient", pos)
@@ -418,30 +473,12 @@ def _parse_entry(entry: str, offset: int, m: int) -> list[tuple[tuple[int, int],
 
 def to_salamon(a: LieAlgebra) -> str:
     """Canonical string form; parse_salamon(to_salamon(a)) has the same constants."""
-    by_target: dict[int, list[tuple[int, int, Fraction]]] = {}
-    for (i, j, k), c in sorted(a.c.items()):
-        by_target.setdefault(k, []).append((i, j, c))
-    entries = []
-    for j in range(1, a.m + 1):
-        terms = by_target.get(j)
-        if not terms:
-            entries.append("0")
-            continue
-        parts = []
-        for (i, l, c) in terms:
-            pair = f"{i}{l}" if a.m <= 9 else f"{i}.{l}"
-            if c == 1:
-                body = pair
-            elif c == -1:
-                body = f"-{pair}"
-            else:
-                body = f"{c}*{pair}"
-            if parts and not body.startswith("-"):
-                parts.append("+" + body)
-            else:
-                parts.append(body)
-        entries.append("".join(parts))
-    return "(" + ",".join(entries) + ")"
+    entries = [""] * (a.m + 1)  # entries[j]: de^j, its terms in sorted pair order
+    for (i, l, j), c in sorted(a.c.items()):
+        pair = f"{i}{l}" if a.m <= 9 else f"{i}.{l}"
+        body = pair if c == 1 else f"-{pair}" if c == -1 else f"{c}*{pair}"
+        entries[j] += body if not entries[j] or body.startswith("-") else "+" + body
+    return "(" + ",".join(e or "0" for e in entries[1:]) + ")"
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 Row = tuple[int, ...]
 
@@ -351,3 +351,24 @@ def kernel(m: LinearMap) -> Subspace:
 
 def rank(m: LinearMap) -> int:
     return len(_echelon(_dense_rows(m), m.cols)[1])
+
+
+def sparse_rank(rows: Iterable[Mapping[Hashable, int]]) -> int:
+    """Rank of sparse integer rows {column: value}: each row is reduced against
+    the rows kept so far at its leading column, fraction-free (cross-multiplied,
+    content divided out), and kept if anything is left."""
+    pivots: dict[Hashable, dict[Hashable, int]] = {}
+    for row in rows:
+        vec = {j: v for j, v in row.items() if v}
+        while vec:
+            lead = min(vec)
+            prow = pivots.get(lead)
+            if prow is None:
+                pivots[lead] = vec
+                break
+            g = math.gcd(vec[lead], prow[lead])
+            a, b = prow[lead] // g, vec[lead] // g
+            vec = {j: x for j in vec.keys() | prow.keys() if (x := a * vec.get(j, 0) - b * prow.get(j, 0))}
+            g = math.gcd(*vec.values())
+            vec = {j: x // g for j, x in vec.items()} if g > 1 else vec
+    return len(pivots)

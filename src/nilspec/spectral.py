@@ -223,7 +223,8 @@ def check_abelian_extension(h: LieAlgebra, pages: Sequence[int | None], s: int =
     nothing in negative degree; (2) degree 0: one class, at p = k-1; (3)
     degree 1 at p = k-1: one more than the base; (4) degree 1 elsewhere as in
     the base, nothing at p = k; (5) every higher degree a shifted sum.  Also
-    R^s (+) h degenerates at the page where h does.
+    R^s (+) h degenerates at the page where h does.  The k+3 checks of (1) and
+    at p = k read outside the grid, where ``entry`` is 0: they hold by construction.
     """
     if s < 1:
         raise ValueError("s must be at least 1")

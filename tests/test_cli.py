@@ -1,7 +1,9 @@
 """Command-line contract: formats, exit codes, batch mode."""
 
+import functools
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -41,6 +43,9 @@ def test_compute_json_round_trips(capsys):
     for r, grid in doc["pages"].items():
         assert tuple(tuple(row) for row in grid) == t.grid(int(r))
     assert tuple(tuple(row) for row in doc["limit"]) == t.limit
+    # a rational constant keeps its text; the tables are those of (0,0,12,13)
+    code, rational, _ = run(capsys, "compute", "(0,0,1/2*12,13)", "--format", "json")
+    assert code == 0 and rational.replace('"(0,0,1/2*12,13)"', '"(0,0,12,13)"', 1) == out
 
 
 def test_compute_csv_round_trips(capsys):
@@ -397,6 +402,28 @@ def test_catalog_check_fails_an_entry_whose_stored_page_has_another_shape(capsys
     assert json.loads(out) == [{"id": "dim3-h3", "ok": False, "r0": None, "notes": [note]}]
 
 
+def test_malformed_golden_file_exits_4_with_one_error_line(capsys, monkeypatch):
+    # --dim and --census read the catalog while the arguments are parsed
+    commands = [["catalog"], ["catalog", "--check"], ["catalog", "--dim", "5"], ["catalog", "--census", "5"]]
+    read_file = catalog._all_entries
+    path = os.path.join(os.path.dirname(catalog.__file__), "golden_tables.txt")
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    row = lines.index("page 0 2 4", lines.index("entry dim3-h3")) + 1  # dim3-h3's page 0, first row
+    short = lines[:row] + [lines[row].rsplit(" ", 1)[0]] + lines[row + 1:]
+    monkeypatch.setattr(catalog, "_all_entries", lambda: tuple(catalog._parse_golden("\n".join(short))))
+    for argv in commands:
+        for fmt in ("text", "json"):
+            assert run(capsys, *argv, "--format", fmt) == (4, "", "error: dim3-h3: page 0 row width\n"), argv
+    # a page cut short reads the next directive as a row: the file itself, read afresh
+    parse, cut = catalog._parse_golden, "\n".join(lines[:row] + lines[row + 1:])
+    monkeypatch.setattr(catalog, "_parse_golden", lambda text: parse(cut))
+    monkeypatch.setattr(catalog, "_all_entries", functools.lru_cache(maxsize=1)(read_file.__wrapped__))
+    message = "error: golden_tables.txt: invalid literal for int() with base 10: 'page'\n"
+    for argv in commands:
+        assert run(capsys, *argv) == (4, "", message), argv
+
+
 def test_catalog_check_json(capsys):
     code, out, _ = run(capsys, "catalog", "--dim", "4", "--check", "--format", "json")
     assert code == 0
@@ -468,6 +495,18 @@ def test_start_up_imports_no_introspection_modules():
     loaded = set(proc.stdout.split())
     assert "nilspec.catalog" in loaded
     assert not loaded & {"dataclasses", "inspect", "importlib.resources"}, sorted(loaded)
+
+
+def test_integral_input_imports_neither_fractions_nor_decimal():
+    # a constant is a Fraction only where the input has a '/'; only new imports count
+    for argv in (["catalog", "--check"], ["compute", "--m0", "10"]):
+        script = ("import sys\n"
+                  "before = set(sys.modules)\n"
+                  "from nilspec import cli\n"
+                  f"code = cli.main({argv!r})\n"
+                  "print(code, sorted({'fractions', 'decimal'} & (set(sys.modules) - before)))\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+        assert proc.stdout.splitlines()[-1] == "0 []", argv
 
 
 def test_console_script_runs():

@@ -160,8 +160,24 @@ def test_integral_input_makes_no_fraction_addition(monkeypatch, catalog_entries)
     monkeypatch.setattr(Fraction, "__add__", refuse)
     monkeypatch.setattr(Fraction, "__radd__", refuse)
     for text in texts:
-        assert all(type(c) is Fraction for c in lie.parse_salamon(text).c.values())
+        assert all(type(c) is int for c in lie.parse_salamon(text).c.values())
     lie.algebra_from_json({"dim": 3, "brackets": [{"i": 1, "j": 2, "k": 3, "c": 2}]})
+
+
+def test_integral_sums_are_ints_and_other_constants_fractions():
+    a = lie.parse_salamon("(0,0,1/2*12+1/2*12)")
+    assert a.c == {(1, 2, 3): 1} and type(a.c[1, 2, 3]) is int
+    assert a == lie.parse_salamon("(0,0,12)") and hash(a) == hash(lie.parse_salamon("(0,0,12)"))
+    b = lie.parse_salamon("(0,0,2*12,13-1/2*23,4/2*12)")
+    assert [(key, type(c)) for key, c in sorted(b.c.items())] == \
+        [((1, 2, 3), int), ((1, 2, 5), int), ((1, 3, 4), int), ((2, 3, 4), Fraction)]
+    assert b.c[2, 3, 4] == Fraction(-1, 2)
+    # the same text and JSON as when every constant was a Fraction
+    assert lie.to_salamon(b) == "(0,0,2*12,13-1/2*23,2*12)"
+    assert json.dumps(lie.algebra_to_json(b)) == (
+        '{"dim": 5, "brackets": [{"i": 1, "j": 2, "k": 3, "c": "2"}, {"i": 1, "j": 2, "k": 5, "c": "2"}, '
+        '{"i": 1, "j": 3, "k": 4, "c": "1"}, {"i": 2, "j": 3, "k": 4, "c": "-1/2"}]}')
+    assert lie.rat("4/2") == 2 and type(lie.rat("4/2")) is int and type(lie.rat(Fraction(6, 3))) is int
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +311,8 @@ def _same_spaces(got, want):
 
 
 def test_contraction_filtration_equals_lambda2_preimages(catalog_tables, random_algebras_dim7,
-                                                          random_algebras_dim10, twins_dim7, twins_dim10):
+                                                          random_algebras_dim10, twins_dim7, twins_dim10,
+                                                          monkeypatch):
     rng = random.Random(0x5A1D)
     algebras = [algebra for _, algebra, _, _ in catalog_tables.values()]
     algebras += [lie.m0(m) for m in range(3, 15)]
@@ -304,11 +321,31 @@ def test_contraction_filtration_equals_lambda2_preimages(catalog_tables, random_
     algebras += [b for a, twin in zip(random_algebras_dim7 + random_algebras_dim10, twins_dim7 + twins_dim10)
                  for b in (a, twin, sheared(a, rng))]
     assert len(algebras) == 2 * (44 + 12) + 3 * (50 + 200)
+    # filtrations by coordinates, which both read-offs must accept: the
+    # catalog, m0(3..16) and R (+) h for the 11 catalog entries h of dim <= 5
+    sums = [lie.direct_sum(lie.abelian(1), algebra) for e, algebra, _, _ in catalog_tables.values() if e.dim <= 5]
+    coordinate = set(algebras[:44 + 12] + [lie.m0(15), lie.m0(16)] + sums)
+    # e^4 - e^5 is closed and [e_1, e_2] = e_4 + e_5: neither read-off may accept
+    algebras += [lie.m0(15), lie.m0(16), *sums, lie.parse_salamon("(0,0,0,12,12)")]
+    accepted = 0
     for a in algebras:
         constants, _ = clear_denominators(a.c)
         spaces = lie._dual_filtration_spaces(a.m, constants)
         assert _same_spaces(spaces, _lambda2_filtration(a.m, _d1(a.m, constants))), lie.to_salamon(a)
         assert _same_spaces(spaces, lie.descending_series(a).spaces)
+        # both read-offs accept exactly the filtrations by coordinates, each on its own
+        by_coordinates = all(sum(map(bool, row)) == 1 for space in spaces for row in space.basis)
+        assert by_coordinates or a not in coordinate
+        assert lie._coordinate_dual(a.m, constants) == (spaces if by_coordinates else None)
+        series = lie._coordinate_series(a.m, constants)
+        assert (series is not None) == by_coordinates, lie.to_salamon(a)
+        with monkeypatch.context() as patched:  # the elimination the read-off short-cuts
+            patched.setattr(lie, "_coordinate_series", lambda m, constants: None)
+            eliminated = lie.primal_series(a.m, constants)
+        assert _same_spaces(lie.primal_series(a.m, constants), eliminated)
+        assert series is None or _same_spaces(series, eliminated)
+        accepted += by_coordinates
+    assert len(sums) == 11 and len(coordinate) < accepted < len(algebras) - 300, accepted
 
 
 # so(3), the non-abelian 2-dim algebra de^2 = e^1 ^ e^2, and the latter
