@@ -22,9 +22,10 @@ the algebra is nilpotent, and stores the filtration V_0 = 0,
 V_i = {x : dx in Lambda^2 V_(i-1)} of the dual, cross-checked against the
 primal central descending series through annihilator duality
 dim V_i + dim n^i = m.  Each side first reads its own coordinate candidate
-off the integer constants and keeps it only if ``linalg.sparse_rank`` proves
-it; otherwise it eliminates: V_i as an exact kernel (w lies in Lambda^2 V
-iff i_u w = 0 for every u in ann(V)), n^i as a span.
+off the integer constants and keeps it only if a forward-only
+``linalg._eliminate`` proves it by its rank; otherwise it eliminates: V_i as
+an exact kernel (w lies in Lambda^2 V iff i_u w = 0 for every u in ann(V)),
+n^i as a span.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from itertools import compress
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple
 
 from . import exterior
-from .linalg import Subspace, _span, null_space, sparse_rank
+from .linalg import Subspace, _eliminate, _span, null_space
 
 if TYPE_CHECKING:  # pragma: no cover
     from fractions import Fraction
@@ -183,7 +184,7 @@ def _coordinate_dual(m: int, constants: Mapping[tuple[int, int, int], int]) -> l
         for (a, b, j), c in constants.items():
             if a not in inside or b not in inside:
                 off[j][a, b] = c
-        if sparse_rank(off.values()) < len(off):
+        if len(_eliminate(off.values(), reduced=False)) < len(off):
             return None
         if len(off) == m - len(inside):  # nothing joined: V_i = V_(i-1)
             break
@@ -204,7 +205,7 @@ def _coordinate_series(m: int, constants: Mapping[tuple[int, int, int], int]) ->
     while True:
         reached = [v for (a, b), v in brackets.items() if a in ideal or b in ideal]
         nxt = set().union(*reached)
-        if sparse_rank(reached) < len(nxt):
+        if len(_eliminate(map(dict, reached), reduced=False)) < len(nxt):  # copies: read again at the next level
             return None
         if len(nxt) == len(ideal):
             return series
@@ -264,11 +265,12 @@ def primal_series(m: int, constants: Mapping[tuple[int, int, int], int]) -> list
     while True:
         vecs = []
         for row in series[-1].basis:
-            brackets: defaultdict[int, list[int]] = defaultdict(lambda: [0] * m)  # g -> [e_(g+1), row]
+            # brackets[g] is [e_(g+1), row]
+            brackets: defaultdict[int, defaultdict[int, int]] = defaultdict(lambda: defaultdict(int))
             for j in compress(range(m), row):
                 for g, k, c in brackets_with[j]:
                     brackets[g][k] += c * row[j]
-            vecs.extend(b for b in brackets.values() if any(b))
+            vecs.extend({k: v for k, v in b.items() if v} for b in brackets.values())
         nxt = _span(vecs, m)
         if nxt.dim == series[-1].dim:
             return series
@@ -514,8 +516,12 @@ def algebra_from_json(doc: object) -> LieAlgebra:
         if m < 1:
             raise ValueError("dim must be at least 1")
         brackets = doc.get("brackets", [])
+        if not isinstance(brackets, list):
+            raise ValueError("brackets must be a list")
         constants: Constants = {}
-        for item in brackets:
+        for n, item in enumerate(brackets, start=1):
+            if not isinstance(item, dict) or not item.keys() >= {"i", "j", "k", "c"}:
+                raise ValueError(f"bracket {n} must be an object with i, j, k and c")
             key = (_json_int(item["i"]), _json_int(item["j"]), _json_int(item["k"]))
             value = rat(item["c"])
             constants[key] = constants[key] + value if key in constants else value

@@ -8,26 +8,24 @@ unique, so two subspaces are equal as sets iff their bases are identical.
 
 A linear map is stored as sparse integer columns.  A nonzero scalar changes
 no image, preimage, kernel or rank, so callers clear denominators once and
-hand over integer maps.  Elimination is fraction-free: cross-multiplication
-plus gcd normalisation.
+hand over integer maps.
+
+Every rank, span and null space goes through one fraction-free kernel on
+sparse integer rows, ``_eliminate``: left to right for spans, right to left
+for null spaces, and reduced to canonical rows unless only the rank counts.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import compress
-from typing import Hashable, Iterable, Mapping, Sequence
+from itertools import compress, repeat
+from typing import Callable, Hashable, Iterable, Sequence
 
 Row = tuple[int, ...]
 
 
 class DimensionMismatchError(ValueError):
     """Operands live in different ambient spaces or have incompatible shapes."""
-
-
-def _unit_row(n: int, p: int) -> Row:
-    """The unit row of Q^n with its 1 at position p."""
-    return (0,) * p + (1,) + (0,) * (n - 1 - p)
 
 
 def _integer_row(vector: Sequence[int], ambient_dim: int) -> list[int]:
@@ -41,90 +39,89 @@ def _integer_row(vector: Sequence[int], ambient_dim: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# integer-row reduction core
+# the elimination kernel
 # ---------------------------------------------------------------------------
 
-def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Gauss-Jordan on integer rows (reduced in place); returns rows and pivot columns.
+SparseRow = dict[Hashable, int]
 
-    Returned rows are in echelon order with positive pivot entries and zeros
-    above and below every pivot; zero rows are dropped.
+
+def _clear(vec: SparseRow, prow: SparseRow, c: Hashable) -> None:
+    """Clear column c of vec against prow in place, fraction-free: a plain
+    multiple of prow for a +-1 pivot, else cross-multiplied with the content
+    divided out."""
+    f, piv = vec[c], prow[c]
+    if piv == 1 or piv == -1:
+        a, f = 1, f * piv
+    else:
+        g = math.gcd(f, piv)
+        a, f = piv // g, f // g
+        if a != 1:
+            for j in vec:
+                vec[j] *= a
+    for j, x in prow.items():
+        if v := vec.get(j, 0) - f * x:
+            vec[j] = v
+        else:
+            del vec[j]
+    if a != 1 and vec and (g := math.gcd(*vec.values())) > 1:
+        for j in vec:
+            vec[j] //= g
+
+
+def _eliminate(rows: Iterable[SparseRow], lead: Callable[..., Hashable] = min,
+               reduced: bool = True) -> dict[Hashable, SparseRow]:
+    """Row-reduce sparse integer rows {column: nonzero value}, taken over and
+    cleared in place; returns the kept rows, as many as the rank, keyed by
+    their leading column (``lead``: min left to right, max right to left).
+
+    Each row is cleared at its leading column against the rows kept so far
+    until that column is new.  ``reduced`` then back-substitutes from the last
+    kept row and makes every row primitive with a positive pivot.
     """
-    nrows = len(rows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        best = -1
-        for i in range(r, nrows):
-            v = rows[i][c]
-            if v:
-                if best < 0 or abs(v) < abs(rows[best][c]):
-                    best = i
-                    if abs(v) == 1:
-                        break
-        if best < 0:
-            continue
-        rows[r], rows[best] = rows[best], rows[r]
-        prow = rows[r]
-        if prow[c] < 0:
-            prow = rows[r] = [-x for x in prow]
-        piv = prow[c]
-        support = [j for j in range(c, ncols) if prow[j]]
-        for i in range(nrows):
-            if i == r:
-                continue
-            row = rows[i]
-            f = row[c]
-            if not f:
-                continue
-            if piv == 1:
-                for j in support:
-                    row[j] -= f * prow[j]
-            else:
-                g = math.gcd(f, piv)
-                a = piv // g
-                b = f // g
-                if a != 1:
-                    for j in range(ncols):
-                        if row[j]:
-                            row[j] *= a
-                for j in support:
-                    row[j] -= b * prow[j]
-                g = 0
-                for x in row:
-                    if x:
-                        g = math.gcd(g, x)
-                        if g == 1:
-                            break
-                if g > 1:
-                    rows[i] = [x // g for x in row]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows[:r], pivots
+    kept: dict[Hashable, SparseRow] = {}
+    for vec in rows:
+        while vec:
+            c = lead(vec)
+            prow = kept.get(c)
+            if prow is None:
+                kept[c] = vec
+                break
+            _clear(vec, prow, c)
+    if reduced:
+        for c in sorted(kept, reverse=lead is min):
+            prow = kept[c]
+            g = math.gcd(*prow.values()) * (1 if prow[c] > 0 else -1)
+            if g != 1:
+                for j in prow:
+                    prow[j] //= g
+            for vec in kept.values():
+                if c in vec and vec is not prow:
+                    _clear(vec, prow, c)
+    return kept
+
+
+def _sparse(rows: Iterable[Sequence[int]]) -> list[SparseRow]:
+    return [{j: v for j, v in enumerate(row) if v} for row in rows]
 
 
 def null_space(rows: list[list[int]], ncols: int) -> Subspace:
     """``kernel`` of the matrix with the given dense integer rows.
 
-    A free column that no reduced row touches has its unit vector as null vector.
+    The columns are eliminated right to left, so a reduced row is nonzero only
+    at its pivot and at free columns left of it.  The null vector of a free
+    column f leads at f and is zero at every other free column: these vectors
+    are already the kernel's RREF rows and, made primitive, its canonical rows.
     """
-    last = ncols - 1
-    reduced, pivots = _echelon([row[::-1] for row in rows], ncols)
-    pivot_set = set(pivots)
-    free = tuple(f for f in range(ncols) if last - f not in pivot_set)
+    kept = _eliminate(_sparse(rows), max)
+    free = tuple(f for f in range(ncols) if f not in kept)
     basis = []
     for f in free:
-        hits = [(row, p) for row, p in zip(reduced, pivots) if row[last - f]]
-        if not hits:
-            basis.append(_unit_row(ncols, f))
-            continue
-        scale = math.lcm(*(row[p] for row, p in hits))
+        hits = [(p, row) for p, row in kept.items() if f in row]
+        scale = math.lcm(*(row[p] for p, row in hits))
         vec = [0] * ncols
         vec[f] = scale
-        for row, p in hits:
-            vec[last - p] = -row[last - f] * (scale // row[p])
+        for p, row in hits:
+            vec[p] = -row[f] * (scale // row[p])
         g = math.gcd(*vec)
         basis.append(tuple([x // g for x in vec]) if g > 1 else tuple(vec))
     return Subspace(ncols, tuple(basis), free)
@@ -212,7 +209,7 @@ class Subspace:
     def coordinate(cls, positions: Iterable[int], ambient_dim: int) -> Subspace:
         """Span of the unit vectors at the given coordinate positions."""
         pos = tuple(sorted(set(positions)))
-        return cls(ambient_dim, tuple([_unit_row(ambient_dim, p) for p in pos]), pos)
+        return cls(ambient_dim, tuple([(0,) * p + (1,) + (0,) * (ambient_dim - 1 - p) for p in pos]), pos)
 
     def _residual(self, vector: Sequence[int]) -> tuple[int, list[int]]:
         """``(s, s*vector - w)`` with w in this subspace, s > 0, zero at every pivot.
@@ -252,17 +249,15 @@ class Subspace:
 
 def span(vectors: Iterable[Sequence[int]], ambient_dim: int) -> Subspace:
     """Canonical subspace spanned by the given integer coordinate rows."""
-    return _span([_integer_row(v, ambient_dim) for v in vectors], ambient_dim)
+    return _span(_sparse(_integer_row(v, ambient_dim) for v in vectors), ambient_dim)
 
 
-def _span(rows: list[list[int]], ambient_dim: int) -> Subspace:
-    """``span`` of fresh int lists of length ambient_dim, unchecked and reduced in place."""
-    reduced, pivots = _echelon(rows, ambient_dim)
-    basis = []
-    for row in reduced:
-        g = math.gcd(*row)
-        basis.append(tuple([x // g for x in row]) if g > 1 else tuple(row))
-    return Subspace(ambient_dim, tuple(basis), tuple(pivots))
+def _span(rows: Iterable[SparseRow], ambient_dim: int) -> Subspace:
+    """``span`` of sparse integer rows of Q^ambient_dim, unchecked and taken over."""
+    kept = _eliminate(rows)
+    pivots = sorted(kept)
+    basis = tuple(tuple(map(kept[p].get, range(ambient_dim), repeat(0))) for p in pivots)
+    return Subspace(ambient_dim, basis, tuple(pivots))
 
 
 def _check_same_ambient(a: Subspace, b: Subspace) -> None:
@@ -330,45 +325,14 @@ def preimage(m: LinearMap, target: Subspace, domain: Subspace) -> Subspace:
     return span(vectors, domain.ambient_dim)
 
 
-def _dense_rows(m: LinearMap) -> list[list[int]]:
+def kernel(m: LinearMap) -> Subspace:
+    """Right kernel {x : m x = 0} as a canonical subspace of Q^(m.cols)."""
     rows = [[0] * m.cols for _ in range(m.rows)]
     for j, entries in m.columns.items():
         for i, v in entries:
             rows[i][j] = v
-    return rows
-
-
-def kernel(m: LinearMap) -> Subspace:
-    """Right kernel {x : m x = 0} as a canonical subspace of Q^(m.cols).
-
-    With the columns eliminated right to left, a reduced row is nonzero only
-    at its pivot and at free columns left of it.  So the null vector of a free
-    column f leads at f and is zero at every other free column: these vectors
-    are already the kernel's RREF rows and, made primitive, its canonical rows.
-    """
-    return null_space(_dense_rows(m), m.cols)
+    return null_space(rows, m.cols)
 
 
 def rank(m: LinearMap) -> int:
-    return len(_echelon(_dense_rows(m), m.cols)[1])
-
-
-def sparse_rank(rows: Iterable[Mapping[Hashable, int]]) -> int:
-    """Rank of sparse integer rows {column: value}: each row is reduced against
-    the rows kept so far at its leading column, fraction-free (cross-multiplied,
-    content divided out), and kept if anything is left."""
-    pivots: dict[Hashable, dict[Hashable, int]] = {}
-    for row in rows:
-        vec = {j: v for j, v in row.items() if v}
-        while vec:
-            lead = min(vec)
-            prow = pivots.get(lead)
-            if prow is None:
-                pivots[lead] = vec
-                break
-            g = math.gcd(vec[lead], prow[lead])
-            a, b = prow[lead] // g, vec[lead] // g
-            vec = {j: x for j in vec.keys() | prow.keys() if (x := a * vec.get(j, 0) - b * prow.get(j, 0))}
-            g = math.gcd(*vec.values())
-            vec = {j: x // g for j, x in vec.items()} if g > 1 else vec
-    return len(pivots)
+    return len(_eliminate([dict(entries) for entries in m.columns.values()], reduced=False))

@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 
 from .exterior import CochainComplex, build_complex, divisibility_subspace
 from .lie import LieAlgebra, abelian, descending_series, direct_sum
-from .linalg import span
+from .linalg import _span
 # the benchmark's tracer (bench/tracing.py) wraps these names here; nothing else reads them
 from .linalg import contains, image, preimage, subspace_sum  # noqa: F401
 
@@ -200,9 +200,8 @@ def check_top_degree_forms(c: CochainComplex) -> CheckReport:
         violations.append("d is nonzero on (m-1)-forms")
     if c.m >= 2:
         full = (1 << c.m) - 1  # the (m-1)-form without index i: position m - i, the one low set bit of its key
-        by_position = [{(key & full).bit_length() - 1: v for key, v in col.items()}
-                       for col in c.columns[c.m - 2].values()]
-        exact = span([[col.get(i, 0) for i in range(c.m)] for col in by_position], c.m)
+        exact = _span([{(key & full).bit_length() - 1: v for key, v in col.items()}
+                        for col in c.columns[c.m - 2].values()], c.m)
         divisible = divisibility_subspace(c)
         if exact != divisible:
             violations.append(

@@ -21,8 +21,10 @@ It also keeps three earlier constructions the package replaced, as references
 for tests: the differential built by walking every q-form and every term of
 each of its indices (``mask_walk_columns``), the kernel from a
 left-to-right elimination whose null vectors are reduced a second time
-(``two_step_kernel``), and the table assembled from a cube of bar ends per
-(degree, level, gap) with suffix sums over the gaps (``ends_cube_table``).
+(``two_step_kernel``, on the textbook elimination ``naive_rref`` of
+(num, den) pairs rather than the package's), and the table assembled from a
+cube of bar ends per (degree, level, gap) with suffix sums over the gaps
+(``ends_cube_table``).
 Two independent cross-checks complete it: the differential by pointwise
 evaluation of the alternating-sum formula on tuples of primal basis vectors
 (``pointwise_differential``, for small dimensions), and the page-0 entries
@@ -40,8 +42,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from nilspec.exterior import (CochainComplex, Constants, KeyColumns, MultiIndex, clear_denominators, multi_indices,
                               positional_columns)
-from nilspec.linalg import (LinearMap, Subspace, _dense_rows, _echelon, contains, image, preimage, rank, span,
-                            subspace_sum)
+from nilspec.linalg import LinearMap, Subspace, contains, image, preimage, rank, span, subspace_sum
 from nilspec import spectral
 from nilspec.spectral import LIMIT, Grid, InternalConsistencyError, SpectralTable, require_poincare_duality
 
@@ -223,20 +224,85 @@ def mask_walk_columns(m: int, constants: Constants, q: int, levels: Sequence[int
     return cols
 
 
+def _norm(num, den):
+    if den < 0:
+        num, den = -num, -den
+    g = math.gcd(abs(num), den)
+    return (num // g, den // g) if g else (0, 1)
+
+
+def _add(a, b):
+    return _norm(a[0] * b[1] + b[0] * a[1], a[1] * b[1])
+
+
+def _mul(a, b):
+    return _norm(a[0] * b[0], a[1] * b[1])
+
+
+def _div(a, b):
+    return _norm(a[0] * b[1], a[1] * b[0])
+
+
+def _neg(a):
+    return (-a[0], a[1])
+
+
+def naive_rref(grid):
+    """Textbook reduced row echelon form on (num, den) tuples; returns the
+    rows (the first ``rank`` of them nonzero) and the rank."""
+    grid = [list(row) for row in grid]
+    nrows, ncols = len(grid), len(grid[0]) if grid else 0
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if grid[i][c][0] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        grid[r], grid[pivot_row] = grid[pivot_row], grid[r]
+        piv = grid[r][c]
+        grid[r] = [_div(x, piv) for x in grid[r]]
+        for i in range(nrows):
+            if i != r and grid[i][c][0] != 0:
+                f = grid[i][c]
+                grid[i] = [_add(x, _mul(_neg(f), y)) for x, y in zip(grid[i], grid[r])]
+        r += 1
+        if r == nrows:
+            break
+    return grid, r
+
+
+def _leads(rows):
+    return [next(c for c, x in enumerate(row) if x[0]) for row in rows]
+
+
 def two_step_kernel(m: LinearMap) -> Subspace:
-    """``linalg.kernel`` by a left-to-right elimination, one null vector per
-    free column scaled by the lcm of all pivots, and ``span`` of those."""
-    reduced, pivots = _echelon(_dense_rows(m), m.cols)
-    scale = math.lcm(*(row[c] for row, c in zip(reduced, pivots)))
-    basis = []
+    """``linalg.kernel`` by two textbook eliminations and nothing of ``linalg``'s:
+    ``naive_rref`` of m, one null vector per free column, and ``naive_rref`` of
+    those, each row scaled to a primitive integer vector."""
+    grid = [[(0, 1)] * m.cols for _ in range(m.rows)]
+    for j, entries in m.columns.items():
+        for i, v in entries:
+            grid[i][j] = (v, 1)
+    reduced, r = naive_rref(grid)
+    pivots = _leads(reduced[:r])
+    null = []
     for free in sorted(set(range(m.cols)) - set(pivots)):
-        vec = [0] * m.cols
-        vec[free] = scale
+        vec = [(0, 1)] * m.cols
+        vec[free] = (1, 1)
         for row, c in zip(reduced, pivots):
-            if row[free]:
-                vec[c] = -row[free] * (scale // row[c])
-        basis.append(vec)
-    return span(basis, m.cols)
+            vec[c] = _neg(row[free])
+        null.append(vec)
+    reduced, r = naive_rref(null)
+    basis = []
+    for row in reduced[:r]:
+        scale = math.lcm(*(den for _, den in row))
+        ints = [num * (scale // den) for num, den in row]
+        g = math.gcd(*ints)
+        basis.append(tuple(x // g for x in ints))
+    return Subspace(m.cols, tuple(basis), tuple(_leads(reduced[:r])))
 
 
 def ends_cube_table(c: CochainComplex) -> SpectralTable:

@@ -221,6 +221,14 @@ def test_json_malformed():
     for c in ("\u0661\u0662", "1/\u0662", "\u00b2"):  # digits are ASCII
         with pytest.raises(lie.AlgebraFormatError):
             lie.algebra_from_json({"dim": 3, "brackets": [{"i": 1, "j": 2, "k": 3, "c": c}]})
+    for brackets, message in (([1], "bracket 1 must be an object with i, j, k and c"),
+                              ([{"i": 1, "j": 2, "k": 3, "c": 1}, {"i": 1, "j": 2, "k": 3}],
+                               "bracket 2 must be an object with i, j, k and c"),
+                              ({"i": 1}, "brackets must be a list"),
+                              ("12", "brackets must be a list"),
+                              (None, "brackets must be a list")):
+        with pytest.raises(lie.AlgebraFormatError, match=f"^malformed algebra document: {message}$"):
+            lie.algebra_from_json({"dim": 3, "brackets": brackets})
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Exact linear algebra: hand examples, canonical forms, subspace identities.
 
 The property tests compare against an independent naive fraction
-implementation (plain (num, den) tuples, textbook elimination) on random
-small matrices, so the integer-row elimination is cross-checked end to end.
+implementation (``reference.naive_rref``: plain (num, den) tuples, textbook
+elimination) on random small matrices, so the package's one sparse integer
+elimination is cross-checked end to end.
 """
 
 import math
@@ -14,6 +15,7 @@ import pytest
 from nilspec.linalg import (
     DimensionMismatchError,
     LinearMap,
+    _eliminate,
     Subspace,
     contains,
     image,
@@ -25,60 +27,7 @@ from nilspec.linalg import (
     subspace_sum,
 )
 from nilspec.lie import rat
-from reference import two_step_kernel
-
-
-# ---------------------------------------------------------------------------
-# a deliberately naive reference implementation
-# ---------------------------------------------------------------------------
-
-def _norm(num, den):
-    if den < 0:
-        num, den = -num, -den
-    g = math.gcd(abs(num), den)
-    return (num // g, den // g) if g else (0, 1)
-
-
-def _add(a, b):
-    return _norm(a[0] * b[1] + b[0] * a[1], a[1] * b[1])
-
-
-def _mul(a, b):
-    return _norm(a[0] * b[0], a[1] * b[1])
-
-
-def _div(a, b):
-    return _norm(a[0] * b[1], a[1] * b[0])
-
-
-def _neg(a):
-    return (-a[0], a[1])
-
-
-def naive_rref(grid):
-    """Textbook reduced row echelon form on (num, den) tuples."""
-    grid = [list(row) for row in grid]
-    nrows, ncols = len(grid), len(grid[0]) if grid else 0
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if grid[i][c][0] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        grid[r], grid[pivot_row] = grid[pivot_row], grid[r]
-        piv = grid[r][c]
-        grid[r] = [_div(x, piv) for x in grid[r]]
-        for i in range(nrows):
-            if i != r and grid[i][c][0] != 0:
-                f = grid[i][c]
-                grid[i] = [_add(x, _mul(_neg(f), y)) for x, y in zip(grid[i], grid[r])]
-        r += 1
-        if r == nrows:
-            break
-    return grid, r
+from reference import naive_rref, two_step_kernel
 
 
 def random_matrix(rng, rows, cols, bound=4):
@@ -141,15 +90,25 @@ def test_rref_dependent_rows():
 
 
 def test_rref_matches_naive_on_random_matrices():
+    """span's canonical rows, and the forward-only rank count that the
+    coordinate read-offs of ``lie`` run on sparse rows with tuple keys (here
+    in a shuffled column order), against the naive elimination; the second
+    batch of inputs is sparse with many +-1 pivots."""
     rng = random.Random(20240917)
-    for _ in range(60):
-        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-        grid = random_matrix(rng, rows, cols)
+    grids = [random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6)) for _ in range(60)]
+    grids += [[[Fraction(rng.choice((-1, 0, 0, 1, 2))) for _ in range(cols)] for _ in range(rows)]
+              for rows, cols in [(rng.randint(1, 8), rng.randint(1, 9)) for _ in range(200)]]
+    keys = [(a, b) for a in range(3) for b in range(3)]
+    for grid in grids:
+        cols = len(grid[0])
         ours = span(integer_rows(grid), cols)
         naive, naive_rank = naive_rref([[(x.numerator, x.denominator) for x in row] for row in grid])
         assert ours.dim == naive_rank
         assert ours.basis == tuple(primitive([Fraction(num, den) for num, den in row])
                                    for row in naive[:naive_rank])
+        shuffled = rng.sample(keys, cols)
+        sparse = [{key: x for key, x in zip(shuffled, row) if x} for row in integer_rows(grid)]
+        assert len(_eliminate(sparse, reduced=False)) == naive_rank
 
 
 def test_rref_idempotent_and_span_preserving():
@@ -295,10 +254,11 @@ def test_one_elimination_kernel_equals_two_step_kernel():
 
 
 def test_null_space_equals_two_step_kernel():
-    """null_space, whose untouched free columns take their unit vectors
-    directly, equals the two-step kernel of tests/reference.py on seeded
-    random integer rows: zero matrices (every free column untouched),
-    matrices where every free column is touched, and mixtures."""
+    """null_space, whose untouched free columns get their unit vectors,
+    equals the two-step kernel of tests/reference.py, two textbook
+    eliminations, on seeded random integer rows: zero matrices (every free
+    column untouched), matrices where every free column is touched, and
+    mixtures."""
     rng = random.Random(0x0A11)
     grids = [([[0] * cols for _ in range(rows)], cols) for rows in range(4) for cols in range(1, 7)]
     grids += [([[1] * cols], cols) for cols in range(1, 7)]

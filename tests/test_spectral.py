@@ -323,10 +323,17 @@ def _gaussian_binomial(n, j):
 def test_filiform_betti_numbers_match_gaussian_binomials():
     # Armstrong-Cairns-Jessup (Proc. AMS 125, 1997): b_n(m0(m)) = c(n) + c(n-1),
     # c(n) the middle coefficient, of q^floor(n(m-1-n)/2), of [m-1 choose n]_q
+    # E_1: the row at level 1 is (1, 2, 1, 0, ...), and the row at level L >= 2
+    # has b_(n-1)(m0(L)) in column n, m0(2) read as R^2, since gr_L is
+    # e^(L+1) ^ Lambda V_(L-1) and d_0 there is the differential of m0(L)
+    betti = {2: (1, 2, 1)}
     for m in range(3, 17):
         c = [_gaussian_binomial(m - 1, n)[n * (m - 1 - n) // 2] for n in range(m)] + [0]
-        want = tuple(c[n] + c[n - 1] for n in range(m + 1))  # the 0 appended is c(m) and, as c[-1], c(-1)
-        assert full_table(_fresh_complex(lie.m0(m))).betti == want, m
+        betti[m] = tuple(c[n] + c[n - 1] for n in range(m + 1))  # the 0 appended is c(m) and, as c[-1], c(-1)
+        table = full_table(_fresh_complex(lie.m0(m)))
+        assert table.betti == betti[m], m
+        e1 = [(1, 2, 1) + (0,) * (m - 2)] + [(0,) + betti[level] + (0,) * (m - level - 1) for level in range(2, m)]
+        assert table.grid(1) == tuple(e1), m
 
 
 def test_heisenberg_betti_numbers_match_santharoubane():
@@ -335,7 +342,9 @@ def test_heisenberg_betti_numbers_match_santharoubane():
     for n in range(1, 8):
         m = 2 * n + 1
         low = [comb(2 * n, i) - (comb(2 * n, i - 2) if i >= 2 else 0) for i in range(n + 1)]
-        assert full_table(_fresh_complex(_heisenberg(n))).betti == tuple(low + low[::-1]), m
+        table = full_table(_fresh_complex(_heisenberg(n)))
+        assert table.betti == tuple(low + low[::-1]), m
+        assert table.r0 == 2 and table.grid(0) == table.grid(1), m  # every bar has gap 1
 
 
 def test_table_builds_no_positional_map():
