@@ -43,7 +43,7 @@ import itertools
 import math
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .linalg import Row, Subspace, span
+from .linalg import Row, SparseRow, Subspace, _eliminate
 # the benchmark's tracer (bench/tracing.py) wraps this name here; nothing else reads it
 from .linalg import rank  # noqa: F401
 
@@ -62,11 +62,6 @@ KeyColumns = dict[int, dict[int, int]]
 def multi_indices(m: int, q: int) -> tuple[MultiIndex, ...]:
     """All strictly increasing q-tuples from 1..m, lexicographically ordered."""
     return tuple(itertools.combinations(range(1, m + 1), q)) if 0 <= q <= m else ()
-
-
-def wedge_minors(x: Sequence[int], y: Sequence[int], m: int) -> list[int]:
-    """Coordinates of the 2-form x ^ y of two 1-forms: its 2x2 minors."""
-    return [x[a - 1] * y[b - 1] - x[b - 1] * y[a - 1] for a, b in multi_indices(m, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -193,17 +188,17 @@ def build_complex(a: "LieAlgebra", f: "Filtration") -> CochainComplex:
     v_dims = [s.dim for s in f.spaces]
     # RREF pivots of nested subspaces are nested, so the canonical rows of
     # V_i at pivots new to V_i extend a basis of V_(i-1) to one of V_i
-    adapted_rows: list[Row] = []
+    adapted_rows: list[SparseRow] = []
     for prev, space in zip(f.spaces, f.spaces[1:]):
         old = set(prev.pivots)
-        adapted_rows += [row for row, p in zip(space.basis, space.pivots) if p not in old]
+        adapted_rows += [row for row, p in zip(space.rows, space.pivots) if p not in old]
         if len(adapted_rows) != space.dim:
             raise CochainComplexError("filtration basis extension failed")
-    change = tuple(adapted_rows)
+    change = tuple(tuple(map(row.get, range(m), itertools.repeat(0))) for row in adapted_rows)
 
     constants, _ = clear_denominators(a.c)
-    if change != Subspace.full(m).basis:
-        constants = transform_constants(constants, change)
+    if any(row != {j: 1} for j, row in enumerate(adapted_rows)):
+        constants = transform_constants(constants, adapted_rows)
     c = CochainComplex(m, k, v_dims, change, constants)
     for q in range(m):
         if not compose_is_zero(c.columns[q + 1], c.columns[q]):
@@ -211,27 +206,34 @@ def build_complex(a: "LieAlgebra", f: "Filtration") -> CochainComplex:
     return c
 
 
-def transform_constants(constants: Constants, change: Sequence[Row]) -> dict[tuple[int, int, int], int]:
-    """Integer structure constants after the dual change of basis
-    f^a = sum_b P[a][b] e^b, times L^2 for the lcm L of the pivots below."""
+def _wedge(x: SparseRow, y: SparseRow) -> dict[tuple[int, int], int]:
+    """The 2-form x ^ y of two sparse 1-forms: its 2x2 minors at index pairs a < b."""
+    return {(a, b): x.get(a, 0) * y.get(b, 0) - x.get(b, 0) * y.get(a, 0)
+            for a, b in itertools.combinations(sorted(x.keys() | y.keys()), 2)}
+
+
+def transform_constants(constants: Constants, change: Sequence[SparseRow]) -> dict[tuple[int, int, int], int]:
+    """Integer structure constants after the dual change of basis f^a = sum_b P[a][b] e^b,
+    P by its sparse rows (columns 0-based), times L^2 for the lcm L of the pivots below."""
     m = len(change)
-    # the canonical rows of [P | I] are [0..L_i..0 | L_i (P^-1)_i] iff P is invertible
-    augmented = span([list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(change)], 2 * m)
-    if not all(row[i] for i, row in enumerate(augmented.basis)):
+    # the reduced rows of [P | I] are [0..L_i..0 | L_i (P^-1)_i] iff P is invertible
+    kept = _eliminate([{**row, m + i: 1} for i, row in enumerate(change)])
+    if any(p >= m for p in kept):
         raise CochainComplexError("adapted basis change is singular")
-    scale = math.lcm(*(row[i] for i, row in enumerate(augmented.basis)))
-    # L e^i in the f^a: the rows of L P^-1
-    old_basis = [[x * (scale // row[i]) for x in row[m:]] for i, row in enumerate(augmented.basis)]
-    minors = {(i, l): wedge_minors(old_basis[i - 1], old_basis[l - 1], m) for i, l, _ in constants}
+    scale = math.lcm(*(kept[i][i] for i in range(m)))
+    # L e^i in the f^a (1-based): the rows of L P^-1
+    old_basis = [{a - m + 1: x * (scale // kept[i][i]) for a, x in kept[i].items() if a >= m} for i in range(m)]
+    wedges = {(i, l): _wedge(old_basis[i - 1], old_basis[l - 1]) for i, l, _ in constants}
 
     out: dict[tuple[int, int, int], int] = {}
     for jnew, prow in enumerate(change, start=1):
         # d f^jnew = sum_b P[jnew][b] de^b, with each e^i ^ e^l rewritten in the f^a
-        two_form = [0] * len(multi_indices(m, 2))
+        two_form: dict[tuple[int, int], int] = {}
         for (i, l, b), cval in constants.items():
-            if prow[b - 1]:
-                two_form = [t + prow[b - 1] * cval * x for t, x in zip(two_form, minors[i, l])]
-        out.update({(aa, bb, jnew): coeff for (aa, bb), coeff in zip(multi_indices(m, 2), two_form) if coeff})
+            if pb := prow.get(b - 1):
+                for key, x in wedges[i, l].items():
+                    two_form[key] = two_form.get(key, 0) + pb * cval * x
+        out.update({(*key, jnew): coeff for key, coeff in sorted(two_form.items()) if coeff})
     return out
 
 

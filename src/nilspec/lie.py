@@ -31,12 +31,10 @@ n^i as a span.
 from __future__ import annotations
 
 import math
-import operator
 import re
 import sys
 from collections import defaultdict
 from functools import lru_cache
-from itertools import compress
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple
 
 from . import exterior
@@ -230,21 +228,21 @@ def _dual_filtration_spaces(m: int, constants: Mapping[tuple[int, int, int], int
     spaces = [Subspace.zero(m)]
     while spaces[-1].dim < m:
         prev = spaces[-1]
-        scale = math.lcm(*(row[p] for row, p in zip(prev.basis, prev.pivots)))
+        scale = math.lcm(*(row[p] for row, p in zip(prev.rows, prev.pivots)))
         # reach[a] lists (t, u_a) over the basis vectors u of ann(V) with u_a != 0
         reach: list[list[tuple[int, int]]] = [[] for _ in range(m)]
         for t, c in enumerate(sorted(set(range(m)) - set(prev.pivots))):
             reach[c].append((t, scale))
-            for row, p in zip(prev.basis, prev.pivots):
-                if row[c]:
+            for row, p in zip(prev.rows, prev.pivots):
+                if c in row:
                     reach[p].append((t, -row[c] * (scale // row[p])))
         # row (t, b) holds the e^b coordinate of i_u de^k in column k-1, for the t-th u
-        rows: defaultdict[tuple[int, int], list[int]] = defaultdict(lambda: [0] * m)
+        rows: defaultdict[tuple[int, int], defaultdict[int, int]] = defaultdict(lambda: defaultdict(int))
         for (a, b, k), v in constants.items():
             for inner, outer, c in ((a, b, v), (b, a, -v)):
                 for t, u_inner in reach[inner - 1]:
                     rows[t, outer][k - 1] += c * u_inner
-        nxt = null_space([row for row in rows.values() if any(row)], m)
+        nxt = null_space([{k: v for k, v in row.items() if v} for row in rows.values()], m)
         if nxt.dim == prev.dim:
             break
         spaces.append(nxt)
@@ -264,12 +262,12 @@ def primal_series(m: int, constants: Mapping[tuple[int, int, int], int]) -> list
     series = [Subspace.full(m)]
     while True:
         vecs = []
-        for row in series[-1].basis:
+        for row in series[-1].rows:
             # brackets[g] is [e_(g+1), row]
             brackets: defaultdict[int, defaultdict[int, int]] = defaultdict(lambda: defaultdict(int))
-            for j in compress(range(m), row):
+            for j, x in row.items():
                 for g, k, c in brackets_with[j]:
-                    brackets[g][k] += c * row[j]
+                    brackets[g][k] += c * x
             vecs.extend({k: v for k, v in b.items() if v} for b in brackets.values())
         nxt = _span(vecs, m)
         if nxt.dim == series[-1].dim:
@@ -318,7 +316,7 @@ def validate_algebra(a: LieAlgebra) -> Filtration:
     for i, (v, n) in enumerate(zip(spaces, series)):
         if v.dim + n.dim != a.m:
             raise FiltrationMismatchError("dual filtration disagrees with the primal descending series")
-        if any(sum(map(operator.mul, x, u)) for x in v.basis for u in n.basis):
+        if any(sum(x[j] * u[j] for j in x.keys() & u.keys()) for x in v.rows for u in n.rows):
             raise FiltrationMismatchError(f"V_{i} does not annihilate the primal ideal n^{i}")
     return Filtration(len(spaces) - 1, tuple(spaces), tuple(n.dim for n in series))
 
@@ -512,6 +510,8 @@ def algebra_from_json(doc: object) -> LieAlgebra:
     if not isinstance(doc, dict):
         raise AlgebraFormatError("algebra document must be a JSON object")
     try:
+        if "dim" not in doc:
+            raise ValueError("no dim")
         m = _json_int(doc["dim"])
         if m < 1:
             raise ValueError("dim must be at least 1")

@@ -1,10 +1,12 @@
 """Exact linear algebra over the rationals, carried out on integers.
 
 Filtrations, cochain complexes and the closed-form page quotients reduce to
-spans, sums, images and preimages of subspaces of Q^n.  A subspace is stored
-as its canonical basis: the reduced row-echelon rows, each scaled to a
-primitive integer vector (content 1) with a positive pivot.  That form is
-unique, so two subspaces are equal as sets iff their bases are identical.
+spans, sums, images and preimages of subspaces of Q^n.  Every row is a sparse
+integer row {column: nonzero value}.  A subspace is stored as its canonical
+rows: the reduced row-echelon rows, each scaled to a primitive integer vector
+(content 1) with a positive pivot.  That form is unique, so two subspaces are
+equal as sets iff their rows are equal; ``Subspace.basis`` gives them as
+dense tuples, a read-only view.
 
 A linear map is stored as sparse integer columns.  A nonzero scalar changes
 no image, preimage, kernel or rank, so callers clear denominators once and
@@ -13,13 +15,16 @@ hand over integer maps.
 Every rank, span and null space goes through one fraction-free kernel on
 sparse integer rows, ``_eliminate``: left to right for spans, right to left
 for null spaces, and reduced to canonical rows unless only the rank counts.
+Membership clears a copy of the vector at each pivot with the same step,
+``_clear``.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import compress, repeat
-from typing import Callable, Hashable, Iterable, Sequence
+from collections import defaultdict
+from itertools import repeat
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 Row = tuple[int, ...]
 
@@ -28,14 +33,13 @@ class DimensionMismatchError(ValueError):
     """Operands live in different ambient spaces or have incompatible shapes."""
 
 
-def _integer_row(vector: Sequence[int], ambient_dim: int) -> list[int]:
-    """A copy of an integer row, checked for length and entry type."""
+def _integer_row(vector: Sequence[int], ambient_dim: int) -> SparseRow:
+    """A dense integer row, checked for length and entry type, as a sparse row."""
     if len(vector) != ambient_dim:
         raise DimensionMismatchError("vector length differs from ambient dimension")
-    row = list(vector)
-    if not set(map(type, row)) <= {int}:
+    if not set(map(type, vector)) <= {int}:
         raise TypeError("coordinate rows must hold ints")
-    return row
+    return {j: v for j, v in enumerate(vector) if v}
 
 
 # ---------------------------------------------------------------------------
@@ -100,36 +104,41 @@ def _eliminate(rows: Iterable[SparseRow], lead: Callable[..., Hashable] = min,
     return kept
 
 
-def _sparse(rows: Iterable[Sequence[int]]) -> list[SparseRow]:
-    return [{j: v for j, v in enumerate(row) if v} for row in rows]
-
-
-def null_space(rows: list[list[int]], ncols: int) -> Subspace:
-    """``kernel`` of the matrix with the given dense integer rows.
+def null_space(rows: Iterable[SparseRow], ncols: int) -> Subspace:
+    """``kernel`` of the matrix with the given sparse integer rows, taken over.
 
     The columns are eliminated right to left, so a reduced row is nonzero only
     at its pivot and at free columns left of it.  The null vector of a free
     column f leads at f and is zero at every other free column: these vectors
     are already the kernel's RREF rows and, made primitive, its canonical rows.
     """
-    kept = _eliminate(_sparse(rows), max)
+    kept = _eliminate(rows, max)
     free = tuple(f for f in range(ncols) if f not in kept)
     basis = []
     for f in free:
         hits = [(p, row) for p, row in kept.items() if f in row]
         scale = math.lcm(*(row[p] for p, row in hits))
-        vec = [0] * ncols
-        vec[f] = scale
+        vec = {f: scale}
         for p, row in hits:
             vec[p] = -row[f] * (scale // row[p])
-        g = math.gcd(*vec)
-        basis.append(tuple([x // g for x in vec]) if g > 1 else tuple(vec))
+        if (g := math.gcd(*vec.values())) > 1:
+            vec = {j: x // g for j, x in vec.items()}
+        basis.append(vec)
     return Subspace(ncols, tuple(basis), free)
 
 
 # ---------------------------------------------------------------------------
 # linear maps
 # ---------------------------------------------------------------------------
+
+def _apply(columns: Mapping[int, Iterable[tuple[int, int]]], row: SparseRow) -> SparseRow:
+    """Sparse columns applied to a sparse row; a column absent from them is zero."""
+    out: SparseRow = {}
+    for j, v in row.items():
+        for i, e in columns.get(j, ()):
+            out[i] = out.get(i, 0) + v * e
+    return {i: x for i, x in out.items() if x}
+
 
 class LinearMap:
     """Integer matrix of shape rows x cols, stored as sparse columns.
@@ -152,16 +161,11 @@ class LinearMap:
                 self.columns[j] = entries
 
     def apply(self, vector: Sequence[int]) -> list[int]:
-        """Matrix-vector product; skips zero coordinates of the input."""
+        """Matrix-vector product on a dense row."""
         if len(vector) != self.cols:
             raise DimensionMismatchError(f"vector of length {len(vector)} against {self.cols} columns")
-        out = [0] * self.rows
-        columns = self.columns
-        for j in compress(range(self.cols), vector):
-            v = vector[j]
-            for i, e in columns.get(j, ()):
-                out[i] += v * e
-        return out
+        out = _apply(self.columns, {j: v for j, v in enumerate(vector) if v})
+        return list(map(out.get, range(self.rows), repeat(0)))
 
     def is_zero(self) -> bool:
         return not self.columns
@@ -179,23 +183,29 @@ class LinearMap:
 # ---------------------------------------------------------------------------
 
 class Subspace:
-    """Linear subspace of Q^n held as its canonical basis, one integer row per vector.
+    """Linear subspace of Q^n held as its canonical rows, one sparse integer row per vector.
 
-    Rows are the RREF rows scaled to primitive integers with a positive
-    pivot at column ``pivots[i]``.  Canonicity makes equality-of-sets the
-    same as equality-of-bases, which the golden-table comparisons rely on.
+    ``rows[i]`` is an RREF row scaled to a primitive integer vector with a
+    positive pivot at column ``pivots[i]``, stored as {column: nonzero value}.
+    Canonicity makes equality-of-sets the same as equality-of-rows, which the
+    golden-table comparisons rely on.  ``basis`` is the dense read-only view.
+    A vector lies in the subspace iff ``_clear`` at every pivot leaves nothing.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "rows", "pivots")
 
-    def __init__(self, ambient_dim: int, basis: tuple[Row, ...], pivots: tuple[int, ...]):
+    def __init__(self, ambient_dim: int, rows: tuple[SparseRow, ...], pivots: tuple[int, ...]):
         self.ambient_dim = ambient_dim
-        self.basis = basis
+        self.rows = rows
         self.pivots = pivots
 
     @property
+    def basis(self) -> tuple[Row, ...]:
+        return tuple(tuple(map(row.get, range(self.ambient_dim), repeat(0))) for row in self.rows)
+
+    @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> Subspace:
@@ -209,39 +219,25 @@ class Subspace:
     def coordinate(cls, positions: Iterable[int], ambient_dim: int) -> Subspace:
         """Span of the unit vectors at the given coordinate positions."""
         pos = tuple(sorted(set(positions)))
-        return cls(ambient_dim, tuple([(0,) * p + (1,) + (0,) * (ambient_dim - 1 - p) for p in pos]), pos)
+        return cls(ambient_dim, tuple({p: 1} for p in pos), pos)
 
-    def _residual(self, vector: Sequence[int]) -> tuple[int, list[int]]:
-        """``(s, s*vector - w)`` with w in this subspace, s > 0, zero at every pivot.
-
-        The residual is zero iff ``vector`` lies in the subspace.
-        """
-        vec = list(vector)
-        scale = 1
-        for row, p in zip(self.basis, self.pivots):
-            f = vec[p]
-            if f:
-                piv = row[p]
-                if piv != 1:
-                    g = math.gcd(f, piv)
-                    a, f = piv // g, f // g
-                    vec = [a * x for x in vec]
-                    scale *= a
-                for j in range(p, self.ambient_dim):
-                    if row[j]:
-                        vec[j] -= f * row[j]
-        return scale, vec
+    def _holds(self, vec: SparseRow) -> bool:
+        """Whether a sparse row lies in the subspace; clears it in place."""
+        for row, p in zip(self.rows, self.pivots):
+            if p in vec:
+                _clear(vec, row, p)
+        return not vec
 
     def contains_vector(self, vector: Sequence[int]) -> bool:
         """Whether an integer row lies in the subspace."""
-        return not any(self._residual(_integer_row(vector, self.ambient_dim))[1])
+        return self._holds(_integer_row(vector, self.ambient_dim))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
+                and self.rows == other.rows)
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, tuple(frozenset(row.items()) for row in self.rows)))
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
@@ -249,15 +245,14 @@ class Subspace:
 
 def span(vectors: Iterable[Sequence[int]], ambient_dim: int) -> Subspace:
     """Canonical subspace spanned by the given integer coordinate rows."""
-    return _span(_sparse(_integer_row(v, ambient_dim) for v in vectors), ambient_dim)
+    return _span([_integer_row(v, ambient_dim) for v in vectors], ambient_dim)
 
 
 def _span(rows: Iterable[SparseRow], ambient_dim: int) -> Subspace:
     """``span`` of sparse integer rows of Q^ambient_dim, unchecked and taken over."""
     kept = _eliminate(rows)
-    pivots = sorted(kept)
-    basis = tuple(tuple(map(kept[p].get, range(ambient_dim), repeat(0))) for p in pivots)
-    return Subspace(ambient_dim, basis, tuple(pivots))
+    pivots = tuple(sorted(kept))
+    return Subspace(ambient_dim, tuple(map(kept.get, pivots)), pivots)
 
 
 def _check_same_ambient(a: Subspace, b: Subspace) -> None:
@@ -276,7 +271,7 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
         return a
     if a.dim == 0:
         return b
-    return span(a.basis + b.basis, a.ambient_dim)
+    return _span(list(map(dict, a.rows + b.rows)), a.ambient_dim)
 
 
 def contains(a: Subspace, b: Subspace) -> bool:
@@ -284,13 +279,13 @@ def contains(a: Subspace, b: Subspace) -> bool:
     _check_same_ambient(a, b)
     if b.dim > a.dim:
         return False
-    return all(not any(a._residual(row)[1]) for row in b.basis)
+    return all(a._holds(dict(row)) for row in b.rows)
 
 
 def image(m: LinearMap, domain: Subspace) -> Subspace:
     """Span of ``m`` applied to a basis of ``domain``; lives in Q^(m.rows)."""
     _check_domain(m, domain)
-    return span([m.apply(row) for row in domain.basis], m.rows)
+    return _span([_apply(m.columns, row) for row in domain.rows], m.rows)
 
 
 def preimage(m: LinearMap, target: Subspace, domain: Subspace) -> Subspace:
@@ -301,37 +296,27 @@ def preimage(m: LinearMap, target: Subspace, domain: Subspace) -> Subspace:
     t = domain.dim
     if t == 0 or target.dim == target.ambient_dim:
         return domain
-    # residual i is s_i * m b_i minus a target vector, zero on the target's
-    # pivots; sum c'_i residual_i = 0 iff sum s_i c'_i m b_i lies in the target
-    scales, residuals = zip(*(target._residual(m.apply(row)) for row in domain.basis))
-    pivot_set = set(target.pivots)
-    constraint_rows = []
-    for c in range(m.rows):
-        if c in pivot_set:
-            continue
-        row = [res[c] for res in residuals]
-        if any(row):
-            constraint_rows.append(row)
-    supports = [[(j, s * brow[j]) for j in compress(range(len(brow)), brow)]
-                for s, brow in zip(scales, domain.basis)]
-    vectors = []
-    for coeffs in null_space(constraint_rows, t).basis:
-        vec = [0] * domain.ambient_dim
-        for ci, support in zip(coeffs, supports):
-            if ci:
-                for j, x in support:
-                    vec[j] += ci * x
-        vectors.append(vec)
-    return span(vectors, domain.ambient_dim)
+    # (c, e) is a null vector of [m b_i | -t_j] iff sum c_i m b_i = sum e_j t_j;
+    # the t_j are independent, so the c of the null space are the preimage's
+    constraints: defaultdict[int, SparseRow] = defaultdict(dict)
+    for i, brow in enumerate(domain.rows):
+        for r, v in _apply(m.columns, brow).items():
+            constraints[r][i] = v
+    for j, trow in enumerate(target.rows, start=t):
+        for r, v in trow.items():
+            constraints[r][j] = -v
+    combine = dict(enumerate(map(dict.items, domain.rows)))  # c -> sum c_i b_i; the e_j read nothing
+    return _span([_apply(combine, null) for null in null_space(constraints.values(), t + target.dim).rows],
+                 domain.ambient_dim)
 
 
 def kernel(m: LinearMap) -> Subspace:
     """Right kernel {x : m x = 0} as a canonical subspace of Q^(m.cols)."""
-    rows = [[0] * m.cols for _ in range(m.rows)]
+    rows: defaultdict[int, SparseRow] = defaultdict(dict)
     for j, entries in m.columns.items():
         for i, v in entries:
             rows[i][j] = v
-    return null_space(rows, m.cols)
+    return null_space(rows.values(), m.cols)
 
 
 def rank(m: LinearMap) -> int:

@@ -17,14 +17,16 @@ positional ``LinearMap`` relabelled from the complex's key columns.  The
 maps, A-spaces, images and ranks are cached per complex, for as long as the
 complex lives.  Nothing in the package imports this module.
 
-It also keeps three earlier constructions the package replaced, as references
+It also keeps four earlier constructions the package replaced, as references
 for tests: the differential built by walking every q-form and every term of
 each of its indices (``mask_walk_columns``), the kernel from a
 left-to-right elimination whose null vectors are reduced a second time
 (``two_step_kernel``, on the textbook elimination ``naive_rref`` of
-(num, den) pairs rather than the package's), and the table assembled from a
+(num, den) pairs rather than the package's), the table assembled from a
 cube of bar ends per (degree, level, gap) with suffix sums over the gaps
-(``ends_cube_table``).
+(``ends_cube_table``), and the adapted basis change on dense rows: ``span``
+of the augmented [P | I] and all C(m, 2) ``wedge_minors`` of the rows of
+P^-1 (``dense_transform_constants``).
 Two independent cross-checks complete it: the differential by pointwise
 evaluation of the alternating-sum formula on tuples of primal basis vectors
 (``pointwise_differential``, for small dimensions), and the page-0 entries
@@ -40,8 +42,8 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping, NamedTuple, Sequence
 
-from nilspec.exterior import (CochainComplex, Constants, KeyColumns, MultiIndex, clear_denominators, multi_indices,
-                              positional_columns)
+from nilspec.exterior import (CochainComplex, CochainComplexError, Constants, KeyColumns, MultiIndex,
+                              clear_denominators, multi_indices, positional_columns)
 from nilspec.linalg import LinearMap, Subspace, contains, image, preimage, rank, span, subspace_sum
 from nilspec import spectral
 from nilspec.spectral import LIMIT, Grid, InternalConsistencyError, SpectralTable, require_poincare_duality
@@ -301,8 +303,35 @@ def two_step_kernel(m: LinearMap) -> Subspace:
         scale = math.lcm(*(den for _, den in row))
         ints = [num * (scale // den) for num, den in row]
         g = math.gcd(*ints)
-        basis.append(tuple(x // g for x in ints))
+        basis.append({j: x // g for j, x in enumerate(ints) if x})
     return Subspace(m.cols, tuple(basis), tuple(_leads(reduced[:r])))
+
+
+def wedge_minors(x: Sequence[int], y: Sequence[int], m: int) -> list[int]:
+    """Coordinates of the 2-form x ^ y of two dense 1-forms: its 2x2 minors."""
+    return [x[a - 1] * y[b - 1] - x[b - 1] * y[a - 1] for a, b in multi_indices(m, 2)]
+
+
+def dense_transform_constants(constants: Constants, change: Sequence[Sequence[int]]
+                              ) -> dict[tuple[int, int, int], int]:
+    """``exterior.transform_constants`` on the dense rows of P: the canonical
+    rows of [P | I] give L P^-1, and d f^j sums the minors of its rows."""
+    m = len(change)
+    # the canonical rows of [P | I] are [0..L_i..0 | L_i (P^-1)_i] iff P is invertible
+    augmented = span([list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(change)], 2 * m)
+    if not all(row[i] for i, row in enumerate(augmented.basis)):
+        raise CochainComplexError("adapted basis change is singular")
+    scale = math.lcm(*(row[i] for i, row in enumerate(augmented.basis)))
+    old_basis = [[x * (scale // row[i]) for x in row[m:]] for i, row in enumerate(augmented.basis)]
+    minors = {(i, l): wedge_minors(old_basis[i - 1], old_basis[l - 1], m) for i, l, _ in constants}
+    out: dict[tuple[int, int, int], int] = {}
+    for jnew, prow in enumerate(change, start=1):
+        two_form = [0] * len(multi_indices(m, 2))
+        for (i, l, b), cval in constants.items():
+            if prow[b - 1]:
+                two_form = [t + prow[b - 1] * cval * x for t, x in zip(two_form, minors[i, l])]
+        out.update({(aa, bb, jnew): coeff for (aa, bb), coeff in zip(multi_indices(m, 2), two_form) if coeff})
+    return out
 
 
 def ends_cube_table(c: CochainComplex) -> SpectralTable:

@@ -257,6 +257,7 @@ NINES = "9" * 4300  # within that limit, but twice it is one digit longer
     (["compute", "{file}"], _json_doc(brackets={"i": 1}), 0),
     (["compute", "{file}"], _json_doc(brackets="12"), 0),
     (["compute", "{file}"], _json_doc(brackets=None), 0),
+    (["compute", "{file}"], '{"brackets": []}', 0),
 ], ids=["census-7", "m0-2", "direct-sum-0", "page-foo", "pages-minus-1", "directory",
         "batch-directory-line", "json-dim-bool", "json-dim-float", "json-decimal-c",
         "json-bool-index", "json-too-deep", "json-zero-denominator", "salamon-zero-denominator",
@@ -265,7 +266,8 @@ NINES = "9" * 4300  # within that limit, but twice it is one digit longer
         "salamon-long-denominator", "batch-long-line", "json-long-dim", "json-long-c",
         "salamon-long-sum", "batch-long-sum", "salamon-superscript-digit", "salamon-superscript-coefficient",
         "salamon-arabic-indic-digits", "json-arabic-indic-c", "batch-superscript-line",
-        "json-bracket-not-object", "json-brackets-object", "json-brackets-string", "json-brackets-null"])
+        "json-bracket-not-object", "json-brackets-object", "json-brackets-string", "json-brackets-null",
+        "json-no-dim"])
 def test_bad_input_exits_2_with_one_error_line(argv, content, tables, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("(0,0,12)\n"))  # read only by a stdin batch
 

@@ -3,9 +3,12 @@
 import random
 from math import comb
 
+import pytest
+
 from conftest import index_positions, reversed_twin, sheared
 from nilspec import lie, spectral
 from nilspec.exterior import (
+    CochainComplexError,
     build_complex,
     clear_denominators,
     compose_is_zero,
@@ -14,11 +17,12 @@ from nilspec.exterior import (
     _position,
     form_columns,
     multi_indices,
-    wedge_minors,
+    transform_constants,
 )
 from nilspec.linalg import LinearMap, Subspace, contains, image, span
 from nilspec.spectral import LIMIT, full_table
-from reference import betti_numbers, lambda_subspace, mask_walk_columns, page_grid, pointwise_differential, positional_d
+from reference import (betti_numbers, dense_transform_constants, lambda_subspace, mask_walk_columns, page_grid,
+                       pointwise_differential, positional_d, wedge_minors)
 
 
 def _complex(text):
@@ -112,25 +116,50 @@ def test_pointwise_oracle_matches_derivation_rule(random_algebras_dim5, random_a
 
 def test_term_driven_columns_match_mask_walk(random_algebras_dim7, twins_dim7, catalog_tables, rng_factory):
     """form_columns equals the mask walk of tests/reference.py on every degree,
-    with and without levels: the catalog, m0(3..12), the dimension <= 7
-    fixtures (rational constants) and their twins, and sheared algebras,
-    whose complexes take transform_constants."""
+    with and without levels, and transform_constants on sparse rows equals
+    the dense construction of tests/reference.py: the catalog, m0(3..12), the
+    dimension <= 7 fixtures (rational constants) and their twins, and sheared
+    algebras (fixtures, catalog copies and m0(3..12)), whose complexes take
+    transform_constants."""
     rng = rng_factory(0x7E2A)
     algebras = [b for pair in zip(random_algebras_dim7, twins_dim7) for b in pair]
     algebras += [lie.m0(m) for m in range(3, 13)] + [a for _, a, _, _ in catalog_tables.values()]
     algebras += [sheared(a, rng) for a in random_algebras_dim7[:20]]
+    algebras += [sheared(a, rng) for a in [*(a for _, a, _, _ in catalog_tables.values()),
+                                           *(lie.m0(m) for m in range(3, 13))]]
     transformed = rational = 0
     for a in algebras:
         c = spectral.complex_for(a)
         transformed += c.adapted_basis_change != Subspace.full(a.m).basis
         rational += any(v.denominator > 1 for v in a.c.values())
-        for constants, levels in ((clear_denominators(a.c)[0], ()), (c.adapted_constants, c.levels),
-                                  (c.adapted_constants, ())):
+        integral = clear_denominators(a.c)[0]
+        change = [{j: x for j, x in enumerate(row) if x} for row in c.adapted_basis_change]
+        assert transform_constants(integral, change) == dense_transform_constants(integral, c.adapted_basis_change)
+        for constants, levels in ((integral, ()), (c.adapted_constants, c.levels), (c.adapted_constants, ())):
             columns = form_columns(a.m, constants, levels)
             assert len(columns) == a.m + 1
             for q in range(a.m + 1):
                 assert columns[q] == mask_walk_columns(a.m, constants, q, levels)
-    assert len(catalog_tables) == 44 and transformed >= 20 and rational > 0
+    assert len(catalog_tables) == 44 and transformed >= 60 and rational > 0
+
+
+def test_singular_basis_change_raises():
+    constants = clear_denominators(lie.m0(4).c)[0]
+    for change in ([{0: 1}, {0: 2}, {2: 1}, {3: 1}], [{0: 1, 1: 1}, {1: 1, 2: -1}, {0: 1, 2: 1}, {3: 1}]):
+        dense = [[row.get(j, 0) for j in range(4)] for row in change]
+        for transform, rows in ((transform_constants, change), (dense_transform_constants, dense)):
+            with pytest.raises(CochainComplexError, match="^adapted basis change is singular$"):
+                transform(constants, rows)
+
+
+def test_build_complex_leaves_the_filtration_unchanged(catalog_tables, rng_factory):
+    rng = rng_factory(0xA11A5)
+    for _, algebra, _, _ in catalog_tables.values():
+        a = sheared(algebra, rng)
+        before = [(s.ambient_dim, s.basis, s.pivots) for s in a.filtration.spaces]
+        c = build_complex(a, a.filtration)
+        assert [(s.ambient_dim, s.basis, s.pivots) for s in a.filtration.spaces] == before
+        assert c.adapted_basis_change == build_complex(a, a.filtration).adapted_basis_change
 
 
 def test_mask_positions_match_index_positions():

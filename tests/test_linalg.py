@@ -56,6 +56,11 @@ def identity_map(n):
     return LinearMap(n, n, {j: [(j, 1)] for j in range(n)})
 
 
+def snapshot(*spaces):
+    """What a subspace shows of itself: ambient dimension, dense basis, pivots."""
+    return [(s.ambient_dim, s.basis, s.pivots) for s in spaces]
+
+
 def primitive(row):
     """A rational row scaled to a primitive integer vector with a positive
     leading entry."""
@@ -112,15 +117,21 @@ def test_rref_matches_naive_on_random_matrices():
 
 
 def test_rref_idempotent_and_span_preserving():
+    """span of its own basis, or of its rows shuffled, gives an equal subspace
+    with an equal hash, and reading a subspace changes none of its rows."""
     rng = random.Random(7)
     for _ in range(30):
         rows, cols = rng.randint(1, 5), rng.randint(1, 6)
         grid = random_matrix(rng, rows, cols)
         once = span(integer_rows(grid), cols)
+        before = snapshot(once)
         twice = span(once.basis, cols)
+        shuffled = span(rng.sample(integer_rows(grid), rows), cols)
         assert once.basis == twice.basis and once.dim == twice.dim
+        assert once == twice == shuffled and hash(once) == hash(twice) == hash(shuffled)
         assert all(once.contains_vector(row) for row in integer_rows(grid))
         assert once.dim == rank(as_map(grid, cols))
+        assert snapshot(once) == before
 
 
 def test_span_empty_is_zero_subspace():
@@ -214,13 +225,22 @@ def test_preimage_is_largest_subspace_mapping_into_target():
         mat = as_map(random_matrix(rng, m_dim, n), n)
         domain = random_subspace(rng, n, rng.randint(0, n))
         target = random_subspace(rng, m_dim, rng.randint(0, m_dim))
+        before = snapshot(domain, target)
         pre = preimage(mat, target, domain)
+        after_pre = snapshot(pre)
         assert contains(domain, pre)
         assert contains(target, image(mat, pre))
-        # maximality: every domain basis vector outside pre must leave target
+        # maximality: every domain basis vector outside pre must leave target,
+        # and pre is the kernel of domain -> Q^m_dim / target (rank-nullity)
         for row in domain.basis:
             if not pre.contains_vector(row):
                 assert not target.contains_vector(mat.apply(row))
+        assert pre.dim == domain.dim - (subspace_sum(target, image(mat, domain)).dim - target.dim)
+        # every operation reads its operands and leaves their rows as they were
+        total = subspace_sum(pre, domain)
+        assert total == domain and contains(total, pre) and contains(span(pre.basis, n), pre)
+        assert subspace_sum(target, image(mat, domain)) == subspace_sum(image(mat, domain), target)
+        assert snapshot(domain, target) == before and snapshot(pre) == after_pre
 
 
 def test_kernel_matches_preimage_of_zero():
@@ -228,8 +248,9 @@ def test_kernel_matches_preimage_of_zero():
     for _ in range(20):
         n, m_dim = rng.randint(1, 5), rng.randint(1, 5)
         mat = as_map(random_matrix(rng, m_dim, n), n)
-        assert kernel(mat) == preimage(mat, Subspace.zero(m_dim), Subspace.full(n))
-        assert kernel(mat).dim == n - rank(mat)
+        by_kernel, by_preimage = kernel(mat), preimage(mat, Subspace.zero(m_dim), Subspace.full(n))
+        assert by_kernel == by_preimage and hash(by_kernel) == hash(by_preimage)
+        assert by_kernel.dim == n - rank(mat)
 
 
 def test_one_elimination_kernel_equals_two_step_kernel():
@@ -269,7 +290,7 @@ def test_null_space_equals_two_step_kernel():
                        for _ in range(rows)], cols))
     kinds = {"untouched": 0, "touched": 0, "mixed": 0}
     for grid, cols in grids:
-        got = null_space([list(row) for row in grid], cols)
+        got = null_space([{j: v for j, v in enumerate(row) if v} for row in grid], cols)
         want = two_step_kernel(LinearMap(len(grid), cols, {j: [(i, row[j]) for i, row in enumerate(grid)]
                                                            for j in range(cols)}))
         assert (got.ambient_dim, got.basis, got.pivots) == (want.ambient_dim, want.basis, want.pivots)
