@@ -21,11 +21,12 @@ de^a ^ e^b - e^a ^ de^b without building d, raises NotNilpotentError unless
 the algebra is nilpotent, and stores the filtration V_0 = 0,
 V_i = {x : dx in Lambda^2 V_(i-1)} of the dual, cross-checked against the
 primal central descending series through annihilator duality
-dim V_i + dim n^i = m.  Each side first reads its own coordinate candidate
-off the integer constants and keeps it only if a forward-only
-``linalg._eliminate`` proves it by its rank; otherwise it eliminates: V_i as
-an exact kernel (w lies in Lambda^2 V iff i_u w = 0 for every u in ann(V)),
-n^i as a span.
+dim V_i + dim n^i = m.  Each side runs one loop over the levels.  Where the
+previous space is spanned by basis vectors, it reads its own coordinate
+candidate for the next off the integer constants and keeps it only if a
+forward-only ``linalg._eliminate`` proves it by its rank; otherwise it
+eliminates that level: V_i as an exact kernel (w lies in Lambda^2 V iff
+i_u w = 0 for every u in ann(V)), n^i as a span.
 """
 
 from __future__ import annotations
@@ -171,78 +172,49 @@ class LieAlgebra:
 # validation and the filtration
 # ---------------------------------------------------------------------------
 
-def _coordinate_dual(m: int, constants: Mapping[tuple[int, int, int], int]) -> list[Subspace] | None:
-    """V_0, V_1, ... spanned by basis covectors, or None where the constants do not prove it:
-    e^j joins V_i once de^j lies in Lambda^2 V_(i-1), and that is V_i iff the
-    parts of the other de^j off Lambda^2 V_(i-1) are independent."""
-    spaces = [Subspace.zero(m)]
-    inside: set[int] = set()  # the covectors spanning V_(i-1), 1-based
-    while len(inside) < m:
-        off: defaultdict[int, dict[tuple[int, int], int]] = defaultdict(dict)  # j -> de^j off Lambda^2 V_(i-1)
-        for (a, b, j), c in constants.items():
-            if a not in inside or b not in inside:
-                off[j][a, b] = c
-        if len(_eliminate(off.values(), reduced=False)) < len(off):
-            return None
-        if len(off) == m - len(inside):  # nothing joined: V_i = V_(i-1)
-            break
-        inside = set(range(1, m + 1)) - off.keys()
-        spaces.append(Subspace.coordinate([j - 1 for j in inside], m))
-    return spaces
-
-
-def _coordinate_series(m: int, constants: Mapping[tuple[int, int, int], int]) -> list[Subspace] | None:
-    """n^0, n^1, ... spanned by basis vectors, or None where the constants do not prove it:
-    n^i is spanned by the brackets [e_a, e_b] with e_a or e_b in n^(i-1), and
-    by the e_k they reach iff they have full rank on those."""
-    brackets: defaultdict[tuple[int, int], dict[int, int]] = defaultdict(dict)  # (a, b) -> [e_a, e_b]
-    for (a, b, k), c in constants.items():
-        brackets[a, b][k] = c
-    series = [Subspace.full(m)]
-    ideal = set(range(1, m + 1))
-    while True:
-        reached = [v for (a, b), v in brackets.items() if a in ideal or b in ideal]
-        nxt = set().union(*reached)
-        if len(_eliminate(map(dict, reached), reduced=False)) < len(nxt):  # copies: read again at the next level
-            return None
-        if len(nxt) == len(ideal):
-            return series
-        ideal = nxt
-        series.append(Subspace.coordinate([k - 1 for k in ideal], m))
-
-
 def _dual_filtration_spaces(m: int, constants: Mapping[tuple[int, int, int], int]) -> list[Subspace]:
     """V_0, V_1, ... from the dual side until stabilisation (at most m+1 spaces).
 
-    A 2-form w lies in Lambda^2 V iff i_u w = 0 for every u in ann(V), so
-    V_i is the kernel of x -> (i_u dx)_u over a basis u of ann(V_(i-1)),
-    with i_u (e^a ^ e^b) = u_a e^b - u_b e^a.  That basis comes straight
-    from the canonical rows of V_(i-1): for each non-pivot column c,
+    Where V_(i-1) is spanned by basis covectors, V_i is read off the
+    constants: e^j joins it once de^j lies in Lambda^2 V_(i-1), and that is
+    V_i iff the parts of the other de^j off Lambda^2 V_(i-1) are independent.
+    Where that rank count fails, or V_(i-1) is not by coordinates, V_i is
+    eliminated: a 2-form w lies in Lambda^2 V iff i_u w = 0 for every u in
+    ann(V), so V_i is the kernel of x -> (i_u dx)_u over a basis u of
+    ann(V_(i-1)), with i_u (e^a ^ e^b) = u_a e^b - u_b e^a.  That basis comes
+    straight from the canonical rows of V_(i-1): for each non-pivot column c,
     L e_c - sum_i (L row_i[c] / row_i[p_i]) e_(p_i), L the lcm of the row_i[p_i].
     Only the rows (u, e^b) that some term reaches through a nonzero u_a are
-    built, and only the nonzero ones go to the elimination, where
-    ``_coordinate_dual`` declines.
+    built, and only the nonzero ones go to the elimination.
     """
-    if (coordinate := _coordinate_dual(m, constants)) is not None:
-        return coordinate
     spaces = [Subspace.zero(m)]
     while spaces[-1].dim < m:
         prev = spaces[-1]
-        scale = math.lcm(*(row[p] for row, p in zip(prev.rows, prev.pivots)))
-        # reach[a] lists (t, u_a) over the basis vectors u of ann(V) with u_a != 0
-        reach: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-        for t, c in enumerate(sorted(set(range(m)) - set(prev.pivots))):
-            reach[c].append((t, scale))
-            for row, p in zip(prev.rows, prev.pivots):
-                if c in row:
-                    reach[p].append((t, -row[c] * (scale // row[p])))
-        # row (t, b) holds the e^b coordinate of i_u de^k in column k-1, for the t-th u
-        rows: defaultdict[tuple[int, int], defaultdict[int, int]] = defaultdict(lambda: defaultdict(int))
-        for (a, b, k), v in constants.items():
-            for inner, outer, c in ((a, b, v), (b, a, -v)):
-                for t, u_inner in reach[inner - 1]:
-                    rows[t, outer][k - 1] += c * u_inner
-        nxt = null_space([{k: v for k, v in row.items() if v} for row in rows.values()], m)
+        nxt = None
+        if all(len(row) == 1 for row in prev.rows):  # spanned by basis covectors
+            inside = set(prev.pivots)
+            off: defaultdict[int, dict[tuple[int, int], int]] = defaultdict(dict)  # j -> de^j off Lambda^2 V_(i-1)
+            for (a, b, j), c in constants.items():
+                if a - 1 not in inside or b - 1 not in inside:
+                    off[j - 1][a, b] = c
+            if len(_eliminate(off.values(), reduced=False)) == len(off):
+                nxt = Subspace.coordinate(set(range(m)) - off.keys(), m)
+        if nxt is None:
+            scale = math.lcm(*(row[p] for row, p in zip(prev.rows, prev.pivots)))
+            # reach[a] lists (t, u_a) over the basis vectors u of ann(V) with u_a != 0
+            reach: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+            for t, c in enumerate(sorted(set(range(m)) - set(prev.pivots))):
+                reach[c].append((t, scale))
+                for row, p in zip(prev.rows, prev.pivots):
+                    if c in row:
+                        reach[p].append((t, -row[c] * (scale // row[p])))
+            # row (t, b) holds the e^b coordinate of i_u de^k in column k-1, for the t-th u
+            rows: defaultdict[tuple[int, int], defaultdict[int, int]] = defaultdict(lambda: defaultdict(int))
+            for (a, b, k), v in constants.items():
+                for inner, outer, c in ((a, b, v), (b, a, -v)):
+                    for t, u_inner in reach[inner - 1]:
+                        rows[t, outer][k - 1] += c * u_inner
+            nxt = null_space([{k: v for k, v in row.items() if v} for row in rows.values()], m)
         if nxt.dim == prev.dim:
             break
         spaces.append(nxt)
@@ -250,27 +222,39 @@ def _dual_filtration_spaces(m: int, constants: Mapping[tuple[int, int, int], int
 
 
 def primal_series(m: int, constants: Mapping[tuple[int, int, int], int]) -> list[Subspace]:
-    """Central descending series n^0 = n, n^i = [n, n^(i-1)], until stabilisation;
-    eliminated only where ``_coordinate_series`` declines."""
-    if (coordinate := _coordinate_series(m, constants)) is not None:
-        return coordinate
-    # brackets_with[j] lists (g, k, c): [e_g, e_j] has c at e_k
+    """Central descending series n^0 = n, n^i = [n, n^(i-1)], until stabilisation.
+    Where n^(i-1) is spanned by basis vectors, n^i is read off the constants as
+    the span of the e_k that the brackets with n^(i-1) reach, kept iff those
+    brackets have full rank on them; otherwise it is eliminated as the span of
+    the [e_g, x] over the canonical rows x of n^(i-1)."""
+    # brackets[a, b] is [e_(a+1), e_(b+1)]; brackets_with[j] lists (g, k, c): [e_g, e_j] has c at e_k
+    brackets: defaultdict[tuple[int, int], dict[int, int]] = defaultdict(dict)
     brackets_with: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]
     for (i, j, k), c in constants.items():
+        brackets[i - 1, j - 1][k - 1] = c
         brackets_with[j - 1].append((i - 1, k - 1, c))
         brackets_with[i - 1].append((j - 1, k - 1, -c))
     series = [Subspace.full(m)]
     while True:
-        vecs = []
-        for row in series[-1].rows:
-            # brackets[g] is [e_(g+1), row]
-            brackets: defaultdict[int, defaultdict[int, int]] = defaultdict(lambda: defaultdict(int))
-            for j, x in row.items():
-                for g, k, c in brackets_with[j]:
-                    brackets[g][k] += c * x
-            vecs.extend({k: v for k, v in b.items() if v} for b in brackets.values())
-        nxt = _span(vecs, m)
-        if nxt.dim == series[-1].dim:
+        prev = series[-1]
+        nxt = None
+        if all(len(row) == 1 for row in prev.rows):  # spanned by basis vectors
+            ideal = set(prev.pivots)
+            reached = [v for (a, b), v in brackets.items() if a in ideal or b in ideal]
+            support = set().union(*reached)
+            if len(_eliminate(map(dict, reached), reduced=False)) == len(support):  # copies: read again next level
+                nxt = Subspace.coordinate(support, m)
+        if nxt is None:
+            vecs = []
+            for row in prev.rows:
+                # out[g] is [e_(g+1), row]
+                out: defaultdict[int, defaultdict[int, int]] = defaultdict(lambda: defaultdict(int))
+                for j, x in row.items():
+                    for g, k, c in brackets_with[j]:
+                        out[g][k] += c * x
+                vecs.extend({k: v for k, v in b.items() if v} for b in out.values())
+            nxt = _span(vecs, m)
+        if nxt.dim == prev.dim:
             return series
         series.append(nxt)
 

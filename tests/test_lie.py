@@ -1,7 +1,9 @@
 """Structure constants, notation parsing, validation, series and sums."""
 
+import functools
 import json
 import random
+from collections import Counter, defaultdict
 from fractions import Fraction
 from math import comb
 
@@ -19,7 +21,7 @@ from nilspec.lie import (
     NotNilpotentError,
     SalamonSyntaxError,
 )
-from reference import wedge_minors
+from reference import two_step_kernel, wedge_minors
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +321,20 @@ def _same_spaces(got, want):
     return [(s.basis, s.pivots) for s in got] == [(s.basis, s.pivots) for s in want]
 
 
+def _annihilator(space):
+    """ann(V) as the tests' textbook kernel of the canonical rows of V."""
+    columns = defaultdict(list)
+    for i, row in enumerate(space.rows):
+        for j, x in row.items():
+            columns[j].append((i, x))
+    return two_step_kernel(LinearMap(space.dim, space.ambient_dim, columns))
+
+
+def _counted(calls, name, function, *args):
+    calls[name] += 1
+    return function(*args)
+
+
 def test_contraction_filtration_equals_lambda2_preimages(catalog_tables, random_algebras_dim7,
                                                           random_algebras_dim10, twins_dim7, twins_dim10,
                                                           monkeypatch):
@@ -330,31 +346,39 @@ def test_contraction_filtration_equals_lambda2_preimages(catalog_tables, random_
     algebras += [b for a, twin in zip(random_algebras_dim7 + random_algebras_dim10, twins_dim7 + twins_dim10)
                  for b in (a, twin, sheared(a, rng))]
     assert len(algebras) == 2 * (44 + 12) + 3 * (50 + 200)
-    # filtrations by coordinates, which both read-offs must accept: the
-    # catalog, m0(3..16) and R (+) h for the 11 catalog entries h of dim <= 5
+    # filtrations by coordinates, which both sides must read off at every
+    # level: the catalog, m0(3..16) and R (+) h for the 11 catalog entries h of dim <= 5
     sums = [lie.direct_sum(lie.abelian(1), algebra) for e, algebra, _, _ in catalog_tables.values() if e.dim <= 5]
     coordinate = set(algebras[:44 + 12] + [lie.m0(15), lie.m0(16)] + sums)
-    # e^4 - e^5 is closed and [e_1, e_2] = e_4 + e_5: neither read-off may accept
-    algebras += [lie.m0(15), lie.m0(16), *sums, lie.parse_salamon("(0,0,0,12,12)")]
+    # e^4 - e^5 is closed and [e_1, e_2] = e_4 + e_5: every level is eliminated.
+    # partial has V_1 spanned by e^1, e^2, e^3 and e^5 - e^6 in V_2.
+    closed, partial = lie.parse_salamon("(0,0,0,12,12)"), lie.parse_salamon("(0,0,0,12,14+23,14)")
+    algebras += [lie.m0(15), lie.m0(16), *sums, closed, partial]
+    calls, eliminations = Counter(), {}
+    for name in ("null_space", "_span"):
+        monkeypatch.setattr(lie, name, functools.partial(_counted, calls, name, getattr(lie, name)))
     accepted = 0
     for a in algebras:
         constants, _ = clear_denominators(a.c)
+        calls.clear()
         spaces = lie._dual_filtration_spaces(a.m, constants)
-        assert _same_spaces(spaces, _lambda2_filtration(a.m, _d1(a.m, constants))), lie.to_salamon(a)
+        series = lie.primal_series(a.m, constants)
+        eliminations[a] = (calls["null_space"], calls["_span"])
+        reference = _lambda2_filtration(a.m, _d1(a.m, constants))
+        assert _same_spaces(spaces, reference), lie.to_salamon(a)
         assert _same_spaces(spaces, lie.descending_series(a).spaces)
-        # both read-offs accept exactly the filtrations by coordinates, each on its own
+        # n^i = ann(V_i), whichever branch gave each level
+        assert _same_spaces(series, [_annihilator(v) for v in reference]), lie.to_salamon(a)
+        # a filtration by coordinates eliminates no level, any other at least one
         by_coordinates = all(sum(map(bool, row)) == 1 for space in spaces for row in space.basis)
         assert by_coordinates or a not in coordinate
-        assert lie._coordinate_dual(a.m, constants) == (spaces if by_coordinates else None)
-        series = lie._coordinate_series(a.m, constants)
-        assert (series is not None) == by_coordinates, lie.to_salamon(a)
-        with monkeypatch.context() as patched:  # the elimination the read-off short-cuts
-            patched.setattr(lie, "_coordinate_series", lambda m, constants: None)
-            eliminated = lie.primal_series(a.m, constants)
-        assert _same_spaces(lie.primal_series(a.m, constants), eliminated)
-        assert series is None or _same_spaces(series, eliminated)
+        assert (eliminations[a] == (0, 0)) == by_coordinates, (lie.to_salamon(a), eliminations[a])
         accepted += by_coordinates
     assert len(sums) == 11 and len(coordinate) < accepted < len(algebras) - 300, accepted
+    # closed eliminates V_1, V_2, n^1 and n^2; partial V_2, V_3, n^2 and n^3,
+    # and its table is that of its coordinate twin
+    assert eliminations[closed] == eliminations[partial] == (2, 2)
+    assert spectral.table_for(partial) == spectral.table_for(lie.parse_salamon("(0,0,0,12,23,14)"))
 
 
 # so(3), the non-abelian 2-dim algebra de^2 = e^1 ^ e^2, and the latter

@@ -96,9 +96,9 @@ def test_rref_dependent_rows():
 
 def test_rref_matches_naive_on_random_matrices():
     """span's canonical rows, and the forward-only rank count that the
-    coordinate read-offs of ``lie`` run on sparse rows with tuple keys (here
-    in a shuffled column order), against the naive elimination; the second
-    batch of inputs is sparse with many +-1 pivots."""
+    per-level coordinate read-off of ``lie`` runs on sparse rows with tuple
+    keys (here in a shuffled column order), against the naive elimination;
+    the second batch of inputs is sparse with many +-1 pivots."""
     rng = random.Random(20240917)
     grids = [random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6)) for _ in range(60)]
     grids += [[[Fraction(rng.choice((-1, 0, 0, 1, 2))) for _ in range(cols)] for _ in range(rows)]
