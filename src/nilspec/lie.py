@@ -184,8 +184,8 @@ def _dual_filtration_spaces(m: int, constants: Mapping[tuple[int, int, int], int
     ann(V_(i-1)), with i_u (e^a ^ e^b) = u_a e^b - u_b e^a.  That basis comes
     straight from the canonical rows of V_(i-1): for each non-pivot column c,
     L e_c - sum_i (L row_i[c] / row_i[p_i]) e_(p_i), L the lcm of the row_i[p_i].
-    Only the rows (u, e^b) that some term reaches through a nonzero u_a are
-    built, and only the nonzero ones go to the elimination.
+    That map goes to ``null_space`` as one column per e^k, with only the
+    nonzero entries (u, e^b) that some term reaches through a nonzero u_a.
     """
     spaces = [Subspace.zero(m)]
     while spaces[-1].dim < m:
@@ -208,13 +208,13 @@ def _dual_filtration_spaces(m: int, constants: Mapping[tuple[int, int, int], int
                 for row, p in zip(prev.rows, prev.pivots):
                     if c in row:
                         reach[p].append((t, -row[c] * (scale // row[p])))
-            # row (t, b) holds the e^b coordinate of i_u de^k in column k-1, for the t-th u
-            rows: defaultdict[tuple[int, int], defaultdict[int, int]] = defaultdict(lambda: defaultdict(int))
+            # column k-1 holds the e^b coordinate of i_u de^k at row t*m + b-1, for the t-th u
+            cols: defaultdict[int, defaultdict[int, int]] = defaultdict(lambda: defaultdict(int))
             for (a, b, k), v in constants.items():
                 for inner, outer, c in ((a, b, v), (b, a, -v)):
                     for t, u_inner in reach[inner - 1]:
-                        rows[t, outer][k - 1] += c * u_inner
-            nxt = null_space([{k: v for k, v in row.items() if v} for row in rows.values()], m)
+                        cols[k - 1][t * m + outer - 1] += c * u_inner
+            nxt = null_space({k: {r: v for r, v in col.items() if v} for k, col in cols.items()}, m * m, m)
         if nxt.dim == prev.dim:
             break
         spaces.append(nxt)

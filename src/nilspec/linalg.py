@@ -12,19 +12,18 @@ A linear map is stored as sparse integer columns.  A nonzero scalar changes
 no image, preimage, kernel or rank, so callers clear denominators once and
 hand over integer maps.
 
-Every rank, span and null space goes through one fraction-free kernel on
-sparse integer rows, ``_eliminate``: left to right for spans, right to left
-for null spaces, and reduced to canonical rows unless only the rank counts.
-Membership clears a copy of the vector at each pivot with the same step,
-``_clear``.
+Every rank, span, null space and preimage goes through one fraction-free
+kernel on sparse integer rows, ``_eliminate``, leading at the least column
+and reduced to canonical rows unless only the rank counts; null vectors are
+read off marker rows, as an inverse is read off [P | I].  Membership clears
+a copy of the vector at each pivot with the same step, ``_clear``.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from itertools import repeat
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 Row = tuple[int, ...]
 
@@ -72,11 +71,10 @@ def _clear(vec: SparseRow, prow: SparseRow, c: Hashable) -> None:
             vec[j] //= g
 
 
-def _eliminate(rows: Iterable[SparseRow], lead: Callable[..., Hashable] = min,
-               reduced: bool = True) -> dict[Hashable, SparseRow]:
+def _eliminate(rows: Iterable[SparseRow], reduced: bool = True) -> dict[Hashable, SparseRow]:
     """Row-reduce sparse integer rows {column: nonzero value}, taken over and
     cleared in place; returns the kept rows, as many as the rank, keyed by
-    their leading column (``lead``: min left to right, max right to left).
+    their leading (least) column.
 
     Each row is cleared at its leading column against the rows kept so far
     until that column is new.  ``reduced`` then back-substitutes from the last
@@ -85,14 +83,14 @@ def _eliminate(rows: Iterable[SparseRow], lead: Callable[..., Hashable] = min,
     kept: dict[Hashable, SparseRow] = {}
     for vec in rows:
         while vec:
-            c = lead(vec)
+            c = min(vec)
             prow = kept.get(c)
             if prow is None:
                 kept[c] = vec
                 break
             _clear(vec, prow, c)
     if reduced:
-        for c in sorted(kept, reverse=lead is min):
+        for c in sorted(kept, reverse=True):
             prow = kept[c]
             g = math.gcd(*prow.values()) * (1 if prow[c] > 0 else -1)
             if g != 1:
@@ -104,27 +102,19 @@ def _eliminate(rows: Iterable[SparseRow], lead: Callable[..., Hashable] = min,
     return kept
 
 
-def null_space(rows: Iterable[SparseRow], ncols: int) -> Subspace:
-    """``kernel`` of the matrix with the given sparse integer rows, taken over.
+def _marked_null(rows: Iterable[SparseRow], height: int, ambient_dim: int) -> Subspace:
+    """Span of the marker parts (columns height and up, shifted down by
+    height) of the combinations of ``rows`` that vanish left of height, taken
+    over: after the forward elimination, the kept rows that lead there."""
+    kept = _eliminate(rows, reduced=False)
+    return _span([{j - height: v for j, v in row.items()} for c, row in kept.items() if c >= height], ambient_dim)
 
-    The columns are eliminated right to left, so a reduced row is nonzero only
-    at its pivot and at free columns left of it.  The null vector of a free
-    column f leads at f and is zero at every other free column: these vectors
-    are already the kernel's RREF rows and, made primitive, its canonical rows.
-    """
-    kept = _eliminate(rows, max)
-    free = tuple(f for f in range(ncols) if f not in kept)
-    basis = []
-    for f in free:
-        hits = [(p, row) for p, row in kept.items() if f in row]
-        scale = math.lcm(*(row[p] for p, row in hits))
-        vec = {f: scale}
-        for p, row in hits:
-            vec[p] = -row[f] * (scale // row[p])
-        if (g := math.gcd(*vec.values())) > 1:
-            vec = {j: x // g for j, x in vec.items()}
-        basis.append(vec)
-    return Subspace(ncols, tuple(basis), free)
+
+def null_space(columns: Mapping[int, SparseRow | Iterable[tuple[int, int]]], height: int, width: int) -> Subspace:
+    """The x in Q^width with sum x_i columns[i] = 0, canonical; a column is
+    given by its nonzero entries (row < height, value), and one absent from
+    ``columns`` is zero.  Column i is marked with a 1 at row height + i."""
+    return _marked_null([dict(columns.get(i, ())) | {height + i: 1} for i in range(width)], height, width)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +134,8 @@ class LinearMap:
     """Integer matrix of shape rows x cols, stored as sparse columns.
 
     ``columns[j]`` lists the nonzero entries ``(i, value)`` of column j in
-    increasing row order; zero columns are absent.
+    increasing row order, one per row (entries given for one row are summed);
+    zero columns are absent.
     """
 
     __slots__ = ("rows", "cols", "columns")
@@ -154,7 +145,10 @@ class LinearMap:
         self.cols = cols
         self.columns = {}
         for j, entries in columns.items():
-            entries = sorted((i, v) for i, v in entries if v)
+            merged: dict[int, int] = {}
+            for i, v in entries:
+                merged[i] = merged.get(i, 0) + v
+            entries = sorted((i, v) for i, v in merged.items() if v)
             if not (0 <= j < cols and all(0 <= i < rows for i, _ in entries)):
                 raise DimensionMismatchError(f"entry outside the {rows}x{cols} shape")
             if entries:
@@ -289,34 +283,21 @@ def image(m: LinearMap, domain: Subspace) -> Subspace:
 
 
 def preimage(m: LinearMap, target: Subspace, domain: Subspace) -> Subspace:
-    """Largest subspace {x in domain : m x in target}, canonical."""
+    """Largest subspace {x in domain : m x in target}, canonical: each m b_i,
+    b_i a canonical row of the domain, is marked with b_i and the target rows
+    are unmarked, so the marker parts are already preimage vectors."""
     _check_domain(m, domain)
     if m.rows != target.ambient_dim:
         raise DimensionMismatchError(f"map with {m.rows} rows against target ambient {target.ambient_dim}")
-    t = domain.dim
-    if t == 0 or target.dim == target.ambient_dim:
+    if domain.dim == 0 or target.dim == target.ambient_dim:
         return domain
-    # (c, e) is a null vector of [m b_i | -t_j] iff sum c_i m b_i = sum e_j t_j;
-    # the t_j are independent, so the c of the null space are the preimage's
-    constraints: defaultdict[int, SparseRow] = defaultdict(dict)
-    for i, brow in enumerate(domain.rows):
-        for r, v in _apply(m.columns, brow).items():
-            constraints[r][i] = v
-    for j, trow in enumerate(target.rows, start=t):
-        for r, v in trow.items():
-            constraints[r][j] = -v
-    combine = dict(enumerate(map(dict.items, domain.rows)))  # c -> sum c_i b_i; the e_j read nothing
-    return _span([_apply(combine, null) for null in null_space(constraints.values(), t + target.dim).rows],
-                 domain.ambient_dim)
+    marked = [_apply(m.columns, b) | {m.rows + j: v for j, v in b.items()} for b in domain.rows]
+    return _marked_null([*map(dict, target.rows), *marked], m.rows, domain.ambient_dim)
 
 
 def kernel(m: LinearMap) -> Subspace:
-    """Right kernel {x : m x = 0} as a canonical subspace of Q^(m.cols)."""
-    rows: defaultdict[int, SparseRow] = defaultdict(dict)
-    for j, entries in m.columns.items():
-        for i, v in entries:
-            rows[i][j] = v
-    return null_space(rows.values(), m.cols)
+    """Right kernel {x : m x = 0}, the canonical ``null_space`` of m's columns."""
+    return null_space(m.columns, m.rows, m.cols)
 
 
 def rank(m: LinearMap) -> int:

@@ -17,12 +17,13 @@ positional ``LinearMap`` relabelled from the complex's key columns.  The
 maps, A-spaces, images and ranks are cached per complex, for as long as the
 complex lives.  Nothing in the package imports this module.
 
-It also keeps four earlier constructions the package replaced, as references
+It also keeps five earlier constructions the package replaced, as references
 for tests: the differential built by walking every q-form and every term of
 each of its indices (``mask_walk_columns``), the kernel from a
 left-to-right elimination whose null vectors are reduced a second time
 (``two_step_kernel``, on the textbook elimination ``naive_rref`` of
-(num, den) pairs rather than the package's), the table assembled from a
+(num, den) pairs rather than the package's) and the preimage from that
+kernel (``textbook_preimage``), the table assembled from a
 cube of bar ends per (degree, level, gap) with suffix sums over the gaps
 (``ends_cube_table``), and the adapted basis change on dense rows: ``span``
 of the augmented [P | I] and all C(m, 2) ``wedge_minors`` of the rows of
@@ -297,14 +298,41 @@ def two_step_kernel(m: LinearMap) -> Subspace:
         for row, c in zip(reduced, pivots):
             vec[c] = _neg(row[free])
         null.append(vec)
-    reduced, r = naive_rref(null)
+    return _naive_span(null, m.cols)
+
+
+def _naive_span(rows, ambient_dim: int) -> Subspace:
+    """The canonical subspace spanned by (num, den) rows, by ``naive_rref``,
+    each row scaled to a primitive integer vector."""
+    reduced, r = naive_rref(rows)
     basis = []
     for row in reduced[:r]:
         scale = math.lcm(*(den for _, den in row))
         ints = [num * (scale // den) for num, den in row]
         g = math.gcd(*ints)
         basis.append({j: x // g for j, x in enumerate(ints) if x})
-    return Subspace(m.cols, tuple(basis), tuple(_leads(reduced[:r])))
+    return Subspace(ambient_dim, tuple(basis), tuple(_leads(reduced[:r])))
+
+
+def textbook_preimage(m: LinearMap, target: Subspace, domain: Subspace) -> Subspace:
+    """``linalg.preimage`` by textbook steps and nothing of ``linalg``'s
+    elimination: x = sum c_i b_i over the basis b_i of the domain maps into
+    the target iff (c, e) is a null vector of [m b_i | -t_j] for some e, so
+    the preimage is the span of B c over the ``two_step_kernel`` of that
+    matrix, taken by ``naive_rref``."""
+    columns = {}
+    for i, b in enumerate(domain.basis):
+        mb = [0] * m.rows
+        for j, entries in m.columns.items():
+            for r, v in entries:
+                mb[r] += v * b[j]
+        columns[i] = list(enumerate(mb))
+    for j, t in enumerate(target.basis, start=domain.dim):
+        columns[j] = [(r, -v) for r, v in enumerate(t)]
+    null = two_step_kernel(LinearMap(m.rows, domain.dim + target.dim, columns))
+    combined = [[(sum(c[i] * b[x] for i, b in enumerate(domain.basis)), 1) for x in range(domain.ambient_dim)]
+                for c in null.basis]
+    return _naive_span(combined, domain.ambient_dim)
 
 
 def wedge_minors(x: Sequence[int], y: Sequence[int], m: int) -> list[int]:

@@ -27,7 +27,7 @@ from nilspec.linalg import (
     subspace_sum,
 )
 from nilspec.lie import rat
-from reference import naive_rref, two_step_kernel
+from reference import naive_rref, textbook_preimage, two_step_kernel
 
 
 def random_matrix(rng, rows, cols, bound=4):
@@ -243,6 +243,44 @@ def test_preimage_is_largest_subspace_mapping_into_target():
         assert snapshot(domain, target) == before and snapshot(pre) == after_pre
 
 
+def test_preimage_equals_textbook_preimage():
+    """preimage gives the same canonical basis and pivots as the textbook
+    preimage of tests/reference.py (the two-step kernel of [M B | -T], then B
+    times its c-part), on seeded cases with zero-dimensional domains, zero
+    maps, zero and full targets, and rank-deficient maps."""
+    rng = random.Random(0x9E1A)
+    kinds = {"empty domain": 0, "zero map": 0, "zero target": 0, "full target": 0, "rank-deficient": 0}
+    for case in range(600):
+        n, m_dim = rng.randint(0, 6), rng.randint(0, 6)
+        if case % 5 == 0:
+            mat = LinearMap(m_dim, n, {})
+        elif case % 5 == 1 and min(n, m_dim) > 1:  # a product through a smaller inner dimension
+            inner = rng.randint(1, min(n, m_dim) - 1)
+            left, right = random_matrix(rng, m_dim, inner), random_matrix(rng, inner, n)
+            mat = as_map([[sum(left[i][t] * right[t][j] for t in range(inner)) for j in range(n)]
+                          for i in range(m_dim)], n)
+        else:
+            mat = as_map(random_matrix(rng, m_dim, n, bound=rng.choice((1, 4))), n)
+        domain = random_subspace(rng, n, 0 if case % 10 == 3 else rng.randint(1, n) if n else 0)
+        target = random_subspace(rng, m_dim, rng.choice((0, rng.randint(0, m_dim), m_dim)))
+        got, want = preimage(mat, target, domain), textbook_preimage(mat, target, domain)
+        assert (got.ambient_dim, got.basis, got.pivots) == (want.ambient_dim, want.basis, want.pivots)
+        kinds["empty domain"] += domain.dim == 0
+        kinds["zero map"] += mat.is_zero() and domain.dim > 0
+        kinds["zero target"] += target.dim == 0 and domain.dim > 0
+        kinds["full target"] += 0 < target.dim == m_dim and domain.dim > 0
+        kinds["rank-deficient"] += 0 < rank(mat) < min(n, m_dim) and domain.dim > 0
+    assert min(kinds.values()) > 50, kinds
+
+
+def test_linear_map_sums_a_row_repeated_in_one_column():
+    """Entries given for one row of a column add up, so apply, image, rank
+    and kernel all see the same matrix and rank-nullity holds."""
+    mat = LinearMap(2, 2, {0: [(0, 1), (0, -1)], 1: [(1, 1)]})
+    assert mat.columns == {1: [(1, 1)]} and mat.apply([1, 0]) == [0, 0]
+    assert rank(mat) == 1 and kernel(mat).dim == 1 and image(mat, Subspace.full(2)).dim == 1
+
+
 def test_kernel_matches_preimage_of_zero():
     rng = random.Random(6)
     for _ in range(20):
@@ -254,8 +292,8 @@ def test_kernel_matches_preimage_of_zero():
 
 
 def test_one_elimination_kernel_equals_two_step_kernel():
-    """kernel's right-to-left elimination gives the same canonical basis and
-    pivots as span of the left-to-right null vectors, on seeded random
+    """kernel's null vectors, read off marker rows, give the same canonical
+    basis and pivots as span of the textbook null vectors, on seeded random
     integer matrices, with empty, all-zero, full-rank and zero-row cases."""
     rng = random.Random(0x4B3E)
     maps = [LinearMap(0, 0, {}), LinearMap(3, 0, {}), LinearMap(0, 4, {}), LinearMap(3, 5, {}),
@@ -275,11 +313,11 @@ def test_one_elimination_kernel_equals_two_step_kernel():
 
 
 def test_null_space_equals_two_step_kernel():
-    """null_space, whose untouched free columns get their unit vectors,
-    equals the two-step kernel of tests/reference.py, two textbook
-    eliminations, on seeded random integer rows: zero matrices (every free
-    column untouched), matrices where every free column is touched, and
-    mixtures."""
+    """null_space, which reads the null vectors off the marker rows of the
+    columns, equals the two-step kernel of tests/reference.py, two textbook
+    eliminations, on seeded random integer grids given by their columns:
+    zero matrices (every null vector a unit vector), matrices where no null
+    vector is, and mixtures."""
     rng = random.Random(0x0A11)
     grids = [([[0] * cols for _ in range(rows)], cols) for rows in range(4) for cols in range(1, 7)]
     grids += [([[1] * cols], cols) for cols in range(1, 7)]
@@ -290,7 +328,8 @@ def test_null_space_equals_two_step_kernel():
                        for _ in range(rows)], cols))
     kinds = {"untouched": 0, "touched": 0, "mixed": 0}
     for grid, cols in grids:
-        got = null_space([{j: v for j, v in enumerate(row) if v} for row in grid], cols)
+        got = null_space({j: {i: row[j] for i, row in enumerate(grid) if row[j]} for j in range(cols)},
+                         len(grid), cols)
         want = two_step_kernel(LinearMap(len(grid), cols, {j: [(i, row[j]) for i, row in enumerate(grid)]
                                                            for j in range(cols)}))
         assert (got.ambient_dim, got.basis, got.pivots) == (want.ambient_dim, want.basis, want.pivots)
