@@ -21,7 +21,8 @@ de^a ^ e^b - e^a ^ de^b without building d, raises NotNilpotentError unless
 the algebra is nilpotent, and stores the filtration V_0 = 0,
 V_i = {x : dx in Lambda^2 V_(i-1)} of the dual, cross-checked against the
 primal central descending series through annihilator duality
-dim V_i + dim n^i = m.  Each side runs one loop over the levels.  Where the
+dim V_i + dim n^i = m.  One loop over the levels finds V_i and n^i together
+and checks each pair as it is found.  Each side steps on its own: where the
 previous space is spanned by basis vectors, it reads its own coordinate
 candidate for the next off the integer constants and keeps it only if a
 forward-only ``linalg._eliminate`` proves it by its rank; otherwise it
@@ -172,8 +173,8 @@ class LieAlgebra:
 # validation and the filtration
 # ---------------------------------------------------------------------------
 
-def _dual_filtration_spaces(m: int, constants: Mapping[tuple[int, int, int], int]) -> list[Subspace]:
-    """V_0, V_1, ... from the dual side until stabilisation (at most m+1 spaces).
+def _next_dual(m: int, constants: Mapping[tuple[int, int, int], int], prev: Subspace) -> Subspace:
+    """V_i = {x : dx in Lambda^2 V_(i-1)} from prev = V_(i-1).
 
     Where V_(i-1) is spanned by basis covectors, V_i is read off the
     constants: e^j joins it once de^j lies in Lambda^2 V_(i-1), and that is
@@ -187,76 +188,59 @@ def _dual_filtration_spaces(m: int, constants: Mapping[tuple[int, int, int], int
     That map goes to ``null_space`` as one column per e^k, with only the
     nonzero entries (u, e^b) that some term reaches through a nonzero u_a.
     """
-    spaces = [Subspace.zero(m)]
-    while spaces[-1].dim < m:
-        prev = spaces[-1]
-        nxt = None
-        if all(len(row) == 1 for row in prev.rows):  # spanned by basis covectors
-            inside = set(prev.pivots)
-            off: defaultdict[int, dict[tuple[int, int], int]] = defaultdict(dict)  # j -> de^j off Lambda^2 V_(i-1)
-            for (a, b, j), c in constants.items():
-                if a - 1 not in inside or b - 1 not in inside:
-                    off[j - 1][a, b] = c
-            if len(_eliminate(off.values(), reduced=False)) == len(off):
-                nxt = Subspace.coordinate(set(range(m)) - off.keys(), m)
-        if nxt is None:
-            scale = math.lcm(*(row[p] for row, p in zip(prev.rows, prev.pivots)))
-            # reach[a] lists (t, u_a) over the basis vectors u of ann(V) with u_a != 0
-            reach: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-            for t, c in enumerate(sorted(set(range(m)) - set(prev.pivots))):
-                reach[c].append((t, scale))
-                for row, p in zip(prev.rows, prev.pivots):
-                    if c in row:
-                        reach[p].append((t, -row[c] * (scale // row[p])))
-            # column k-1 holds the e^b coordinate of i_u de^k at row t*m + b-1, for the t-th u
-            cols: defaultdict[int, defaultdict[int, int]] = defaultdict(lambda: defaultdict(int))
-            for (a, b, k), v in constants.items():
-                for inner, outer, c in ((a, b, v), (b, a, -v)):
-                    for t, u_inner in reach[inner - 1]:
-                        cols[k - 1][t * m + outer - 1] += c * u_inner
-            nxt = null_space({k: {r: v for r, v in col.items() if v} for k, col in cols.items()}, m * m, m)
-        if nxt.dim == prev.dim:
-            break
-        spaces.append(nxt)
-    return spaces
+    if all(len(row) == 1 for row in prev.rows):  # spanned by basis covectors
+        inside = set(prev.pivots)
+        off: defaultdict[int, dict[tuple[int, int], int]] = defaultdict(dict)  # j -> de^j off Lambda^2 V_(i-1)
+        for (a, b, j), c in constants.items():
+            if a - 1 not in inside or b - 1 not in inside:
+                off[j - 1][a, b] = c
+        if len(_eliminate(off.values(), reduced=False)) == len(off):
+            return Subspace.coordinate(set(range(m)) - off.keys(), m)
+    scale = math.lcm(*(row[p] for row, p in zip(prev.rows, prev.pivots)))
+    # reach[a] lists (t, u_a) over the basis vectors u of ann(V) with u_a != 0
+    reach: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    for t, c in enumerate(sorted(set(range(m)) - set(prev.pivots))):
+        reach[c].append((t, scale))
+        for row, p in zip(prev.rows, prev.pivots):
+            if c in row:
+                reach[p].append((t, -row[c] * (scale // row[p])))
+    # column k-1 holds the e^b coordinate of i_u de^k at row t*m + b-1, for the t-th u
+    cols: defaultdict[int, defaultdict[int, int]] = defaultdict(lambda: defaultdict(int))
+    for (a, b, k), v in constants.items():
+        for inner, outer, c in ((a, b, v), (b, a, -v)):
+            for t, u_inner in reach[inner - 1]:
+                cols[k - 1][t * m + outer - 1] += c * u_inner
+    return null_space({k: {r: v for r, v in col.items() if v} for k, col in cols.items()}, m * m, m)
 
 
-def primal_series(m: int, constants: Mapping[tuple[int, int, int], int]) -> list[Subspace]:
-    """Central descending series n^0 = n, n^i = [n, n^(i-1)], until stabilisation.
-    Where n^(i-1) is spanned by basis vectors, n^i is read off the constants as
-    the span of the e_k that the brackets with n^(i-1) reach, kept iff those
-    brackets have full rank on them; otherwise it is eliminated as the span of
-    the [e_g, x] over the canonical rows x of n^(i-1)."""
-    # brackets[a, b] is [e_(a+1), e_(b+1)]; brackets_with[j] lists (g, k, c): [e_g, e_j] has c at e_k
-    brackets: defaultdict[tuple[int, int], dict[int, int]] = defaultdict(dict)
-    brackets_with: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]
-    for (i, j, k), c in constants.items():
-        brackets[i - 1, j - 1][k - 1] = c
-        brackets_with[j - 1].append((i - 1, k - 1, c))
-        brackets_with[i - 1].append((j - 1, k - 1, -c))
-    series = [Subspace.full(m)]
-    while True:
-        prev = series[-1]
-        nxt = None
-        if all(len(row) == 1 for row in prev.rows):  # spanned by basis vectors
-            ideal = set(prev.pivots)
-            reached = [v for (a, b), v in brackets.items() if a in ideal or b in ideal]
-            support = set().union(*reached)
-            if len(_eliminate(map(dict, reached), reduced=False)) == len(support):  # copies: read again next level
-                nxt = Subspace.coordinate(support, m)
-        if nxt is None:
-            vecs = []
-            for row in prev.rows:
-                # out[g] is [e_(g+1), row]
-                out: defaultdict[int, defaultdict[int, int]] = defaultdict(lambda: defaultdict(int))
-                for j, x in row.items():
-                    for g, k, c in brackets_with[j]:
-                        out[g][k] += c * x
-                vecs.extend({k: v for k, v in b.items() if v} for b in out.values())
-            nxt = _span(vecs, m)
-        if nxt.dim == prev.dim:
-            return series
-        series.append(nxt)
+def _next_primal(m: int, constants: Mapping[tuple[int, int, int], int], prev: Subspace) -> Subspace:
+    """n^i = [n, n^(i-1)] from prev = n^(i-1).  Where n^(i-1) is spanned by
+    basis vectors, n^i is read off the constants as the span of the e_k that
+    the brackets [e_a, e_b] with a or b in n^(i-1) reach, kept iff those
+    brackets have full rank on them; otherwise it is eliminated as the span
+    of the [e_g, x] over the canonical rows x of n^(i-1)."""
+    if all(len(row) == 1 for row in prev.rows):  # spanned by basis vectors
+        ideal = set(prev.pivots)
+        reached: defaultdict[tuple[int, int], dict[int, int]] = defaultdict(dict)  # (a, b) -> [e_a, e_b]
+        for (a, b, k), c in constants.items():
+            if a - 1 in ideal or b - 1 in ideal:
+                reached[a, b][k - 1] = c
+        support = {k for bracket in reached.values() for k in bracket}
+        if len(_eliminate(reached.values(), reduced=False)) == len(support):
+            return Subspace.coordinate(support, m)
+    # holds[j] lists (r, x_j) over the canonical rows x = x_r of n^(i-1) with x_j != 0
+    holds: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    for r, row in enumerate(prev.rows):
+        for j, x in row.items():
+            holds[j].append((r, x))
+    # out[r, g] is [e_g, x_r], from [e_a, e_b] = c e_k = -[e_b, e_a]
+    out: defaultdict[tuple[int, int], defaultdict[int, int]] = defaultdict(lambda: defaultdict(int))
+    for (a, b, k), c in constants.items():
+        for r, x in holds[b - 1]:
+            out[r, a][k - 1] += c * x
+        for r, x in holds[a - 1]:
+            out[r, b][k - 1] -= c * x
+    return _span([{k: v for k, v in bracket.items() if v} for bracket in out.values()], m)
 
 
 def _jacobi_holds(m: int, constants: Mapping[tuple[int, int, int], int]) -> bool:
@@ -286,23 +270,26 @@ def _jacobi_holds(m: int, constants: Mapping[tuple[int, int, int], int]) -> bool
 def validate_algebra(a: LieAlgebra) -> Filtration:
     """The filtration of the dual, computed on integer constants and memoised
     per algebra (a raise is not stored); raises JacobiError unless d(de^j) = 0
-    for every j (checked on the constants, before any filtration work),
-    NotNilpotentError if the filtration stops short of the dual,
-    FiltrationMismatchError if it disagrees with the primal series."""
+    for every j (checked on the constants, before any filtration work), then
+    runs one loop over the levels: V_i from V_(i-1), NotNilpotentError if it
+    did not grow, n^i from n^(i-1), and FiltrationMismatchError unless that
+    pair has dim V_i + dim n^i = m and V_i annihilates n^i."""
     constants, _ = exterior.clear_denominators(a.c)
     if not _jacobi_holds(a.m, constants):
         raise JacobiError("structure constants violate the Jacobi identity")
-    spaces = _dual_filtration_spaces(a.m, constants)
-    if spaces[-1].dim != a.m:
-        raise NotNilpotentError("algebra is not nilpotent")
-    series = primal_series(a.m, constants)
-    series += [Subspace.zero(a.m)] * (len(spaces) - len(series))
-    for i, (v, n) in enumerate(zip(spaces, series)):
+    spaces, n, dims = [Subspace.zero(a.m)], Subspace.full(a.m), [a.m]
+    while spaces[-1].dim < a.m:
+        i, v = len(spaces), _next_dual(a.m, constants, spaces[-1])
+        if v.dim == spaces[-1].dim:
+            raise NotNilpotentError("algebra is not nilpotent")
+        n = _next_primal(a.m, constants, n)
         if v.dim + n.dim != a.m:
             raise FiltrationMismatchError("dual filtration disagrees with the primal descending series")
         if any(sum(x[j] * u[j] for j in x.keys() & u.keys()) for x in v.rows for u in n.rows):
             raise FiltrationMismatchError(f"V_{i} does not annihilate the primal ideal n^{i}")
-    return Filtration(len(spaces) - 1, tuple(spaces), tuple(n.dim for n in series))
+        spaces.append(v)
+        dims.append(n.dim)
+    return Filtration(len(spaces) - 1, tuple(spaces), tuple(dims))
 
 
 def descending_series(a: LieAlgebra) -> Filtration:

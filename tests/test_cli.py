@@ -157,9 +157,9 @@ def test_exit_code_missing_input(capsys):
 
 
 def test_filtration_mismatch_exits_4_without_traceback(tmp_path, capsys, monkeypatch):
-    # a primal series that never descends contradicts the dual filtration of
-    # every non-abelian algebra; abelian ones still agree with it
-    monkeypatch.setattr(lie, "primal_series", lambda m, constants: [Subspace.full(m)])
+    # a primal series that drops to zero at once contradicts the dual
+    # filtration of every non-abelian algebra; abelian ones still agree with it
+    monkeypatch.setattr(lie, "_next_primal", lambda m, constants, prev: Subspace.zero(m))
     lie.validate_algebra.cache_clear()  # a memoised filtration would hide the patched series
     code, out, err = run(capsys, "compute", "(0,0,12)")
     assert code == 4 and out == ""
@@ -174,6 +174,25 @@ def test_filtration_mismatch_exits_4_without_traceback(tmp_path, capsys, monkeyp
     assert code == 4
     assert out.splitlines() == ["FAIL dim3-h3", "      dual filtration disagrees with the primal descending series",
                                 "0/1 entries pass"]
+
+
+def test_mismatch_on_an_eliminated_level_exits_4_without_traceback(tmp_path, capsys, monkeypatch):
+    # (0,0,0,12,12) eliminates n^1 and n^2; a span that keeps only the pivots
+    # of the true one has the right dimension, but n^1 = span(e_4) is not
+    # annihilated by e^4 - e^5 in V_1.  (0,0,12) reads every level off the
+    # constants, never spans, and still passes.
+    span = lie._span
+    monkeypatch.setattr(lie, "_span", lambda rows, m: Subspace.coordinate(span(rows, m).pivots, m))
+    lie.validate_algebra.cache_clear()  # a memoised filtration would hide the patched span
+    message = "V_1 does not annihilate the primal ideal n^1"
+    code, out, err = run(capsys, "compute", "(0,0,0,12,12)")
+    assert (code, out, err) == (4, "", f"error: {message}\n")
+    path = tmp_path / "batch.txt"
+    path.write_text("(0,0,0,12,12)\n(0,0,12)\n")
+    code, out, err = run(capsys, "compute", "--batch", str(path), "--format", "json")
+    assert code == 4
+    assert [json.loads(line)["m"] for line in out.splitlines()] == [3]
+    assert err.splitlines() == [f"error: (0,0,0,12,12): {message}"]
 
 
 def test_size_cap_refuses_before_validation_and_build(tmp_path, capsys, monkeypatch):

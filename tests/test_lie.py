@@ -330,6 +330,19 @@ def _annihilator(space):
     return two_step_kernel(LinearMap(space.dim, space.ambient_dim, columns))
 
 
+def _levels(m, constants):
+    """V_0, V_1, ... and n^0, n^1, ..., stepped together as validate_algebra
+    steps them, until V_i is the whole dual or stops growing."""
+    spaces, series = [Subspace.zero(m)], [Subspace.full(m)]
+    while spaces[-1].dim < m:
+        v = lie._next_dual(m, constants, spaces[-1])
+        if v.dim == spaces[-1].dim:
+            break
+        spaces.append(v)
+        series.append(lie._next_primal(m, constants, series[-1]))
+    return spaces, series
+
+
 def _counted(calls, name, function, *args):
     calls[name] += 1
     return function(*args)
@@ -361,8 +374,7 @@ def test_contraction_filtration_equals_lambda2_preimages(catalog_tables, random_
     for a in algebras:
         constants, _ = clear_denominators(a.c)
         calls.clear()
-        spaces = lie._dual_filtration_spaces(a.m, constants)
-        series = lie.primal_series(a.m, constants)
+        spaces, series = _levels(a.m, constants)
         eliminations[a] = (calls["null_space"], calls["_span"])
         reference = _lambda2_filtration(a.m, _d1(a.m, constants))
         assert _same_spaces(spaces, reference), lie.to_salamon(a)
@@ -381,13 +393,16 @@ def test_contraction_filtration_equals_lambda2_preimages(catalog_tables, random_
     assert spectral.table_for(partial) == spectral.table_for(lie.parse_salamon("(0,0,0,12,23,14)"))
 
 
-# so(3), the non-abelian 2-dim algebra de^2 = e^1 ^ e^2, and the latter
-# beside a nilpotent summand: Jacobi holds, the series stops short of n
+# so(3), the non-abelian 2-dim algebra de^2 = e^1 ^ e^2, the latter beside a
+# nilpotent summand, and the latter again after a shear as (-12,12), whose
+# V_1 = span(e^1 + e^2) is not by coordinates: Jacobi holds, the series
+# stops short of n
 _NOT_NILPOTENT = [
     (3, {(2, 3, 1): 1, (1, 3, 2): -1, (1, 2, 3): 1}),
     (2, {(1, 2, 2): 1}),
     (5, {(1, 2, 2): 1, (3, 4, 5): 1}),
     (6, {(1, 2, 2): 1, (3, 4, 5): 1, (3, 5, 6): 2}),
+    (2, {(1, 2, 1): -1, (1, 2, 2): 1}),
 ]
 _NOT_JACOBI = [
     (6, {(1, 2, 3): 1, (1, 3, 4): 1, (2, 4, 5): 1, (3, 4, 6): 1, (2, 5, 6): 1}),
@@ -399,7 +414,7 @@ def test_contraction_filtration_on_invalid_inputs():
     # the constants are listed with i < j, as LieAlgebra would store them
     for m, constants in _NOT_NILPOTENT:
         cleared, _ = clear_denominators(constants)
-        spaces = lie._dual_filtration_spaces(m, cleared)
+        spaces, _ = _levels(m, cleared)
         assert _same_spaces(spaces, _lambda2_filtration(m, _d1(m, cleared)))
         assert spaces[-1].dim < m
         with pytest.raises(NotNilpotentError):
@@ -454,7 +469,8 @@ def test_jacobi_error_comes_before_any_filtration_work(monkeypatch):
     def fail(*args):
         raise AssertionError("filtration work started")
 
-    monkeypatch.setattr(lie, "_dual_filtration_spaces", fail)
+    monkeypatch.setattr(lie, "_next_dual", fail)
+    monkeypatch.setattr(lie, "_next_primal", fail)
     for m, constants in _NOT_JACOBI:
         with pytest.raises(JacobiError):
             LieAlgebra(m, constants)
@@ -465,13 +481,13 @@ def test_jacobi_error_comes_before_any_filtration_work(monkeypatch):
 
 def test_filtration_computed_once_per_algebra(monkeypatch):
     calls = []
-    original = lie._dual_filtration_spaces
+    original = lie._next_dual
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(lie, "_dual_filtration_spaces", counting)
+    monkeypatch.setattr(lie, "_next_dual", counting)
     # a memoised filtration or cached complex would hide a second computation
     lie.validate_algebra.cache_clear()
     spectral.complex_for.cache_clear()
@@ -479,7 +495,8 @@ def test_filtration_computed_once_per_algebra(monkeypatch):
     b = lie.parse_salamon("(0,0,12,13,23,14+25)", label="second")
     spectral.table_for(a)
     spectral.table_for(b)
-    assert len(calls) == 1
+    # one step from each of V_0 .. V_(k-1): the levels were run once
+    assert [prev for _, _, prev in calls] == list(a.filtration.spaces[:-1])
     assert a.filtration is b.filtration
 
 
