@@ -200,7 +200,7 @@ def golden_check(entry: CatalogEntry, table: SpectralTable) -> GoldenReport:
 
 
 # ---------------------------------------------------------------------------
-# census and the Betti-vs-table witness
+# census
 # ---------------------------------------------------------------------------
 
 def distinct_table_census(dim: int) -> tuple[int, int]:
@@ -210,13 +210,3 @@ def distinct_table_census(dim: int) -> tuple[int, int]:
         raise ValueError(f"no catalog entries of dimension {dim}")
     return len(entries), len({e.golden_limit for e in entries})
 
-
-def betti_vs_table_witness() -> tuple[str, str]:
-    """The published pair with equal Betti numbers but different limit tables."""
-    a = get_entry("dim6-16")
-    b = get_entry("dim6-17")
-    if a.golden_betti != b.golden_betti:
-        raise RuntimeError("witness pair does not have equal Betti numbers")
-    if a.golden_limit == b.golden_limit:
-        raise RuntimeError("witness pair does not have distinct limit tables")
-    return a.id, b.id

@@ -22,10 +22,10 @@ times c, the parity of one popcount of rest.
 
 A cochain is an integer coordinate row over the basis q-forms.  The structure
 constants are multiplied once by the lcm of their denominators
-(``clear_denominators``), and the adapted basis change multiplies them by a
-further positive integer, so the complex's constants and its differentials
-are a positive multiple of the true ones; a positive scale changes no image,
-preimage, kernel or rank.
+(``clear_denominators`` returns only the scaled constants), and the adapted
+basis change multiplies them by a further positive integer, so the complex's
+constants and its differentials are a positive multiple of the true ones; a
+positive scale changes no image, preimage, null space or rank.
 
 ``build_complex`` first performs a filtration-adapted change of dual basis,
 after which every piece Lambda^q V_i is a coordinate subspace: a basis
@@ -38,7 +38,6 @@ single 1 in the top row.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -52,16 +51,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
     from .lie import Filtration, LieAlgebra
 
-MultiIndex = tuple[int, ...]
 Constants = Mapping[tuple[int, int, int], int]
 SparseColumns = dict[int, list[tuple[int, int]]]
 KeyColumns = dict[int, dict[int, int]]
-
-
-@functools.cache
-def multi_indices(m: int, q: int) -> tuple[MultiIndex, ...]:
-    """All strictly increasing q-tuples from 1..m, lexicographically ordered."""
-    return tuple(itertools.combinations(range(1, m + 1), q)) if 0 <= q <= m else ()
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +130,10 @@ def compose_is_zero(outer: KeyColumns, inner: KeyColumns) -> bool:
     return True
 
 
-def clear_denominators(constants: Mapping[tuple[int, int, int], Fraction | int]
-                       ) -> tuple[dict[tuple[int, int, int], int], int]:
-    """The constants times the lcm of their denominators, and that lcm."""
+def clear_denominators(constants: Mapping[tuple[int, int, int], Fraction | int]) -> dict[tuple[int, int, int], int]:
+    """The constants times the lcm of their denominators."""
     scale = math.lcm(*(c.denominator for c in constants.values()))
-    return {key: c.numerator * (scale // c.denominator) for key, c in constants.items()}, scale
+    return {key: c.numerator * (scale // c.denominator) for key, c in constants.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +187,7 @@ def build_complex(a: "LieAlgebra", f: "Filtration") -> CochainComplex:
             raise CochainComplexError("filtration basis extension failed")
     change = tuple(tuple(map(row.get, range(m), itertools.repeat(0))) for row in adapted_rows)
 
-    constants, _ = clear_denominators(a.c)
+    constants = clear_denominators(a.c)
     if any(row != {j: 1} for j, row in enumerate(adapted_rows)):
         constants = transform_constants(constants, adapted_rows)
     c = CochainComplex(m, k, v_dims, change, constants)

@@ -207,9 +207,10 @@ def _next_dual(m: int, constants: Mapping[tuple[int, int, int], int], prev: Subs
     # column k-1 holds the e^b coordinate of i_u de^k at row t*m + b-1, for the t-th u
     cols: defaultdict[int, defaultdict[int, int]] = defaultdict(lambda: defaultdict(int))
     for (a, b, k), v in constants.items():
-        for inner, outer, c in ((a, b, v), (b, a, -v)):
-            for t, u_inner in reach[inner - 1]:
-                cols[k - 1][t * m + outer - 1] += c * u_inner
+        for t, u in reach[a - 1]:
+            cols[k - 1][t * m + b - 1] += v * u
+        for t, u in reach[b - 1]:
+            cols[k - 1][t * m + a - 1] -= v * u
     return null_space({k: {r: v for r, v in col.items() if v} for k, col in cols.items()}, m * m, m)
 
 
@@ -274,7 +275,7 @@ def validate_algebra(a: LieAlgebra) -> Filtration:
     runs one loop over the levels: V_i from V_(i-1), NotNilpotentError if it
     did not grow, n^i from n^(i-1), and FiltrationMismatchError unless that
     pair has dim V_i + dim n^i = m and V_i annihilates n^i."""
-    constants, _ = exterior.clear_denominators(a.c)
+    constants = exterior.clear_denominators(a.c)
     if not _jacobi_holds(a.m, constants):
         raise JacobiError("structure constants violate the Jacobi identity")
     spaces, n, dims = [Subspace.zero(a.m)], Subspace.full(a.m), [a.m]

@@ -8,15 +8,16 @@ rows: the reduced row-echelon rows, each scaled to a primitive integer vector
 equal as sets iff their rows are equal; ``Subspace.basis`` gives them as
 dense tuples, a read-only view.
 
-A linear map is stored as sparse integer columns.  A nonzero scalar changes
-no image, preimage, kernel or rank, so callers clear denominators once and
-hand over integer maps.
+A ``LinearMap`` is a shape and sparse integer columns, which ``image``,
+``preimage`` and ``rank`` take (``null_space`` takes the columns).  A nonzero
+scalar changes none of them, so callers clear denominators once.
 
 Every rank, span, null space and preimage goes through one fraction-free
-kernel on sparse integer rows, ``_eliminate``, leading at the least column
-and reduced to canonical rows unless only the rank counts; null vectors are
-read off marker rows, as an inverse is read off [P | I].  Membership clears
-a copy of the vector at each pivot with the same step, ``_clear``.
+elimination on sparse integer rows, ``_eliminate``, leading at the least
+column and reduced to canonical rows unless only the rank counts; null
+vectors are read off marker rows, as an inverse is read off [P | I].
+``contains`` clears with the same step, ``_clear``: v lies in s iff
+``contains(s, span([v], n))``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def _integer_row(vector: Sequence[int], ambient_dim: int) -> SparseRow:
 
 
 # ---------------------------------------------------------------------------
-# the elimination kernel
+# the elimination
 # ---------------------------------------------------------------------------
 
 SparseRow = dict[Hashable, int]
@@ -154,23 +155,6 @@ class LinearMap:
             if entries:
                 self.columns[j] = entries
 
-    def apply(self, vector: Sequence[int]) -> list[int]:
-        """Matrix-vector product on a dense row."""
-        if len(vector) != self.cols:
-            raise DimensionMismatchError(f"vector of length {len(vector)} against {self.cols} columns")
-        out = _apply(self.columns, {j: v for j, v in enumerate(vector) if v})
-        return list(map(out.get, range(self.rows), repeat(0)))
-
-    def is_zero(self) -> bool:
-        return not self.columns
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, LinearMap) and self.rows == other.rows
-                and self.cols == other.cols and self.columns == other.columns)
-
-    def __repr__(self) -> str:
-        return f"LinearMap({self.rows}x{self.cols})"
-
 
 # ---------------------------------------------------------------------------
 # subspaces
@@ -221,10 +205,6 @@ class Subspace:
             if p in vec:
                 _clear(vec, row, p)
         return not vec
-
-    def contains_vector(self, vector: Sequence[int]) -> bool:
-        """Whether an integer row lies in the subspace."""
-        return self._holds(_integer_row(vector, self.ambient_dim))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
@@ -293,11 +273,6 @@ def preimage(m: LinearMap, target: Subspace, domain: Subspace) -> Subspace:
         return domain
     marked = [_apply(m.columns, b) | {m.rows + j: v for j, v in b.items()} for b in domain.rows]
     return _marked_null([*map(dict, target.rows), *marked], m.rows, domain.ambient_dim)
-
-
-def kernel(m: LinearMap) -> Subspace:
-    """Right kernel {x : m x = 0}, the canonical ``null_space`` of m's columns."""
-    return null_space(m.columns, m.rows, m.cols)
 
 
 def rank(m: LinearMap) -> int:

@@ -8,19 +8,21 @@ result is always a valid nilpotent Lie algebra in an adapted basis.
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 
 from nilspec import catalog, lie, spectral
-from nilspec.exterior import clear_denominators, differential_columns, multi_indices
-from nilspec.linalg import LinearMap, kernel
+from nilspec.exterior import clear_denominators, differential_columns
+from nilspec.linalg import null_space
 
 _COEFF_POOL = [0, 0, 0, 0, 1, 1, -1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2)]
 
 
 def index_positions(m: int, q: int) -> dict[tuple[int, ...], int]:
     """Lexicographic position of each q-multi-index from 1..m."""
-    return {idx: pos for pos, idx in enumerate(multi_indices(m, q))}
+    return {idx: pos for pos, idx in enumerate(combinations(range(1, m + 1), q))}
 
 
 def random_nilpotent(rng: random.Random, m: int) -> lie.LieAlgebra:
@@ -28,16 +30,16 @@ def random_nilpotent(rng: random.Random, m: int) -> lie.LieAlgebra:
     for j in range(3, m + 1):
         sub = {key: v for key, v in constants.items() if key[2] < j}
         n = j - 1
-        pairs = multi_indices(n, 2)
-        cols = differential_columns(n, clear_denominators(sub)[0], 2)
-        closed = kernel(LinearMap(len(multi_indices(n, 3)), len(pairs), cols))
+        pairs = list(combinations(range(1, n + 1), 2))
+        cols = differential_columns(n, clear_denominators(sub), 2)
+        closed = null_space(cols, comb(n, 3), len(pairs))
         if closed.dim == 0:
             continue
         vec = [Fraction(0)] * len(pairs)
         for basis_row in closed.basis:
             c = Fraction(rng.choice(_COEFF_POOL))
             if c:
-                # combine the RREF rows with pivot 1, as scaled by the kernel
+                # combine the RREF rows with pivot 1, as scaled by null_space
                 pivot = next(x for x in basis_row if x)
                 for t, x in enumerate(basis_row):
                     if x:

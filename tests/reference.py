@@ -31,7 +31,9 @@ P^-1 (``dense_transform_constants``).
 Two independent cross-checks complete it: the differential by pointwise
 evaluation of the alternating-sum formula on tuples of primal basis vectors
 (``pointwise_differential``, for small dimensions), and the page-0 entries
-from binomials (``page0_closed_form``).
+from binomials (``page0_closed_form``).  The package's maps only carry
+their columns, so the tests take a map times a dense vector from ``apply``
+and compare maps by ``map_key``.
 """
 
 from __future__ import annotations
@@ -43,11 +45,14 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping, NamedTuple, Sequence
 
-from nilspec.exterior import (CochainComplex, CochainComplexError, Constants, KeyColumns, MultiIndex,
-                              clear_denominators, multi_indices, positional_columns)
+from nilspec.exterior import (CochainComplex, CochainComplexError, Constants, KeyColumns, clear_denominators,
+                              positional_columns)
 from nilspec.linalg import LinearMap, Subspace, contains, image, preimage, rank, span, subspace_sum
 from nilspec import spectral
 from nilspec.spectral import LIMIT, Grid, InternalConsistencyError, SpectralTable, require_poincare_duality
+
+
+MultiIndex = tuple[int, ...]
 
 
 class PageEntry(NamedTuple):
@@ -75,6 +80,21 @@ def positional_d(c: CochainComplex, q: int) -> LinearMap:
     return cache[q]
 
 
+def apply(m: LinearMap, vector: Sequence[int]) -> list[int]:
+    """The dense product m x: x_j times column j, summed over the columns."""
+    assert len(vector) == m.cols, (len(vector), m.cols)
+    out = [0] * m.rows
+    for j, entries in m.columns.items():
+        for i, v in entries:
+            out[i] += v * vector[j]
+    return out
+
+
+def map_key(m: LinearMap) -> tuple:
+    """What makes two maps equal: their shape and their columns."""
+    return m.rows, m.cols, m.columns
+
+
 def d_rank(c: CochainComplex, q: int) -> int:
     """Rank of d_q; q outside 0..m counts as the zero map."""
     if not 0 <= q <= c.m:
@@ -95,7 +115,7 @@ def lambda_subspace(c: CochainComplex, q: int, i: int) -> Subspace:
     i = max(0, min(i, c.k))
     cache = _cache(c, "lambda")
     if (q, i) not in cache:
-        cache[q, i] = Subspace.coordinate([p for p, idx in enumerate(multi_indices(c.m, q))
+        cache[q, i] = Subspace.coordinate([p for p, idx in enumerate(itertools.combinations(range(1, c.m + 1), q))
                                            if (idx[-1] <= c.v_dims[i] if idx else i >= 1)], comb(c.m, q))
     return cache[q, i]
 
@@ -174,7 +194,8 @@ def limit_class_nonzero(c: CochainComplex, p: int, n: int, x: Sequence[int]) -> 
     if n < 0 or n > c.m or p < 0 or p >= c.k:
         return False
     numerator, denominator = _quotient(c, p, n, LIMIT)
-    return numerator.contains_vector(x) and not denominator.contains_vector(x)
+    line = span([x], numerator.ambient_dim)
+    return contains(numerator, line) and not contains(denominator, line)
 
 
 def page_grid(c: CochainComplex, r: int | None) -> Grid:
@@ -282,9 +303,10 @@ def _leads(rows):
 
 
 def two_step_kernel(m: LinearMap) -> Subspace:
-    """``linalg.kernel`` by two textbook eliminations and nothing of ``linalg``'s:
-    ``naive_rref`` of m, one null vector per free column, and ``naive_rref`` of
-    those, each row scaled to a primitive integer vector."""
+    """``linalg.null_space`` of m's columns by two textbook eliminations and
+    nothing of ``linalg``'s: ``naive_rref`` of m, one null vector per free
+    column, and ``naive_rref`` of those, each row scaled to a primitive
+    integer vector."""
     grid = [[(0, 1)] * m.cols for _ in range(m.rows)]
     for j, entries in m.columns.items():
         for i, v in entries:
@@ -320,13 +342,7 @@ def textbook_preimage(m: LinearMap, target: Subspace, domain: Subspace) -> Subsp
     the target iff (c, e) is a null vector of [m b_i | -t_j] for some e, so
     the preimage is the span of B c over the ``two_step_kernel`` of that
     matrix, taken by ``naive_rref``."""
-    columns = {}
-    for i, b in enumerate(domain.basis):
-        mb = [0] * m.rows
-        for j, entries in m.columns.items():
-            for r, v in entries:
-                mb[r] += v * b[j]
-        columns[i] = list(enumerate(mb))
+    columns = {i: list(enumerate(apply(m, b))) for i, b in enumerate(domain.basis)}
     for j, t in enumerate(target.basis, start=domain.dim):
         columns[j] = [(r, -v) for r, v in enumerate(t)]
     null = two_step_kernel(LinearMap(m.rows, domain.dim + target.dim, columns))
@@ -337,7 +353,7 @@ def textbook_preimage(m: LinearMap, target: Subspace, domain: Subspace) -> Subsp
 
 def wedge_minors(x: Sequence[int], y: Sequence[int], m: int) -> list[int]:
     """Coordinates of the 2-form x ^ y of two dense 1-forms: its 2x2 minors."""
-    return [x[a - 1] * y[b - 1] - x[b - 1] * y[a - 1] for a, b in multi_indices(m, 2)]
+    return [x[a - 1] * y[b - 1] - x[b - 1] * y[a - 1] for a, b in itertools.combinations(range(1, m + 1), 2)]
 
 
 def dense_transform_constants(constants: Constants, change: Sequence[Sequence[int]]
@@ -352,13 +368,14 @@ def dense_transform_constants(constants: Constants, change: Sequence[Sequence[in
     scale = math.lcm(*(row[i] for i, row in enumerate(augmented.basis)))
     old_basis = [[x * (scale // row[i]) for x in row[m:]] for i, row in enumerate(augmented.basis)]
     minors = {(i, l): wedge_minors(old_basis[i - 1], old_basis[l - 1], m) for i, l, _ in constants}
+    pairs = list(itertools.combinations(range(1, m + 1), 2))
     out: dict[tuple[int, int, int], int] = {}
     for jnew, prow in enumerate(change, start=1):
-        two_form = [0] * len(multi_indices(m, 2))
+        two_form = [0] * len(pairs)
         for (i, l, b), cval in constants.items():
             if prow[b - 1]:
                 two_form = [t + prow[b - 1] * cval * x for t, x in zip(two_form, minors[i, l])]
-        out.update({(aa, bb, jnew): coeff for (aa, bb), coeff in zip(multi_indices(m, 2), two_form) if coeff})
+        out.update({(aa, bb, jnew): coeff for (aa, bb), coeff in zip(pairs, two_form) if coeff})
     return out
 
 
@@ -424,10 +441,10 @@ def pointwise_differential(m: int, constants: Mapping[tuple[int, int, int], Frac
     derivation-rule construction; intended for small dimensions.  Rational
     constants are scaled by the lcm of their denominators, as in the complex.
     """
-    domain = multi_indices(m, q)
-    target = multi_indices(m, q + 1)
+    domain = list(itertools.combinations(range(1, m + 1), q))
+    target = list(itertools.combinations(range(1, m + 1), q + 1))
     bracket: dict[tuple[int, int], dict[int, int]] = {}
-    for (i, j, k), c in clear_denominators(constants)[0].items():
+    for (i, j, k), c in clear_denominators(constants).items():
         if c:
             bracket.setdefault((i, j), {})[k] = c
 

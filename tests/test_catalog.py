@@ -3,7 +3,7 @@
 import pytest
 
 from nilspec import catalog, lie, spectral
-from nilspec.catalog import betti_vs_table_witness, distinct_table_census, get_entry, golden_check
+from nilspec.catalog import distinct_table_census, get_entry, golden_check
 
 
 def test_entry_counts_by_dimension(catalog_entries):
@@ -74,9 +74,7 @@ def test_census():
 
 
 def test_betti_vs_table_witness():
-    pair = betti_vs_table_witness()
-    assert pair == ("dim6-16", "dim6-17")
-    a, b = get_entry(pair[0]), get_entry(pair[1])
+    a, b = get_entry("dim6-16"), get_entry("dim6-17")
     assert a.golden_betti == b.golden_betti == (1, 3, 5, 6, 5, 3, 1)
     assert a.golden_limit != b.golden_limit
 

@@ -12,7 +12,7 @@ import pytest
 from conftest import sheared
 from nilspec import lie, spectral
 from nilspec.exterior import clear_denominators, compose_is_zero, differential_columns, form_columns
-from nilspec.linalg import LinearMap, Subspace, preimage, span
+from nilspec.linalg import LinearMap, Subspace, contains, preimage, span
 from nilspec.lie import (
     IndexPairError,
     IndexRangeError,
@@ -268,9 +268,9 @@ def test_series_heisenberg():
     f = lie.descending_series(lie.parse_salamon("(0,0,12)"))
     assert f.k == 2
     assert [s.dim for s in f.spaces] == [0, 2, 3]
-    assert f.spaces[1].contains_vector([1, 0, 0])
-    assert f.spaces[1].contains_vector([0, 1, 0])
-    assert not f.spaces[1].contains_vector([0, 0, 1])
+    assert contains(f.spaces[1], span([[1, 0, 0]], 3))
+    assert contains(f.spaces[1], span([[0, 1, 0]], 3))
+    assert not contains(f.spaces[1], span([[0, 0, 1]], 3))
     assert f.series_dims == (3, 1, 0)
 
 
@@ -289,7 +289,7 @@ def test_series_filiform(m):
         for j in range(i + 1):
             vec = [0] * m
             vec[j] = 1
-            assert f.spaces[i].contains_vector(vec)
+            assert contains(f.spaces[i], span([vec], m))
 
 
 def test_annihilator_duality(random_algebras_dim7):
@@ -372,7 +372,7 @@ def test_contraction_filtration_equals_lambda2_preimages(catalog_tables, random_
         monkeypatch.setattr(lie, name, functools.partial(_counted, calls, name, getattr(lie, name)))
     accepted = 0
     for a in algebras:
-        constants, _ = clear_denominators(a.c)
+        constants = clear_denominators(a.c)
         calls.clear()
         spaces, series = _levels(a.m, constants)
         eliminations[a] = (calls["null_space"], calls["_span"])
@@ -413,14 +413,14 @@ _NOT_JACOBI = [
 def test_contraction_filtration_on_invalid_inputs():
     # the constants are listed with i < j, as LieAlgebra would store them
     for m, constants in _NOT_NILPOTENT:
-        cleared, _ = clear_denominators(constants)
+        cleared = clear_denominators(constants)
         spaces, _ = _levels(m, cleared)
         assert _same_spaces(spaces, _lambda2_filtration(m, _d1(m, cleared)))
         assert spaces[-1].dim < m
         with pytest.raises(NotNilpotentError):
             LieAlgebra(m, constants)
     for m, constants in _NOT_JACOBI:
-        cleared, _ = clear_denominators(constants)
+        cleared = clear_denominators(constants)
         d = form_columns(m, cleared)
         assert not compose_is_zero(d[2], d[1])
         with pytest.raises(JacobiError):
@@ -448,7 +448,7 @@ def test_jacobi_from_constants_equals_d_squared(catalog_tables, random_algebras_
     cases = [(m, _random_constants(rng, m)) for m in (rng.randint(3, 8) for _ in range(2400))]
     algebras = [a for _, a, _, _ in catalog_tables.values()] + random_algebras_dim7 + twins_dim7
     for a in algebras:
-        constants, _ = clear_denominators(a.c)
+        constants = clear_denominators(a.c)
         cases.append((a.m, constants))
         if constants:
             key = rng.choice(sorted(constants))
