@@ -105,9 +105,7 @@ def _render_text(table: SpectralTable, meta: dict, pages: str) -> str:
     lines.append(f"{head}{meta['salamon']}")
     lines.append(f"m = {table.m}, k = {table.k}, r0 = {table.r0}, "
                  f"betti = {list(table.betti)}")
-    half = (table.m + 1) // 2
-    lines.append(f"(degeneration bound k = {table.k}; the conjectured bound "
-                 f"ceil(m/2) = {half} is {'met' if table.r0 <= half else 'exceeded'} here)")
+    lines.append(f"(degeneration bound k = {table.k})")
     width = max(len(str(x)) for _, grid in _page_items(table, pages) for row in grid for x in row)
     for label, grid in _page_items(table, pages):
         title = "E_oo (limit)" if label == "limit" else f"E_{label}"

@@ -19,8 +19,9 @@ and j (q - 1 of them for d_q), and adds to row rest | a | b the sign
 (-1)^(#{i in rest : i < j} + #{i in rest : i < a} + #{i in rest : i < b})
 times c, the parity of one popcount of rest.
 ``positional_columns`` relabels key columns to lexicographic positions.
-
-A cochain is an integer coordinate row over the basis q-forms.  The structure
+Every column, on keys or on positions, is a sparse integer row {row:
+nonzero value}, the one vector format of ``nilspec.linalg``; so are the
+rows of the adapted basis change and every cochain.  The structure
 constants are multiplied once by the lcm of their denominators
 (``clear_denominators`` returns only the scaled constants), and the adapted
 basis change multiplies them by a further positive integer, so the complex's
@@ -42,7 +43,7 @@ import itertools
 import math
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .linalg import Row, SparseRow, Subspace, _eliminate
+from .linalg import SparseRow, Subspace, _eliminate
 # the benchmark's tracer (bench/tracing.py) wraps this name here; nothing else reads it
 from .linalg import rank  # noqa: F401
 
@@ -52,7 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .lie import Filtration, LieAlgebra
 
 Constants = Mapping[tuple[int, int, int], int]
-SparseColumns = dict[int, list[tuple[int, int]]]
 KeyColumns = dict[int, dict[int, int]]
 
 
@@ -105,14 +105,14 @@ def _position(key: int, full: int) -> int:
     return sum(math.comb(b, t) for t, b in enumerate(bits, start=1))
 
 
-def positional_columns(m: int, columns: KeyColumns) -> SparseColumns:
-    """Key columns relabelled to lexicographic positions."""
+def positional_columns(m: int, columns: KeyColumns) -> KeyColumns:
+    """Key columns relabelled to lexicographic positions, {position: {position: coeff}}."""
     full = (1 << m) - 1
-    return {_position(src, full): [(_position(key, full), v) for key, v in col.items()]
+    return {_position(src, full): {_position(key, full): v for key, v in col.items()}
             for src, col in columns.items()}
 
 
-def differential_columns(m: int, constants: Constants, q: int) -> SparseColumns:
+def differential_columns(m: int, constants: Constants, q: int) -> KeyColumns:
     """d_q of ``form_columns`` at lexicographic positions, on forms of level 0;
     q = 0..m."""
     return positional_columns(m, form_columns(m, constants)[q])
@@ -152,17 +152,19 @@ class CochainComplex:
     m, k:            dimension and nilpotency index
     v_dims:          dims of V_0 .. V_k
     levels:          levels[j-1] = min{i : adapted covector j lies in V_i}
-    adapted_basis_change:  integer rows = adapted covectors in the original dual basis
+    adapted_basis_change:  sparse integer rows {j: value}, 0-based: the adapted
+                           covectors in the original dual basis, the canonical
+                           rows of each V_i at the pivots new to V_i
     adapted_constants:     integer structure constants in the adapted basis, a
                            positive integer multiple of the true ones
     columns:         columns[q] is d_q on form keys, q = 0..m, built from
                      adapted_constants (the same positive multiple of the true
                      differential)
 
-    Cochains are integer coordinate rows in the adapted basis.
+    Cochains are sparse integer rows over the basis forms of the adapted basis.
     """
 
-    def __init__(self, m: int, k: int, v_dims: Sequence[int], adapted_basis_change: tuple[Row, ...],
+    def __init__(self, m: int, k: int, v_dims: Sequence[int], adapted_basis_change: tuple[SparseRow, ...],
                  adapted_constants: Constants):
         self.m = m
         self.k = k
@@ -185,12 +187,11 @@ def build_complex(a: "LieAlgebra", f: "Filtration") -> CochainComplex:
         adapted_rows += [row for row, p in zip(space.rows, space.pivots) if p not in old]
         if len(adapted_rows) != space.dim:
             raise CochainComplexError("filtration basis extension failed")
-    change = tuple(tuple(map(row.get, range(m), itertools.repeat(0))) for row in adapted_rows)
 
     constants = clear_denominators(a.c)
     if any(row != {j: 1} for j, row in enumerate(adapted_rows)):
         constants = transform_constants(constants, adapted_rows)
-    c = CochainComplex(m, k, v_dims, change, constants)
+    c = CochainComplex(m, k, v_dims, tuple(adapted_rows), constants)
     for q in range(m):
         if not compose_is_zero(c.columns[q + 1], c.columns[q]):
             raise CochainComplexError(f"d_{q + 1} . d_{q} != 0 after basis adaptation")

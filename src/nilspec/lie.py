@@ -37,7 +37,7 @@ import re
 import sys
 from collections import defaultdict
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from . import exterior
 from .linalg import Subspace, _eliminate, _span, null_space
@@ -118,7 +118,7 @@ def rat(value: int | str | Fraction) -> int | Fraction:
 class LieAlgebra:
     """Immutable structure-constant presentation of a nilpotent Lie algebra."""
 
-    __slots__ = ("m", "c", "label", "filtration", "_key", "_hash")
+    __slots__ = ("m", "c", "label", "filtration", "_hash")
 
     def __init__(self, m: int, constants: Mapping[tuple[int, int, int], Fraction | int],
                  label: str | None = None):
@@ -150,13 +150,8 @@ class LieAlgebra:
         self.m = m
         self.c = cleaned
         self.label = label
-        self._key = (m, tuple(sorted(cleaned.items())))
-        self._hash = hash(self._key)
+        self._hash = hash((m, tuple(sorted(cleaned.items()))))
         self.filtration = validate_algebra(self)
-
-    def brackets(self) -> Iterator[tuple[int, int, int, int | Fraction]]:
-        for (i, j, k), c in self._key[1]:
-            yield i, j, k, c
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LieAlgebra) and self.m == other.m and self.c == other.c
@@ -197,19 +192,19 @@ def _next_dual(m: int, constants: Mapping[tuple[int, int, int], int], prev: Subs
         if len(_eliminate(off.values(), reduced=False)) == len(off):
             return Subspace.coordinate(set(range(m)) - off.keys(), m)
     scale = math.lcm(*(row[p] for row, p in zip(prev.rows, prev.pivots)))
-    # reach[a] lists (t, u_a) over the basis vectors u of ann(V) with u_a != 0
-    reach: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    # reach[a] is {t: u_a} over the basis vectors u = u_t of ann(V) with u_a != 0
+    reach: list[dict[int, int]] = [{} for _ in range(m)]
     for t, c in enumerate(sorted(set(range(m)) - set(prev.pivots))):
-        reach[c].append((t, scale))
+        reach[c][t] = scale
         for row, p in zip(prev.rows, prev.pivots):
             if c in row:
-                reach[p].append((t, -row[c] * (scale // row[p])))
+                reach[p][t] = -row[c] * (scale // row[p])
     # column k-1 holds the e^b coordinate of i_u de^k at row t*m + b-1, for the t-th u
     cols: defaultdict[int, defaultdict[int, int]] = defaultdict(lambda: defaultdict(int))
     for (a, b, k), v in constants.items():
-        for t, u in reach[a - 1]:
+        for t, u in reach[a - 1].items():
             cols[k - 1][t * m + b - 1] += v * u
-        for t, u in reach[b - 1]:
+        for t, u in reach[b - 1].items():
             cols[k - 1][t * m + a - 1] -= v * u
     return null_space({k: {r: v for r, v in col.items() if v} for k, col in cols.items()}, m * m, m)
 
@@ -229,17 +224,17 @@ def _next_primal(m: int, constants: Mapping[tuple[int, int, int], int], prev: Su
         support = {k for bracket in reached.values() for k in bracket}
         if len(_eliminate(reached.values(), reduced=False)) == len(support):
             return Subspace.coordinate(support, m)
-    # holds[j] lists (r, x_j) over the canonical rows x = x_r of n^(i-1) with x_j != 0
-    holds: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    # holds[j] is {r: x_j} over the canonical rows x = x_r of n^(i-1) with x_j != 0
+    holds: list[dict[int, int]] = [{} for _ in range(m)]
     for r, row in enumerate(prev.rows):
         for j, x in row.items():
-            holds[j].append((r, x))
+            holds[j][r] = x
     # out[r, g] is [e_g, x_r], from [e_a, e_b] = c e_k = -[e_b, e_a]
     out: defaultdict[tuple[int, int], defaultdict[int, int]] = defaultdict(lambda: defaultdict(int))
     for (a, b, k), c in constants.items():
-        for r, x in holds[b - 1]:
+        for r, x in holds[b - 1].items():
             out[r, a][k - 1] += c * x
-        for r, x in holds[a - 1]:
+        for r, x in holds[a - 1].items():
             out[r, b][k - 1] -= c * x
     return _span([{k: v for k, v in bracket.items() if v} for bracket in out.values()], m)
 
@@ -460,7 +455,7 @@ def to_salamon(a: LieAlgebra) -> str:
 def algebra_to_json(a: LieAlgebra) -> dict:
     doc = {
         "dim": a.m,
-        "brackets": [{"i": i, "j": j, "k": k, "c": str(c)} for i, j, k, c in a.brackets()],
+        "brackets": [{"i": i, "j": j, "k": k, "c": str(c)} for (i, j, k), c in sorted(a.c.items())],
     }
     if a.label is not None:
         doc["label"] = a.label

@@ -2,13 +2,15 @@
 
 Filtrations, cochain complexes and the closed-form page quotients reduce to
 spans, sums, images and preimages of subspaces of Q^n.  Every row is a sparse
-integer row {column: nonzero value}.  A subspace is stored as its canonical
-rows: the reduced row-echelon rows, each scaled to a primitive integer vector
-(content 1) with a positive pivot.  That form is unique, so two subspaces are
-equal as sets iff their rows are equal; ``Subspace.basis`` gives them as
-dense tuples, a read-only view.
+integer row {column: nonzero value}, and so is every column: the package
+stores and returns no other vector format.  A subspace is stored as its
+canonical rows: the reduced row-echelon rows, each scaled to a primitive
+integer vector (content 1) with a positive pivot.  That form is unique, so
+two subspaces are equal as sets iff their rows are equal.
 
-A ``LinearMap`` is a shape and sparse integer columns, which ``image``,
+Two input edges take other formats: ``span`` takes dense integer rows, and
+the ``LinearMap`` constructor takes each column as (row, value) pairs.  A
+``LinearMap`` is a shape and sparse integer columns, which ``image``,
 ``preimage`` and ``rank`` take (``null_space`` takes the columns).  A nonzero
 scalar changes none of them, so callers clear denominators once.
 
@@ -23,10 +25,7 @@ vectors are read off marker rows, as an inverse is read off [P | I].
 from __future__ import annotations
 
 import math
-from itertools import repeat
 from typing import Hashable, Iterable, Mapping, Sequence
-
-Row = tuple[int, ...]
 
 
 class DimensionMismatchError(ValueError):
@@ -111,22 +110,22 @@ def _marked_null(rows: Iterable[SparseRow], height: int, ambient_dim: int) -> Su
     return _span([{j - height: v for j, v in row.items()} for c, row in kept.items() if c >= height], ambient_dim)
 
 
-def null_space(columns: Mapping[int, SparseRow | Iterable[tuple[int, int]]], height: int, width: int) -> Subspace:
+def null_space(columns: Mapping[int, SparseRow], height: int, width: int) -> Subspace:
     """The x in Q^width with sum x_i columns[i] = 0, canonical; a column is
-    given by its nonzero entries (row < height, value), and one absent from
+    given by its nonzero entries {row < height: value}, and one absent from
     ``columns`` is zero.  Column i is marked with a 1 at row height + i."""
-    return _marked_null([dict(columns.get(i, ())) | {height + i: 1} for i in range(width)], height, width)
+    return _marked_null([columns.get(i, {}) | {height + i: 1} for i in range(width)], height, width)
 
 
 # ---------------------------------------------------------------------------
 # linear maps
 # ---------------------------------------------------------------------------
 
-def _apply(columns: Mapping[int, Iterable[tuple[int, int]]], row: SparseRow) -> SparseRow:
+def _apply(columns: Mapping[int, SparseRow], row: SparseRow) -> SparseRow:
     """Sparse columns applied to a sparse row; a column absent from them is zero."""
     out: SparseRow = {}
     for j, v in row.items():
-        for i, e in columns.get(j, ()):
+        for i, e in columns.get(j, {}).items():
             out[i] = out.get(i, 0) + v * e
     return {i: x for i, x in out.items() if x}
 
@@ -134,26 +133,26 @@ def _apply(columns: Mapping[int, Iterable[tuple[int, int]]], row: SparseRow) -> 
 class LinearMap:
     """Integer matrix of shape rows x cols, stored as sparse columns.
 
-    ``columns[j]`` lists the nonzero entries ``(i, value)`` of column j in
-    increasing row order, one per row (entries given for one row are summed);
-    zero columns are absent.
+    The constructor takes each column j as ``(i, value)`` pairs and sums the
+    values given for one row; ``columns[j]`` then holds the nonzero entries
+    of column j as {i: value}, and zero columns are absent.
     """
 
     __slots__ = ("rows", "cols", "columns")
 
-    def __init__(self, rows: int, cols: int, columns: dict[int, list[tuple[int, int]]]):
+    def __init__(self, rows: int, cols: int, columns: Mapping[int, Iterable[tuple[int, int]]]):
         self.rows = rows
         self.cols = cols
         self.columns = {}
         for j, entries in columns.items():
-            merged: dict[int, int] = {}
+            merged: SparseRow = {}
             for i, v in entries:
                 merged[i] = merged.get(i, 0) + v
-            entries = sorted((i, v) for i, v in merged.items() if v)
-            if not (0 <= j < cols and all(0 <= i < rows for i, _ in entries)):
+            col = {i: v for i, v in merged.items() if v}
+            if not (0 <= j < cols and all(0 <= i < rows for i in col)):
                 raise DimensionMismatchError(f"entry outside the {rows}x{cols} shape")
-            if entries:
-                self.columns[j] = entries
+            if col:
+                self.columns[j] = col
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +165,7 @@ class Subspace:
     ``rows[i]`` is an RREF row scaled to a primitive integer vector with a
     positive pivot at column ``pivots[i]``, stored as {column: nonzero value}.
     Canonicity makes equality-of-sets the same as equality-of-rows, which the
-    golden-table comparisons rely on.  ``basis`` is the dense read-only view.
-    A vector lies in the subspace iff ``_clear`` at every pivot leaves nothing.
+    golden-table comparisons rely on.  A vector lies in the subspace iff ``_clear`` at every pivot leaves nothing.
     """
 
     __slots__ = ("ambient_dim", "rows", "pivots")
@@ -176,10 +174,6 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.rows = rows
         self.pivots = pivots
-
-    @property
-    def basis(self) -> tuple[Row, ...]:
-        return tuple(tuple(map(row.get, range(self.ambient_dim), repeat(0))) for row in self.rows)
 
     @property
     def dim(self) -> int:
@@ -276,4 +270,4 @@ def preimage(m: LinearMap, target: Subspace, domain: Subspace) -> Subspace:
 
 
 def rank(m: LinearMap) -> int:
-    return len(_eliminate([dict(entries) for entries in m.columns.values()], reduced=False))
+    return len(_eliminate(list(map(dict, m.columns.values())), reduced=False))

@@ -36,14 +36,12 @@ def random_nilpotent(rng: random.Random, m: int) -> lie.LieAlgebra:
         if closed.dim == 0:
             continue
         vec = [Fraction(0)] * len(pairs)
-        for basis_row in closed.basis:
+        for basis_row, p in zip(closed.rows, closed.pivots):
             c = Fraction(rng.choice(_COEFF_POOL))
             if c:
                 # combine the RREF rows with pivot 1, as scaled by null_space
-                pivot = next(x for x in basis_row if x)
-                for t, x in enumerate(basis_row):
-                    if x:
-                        vec[t] += c * Fraction(x, pivot)
+                for t, x in basis_row.items():
+                    vec[t] += c * Fraction(x, basis_row[p])
         for (a, b), val in zip(pairs, vec):
             if val:
                 constants[(a, b, j)] = val

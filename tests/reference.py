@@ -33,7 +33,9 @@ evaluation of the alternating-sum formula on tuples of primal basis vectors
 (``pointwise_differential``, for small dimensions), and the page-0 entries
 from binomials (``page0_closed_form``).  The package's maps only carry
 their columns, so the tests take a map times a dense vector from ``apply``
-and compare maps by ``map_key``.
+and compare maps by ``map_key``.  The package holds every vector as a
+sparse integer row {index: value}; the tests read dense tuples off sparse
+rows, or off a subspace's canonical rows, through ``dense``.
 """
 
 from __future__ import annotations
@@ -76,16 +78,25 @@ def positional_d(c: CochainComplex, q: int) -> LinearMap:
     """d_q with rows and columns at lexicographic positions."""
     cache = _cache(c, "d")
     if q not in cache:
-        cache[q] = LinearMap(comb(c.m, q + 1), comb(c.m, q), positional_columns(c.m, c.columns[q]))
+        columns = positional_columns(c.m, c.columns[q])
+        cache[q] = LinearMap(comb(c.m, q + 1), comb(c.m, q), {j: col.items() for j, col in columns.items()})
     return cache[q]
+
+
+def dense(vectors: Subspace | Sequence[Mapping[int, int]], n: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """Sparse rows {index: value} as dense integer tuples of length n; a
+    subspace gives its canonical rows at its ambient dimension."""
+    if isinstance(vectors, Subspace):
+        vectors, n = vectors.rows, vectors.ambient_dim
+    return tuple(tuple(row.get(j, 0) for j in range(n)) for row in vectors)
 
 
 def apply(m: LinearMap, vector: Sequence[int]) -> list[int]:
     """The dense product m x: x_j times column j, summed over the columns."""
     assert len(vector) == m.cols, (len(vector), m.cols)
     out = [0] * m.rows
-    for j, entries in m.columns.items():
-        for i, v in entries:
+    for j, col in m.columns.items():
+        for i, v in col.items():
             out[i] += v * vector[j]
     return out
 
@@ -308,8 +319,8 @@ def two_step_kernel(m: LinearMap) -> Subspace:
     column, and ``naive_rref`` of those, each row scaled to a primitive
     integer vector."""
     grid = [[(0, 1)] * m.cols for _ in range(m.rows)]
-    for j, entries in m.columns.items():
-        for i, v in entries:
+    for j, col in m.columns.items():
+        for i, v in col.items():
             grid[i][j] = (v, 1)
     reduced, r = naive_rref(grid)
     pivots = _leads(reduced[:r])
@@ -342,12 +353,13 @@ def textbook_preimage(m: LinearMap, target: Subspace, domain: Subspace) -> Subsp
     the target iff (c, e) is a null vector of [m b_i | -t_j] for some e, so
     the preimage is the span of B c over the ``two_step_kernel`` of that
     matrix, taken by ``naive_rref``."""
-    columns = {i: list(enumerate(apply(m, b))) for i, b in enumerate(domain.basis)}
-    for j, t in enumerate(target.basis, start=domain.dim):
+    basis = dense(domain)
+    columns = {i: list(enumerate(apply(m, b))) for i, b in enumerate(basis)}
+    for j, t in enumerate(dense(target), start=domain.dim):
         columns[j] = [(r, -v) for r, v in enumerate(t)]
     null = two_step_kernel(LinearMap(m.rows, domain.dim + target.dim, columns))
-    combined = [[(sum(c[i] * b[x] for i, b in enumerate(domain.basis)), 1) for x in range(domain.ambient_dim)]
-                for c in null.basis]
+    combined = [[(sum(c[i] * b[x] for i, b in enumerate(basis)), 1) for x in range(domain.ambient_dim)]
+                for c in dense(null)]
     return _naive_span(combined, domain.ambient_dim)
 
 
@@ -362,11 +374,11 @@ def dense_transform_constants(constants: Constants, change: Sequence[Sequence[in
     rows of [P | I] give L P^-1, and d f^j sums the minors of its rows."""
     m = len(change)
     # the canonical rows of [P | I] are [0..L_i..0 | L_i (P^-1)_i] iff P is invertible
-    augmented = span([list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(change)], 2 * m)
-    if not all(row[i] for i, row in enumerate(augmented.basis)):
+    augmented = dense(span([list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(change)], 2 * m))
+    if not all(row[i] for i, row in enumerate(augmented)):
         raise CochainComplexError("adapted basis change is singular")
-    scale = math.lcm(*(row[i] for i, row in enumerate(augmented.basis)))
-    old_basis = [[x * (scale // row[i]) for x in row[m:]] for i, row in enumerate(augmented.basis)]
+    scale = math.lcm(*(row[i] for i, row in enumerate(augmented)))
+    old_basis = [[x * (scale // row[i]) for x in row[m:]] for i, row in enumerate(augmented)]
     minors = {(i, l): wedge_minors(old_basis[i - 1], old_basis[l - 1], m) for i, l, _ in constants}
     pairs = list(itertools.combinations(range(1, m + 1), 2))
     out: dict[tuple[int, int, int], int] = {}

@@ -34,6 +34,6 @@ def test_differential_columns_returns_sparse_entry_lists():
         columns = exterior.differential_columns(c.m, c.adapted_constants, q)
         assert isinstance(columns, dict)
         for col, entries in columns.items():
-            assert isinstance(col, int) and isinstance(entries, list)
-            assert all(isinstance(pos, int) and isinstance(v, int) and v for pos, v in entries)
+            assert isinstance(col, int) and isinstance(entries, dict)
+            assert all(isinstance(pos, int) and isinstance(v, int) and v for pos, v in entries.items())
     assert sum(len(e) for e in exterior.differential_columns(c.m, c.adapted_constants, 1).values()) > 0

@@ -32,6 +32,15 @@ def test_compute_text_heisenberg(capsys):
     assert "r0 = 2" in out
 
 
+def test_compute_text_header_states_only_the_bound_k(capsys):
+    """The header gives r0 and the degeneration bound k, and no bound
+    ceil(m/2), which this algebra exceeds (r0 = 5 > 4)."""
+    code, out, _ = run(capsys, "compute", "(0,0,12,-23,12+24,0,-16-23-25+26,-24+26+27+36)")
+    assert code == 0
+    assert out.splitlines()[1:3] == ["m = 8, k = 6, r0 = 5, betti = [1, 3, 5, 8, 10, 8, 5, 3, 1]",
+                                     "(degeneration bound k = 6)"]
+
+
 def test_compute_json_round_trips(capsys):
     code, out, _ = run(capsys, "compute", "(0,0,12,13)", "--format", "json")
     assert code == 0

@@ -21,8 +21,8 @@ from nilspec.exterior import (
 )
 from nilspec.linalg import LinearMap, Subspace, contains, image, span
 from nilspec.spectral import LIMIT, full_table
-from reference import (apply, betti_numbers, dense_transform_constants, lambda_subspace, map_key, mask_walk_columns,
-                       page_grid, pointwise_differential, positional_d, wedge_minors)
+from reference import (apply, betti_numbers, dense, dense_transform_constants, lambda_subspace, map_key,
+                       mask_walk_columns, page_grid, pointwise_differential, positional_d, wedge_minors)
 
 
 def _complex(text):
@@ -108,8 +108,8 @@ def test_pointwise_oracle_matches_derivation_rule(random_algebras_dim5, random_a
     for c in complexes:
         for q in range(c.m + 1):
             built = differential_columns(c.m, c.adapted_constants, q)
-            signs.update(v > 0 for entries in built.values() for _, v in entries)
-            as_map = LinearMap(comb(c.m, q + 1), comb(c.m, q), built)
+            signs.update(v > 0 for col in built.values() for v in col.values())
+            as_map = LinearMap(comb(c.m, q + 1), comb(c.m, q), {j: col.items() for j, col in built.items()})
             oracle = pointwise_differential(c.m, c.adapted_constants, q)
             assert map_key(as_map) == map_key(positional_d(c, q)) == map_key(oracle)
     assert signs == {True, False}
@@ -131,11 +131,11 @@ def test_term_driven_columns_match_mask_walk(random_algebras_dim7, twins_dim7, c
     transformed = rational = 0
     for a in algebras:
         c = spectral.complex_for(a)
-        transformed += c.adapted_basis_change != Subspace.full(a.m).basis
+        change = c.adapted_basis_change
+        transformed += change != Subspace.full(a.m).rows
         rational += any(v.denominator > 1 for v in a.c.values())
         integral = clear_denominators(a.c)
-        change = [{j: x for j, x in enumerate(row) if x} for row in c.adapted_basis_change]
-        assert transform_constants(integral, change) == dense_transform_constants(integral, c.adapted_basis_change)
+        assert transform_constants(integral, change) == dense_transform_constants(integral, dense(change, a.m))
         for constants, levels in ((integral, ()), (c.adapted_constants, c.levels), (c.adapted_constants, ())):
             columns = form_columns(a.m, constants, levels)
             assert len(columns) == a.m + 1
@@ -147,8 +147,7 @@ def test_term_driven_columns_match_mask_walk(random_algebras_dim7, twins_dim7, c
 def test_singular_basis_change_raises():
     constants = clear_denominators(lie.m0(4).c)
     for change in ([{0: 1}, {0: 2}, {2: 1}, {3: 1}], [{0: 1, 1: 1}, {1: 1, 2: -1}, {0: 1, 2: 1}, {3: 1}]):
-        dense = [[row.get(j, 0) for j in range(4)] for row in change]
-        for transform, rows in ((transform_constants, change), (dense_transform_constants, dense)):
+        for transform, rows in ((transform_constants, change), (dense_transform_constants, dense(change, 4))):
             with pytest.raises(CochainComplexError, match="^adapted basis change is singular$"):
                 transform(constants, rows)
 
@@ -157,9 +156,9 @@ def test_build_complex_leaves_the_filtration_unchanged(catalog_tables, rng_facto
     rng = rng_factory(0xA11A5)
     for _, algebra, _, _ in catalog_tables.values():
         a = sheared(algebra, rng)
-        before = [(s.ambient_dim, s.basis, s.pivots) for s in a.filtration.spaces]
+        before = [(s.ambient_dim, dense(s), s.pivots) for s in a.filtration.spaces]
         c = build_complex(a, a.filtration)
-        assert [(s.ambient_dim, s.basis, s.pivots) for s in a.filtration.spaces] == before
+        assert [(s.ambient_dim, dense(s), s.pivots) for s in a.filtration.spaces] == before
         assert c.adapted_basis_change == build_complex(a, a.filtration).adapted_basis_change
 
 
@@ -230,7 +229,7 @@ def test_non_adapted_basis_gives_same_tables():
     assert t.limit == reference.limit
     assert t.r0 == reference.r0
     c = spectral.complex_for(skew)
-    assert c.adapted_basis_change != Subspace.full(3).basis
+    assert c.adapted_basis_change != Subspace.full(3).rows
 
 
 def test_permuted_catalog_entry_gives_same_tables(random_algebras_dim7):
@@ -245,16 +244,16 @@ def test_permuted_catalog_entry_gives_same_tables(random_algebras_dim7):
         twin = reversed_twin(a)
         t, ref = spectral.table_for(twin), spectral.table_for(a)
         assert (t.pages, t.limit, t.r0, t.betti) == (ref.pages, ref.limit, ref.r0, ref.betti)
-        changed += spectral.complex_for(twin).adapted_basis_change != Subspace.full(m).basis
+        changed += spectral.complex_for(twin).adapted_basis_change != Subspace.full(m).rows
     assert changed >= 40
 
 
 def _greedy_adapted_rows(f, m):
     """The canonical rows of V_1, V_2, ... in order, each kept unless it lies
-    in the span of the rows kept before it."""
+    in the span of the rows kept before it, as dense rows."""
     rows = []
     for space in f.spaces[1:]:
-        for row in space.basis:
+        for row in dense(space):
             if not contains(span(rows, m), span([row], m)):
                 rows.append(row)
     return tuple(rows)
@@ -273,10 +272,10 @@ def test_adapted_rows_are_canonical_rows_at_new_pivots(catalog_tables, random_al
         f = lie.descending_series(a)
         c = spectral.complex_for(a)
         for prev, space in zip(f.spaces, f.spaces[1:]):
-            new = [row for row, p in zip(space.basis, space.pivots) if p not in prev.pivots]
+            new = [row for row, p in zip(space.rows, space.pivots) if p not in prev.pivots]
             assert list(c.adapted_basis_change[prev.dim:space.dim]) == new
-            assert span(c.adapted_basis_change[:space.dim], a.m) == space
-        if a.m > 8 or c.adapted_basis_change == _greedy_adapted_rows(f, a.m):
+            assert span(dense(c.adapted_basis_change[:space.dim], a.m), a.m) == space
+        if a.m > 8 or dense(c.adapted_basis_change, a.m) == _greedy_adapted_rows(f, a.m):
             continue  # tables above dim 8 take too long here
         # another adapted basis than the greedy rule's: the pairing must still
         # give the A-space quotient's pages, the rank-nullity Betti numbers

@@ -196,6 +196,24 @@ def test_r0_bounded_by_nilpotency_index(random_algebras_dim7):
         assert 0 <= t.r0 <= t.k
 
 
+# r0 = 5 > ceil(8/2): a seeded random draw of dimension 8 with integer constants
+BEYOND_HALF = "(0,0,12,-23,12+24,0,-16-23-25+26,-24+26+27+36)"
+
+
+def test_degeneration_page_beyond_half_the_dimension():
+    """An algebra whose sequence degenerates after page ceil(m/2): the
+    engine's pages equal the A-space quotient on every page 0..r0+1 and on
+    the limit."""
+    a = lie.parse_salamon(BEYOND_HALF)
+    t = table_for(a)
+    assert (t.m, t.k, t.r0, list(t.betti)) == (8, 6, 5, [1, 3, 5, 8, 10, 8, 5, 3, 1])
+    assert t.r0 > (t.m + 1) // 2
+    c = _fresh_complex(a)
+    for r in range(t.r0 + 2):
+        assert t.grid(r) == page_grid(c, r), r
+    assert t.limit == page_grid(c, LIMIT)
+
+
 # ---------------------------------------------------------------------------
 # the persistence pairing against the closed form and independent invariants
 # ---------------------------------------------------------------------------
@@ -229,7 +247,7 @@ def test_pairing_equals_quotient_cell_by_cell(catalog_tables, random_algebras_di
         for r in range(t.r0 + 1):
             assert t.pages[r] == page_grid(c, r), (name, r)
         assert t.limit == page_grid(c, LIMIT), name
-        transformed += c.adapted_basis_change != Subspace.full(c.m).basis
+        transformed += c.adapted_basis_change != Subspace.full(c.m).rows
     assert len(algebras) == 44 + 9 + 2 * 50
     assert transformed >= 40  # the adapted basis change is exercised
 
@@ -245,7 +263,7 @@ def _reference_bars(c, n):
     pivots = {}
     bars = []
     for j in sorted(columns, key=lambda j: (src[j], j)):
-        col = {dst[i] * size + i: v for i, v in columns[j]}
+        col = {dst[i] * size + i: v for i, v in columns[j].items()}
         while col:
             low = max(col)
             other = pivots.get(low)
@@ -283,7 +301,7 @@ def test_pairing_equals_positional_reference(catalog_tables, random_algebras_dim
             # only non-unit coefficients tell lazy content from dividing after
             # every addition; the catalog's complexes have none
             rational += any(x.denominator != 1 for x in a.c.values())
-            transformed += c.adapted_basis_change != Subspace.full(c.m).basis
+            transformed += c.adapted_basis_change != Subspace.full(c.m).rows
     assert rational >= 40 and transformed >= 40, (rational, transformed)
 
 
@@ -373,6 +391,8 @@ def test_table_builds_no_positional_map():
     assert not hasattr(linalg, "kernel") and not hasattr(Subspace, "contains_vector")
     assert not hasattr(linalg.LinearMap, "apply") and not hasattr(linalg.LinearMap, "is_zero")
     assert not hasattr(catalog, "betti_vs_table_witness")
+    # nor do the dense views of rows and constants
+    assert not hasattr(Subspace, "basis") and not hasattr(lie.LieAlgebra, "brackets")
 
 
 def test_delta_assembly_equals_ends_cube(catalog_tables, random_algebras_dim7, twins_dim7):
