@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
+from itertools import islice
 from typing import NamedTuple
 
 from .lie import parse_salamon
@@ -49,69 +50,52 @@ class CatalogFormatError(RuntimeError):
 
 
 def _parse_golden(text: str) -> list[CatalogEntry]:
-    entries: list[CatalogEntry] = []
-    lines = text.splitlines()
-    i = 0
-    current: dict | None = None
-
-    def finish() -> None:
-        nonlocal current
-        if current is None:
-            return
-        for field in ("id", "salamon", "limit"):
-            if field not in current:
-                raise CatalogFormatError(f"entry missing {field!r}: {current}")
-        if current["limit"] not in current["pages"]:
-            raise CatalogFormatError(f"{current['id']}: limit page not stored")
-        entries.append(CatalogEntry(
-            id=current["id"],
-            salamon=current["salamon"],
-            label=current.get("label"),
-            decomposition=current.get("decompose"),
-            golden_pages=current["pages"],
-            golden_limit_page=current["limit"],
-            suspect_cells=frozenset(current.get("suspect", ())),
-        ))
-        current = None
-
-    while i < len(lines):
-        line = lines[i].strip()
-        i += 1
+    """One dict per ``entry`` block from a walk over the lines, a page's rows
+    taken from the same line iterator; then each block checked and built."""
+    blocks: list[dict] = []
+    lines = iter(text.splitlines())
+    for line in lines:
+        line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, _, rest = line.partition(" ")
         rest = rest.strip()
         if key == "entry":
-            finish()
-            current = {"id": rest, "pages": {}, "suspect": set()}
-        elif current is None:
+            blocks.append({"id": rest, "pages": {}, "suspect": set()})
+        elif not blocks:
             raise CatalogFormatError(f"directive before first entry: {line}")
-        elif key == "salamon":
-            current["salamon"] = rest
-        elif key == "label":
-            current["label"] = rest
+        elif key in ("salamon", "label"):
+            blocks[-1][key] = rest
         elif key == "decompose":
             s, base = rest.split()
-            current["decompose"] = (int(s), base)
+            blocks[-1]["decompose"] = (int(s), base)
         elif key == "page":
             r, nrows, ncols = (int(x) for x in rest.split())
             grid = []
-            for _ in range(nrows):
-                row = tuple(int(x) for x in lines[i].split())
-                if len(row) != ncols:
-                    raise CatalogFormatError(f"{current['id']}: page {r} row width")
-                grid.append(row)
-                i += 1
-            current["pages"][r] = tuple(grid)
+            for row in islice(lines, nrows):
+                grid.append(tuple(int(x) for x in row.split()))
+                if len(grid[-1]) != ncols:
+                    raise CatalogFormatError(f"{blocks[-1]['id']}: page {r} row width")
+            if len(grid) < nrows:
+                raise CatalogFormatError(f"{blocks[-1]['id']}: page {r} cut short by the end of the file")
+            blocks[-1]["pages"][r] = tuple(grid)
         elif key == "limit":
-            current["limit"] = int(rest)
+            blocks[-1]["limit"] = int(rest)
         elif key == "suspect":
             r, row, col = (int(x) for x in rest.split())
-            current["suspect"].add((r, row, col))
+            blocks[-1]["suspect"].add((r, row, col))
         else:
             raise CatalogFormatError(f"unknown directive: {line}")
-    finish()
-    return entries
+    for block in blocks:
+        for field in ("salamon", "limit"):
+            if field not in block:
+                raise CatalogFormatError(f"entry missing {field!r}: {block}")
+        if block["limit"] not in block["pages"]:
+            raise CatalogFormatError(f"{block['id']}: limit page not stored")
+    return [CatalogEntry(id=b["id"], salamon=b["salamon"], label=b.get("label"),
+                         decomposition=b.get("decompose"), golden_pages=b["pages"],
+                         golden_limit_page=b["limit"], suspect_cells=frozenset(b["suspect"]))
+            for b in blocks]
 
 
 @lru_cache(maxsize=1)
@@ -119,7 +103,7 @@ def _all_entries() -> tuple[CatalogEntry, ...]:
     try:
         with open(os.path.join(os.path.dirname(__file__), "golden_tables.txt"), encoding="utf-8") as fh:
             return tuple(_parse_golden(fh.read()))
-    except (ValueError, IndexError) as exc:  # not a number, a page cut short, not UTF-8
+    except ValueError as exc:  # not a number, a bad field count, not UTF-8
         raise CatalogFormatError(f"golden_tables.txt: {exc}") from exc
 
 

@@ -7,12 +7,17 @@ string "(0,0,12)" says de^3 = e^1 ^ e^2, i.e. c_123 = 1.
 
 The string notation lists de^1, ..., de^m: each entry is 0 or a sum of
 terms, a term being an optional sign, an optional coefficient "n*" or
-"n/d*", then an index pair -- two digits for m <= 9, dot-separated like
-"1.10" for m >= 10.  Digits are ASCII 0-9 only.  A reversed pair denotes
-the reversed wedge, so "52" contributes -e^2 ^ e^5; the published tables
-use this form ("34+52") and the Jacobi identity pins the sign down.
-Coefficients stay ints unless the input has a '/', which alone imports
-``fractions``: ``a.c`` holds an int for every integral constant.
+"n/d*", then an index pair -- two digits for m <= 9, where leading digits
+are a juxtaposed coefficient ("214" is 2*14), dot-separated like "1.10" for
+m >= 10.  Digits are ASCII 0-9 only; whitespace (``str.isspace``) may
+surround terms and signs.  A reversed pair denotes the reversed wedge, so
+"52" contributes -e^2 ^ e^5; the published tables use this form ("34+52")
+and the Jacobi identity pins the sign down.  One compiled pattern,
+``_TERM``, matches a whole term with every part optional; the reader checks
+its groups in the order the grammar reads them and reports an error at the
+start or end of the group at fault.  Coefficients stay ints unless the
+input has a '/', which alone imports ``fractions``: ``a.c`` holds an int
+for every integral constant.
 
 Every ``LieAlgebra`` is validated when it is built, once per distinct algebra
 (same m and constants) per process: the constructor raises JacobiError unless
@@ -48,6 +53,8 @@ if TYPE_CHECKING:  # pragma: no cover
 Constants = dict[tuple[int, int, int], "int | Fraction"]
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/0*[1-9][0-9]*)?")  # ASCII digits, no decimals, no zero denominator
+# one Salamon term: sign, digits, "/" and a denominator, "*" and the digits after it, "." and a second index
+_TERM = re.compile(r"([+-]?)\s*([0-9]*)(/?)([0-9]*)(\*?)([0-9]*)(\.?)([0-9]*)\s*")
 
 
 class LieError(Exception):
@@ -354,31 +361,13 @@ def parse_salamon(text: str, label: str | None = None) -> LieAlgebra:
 
 
 def _parse_entry(entry: str, offset: int, m: int) -> list[tuple[tuple[int, int], int | Fraction]]:
-    """One differential entry: 0, or terms, each an optional sign, an optional
-    ``n*`` or ``n/d*`` coefficient, then an index pair.  Digits are ASCII;
-    a coefficient stays an int unless it has a denominator."""
-    pos = 0
+    """One differential entry: 0, or terms matched one by one by ``_TERM``.
+    Its groups are checked in the order the grammar reads them, and an error
+    names the start or end of its group; a coefficient stays an int unless
+    it has a denominator."""
 
     def err(msg: str, at: int) -> SalamonSyntaxError:
         return SalamonSyntaxError(msg, offset + at + 1)
-
-    def peek() -> str:
-        return entry[pos:pos + 1]
-
-    def skip_ws() -> None:
-        nonlocal pos
-        while peek().isspace():
-            pos += 1
-
-    def read_int(what: str) -> tuple[str, int]:
-        """The run of ASCII digits at ``pos``, and where it starts."""
-        nonlocal pos
-        start = pos
-        while "0" <= peek() <= "9":
-            pos += 1
-        if pos == start:
-            raise err(f"expected {what}", start)
-        return entry[start:pos], start
 
     def number(digits: str, at: int) -> int:
         try:
@@ -386,56 +375,57 @@ def _parse_entry(entry: str, offset: int, m: int) -> list[tuple[tuple[int, int],
         except ValueError:  # longer than the interpreter's limit on int() of a string
             raise err(f"a run of {len(digits)} digits is too long", at) from None
 
-    skip_ws()
+    pos = len(entry) - len(entry.lstrip())
     if pos == len(entry):
         raise err("empty entry", pos)
-    if peek() == "0":
-        pos += 1
-        skip_ws()
-        if pos < len(entry):
-            raise err("unexpected text after '0'", pos)
+    if entry[pos] == "0":
+        rest = entry[pos + 1:].lstrip()
+        if rest:
+            raise err("unexpected text after '0'", len(entry) - len(rest))
         return []
     terms: list[tuple[tuple[int, int], int | Fraction]] = []
-    while True:
-        sign = -1 if peek() == "-" else 1
-        if peek() in ("+", "-"):
-            pos += 1
-            skip_ws()
-        elif terms:
+    while pos < len(entry):
+        t = _TERM.match(entry, pos)
+        sign, digits, slash, denom, star, index, dot, second = t.groups()
+        if terms and not sign:
             raise err("expected '+' or '-' between terms", pos)
-        digits, at = read_int("an index pair or coefficient")
-        coeff: int | Fraction = sign
-        if peek() == "/":
-            pos += 1
-            denom_digits, denom_at = read_int("a denominator")
-            denom = number(denom_digits, denom_at)
+        at = t.start(2)
+        if not digits:
+            raise err("expected an index pair or coefficient", at)
+        coeff: int | Fraction = -1 if sign == "-" else 1
+        if slash:
             if not denom:
-                raise err("zero denominator", denom_at)
+                raise err("expected a denominator", t.start(4))
+            d = number(denom, t.start(4))
+            if not d:
+                raise err("zero denominator", t.start(4))
             from fractions import Fraction
-            coeff = Fraction(sign * number(digits, at), denom)
-            if peek() != "*":
-                raise err("expected '*' after a rational coefficient", pos)
-        elif peek() == "*":
-            coeff = sign * number(digits, at)
-        if peek() == "*":
-            pos += 1
-            digits, at = read_int("an index pair")
+            coeff = Fraction(coeff * number(digits, at), d)
+            if not star:
+                raise err("expected '*' after a rational coefficient", t.start(5))
+        elif star:
+            coeff *= number(digits, at)
+        if star:
+            digits, at = index, t.start(6)
+            if not digits:
+                raise err("expected an index pair", at)
         if m >= 10:
-            if peek() != ".":
-                raise err("expected a dot-separated index pair for dimension >= 10", pos)
-            pos += 1
-            second, second_at = read_int("a second index")
-            pair = (number(digits, at), number(second, second_at))
+            if not dot:
+                raise err("expected a dot-separated index pair for dimension >= 10", t.start(7))
+            if not second:
+                raise err("expected a second index", t.start(8))
+            pair = (number(digits, at), number(second, t.start(8)))
         elif len(digits) < 2:
             raise err(f"cannot read index pair from {digits!r}", at)
         else:
             if len(digits) > 2:  # juxtaposed integer coefficient, as in "2*14" written "214"
                 coeff *= number(digits[:-2], at)
+            if dot:  # the grammar ends the term before a '.' when m <= 9
+                raise err("expected '+' or '-' between terms", t.start(7))
             pair = (int(digits[-2]), int(digits[-1]))
         terms.append((pair, coeff))
-        skip_ws()
-        if pos == len(entry):
-            return terms
+        pos = t.end()
+    return terms
 
 
 def to_salamon(a: LieAlgebra) -> str:

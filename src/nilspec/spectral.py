@@ -193,20 +193,18 @@ def check_limit_edges(t: SpectralTable, c: CochainComplex) -> CheckReport:
 
 def check_top_degree_forms(c: CochainComplex) -> CheckReport:
     """Top-degree forms: d vanishes on (m-1)-forms and the exact ones are
-    exactly the multiples of the wedge of a closed-1-form basis."""
+    exactly the multiples of the wedge of a closed-1-form basis.  For m = 1
+    there are no (m-2)-forms, so the exact 0-forms are the zero subspace."""
     violations = []
-    checks = 2
     if c.columns[c.m - 1]:
         violations.append("d is nonzero on (m-1)-forms")
-    if c.m >= 2:
-        full = (1 << c.m) - 1  # the (m-1)-form without index i: position m - i, the one low set bit of its key
-        exact = _span([{(key & full).bit_length() - 1: v for key, v in col.items()}
-                        for col in c.columns[c.m - 2].values()], c.m)
-        divisible = divisibility_subspace(c)
-        if exact != divisible:
-            violations.append(
-                f"exact (m-1)-forms have dim {exact.dim}, divisible subspace dim {divisible.dim}")
-    return CheckReport("top-degree-forms", checks, tuple(violations))
+    full = (1 << c.m) - 1  # the (m-1)-form without index i: position m - i, the one low set bit of its key
+    below = c.columns[c.m - 2].values() if c.m >= 2 else ()
+    exact = _span([{(key & full).bit_length() - 1: v for key, v in col.items()} for col in below], c.m)
+    divisible = divisibility_subspace(c)
+    if exact != divisible:
+        violations.append(f"exact (m-1)-forms have dim {exact.dim}, divisible subspace dim {divisible.dim}")
+    return CheckReport("top-degree-forms", 2, tuple(violations))
 
 
 def check_abelian_extension(h: LieAlgebra, pages: Sequence[int | None], s: int = 1) -> list[CheckReport]:

@@ -450,13 +450,22 @@ def test_malformed_golden_file_exits_4_with_one_error_line(capsys, monkeypatch):
     for argv in commands:
         for fmt in ("text", "json"):
             assert run(capsys, *argv, "--format", fmt) == (4, "", "error: dim3-h3: page 0 row width\n"), argv
-    # a page cut short reads the next directive as a row: the file itself, read afresh
-    parse, cut = catalog._parse_golden, "\n".join(lines[:row] + lines[row + 1:])
-    monkeypatch.setattr(catalog, "_parse_golden", lambda text: parse(cut))
-    monkeypatch.setattr(catalog, "_all_entries", functools.lru_cache(maxsize=1)(read_file.__wrapped__))
-    message = "error: golden_tables.txt: invalid literal for int() with base 10: 'page'\n"
-    for argv in commands:
-        assert run(capsys, *argv) == (4, "", message), argv
+    # the file itself, read afresh, cut short: a page cut short in the middle reads the
+    # next directive as a row; the file may also end inside a page or lose a limit line
+    parse = catalog._parse_golden
+    last_page = lines.index("page 2 2 7", lines.index("entry dim6-33"))
+    limit = lines.index("limit 2", lines.index("entry dim3-h3"))
+    cuts = [  # (lines of the file, the error line or its start)
+        (lines[:row] + lines[row + 1:], "error: golden_tables.txt: invalid literal for int() with base 10: 'page'\n"),
+        (lines[:last_page + 2], "error: dim6-33: page 2 cut short by the end of the file\n"),
+        (lines[:limit] + lines[limit + 1:], "error: entry missing 'limit': {'id': 'dim3-h3', "),
+    ]
+    for cut, message in cuts:
+        monkeypatch.setattr(catalog, "_parse_golden", lambda text: parse("\n".join(cut)))
+        monkeypatch.setattr(catalog, "_all_entries", functools.lru_cache(maxsize=1)(read_file.__wrapped__))
+        for argv in commands:
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err.count("\n")) == (4, "", 1) and err.startswith(message), (argv, err[:80])
 
 
 def test_catalog_check_json(capsys):
@@ -486,6 +495,15 @@ def test_check_direct_sum_pages(capsys):
 def test_check_lemma_abelian(capsys):
     code, out, _ = run(capsys, "check", "(0,0,0,0)", "--lemma")
     assert code == 0 and "PASS" in out
+
+
+def test_check_lemma_compares_the_exact_forms_also_in_dimension_one(capsys, monkeypatch):
+    # m = 1: the exact 0-forms are the zero subspace, and a divisible subspace that is not fails
+    assert run(capsys, "check", "(0)", "--lemma") == (0, "PASS top-degree-forms (2 checks)\n", "")
+    monkeypatch.setattr(spectral, "divisibility_subspace", lambda c: Subspace.full(c.m))
+    code, out, _ = run(capsys, "check", "(0)", "--lemma")
+    assert code != 0 and out.splitlines()[0] == "FAIL top-degree-forms (2 checks)"
+    assert "exact (m-1)-forms have dim 0, divisible subspace dim 1" in out
 
 
 def test_check_default_runs_both(capsys):

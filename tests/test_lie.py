@@ -70,6 +70,7 @@ def test_parse_juxtaposed_coefficient():
 def test_parse_whitespace_tolerated():
     a = lie.parse_salamon(" ( 0 , 0 , 12 + 12 ) ")
     assert a.c == {(1, 2, 3): Fraction(2)}
+    assert lie.parse_salamon("(0,\u20030\xa0,\t12\xa0-\u2003\x1c2*12 )") == lie.parse_salamon("(0,0,-12)")
 
 
 def test_parse_dotted_indices():
@@ -137,6 +138,17 @@ SYNTAX_ERRORS = [  # (text, 1-based position, message)
     ("(0,0,\u0661\u0662)", 6, "expected an index pair or coefficient"),
     ("(0,0,1/\u00b2*12)", 8, "expected a denominator"),
     (TEN.format("1.\u0661"), 22, "expected a second index"),
+    # a '.' after a pair of two digits, and '*' or '/' with nothing after them
+    ("(0,0,12.3)", 8, "expected '+' or '-' between terms"),
+    ("(0,0,2*)", 8, "expected an index pair"),
+    ("(0,0,1/2*)", 10, "expected an index pair"),
+    ("(0,0,1/2*1)", 10, "cannot read index pair from '1'"),
+    ("(0,0,12-)", 9, "expected an index pair or coefficient"),
+    (TEN.format("2*12"), 24, "expected a dot-separated index pair for dimension >= 10"),
+    (TEN.format("1.2.3"), 23, "expected '+' or '-' between terms"),
+    # whitespace is what str.isspace() says it is, non-ASCII spaces included
+    ("(0,0,12\u200313)", 9, "expected '+' or '-' between terms"),
+    ("(0,0,12\xa0+\u2003)", 11, "expected an index pair or coefficient"),
 ]
 
 

@@ -198,20 +198,37 @@ def test_r0_bounded_by_nilpotency_index(random_algebras_dim7):
 
 # r0 = 5 > ceil(8/2): a seeded random draw of dimension 8 with integer constants
 BEYOND_HALF = "(0,0,12,-23,12+24,0,-16-23-25+26,-24+26+27+36)"
+# r0 = 6 > ceil(9/2): draw 46 (0-based) of conftest.random_nilpotent(random.Random(11), 9),
+# shrunk greedily (terms dropped, coefficients set to +-1 and basis forms rescaled
+# while the Jacobi identity, nilpotency and r0 > ceil(m/2) held) to integer constants
+BEYOND_HALF_9 = ("(0,0,-2*12,-4*12-4*23,-4*12-2*24,-2*25,-4*13-2*24-2*26,14+15+2*27+34,"
+                 "-3*15+2*17-3*27-2*28-4*34+35+2*36-45)")
+
+
+def _pages_match_the_reference(text):
+    """The table of ``text``, after checking that its pages equal the
+    A-space quotient on every page 0..r0+1 and on the limit."""
+    a = lie.parse_salamon(text)
+    t = table_for(a)
+    assert t.r0 > (t.m + 1) // 2
+    c = _fresh_complex(a)
+    for r in range(t.r0 + 2):
+        assert t.grid(r) == page_grid(c, r), r
+    assert t.limit == page_grid(c, LIMIT)
+    return t
 
 
 def test_degeneration_page_beyond_half_the_dimension():
     """An algebra whose sequence degenerates after page ceil(m/2): the
     engine's pages equal the A-space quotient on every page 0..r0+1 and on
     the limit."""
-    a = lie.parse_salamon(BEYOND_HALF)
-    t = table_for(a)
+    t = _pages_match_the_reference(BEYOND_HALF)
     assert (t.m, t.k, t.r0, list(t.betti)) == (8, 6, 5, [1, 3, 5, 8, 10, 8, 5, 3, 1])
-    assert t.r0 > (t.m + 1) // 2
-    c = _fresh_complex(a)
-    for r in range(t.r0 + 2):
-        assert t.grid(r) == page_grid(c, r), r
-    assert t.limit == page_grid(c, LIMIT)
+
+
+def test_degeneration_page_beyond_half_the_dimension_nine():
+    t = _pages_match_the_reference(BEYOND_HALF_9)
+    assert (t.m, t.k, t.r0, list(t.betti)) == (9, 8, 6, [1, 2, 3, 6, 8, 8, 6, 3, 2, 1])
 
 
 # ---------------------------------------------------------------------------
