@@ -3,9 +3,9 @@
 The catalog pairs every isomorphism class (1 + 2 + 8 + 33 entries) with its
 published page tables, loaded from ``golden_tables.txt``.  Entry ids follow
 "dim<N>-<item>" after the published numbering; the Heisenberg algebra is
-"dim3-h3".  A handful of printed cells are transcription suspects: they are
-stored exactly as printed, annotated with ``suspect`` records, and a golden
-check reports (rather than fails) when the engine contradicts such a cell.
+"dim3-h3".  A handful of printed cells are transcription suspects, stored as
+printed and annotated with ``suspect`` records: ``golden_check`` notes the
+ones the engine contradicts and fails on any other cell it contradicts.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .lie import parse_salamon
-from .spectral import Grid, SpectralTable
+from .spectral import CheckReport, Grid, SpectralTable
 
 
 class CatalogEntry(NamedTuple):
@@ -30,7 +30,7 @@ class CatalogEntry(NamedTuple):
 
     @property
     def dim(self) -> int:
-        return len(next(iter(self.golden_pages.values()))[0]) - 1
+        return self.salamon.count(",") + 1
 
     @property
     def golden_limit(self) -> Grid:
@@ -92,6 +92,15 @@ def _parse_golden(text: str) -> list[CatalogEntry]:
                 raise CatalogFormatError(f"entry missing {field!r}: {block}")
         if block["limit"] not in block["pages"]:
             raise CatalogFormatError(f"{block['id']}: limit page not stored")
+        width, height = block["salamon"].count(",") + 2, len(block["pages"][block["limit"]])  # dim + 1, k
+        for r, grid in block["pages"].items():
+            if not grid:
+                raise CatalogFormatError(f"{block['id']}: page {r} has no rows")
+            if len(grid[0]) != width:
+                raise CatalogFormatError(f"{block['id']}: page {r} has {len(grid[0])} columns, "
+                                         f"not dim + 1 = {width}")
+            if len(grid) != height:
+                raise CatalogFormatError(f"{block['id']}: page {r} has {len(grid)} rows, the limit page {height}")
     return [CatalogEntry(id=b["id"], salamon=b["salamon"], label=b.get("label"),
                          decomposition=b.get("decompose"), golden_pages=b["pages"],
                          golden_limit_page=b["limit"], suspect_cells=frozenset(b["suspect"]))
@@ -125,62 +134,30 @@ def get_entry(entry_id: str) -> CatalogEntry:
 # golden comparison
 # ---------------------------------------------------------------------------
 
-class CellMismatch(NamedTuple):
-    page: int
-    row: int
-    col: int
-    stored: int
-    computed: int
-    suspect: bool
-
-
-class GoldenReport(NamedTuple):
-    id: str
-    mismatches: tuple[CellMismatch, ...]
-    r0_computed: int
-    r0_bound_ok: bool
-
-    @property
-    def hard_mismatches(self) -> tuple[CellMismatch, ...]:
-        return tuple(m for m in self.mismatches if not m.suspect)
-
-    @property
-    def suspect_mismatches(self) -> tuple[CellMismatch, ...]:
-        return tuple(m for m in self.mismatches if m.suspect)
-
-    @property
-    def ok(self) -> bool:
-        return not self.hard_mismatches and self.r0_bound_ok
-
-
-def golden_check(entry: CatalogEntry, table: SpectralTable) -> GoldenReport:
+def golden_check(entry: CatalogEntry, table: SpectralTable) -> tuple[CheckReport, tuple[str, ...]]:
     """Diff every stored page grid against the engine, each page once.
 
-    A mismatch at a cell annotated as a suspect is reported, any other is a
-    hard failure.  The printed limit page L is one of the stored pages, so
-    it is compared like the rest; an engine degeneration page r0 above L
-    fails through ``r0_bound_ok`` instead of through its cells.
+    Returns the ``golden-tables`` report, which counts one check per stored
+    cell (the printed limit page L among them) and one for r0 <= L, and a
+    note for each suspect cell the engine contradicts.
     """
-    mismatches = []
+    violations, suspects, checks = [], [], 1
     for r, stored in sorted(entry.golden_pages.items()):
         computed = table.grid(r)
         if len(computed) != len(stored) or len(computed[0]) != len(stored[0]):
             raise CatalogFormatError(
                 f"{entry.id}: stored page {r} has shape "
                 f"{len(stored)}x{len(stored[0])}, engine {len(computed)}x{len(computed[0])}")
-        for row in range(len(stored)):
-            for col in range(len(stored[0])):
-                if stored[row][col] != computed[row][col]:
-                    mismatches.append(CellMismatch(
-                        page=r, row=row, col=col,
-                        stored=stored[row][col], computed=computed[row][col],
-                        suspect=(r, row, col) in entry.suspect_cells))
-    return GoldenReport(
-        id=entry.id,
-        mismatches=tuple(mismatches),
-        r0_computed=table.r0,
-        r0_bound_ok=table.r0 <= entry.golden_limit_page,
-    )
+        for row, (printed, engine) in enumerate(zip(stored, computed)):
+            for col, (x, y) in enumerate(zip(printed, engine)):
+                if x != y and (r, row, col) in entry.suspect_cells:
+                    suspects.append(f"suspect cell page {r} [{row}][{col}]: printed {x}, engine {y}")
+                elif x != y:
+                    violations.append(f"MISMATCH page {r} [{row}][{col}]: stored {x}, engine {y}")
+        checks += len(stored) * len(stored[0])
+    if table.r0 > entry.golden_limit_page:
+        violations.append(f"r0 = {table.r0} is above the printed limit page {entry.golden_limit_page}")
+    return CheckReport("golden-tables", checks, tuple(violations)), tuple(suspects)
 
 
 # ---------------------------------------------------------------------------

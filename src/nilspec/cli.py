@@ -278,24 +278,12 @@ def cmd_catalog(args: argparse.Namespace) -> int:
             algebra = e.algebra()
             table = table_for(algebra)
             comp = complex_for(algebra)
-            golden = catalog_mod.golden_check(e, table)
-            edges = check_limit_edges(table, comp)
-            lemma = check_top_degree_forms(comp)
-            ok = golden.ok and edges.ok and lemma.ok
-            if not ok:
-                worst = max(worst, EXIT_INTERNAL)
-            notes = []
-            for mm in golden.suspect_mismatches:
-                notes.append(f"suspect cell page {mm.page} [{mm.row}][{mm.col}]: "
-                             f"printed {mm.stored}, engine {mm.computed}")
-            for mm in golden.hard_mismatches:
-                notes.append(f"MISMATCH page {mm.page} [{mm.row}][{mm.col}]: "
-                             f"stored {mm.stored}, engine {mm.computed}")
-            if not golden.r0_bound_ok:
-                notes.append(f"r0 = {golden.r0_computed} is above the printed limit page {e.golden_limit_page}")
-            notes.extend(edges.violations)
-            notes.extend(lemma.violations)
-            reports.append({"id": e.id, "ok": ok, "r0": golden.r0_computed, "notes": notes})
+            golden, suspects = catalog_mod.golden_check(e, table)
+            checks = (golden, check_limit_edges(table, comp), check_top_degree_forms(comp))
+            ok = all(r.ok for r in checks)
+            worst = max(worst, EXIT_OK if ok else EXIT_INTERNAL)
+            notes = [*suspects, *(v for r in checks for v in r.violations)]
+            reports.append({"id": e.id, "ok": ok, "r0": table.r0, "notes": notes})
         except Exception as exc:  # mapped to the exit-code contract
             worst = max(worst, _exit_code_for(exc))
             reports.append({"id": e.id, "ok": False, "r0": None, "notes": [str(exc)]})

@@ -1,8 +1,10 @@
 """Catalog data integrity and the published-table comparisons."""
 
+import json
+
 import pytest
 
-from nilspec import catalog, lie, spectral
+from nilspec import catalog, cli, lie, spectral
 from nilspec.catalog import distinct_table_census, get_entry, golden_check
 
 
@@ -34,21 +36,27 @@ def test_grid_shapes_match_nilpotency_index(catalog_tables):
             assert all(len(row) == comp.m + 1 for row in grid)
 
 
-def test_golden_check_all_entries(catalog_tables):
-    suspects_seen = set()
+SUSPECT_NOTES = {
+    "dim5-3": ["suspect cell page 1 [2][1]: printed 1, engine 2"],
+    "dim6-2": ["suspect cell page 1 [4][5]: printed 5, engine 2"],
+    "dim6-4": ["suspect cell page 1 [4][4]: printed 2, engine 3"],
+    "dim6-25": ["suspect cell page 0 [2][2]: printed 4, engine 5",
+                "suspect cell page 0 [2][5]: printed 4, engine 5"],
+    "dim6-26": ["suspect cell page 0 [2][5]: printed 4, engine 5"],
+}
+
+
+def test_golden_check_all_entries(catalog_tables, capsys):
+    notes = {}
     for e, algebra, comp, table in catalog_tables.values():
-        rep = golden_check(e, table)
-        assert rep.ok, (e.id, rep.hard_mismatches)
-        for mm in rep.suspect_mismatches:
-            suspects_seen.add((e.id, mm.page, mm.row, mm.col))
-    assert suspects_seen == {
-        ("dim5-3", 1, 2, 1),
-        ("dim6-2", 1, 4, 5),
-        ("dim6-4", 1, 4, 4),
-        ("dim6-25", 0, 2, 2),
-        ("dim6-25", 0, 2, 5),
-        ("dim6-26", 0, 2, 5),
-    }
+        report, suspects = golden_check(e, table)
+        assert report.ok, (e.id, report.violations)
+        if suspects:
+            notes[e.id] = list(suspects)
+    assert notes == SUSPECT_NOTES
+    assert cli.main(["catalog", "--check", "--format", "json"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert {r["id"]: r["notes"] for r in reports if r["notes"]} == SUSPECT_NOTES
 
 
 def test_r0_never_exceeds_printed_marker(catalog_tables):

@@ -402,14 +402,13 @@ def test_catalog_check_reports_one_wrong_limit_cell_once(capsys, monkeypatch):
     pages = dict(e.golden_pages)
     pages[e.golden_limit_page] = tuple(map(tuple, limit))
     patched = _patched_catalog(monkeypatch, "dim5-3", golden_pages=pages)
-    report = catalog.golden_check(patched, spectral.table_for(patched.algebra()))
-    assert [(m.page, m.row, m.col, m.stored, m.computed) for m in report.hard_mismatches] == \
-        [(e.golden_limit_page, 2, 3, limit[2][3], limit[2][3] - 1)]
+    report, _ = catalog.golden_check(patched, spectral.table_for(patched.algebra()))
+    note = f"MISMATCH page {e.golden_limit_page} [2][3]: stored {limit[2][3]}, engine {limit[2][3] - 1}"
+    assert report.violations == (note,)
     code, out, _ = run(capsys, "catalog", "--dim", "5", "--check")
     assert code == 4
     assert out.count("MISMATCH") == 1
-    assert (f"      MISMATCH page {e.golden_limit_page} [2][3]: stored {limit[2][3]}, engine {limit[2][3] - 1}"
-            in out.splitlines())
+    assert f"      {note}" in out.splitlines()
     assert "FAIL dim5-3" in out and out.endswith("7/8 entries pass\n")
 
 
@@ -451,7 +450,8 @@ def test_malformed_golden_file_exits_4_with_one_error_line(capsys, monkeypatch):
         for fmt in ("text", "json"):
             assert run(capsys, *argv, "--format", fmt) == (4, "", "error: dim3-h3: page 0 row width\n"), argv
     # the file itself, read afresh, cut short: a page cut short in the middle reads the
-    # next directive as a row; the file may also end inside a page or lose a limit line
+    # next directive as a row; the file may also end inside a page or lose a limit line.
+    # A page may also have no rows, a width other than dim + 1, or another row count.
     parse = catalog._parse_golden
     last_page = lines.index("page 2 2 7", lines.index("entry dim6-33"))
     limit = lines.index("limit 2", lines.index("entry dim3-h3"))
@@ -459,6 +459,11 @@ def test_malformed_golden_file_exits_4_with_one_error_line(capsys, monkeypatch):
         (lines[:row] + lines[row + 1:], "error: golden_tables.txt: invalid literal for int() with base 10: 'page'\n"),
         (lines[:last_page + 2], "error: dim6-33: page 2 cut short by the end of the file\n"),
         (lines[:limit] + lines[limit + 1:], "error: entry missing 'limit': {'id': 'dim3-h3', "),
+        (lines[:row - 1] + ["page 0 0 4"] + lines[row + 2:], "error: dim3-h3: page 0 has no rows\n"),
+        (lines[:row - 1] + ["page 0 2 3", "1 2 1", "0 1 2"] + lines[row + 2:],
+         "error: dim3-h3: page 0 has 3 columns, not dim + 1 = 4\n"),
+        (lines[:row + 2] + ["page 1 3 4", "0 0 0 0"] + lines[row + 3:],
+         "error: dim3-h3: page 1 has 3 rows, the limit page 2\n"),
     ]
     for cut, message in cuts:
         monkeypatch.setattr(catalog, "_parse_golden", lambda text: parse("\n".join(cut)))
