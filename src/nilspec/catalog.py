@@ -16,7 +16,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .lie import parse_salamon
-from .spectral import CheckReport, Grid, SpectralTable
+from .spectral import CheckReport, Grid, InternalConsistencyError, SpectralTable
 
 
 class CatalogEntry(NamedTuple):
@@ -45,7 +45,7 @@ class CatalogEntry(NamedTuple):
         return parse_salamon(self.salamon, label=self.label or self.id)
 
 
-class CatalogFormatError(RuntimeError):
+class CatalogFormatError(InternalConsistencyError):
     """The golden data file is malformed."""
 
 

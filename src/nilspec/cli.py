@@ -7,8 +7,10 @@ Subcommands:
 
 Exit codes are a contract: 0 success, 2 parse error, 3 validation error
 (well-formed input that is not a nilpotent Lie algebra, or one above
-MAX_DIM), 4 internal consistency failure.  Batch lines are independent; the
-worst outcome wins.
+MAX_DIM), 4 internal consistency failure.  An error's base class sets its
+code: ``lie.ParseError`` 2, any other ``lie.LieError`` 3,
+``InternalConsistencyError`` 4.  Batch lines are independent; the worst
+outcome wins.  A reader that closes the pipe early ends the run quietly.
 """
 
 from __future__ import annotations
@@ -21,33 +23,10 @@ import sys
 from typing import Callable
 
 from . import catalog as catalog_mod
-from .exterior import CochainComplexError
-from .lie import (
-    AlgebraFormatError,
-    CoefficientSizeError,
-    FiltrationMismatchError,
-    IndexPairError,
-    IndexRangeError,
-    JacobiError,
-    LieAlgebra,
-    LieError,
-    NotNilpotentError,
-    SalamonSyntaxError,
-    algebra_from_json,
-    m0,
-    parse_salamon,
-    to_salamon,
-)
-from .spectral import (
-    LIMIT,
-    InternalConsistencyError,
-    SpectralTable,
-    check_top_degree_forms,
-    check_limit_edges,
-    check_abelian_extension,
-    complex_for,
-    table_for,
-)
+from .lie import (AlgebraFormatError, LieAlgebra, LieError, ParseError, SalamonSyntaxError, algebra_from_json,
+                  m0, parse_salamon, to_salamon)
+from .spectral import (LIMIT, InternalConsistencyError, SpectralTable, check_abelian_extension, check_limit_edges,
+                       check_top_degree_forms, complex_for, table_for)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -67,19 +46,12 @@ def _within_cap(m: int) -> int:
     return m
 
 
-_PARSE_ERRORS = (SalamonSyntaxError, IndexRangeError, IndexPairError, AlgebraFormatError,
-                 CoefficientSizeError)
-_VALIDATION_ERRORS = (JacobiError, NotNilpotentError, TooLargeError)
-_INTERNAL_ERRORS = (InternalConsistencyError, CochainComplexError, FiltrationMismatchError,
-                    catalog_mod.CatalogFormatError)
-
-
-def _exit_code_for(exc: Exception) -> int:
-    if isinstance(exc, _PARSE_ERRORS):
+def _exit_code_for(exc: Exception) -> int:  # an exception of no category is re-raised
+    if isinstance(exc, ParseError):
         return EXIT_PARSE
-    if isinstance(exc, _VALIDATION_ERRORS):
+    if isinstance(exc, LieError):
         return EXIT_VALIDATION
-    if isinstance(exc, _INTERNAL_ERRORS):
+    if isinstance(exc, InternalConsistencyError):
         return EXIT_INTERNAL
     raise exc
 
@@ -406,11 +378,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    code = EXIT_OK
     try:  # the catalog is read while parsing --dim and --census, and by every catalog command
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed the pipe fails the flush here, not at exit
     except catalog_mod.CatalogFormatError as exc:
         return _fail(exc)
+    except BrokenPipeError:  # the reader has gone: send what is left to devnull, say nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

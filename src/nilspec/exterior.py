@@ -140,8 +140,9 @@ def clear_denominators(constants: Mapping[tuple[int, int, int], Fraction | int])
 # the adapted cochain complex
 # ---------------------------------------------------------------------------
 
-class CochainComplexError(RuntimeError):
-    """The complex failed an internal structural check (engine bug)."""
+class InternalConsistencyError(RuntimeError):
+    """A structural invariant failed (engine bug): the package's one such error,
+    raised here and in ``lie``, ``spectral`` and ``catalog``."""
 
 
 class CochainComplex:
@@ -186,7 +187,7 @@ def build_complex(a: "LieAlgebra", f: "Filtration") -> CochainComplex:
         old = set(prev.pivots)
         adapted_rows += [row for row, p in zip(space.rows, space.pivots) if p not in old]
         if len(adapted_rows) != space.dim:
-            raise CochainComplexError("filtration basis extension failed")
+            raise InternalConsistencyError("filtration basis extension failed")
 
     constants = clear_denominators(a.c)
     if any(row != {j: 1} for j, row in enumerate(adapted_rows)):
@@ -194,7 +195,7 @@ def build_complex(a: "LieAlgebra", f: "Filtration") -> CochainComplex:
     c = CochainComplex(m, k, v_dims, tuple(adapted_rows), constants)
     for q in range(m):
         if not compose_is_zero(c.columns[q + 1], c.columns[q]):
-            raise CochainComplexError(f"d_{q + 1} . d_{q} != 0 after basis adaptation")
+            raise InternalConsistencyError(f"d_{q + 1} . d_{q} != 0 after basis adaptation")
     return c
 
 
@@ -211,7 +212,7 @@ def transform_constants(constants: Constants, change: Sequence[SparseRow]) -> di
     # the reduced rows of [P | I] are [0..L_i..0 | L_i (P^-1)_i] iff P is invertible
     kept = _eliminate([{**row, m + i: 1} for i, row in enumerate(change)])
     if any(p >= m for p in kept):
-        raise CochainComplexError("adapted basis change is singular")
+        raise InternalConsistencyError("adapted basis change is singular")
     scale = math.lcm(*(kept[i][i] for i in range(m)))
     # L e^i in the f^a (1-based): the rows of L P^-1
     old_basis = [{a - m + 1: x * (scale // kept[i][i]) for a, x in kept[i].items() if a >= m} for i in range(m)]

@@ -33,6 +33,10 @@ candidate for the next off the integer constants and keeps it only if a
 forward-only ``linalg._eliminate`` proves it by its rank; otherwise it
 eliminates that level: V_i as an exact kernel (w lies in Lambda^2 V iff
 i_u w = 0 for every u in ann(V)), n^i as a span.
+
+Input that does not read as an algebra raises a ``ParseError``; any other
+``LieError`` refuses a well-formed input.  A pair V_i, n^i that fails the
+cross-check is an engine bug: ``exterior.InternalConsistencyError``.
 """
 
 from __future__ import annotations
@@ -61,17 +65,21 @@ class LieError(Exception):
     """Base class for algebra construction and parsing failures."""
 
 
-class SalamonSyntaxError(LieError):
+class ParseError(LieError):
+    """Base class for input that does not read as an algebra."""
+
+
+class SalamonSyntaxError(ParseError):
     def __init__(self, message: str, position: int):
         super().__init__(f"syntax error at position {position}: {message}")
         self.position = position
 
 
-class IndexRangeError(LieError):
+class IndexRangeError(ParseError):
     """An index in a bracket or differential term is outside 1..m."""
 
 
-class IndexPairError(LieError):
+class IndexPairError(ParseError):
     """An index pair wedges a basis form with itself."""
 
 
@@ -83,16 +91,12 @@ class NotNilpotentError(LieError):
     """The central descending series stabilises at a nonzero ideal."""
 
 
-class CoefficientSizeError(LieError):
+class CoefficientSizeError(ParseError):
     """A summed structure constant has more digits than the interpreter prints."""
 
 
-class AlgebraFormatError(LieError):
+class AlgebraFormatError(ParseError):
     """A JSON algebra document is malformed."""
-
-
-class FiltrationMismatchError(LieError):
-    """The dual filtration disagrees with the primal series (engine bug)."""
 
 
 class Filtration(NamedTuple):
@@ -275,8 +279,8 @@ def validate_algebra(a: LieAlgebra) -> Filtration:
     per algebra (a raise is not stored); raises JacobiError unless d(de^j) = 0
     for every j (checked on the constants, before any filtration work), then
     runs one loop over the levels: V_i from V_(i-1), NotNilpotentError if it
-    did not grow, n^i from n^(i-1), and FiltrationMismatchError unless that
-    pair has dim V_i + dim n^i = m and V_i annihilates n^i."""
+    did not grow, n^i from n^(i-1), and exterior.InternalConsistencyError
+    unless that pair has dim V_i + dim n^i = m and V_i annihilates n^i."""
     constants = exterior.clear_denominators(a.c)
     if not _jacobi_holds(a.m, constants):
         raise JacobiError("structure constants violate the Jacobi identity")
@@ -287,9 +291,9 @@ def validate_algebra(a: LieAlgebra) -> Filtration:
             raise NotNilpotentError("algebra is not nilpotent")
         n = _next_primal(a.m, constants, n)
         if v.dim + n.dim != a.m:
-            raise FiltrationMismatchError("dual filtration disagrees with the primal descending series")
+            raise exterior.InternalConsistencyError("dual filtration disagrees with the primal descending series")
         if any(sum(x[j] * u[j] for j in x.keys() & u.keys()) for x in v.rows for u in n.rows):
-            raise FiltrationMismatchError(f"V_{i} does not annihilate the primal ideal n^{i}")
+            raise exterior.InternalConsistencyError(f"V_{i} does not annihilate the primal ideal n^{i}")
         spaces.append(v)
         dims.append(n.dim)
     return Filtration(len(spaces) - 1, tuple(spaces), tuple(dims))

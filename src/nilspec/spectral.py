@@ -27,7 +27,7 @@ import math
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .exterior import CochainComplex, build_complex, divisibility_subspace
+from .exterior import CochainComplex, InternalConsistencyError, build_complex, divisibility_subspace
 from .lie import LieAlgebra, abelian, descending_series, direct_sum
 from .linalg import _span
 # the benchmark's tracer (bench/tracing.py) wraps these names here; nothing else reads them
@@ -36,10 +36,6 @@ from .linalg import contains, image, preimage, subspace_sum  # noqa: F401
 Grid = tuple[tuple[int, ...], ...]
 
 LIMIT: None = None  # page index standing for r = infinity
-
-
-class InternalConsistencyError(RuntimeError):
-    """A structural invariant failed while computing pages (engine bug)."""
 
 
 class CheckReport(NamedTuple):

@@ -47,7 +47,7 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping, NamedTuple, Sequence
 
-from nilspec.exterior import (CochainComplex, CochainComplexError, Constants, KeyColumns, clear_denominators,
+from nilspec.exterior import (CochainComplex, Constants, KeyColumns, clear_denominators,
                               positional_columns)
 from nilspec.linalg import LinearMap, Subspace, contains, image, preimage, rank, span, subspace_sum
 from nilspec import spectral
@@ -376,7 +376,7 @@ def dense_transform_constants(constants: Constants, change: Sequence[Sequence[in
     # the canonical rows of [P | I] are [0..L_i..0 | L_i (P^-1)_i] iff P is invertible
     augmented = dense(span([list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(change)], 2 * m))
     if not all(row[i] for i, row in enumerate(augmented)):
-        raise CochainComplexError("adapted basis change is singular")
+        raise InternalConsistencyError("adapted basis change is singular")
     scale = math.lcm(*(row[i] for i, row in enumerate(augmented)))
     old_basis = [[x * (scale // row[i]) for x in row[m:]] for i, row in enumerate(augmented)]
     minors = {(i, l): wedge_minors(old_basis[i - 1], old_basis[l - 1], m) for i, l, _ in constants}

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from nilspec import catalog, cli, lie, spectral
+from nilspec import catalog, cli, exterior, lie, spectral
 from nilspec.cli import build_parser, main
 from nilspec.linalg import Subspace
 
@@ -165,6 +165,56 @@ def test_exit_code_missing_input(capsys):
     assert code == 2
 
 
+def test_every_error_class_of_the_package_has_an_exit_code():
+    # an error's base class sets its code, so cli lists no classes.  linalg's
+    # DimensionMismatchError is not walked: only library calls that the CLI
+    # never makes raise it
+    classes = {value for module in (lie, exterior, spectral, catalog, cli) for value in vars(module).values()
+               if isinstance(value, type) and issubclass(value, Exception) and value.__module__ == module.__name__}
+    assert {lie.LieError, lie.ParseError, cli.TooLargeError, catalog.CatalogFormatError} <= classes
+    for cls in classes:
+        assert cli._exit_code_for(cls.__new__(cls)) in (2, 3, 4), cls
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_a_reader_that_closed_the_pipe_ends_the_run_quietly(unbuffered):
+    # the read end is closed before the run starts, so the first write to stdout
+    # or its final flush fails with EPIPE
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    for argv in (["catalog"], ["compute", "--m0", "12", "--format", "csv"]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "nilspec.cli", *argv], stdout=write,
+                                  stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (0, b""), argv
+
+
+def test_unreadable_files_and_bad_json_documents_name_the_fault(tmp_path, capsys):
+    bad, doc, missing = tmp_path / "bad.txt", tmp_path / "doc.json", tmp_path / "missing.txt"
+    bad.write_bytes(b"(0,0,\xff12)\n")
+    cases = [  # (argv, JSON document or None, start of the error line)
+        (["compute", str(bad)], None, f"cannot read {bad}: 'utf-8' codec can't decode byte 0xff"),
+        (["compute", "--batch", str(missing)], None, f"cannot read batch file {missing}: "),
+        (["compute", "--batch", str(bad)], None, f"cannot read batch file {bad}: 'utf-8' codec can't decode"),
+        (["compute", str(doc)], _json_doc(brackets=[{"i": 1, "j": 4, "k": 3, "c": 1}]),
+         "index out of range in c[1,4]^3 for dimension 3\n"),
+        (["compute", str(doc)], _json_doc(brackets=[{"i": 1, "j": 1, "k": 3, "c": 1}]),
+         "bracket [e_1, e_1] is identically zero\n"),
+        (["compute", str(doc)], _json_doc(dim=0), "malformed algebra document: dim must be at least 1\n"),
+        (["compute", str(doc)], _json_doc(label=12), "label must be a string\n"),
+    ]
+    for argv, content, message in cases:
+        if content is not None:
+            doc.write_text(content)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err.count("\n")) == (2, "", 1) and err.startswith(f"error: {message}"), (argv, err)
+
+
 def test_filtration_mismatch_exits_4_without_traceback(tmp_path, capsys, monkeypatch):
     # a primal series that drops to zero at once contradicts the dual
     # filtration of every non-abelian algebra; abelian ones still agree with it
@@ -286,6 +336,10 @@ NINES = "9" * 4300  # within that limit, but twice it is one digit longer
     (["compute", "{file}"], _json_doc(brackets="12"), 0),
     (["compute", "{file}"], _json_doc(brackets=None), 0),
     (["compute", "{file}"], '{"brackets": []}', 0),
+    (["compute", "{file}"], _json_doc(brackets=[{"i": 1, "j": 4, "k": 3, "c": 1}]), 0),
+    (["compute", "{file}"], _json_doc(brackets=[{"i": 1, "j": 1, "k": 3, "c": 1}]), 0),
+    (["compute", "{file}"], _json_doc(dim=0), 0),
+    (["compute", "{file}"], _json_doc(label=12), 0),
 ], ids=["census-7", "m0-2", "direct-sum-0", "page-foo", "pages-minus-1", "directory",
         "batch-directory-line", "json-dim-bool", "json-dim-float", "json-decimal-c",
         "json-bool-index", "json-too-deep", "json-zero-denominator", "salamon-zero-denominator",
@@ -295,7 +349,7 @@ NINES = "9" * 4300  # within that limit, but twice it is one digit longer
         "salamon-long-sum", "batch-long-sum", "salamon-superscript-digit", "salamon-superscript-coefficient",
         "salamon-arabic-indic-digits", "json-arabic-indic-c", "batch-superscript-line",
         "json-bracket-not-object", "json-brackets-object", "json-brackets-string", "json-brackets-null",
-        "json-no-dim"])
+        "json-no-dim", "json-index-out-of-range", "json-equal-indices", "json-dim-0", "json-label-not-string"])
 def test_bad_input_exits_2_with_one_error_line(argv, content, tables, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("(0,0,12)\n"))  # read only by a stdin batch
 
@@ -370,6 +424,11 @@ def test_catalog_listing(capsys):
     code, out, _ = run(capsys, "catalog", "--dim", "3")
     assert code == 0
     assert out.count("dim3-h3") == 1
+
+
+def test_catalog_listing_prints_the_decomposition(capsys):
+    assert run(capsys, "catalog", "--dim", "4") == \
+        (0, "dim4-1     (0,0,0,12)  (R^1 (+) dim3-h3)\ndim4-2     (0,0,12,13)\n", "")
 
 
 def test_catalog_census(capsys):
@@ -464,6 +523,9 @@ def test_malformed_golden_file_exits_4_with_one_error_line(capsys, monkeypatch):
          "error: dim3-h3: page 0 has 3 columns, not dim + 1 = 4\n"),
         (lines[:row + 2] + ["page 1 3 4", "0 0 0 0"] + lines[row + 3:],
          "error: dim3-h3: page 1 has 3 rows, the limit page 2\n"),
+        (["limit 2"] + lines, "error: directive before first entry: limit 2\n"),
+        (lines[:limit] + ["colour blue"] + lines[limit:], "error: unknown directive: colour blue\n"),
+        (lines[:limit] + ["limit 7"] + lines[limit + 1:], "error: dim3-h3: limit page not stored\n"),
     ]
     for cut, message in cuts:
         monkeypatch.setattr(catalog, "_parse_golden", lambda text: parse("\n".join(cut)))
