@@ -9,8 +9,10 @@ Exit codes are a contract: 0 success, 2 parse error, 3 validation error
 (well-formed input that is not a nilpotent Lie algebra, or one above
 MAX_DIM), 4 internal consistency failure.  An error's base class sets its
 code: ``lie.ParseError`` 2, any other ``lie.LieError`` 3,
-``InternalConsistencyError`` 4.  Batch lines are independent; the worst
-outcome wins.  A reader that closes the pipe early ends the run quietly.
+``InternalConsistencyError`` 4.  Commands raise, and ``main`` maps the error
+to one ``error:`` line and its code; only a batch line and a catalog entry
+are mapped where they fail, so that the run goes on.  The worst outcome
+wins.  A reader that closes the pipe early ends the run quietly.
 """
 
 from __future__ import annotations
@@ -70,14 +72,11 @@ def _page_items(table: SpectralTable, pages: str | tuple[int, ...]) -> list[tupl
     return items
 
 
-def _render_text(table: SpectralTable, meta: dict, pages: str) -> str:
-    lines = []
-    name = meta.get("id") or meta.get("label")
-    head = f"{name}: " if name else ""
-    lines.append(f"{head}{meta['salamon']}")
-    lines.append(f"m = {table.m}, k = {table.k}, r0 = {table.r0}, "
-                 f"betti = {list(table.betti)}")
-    lines.append(f"(degeneration bound k = {table.k})")
+def _render_text(table: SpectralTable, algebra: LieAlgebra, pages: str) -> str:
+    head = f"{algebra.label}: " if algebra.label else ""
+    lines = [f"{head}{to_salamon(algebra)}",
+             f"m = {table.m}, k = {table.k}, r0 = {table.r0}, betti = {list(table.betti)}",
+             f"(degeneration bound k = {table.k})"]
     width = max(len(str(x)) for _, grid in _page_items(table, pages) for row in grid for x in row)
     for label, grid in _page_items(table, pages):
         title = "E_oo (limit)" if label == "limit" else f"E_{label}"
@@ -89,7 +88,7 @@ def _render_text(table: SpectralTable, meta: dict, pages: str) -> str:
     return "\n".join(lines)
 
 
-def _render_latex(table: SpectralTable, meta: dict, pages: str) -> str:
+def _render_latex(table: SpectralTable, algebra: LieAlgebra, pages: str) -> str:
     lines = []
     for label, grid in _page_items(table, pages):
         title = "E_\\infty" if label == "limit" else f"E_{label}"
@@ -103,7 +102,7 @@ def _render_latex(table: SpectralTable, meta: dict, pages: str) -> str:
     return "\n".join(lines)
 
 
-def _render_csv(table: SpectralTable, meta: dict, pages: str) -> str:
+def _render_csv(table: SpectralTable, algebra: LieAlgebra, pages: str) -> str:
     lines = ["page,p,q,total_degree,dim"]
     for label, grid in _page_items(table, pages):
         for row_idx, row in enumerate(grid):
@@ -113,10 +112,10 @@ def _render_csv(table: SpectralTable, meta: dict, pages: str) -> str:
     return "\n".join(lines)
 
 
-def table_json(table: SpectralTable, meta: dict, pages: str | tuple[int, ...]) -> dict:
+def table_json(table: SpectralTable, algebra: LieAlgebra, pages: str | tuple[int, ...]) -> dict:
     return {
-        "id": meta.get("id"),
-        "salamon": meta["salamon"],
+        "id": None,
+        "salamon": to_salamon(algebra),
         "m": table.m,
         "k": table.k,
         "r0": table.r0,
@@ -127,21 +126,27 @@ def table_json(table: SpectralTable, meta: dict, pages: str | tuple[int, ...]) -
     }
 
 
-def render_table(table: SpectralTable, meta: dict, fmt: str, pages: str) -> str:
-    if fmt == "text":
-        return _render_text(table, meta, pages)
-    if fmt == "json":
-        return json.dumps(table_json(table, meta, pages), indent=2)
-    if fmt == "csv":
-        return _render_csv(table, meta, pages)
-    if fmt == "latex":
-        return _render_latex(table, meta, pages)
-    raise ValueError(f"unknown format {fmt}")
+def _render_json(table: SpectralTable, algebra: LieAlgebra, pages: str) -> str:
+    return json.dumps(table_json(table, algebra, pages), indent=2)
+
+
+RENDERERS = {"text": _render_text, "json": _render_json, "csv": _render_csv, "latex": _render_latex}
 
 
 # ---------------------------------------------------------------------------
 # input handling
 # ---------------------------------------------------------------------------
+
+def _read(path: str, what: str) -> str:
+    """The text of a file, or of stdin for "-"; one that cannot be read is a parse error."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise AlgebraFormatError(f"cannot read {what}: {exc}") from exc
+
 
 def _load_algebra(text: str) -> LieAlgebra:
     """A salamon string, or a path to a salamon / JSON algebra file."""
@@ -149,11 +154,7 @@ def _load_algebra(text: str) -> LieAlgebra:
     if not candidate.startswith("("):
         if not os.path.isfile(candidate):
             raise SalamonSyntaxError(f"input {candidate!r} is neither a '(...)' string nor a file", 1)
-        try:
-            with open(candidate, encoding="utf-8") as fh:
-                content = fh.read().strip()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise AlgebraFormatError(f"cannot read {candidate}: {exc}") from exc
+        content = _read(candidate, candidate).strip()
         if content.startswith("{"):
             try:
                 doc = json.loads(content)
@@ -187,48 +188,36 @@ def _fail(exc: Exception, prefix: str = "") -> int:
     return code
 
 
-def _compute_one(load: Callable[[], LieAlgebra], args: argparse.Namespace, prefix: str = "") -> int:
-    try:
-        algebra = load()
-        table = table_for(algebra)
-    except Exception as exc:  # mapped to the exit-code contract
-        return _fail(exc, prefix)
-    meta = {"salamon": to_salamon(algebra), "id": None, "label": algebra.label}
+def _print_table(algebra: LieAlgebra, args: argparse.Namespace) -> None:
+    table = table_for(algebra)
     if args.batch and args.format == "json":
-        print(json.dumps(table_json(table, meta, args.pages)))  # one line per algebra
+        print(json.dumps(table_json(table, algebra, args.pages)))  # one line per algebra
     else:
-        print(render_table(table, meta, args.format, args.pages))
-    return EXIT_OK
+        print(RENDERERS[args.format](table, algebra, args.pages))
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
     if not args.batch:
-        return _compute_one(lambda: _resolve_input(args), args)
+        _print_table(_resolve_input(args), args)
+        return EXIT_OK
     if args.m0 is not None:
-        print("error: --m0 does not apply with --batch", file=sys.stderr)
-        return EXIT_PARSE
+        raise ParseError("--m0 does not apply with --batch")
     source = args.input or "-"
-    try:
-        if source == "-":
-            text = sys.stdin.read()
-        else:
-            with open(source, encoding="utf-8") as fh:
-                text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        return _fail(AlgebraFormatError(f"cannot read batch file {source}: {exc}"))
+    text = _read(source, f"batch file {source}")
     worst = EXIT_OK
     for line in text.split("\n"):  # not splitlines, which also splits at U+2028, \x0c and the like
         if line.strip():
-            worst = max(worst, _compute_one(lambda: _load_algebra(line), args, f"{line.strip()}: "))
-            complex_for.cache_clear()  # a finished line's complex is not reused: keep memory flat
+            try:
+                _print_table(_load_algebra(line), args)
+            except Exception as exc:  # a bad line fails alone
+                worst = max(worst, _fail(exc, f"{line.strip()}: "))
     return worst
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
     if args.census is not None:
         if args.check or args.dim is not None:
-            print("error: --census does not apply with --check or --dim", file=sys.stderr)
-            return EXIT_PARSE
+            raise ParseError("--census does not apply with --check or --dim")
         classes, distinct = catalog_mod.distinct_table_census(args.census)
         if args.format == "json":
             print(json.dumps({"dim": args.census, "classes": classes, "distinct_tables": distinct}))
@@ -237,6 +226,10 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         return EXIT_OK
     entries = catalog_mod.list_entries(args.dim)
     if not args.check:
+        if args.format == "json":
+            print(json.dumps([{"id": e.id, "salamon": e.salamon, "label": e.label, "decomposition": e.decomposition}
+                              for e in entries], indent=2))
+            return EXIT_OK
         for e in entries:
             extra = f"  [{e.label}]" if e.label else ""
             if e.decomposition:
@@ -271,22 +264,17 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     if args.page and args.direct_sum is None:
-        print("error: --page applies only with --direct-sum", file=sys.stderr)
-        return EXIT_PARSE
+        raise ParseError("--page applies only with --direct-sum")
     run_all = not (args.theorems or args.lemma or args.direct_sum is not None)
     reports = []
-    try:
-        algebra = _resolve_input(args)
-        _within_cap(algebra.m + (args.direct_sum or 0))
-        if args.theorems or run_all:
-            table = table_for(algebra)
-            reports.append(check_limit_edges(table, complex_for(algebra)))
-        if args.lemma or run_all:
-            reports.append(check_top_degree_forms(complex_for(algebra)))
-        if args.direct_sum is not None:
-            reports += check_abelian_extension(algebra, args.page or [LIMIT], s=args.direct_sum)
-    except Exception as exc:  # mapped to the exit-code contract
-        return _fail(exc)
+    algebra = _resolve_input(args)
+    _within_cap(algebra.m + (args.direct_sum or 0))
+    if args.theorems or run_all:
+        reports.append(check_limit_edges(table_for(algebra), complex_for(algebra)))
+    if args.lemma or run_all:
+        reports.append(check_top_degree_forms(complex_for(algebra)))
+    if args.direct_sum is not None:
+        reports += check_abelian_extension(algebra, args.page or [LIMIT], s=args.direct_sum)
     if args.format == "json":
         print(json.dumps([{"name": r.name, "ok": r.ok, "checks": r.checks,
                            "violations": list(r.violations)} for r in reports], indent=2))
@@ -346,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="use the filiform algebra of dimension N >= 3")
     p_compute.add_argument("--pages", type=_pages, default="all",
                            help="'all' (default: 0..r0), 'limit', or a comma list like 0,1,2")
-    p_compute.add_argument("--format", choices=("text", "json", "csv", "latex"), default="text")
+    p_compute.add_argument("--format", choices=RENDERERS, default="text")
     p_compute.add_argument("--batch", action="store_true",
                            help="treat input (or stdin with '-') as one salamon string per line")
     p_compute.set_defaults(func=cmd_compute)
@@ -379,14 +367,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     code = EXIT_OK
-    try:  # the catalog is read while parsing --dim and --census, and by every catalog command
+    try:  # commands raise, and their errors are mapped here; parsing --dim and --census reads the catalog
         args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a reader that closed the pipe fails the flush here, not at exit
-    except catalog_mod.CatalogFormatError as exc:
-        return _fail(exc)
     except BrokenPipeError:  # the reader has gone: send what is left to devnull, say nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except Exception as exc:  # after BrokenPipeError, which has no exit code and would be re-raised
+        return _fail(exc)
     return code
 
 

@@ -155,7 +155,7 @@ def full_table(c: CochainComplex) -> SpectralTable:
     return SpectralTable(m=m, k=k, pages=pages, limit=pages[r0], betti=betti, r0=r0)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)  # only the latest complex: a CLI command never reuses an older one
 def complex_for(algebra: LieAlgebra) -> CochainComplex:
     return build_complex(algebra, descending_series(algebra))
 

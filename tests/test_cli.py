@@ -176,6 +176,23 @@ def test_every_error_class_of_the_package_has_an_exit_code():
         assert cli._exit_code_for(cls.__new__(cls)) in (2, 3, 4), cls
 
 
+def test_an_error_of_no_category_propagates(tmp_path, capsys, monkeypatch):
+    # only the errors of the three bases have an exit code; any other exception
+    # is a bug and keeps its traceback, whether main, a batch line or a catalog
+    # entry meets it
+    def broken(algebra):
+        raise ZeroDivisionError("a bug")
+
+    monkeypatch.setattr(cli, "table_for", broken)
+    path = tmp_path / "batch.txt"
+    path.write_text("(0,0,12)\n")
+    for argv in (["compute", "(0,0,12)"], ["compute", "--batch", str(path)], ["check", "(0,0,12)"],
+                 ["catalog", "--check"]):
+        with pytest.raises(ZeroDivisionError):
+            main(argv)
+        assert capsys.readouterr() == ("", ""), argv
+
+
 @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
 def test_a_reader_that_closed_the_pipe_ends_the_run_quietly(unbuffered):
     # the read end is closed before the run starts, so the first write to stdout
@@ -416,6 +433,16 @@ def test_batch_from_stdin(capsys, monkeypatch):
     assert json.loads(captured.out)["m"] == 3
 
 
+def test_batch_from_stdin_that_does_not_decode_exits_2():
+    # strict stdin decoding fails inside sys.stdin.read(): one error line, no table
+    env = dict(os.environ, PYTHONIOENCODING="utf-8:strict")
+    proc = subprocess.run([sys.executable, "-X", "dev", "-m", "nilspec.cli", "compute", "--batch", "-"],
+                          input=b"(0,0,12)\n\xff\n", capture_output=True, env=env)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"error: cannot read batch file -: 'utf-8' codec can't decode byte 0xff")
+    assert proc.stderr.count(b"\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # catalog
 # ---------------------------------------------------------------------------
@@ -429,6 +456,29 @@ def test_catalog_listing(capsys):
 def test_catalog_listing_prints_the_decomposition(capsys):
     assert run(capsys, "catalog", "--dim", "4") == \
         (0, "dim4-1     (0,0,0,12)  (R^1 (+) dim3-h3)\ndim4-2     (0,0,12,13)\n", "")
+
+
+def test_catalog_listing_as_json(capsys):
+    assert run(capsys, "catalog", "--dim", "4", "--format", "json") == (0, """[
+  {
+    "id": "dim4-1",
+    "salamon": "(0,0,0,12)",
+    "label": null,
+    "decomposition": [
+      1,
+      "dim3-h3"
+    ]
+  },
+  {
+    "id": "dim4-2",
+    "salamon": "(0,0,12,13)",
+    "label": null,
+    "decomposition": null
+  }
+]
+""", "")
+    code, out, _ = run(capsys, "catalog", "--format", "json")
+    assert code == 0 and len(json.loads(out)) == 44
 
 
 def test_catalog_census(capsys):

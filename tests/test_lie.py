@@ -547,6 +547,11 @@ def test_direct_sum_blocks():
     assert s.m == 4
     assert s.c == {(2, 3, 4): Fraction(1)}
     assert lie.direct_sum(lie.abelian(1), lie.abelian(1)).c == {}
+    # the label of a sum names both summands, and only when both have one
+    h = lie.parse_salamon("(0,0,12)", label="h3")
+    assert lie.direct_sum(lie.abelian(1, label="R"), h).label == "R (+) h3"
+    assert lie.direct_sum(lie.abelian(1), h).label is None
+    assert lie.direct_sum(h, lie.abelian(1)).label is None
 
 
 def test_direct_sum_keeps_nilpotency_index():

@@ -159,6 +159,14 @@ def test_abelian_table_r0_zero():
     assert t.limit == ((1, 4, 6, 4, 1),)
 
 
+def test_complex_for_keeps_only_the_latest_complex():
+    # a library loop over many algebras holds one complex at a time
+    table_for(lie.m0(5))
+    table_for(lie.m0(6))
+    info = spectral.complex_for.cache_info()
+    assert (info.maxsize, info.currsize) == (1, 1)
+
+
 def test_pages_past_r0_read_as_limit():
     t = table_for(lie.parse_salamon("(0,0,12)"))
     assert set(t.pages) == {0, 1, 2}
