@@ -64,37 +64,39 @@ def form_columns(m: int, constants: Constants, levels: Sequence[int] = ()) -> li
     """cols[q] holds the columns of d: Lambda^q -> Lambda^(q+1) on form keys,
     {key: {key: coeff}}, for q = 0..m, all from one walk over the terms of
     integer constants (each c e^a ^ e^b of de^j with a < b): a term reaches
-    the columns rest | j of every degree, rest running over the sets of each
-    size of indices other than a, b and j.  levels[j-1] is the level of index
-    j; without levels every form has level 0.  Cancelled entries and zero
-    columns are absent."""
+    the columns rest | j of every degree, rest running over the submasks of
+    the indices other than a, b and j.  levels[j-1] is the level of index j;
+    without levels every form has level 0.  A sum that cancels is deleted on
+    the spot, so cancelled entries and zero columns are absent."""
     cols: list[KeyColumns] = [{} for _ in range(m + 1)]
     full = (1 << m) - 1
     # the key of a nonzero reversed mask R is base[R & -R] ^ R
     base = {1 << (m - j): (lv << m) | full for j, lv in enumerate(levels or [0] * m, start=1)}
-    bits = [1 << n for n in range(m)]
     for (a, b, j), c in constants.items():
+        if not c:
+            continue
         jbit, ab = 1 << (m - j), (1 << (m - a)) | (1 << (m - b))
         # bits of the indices below a, below b and below j, each flipping the sign
         signs = full ^ ((2 << (m - a)) - 1) ^ ((2 << (m - b)) - 1) ^ ((2 << (m - j)) - 1)
-        free = [x for x in bits if not x & (ab | jbit)]
-        for size in range(len(free) + 1):
-            degree = cols[size + 1]
-            for rest in map(sum, itertools.combinations(free, size)):
-                src, target = rest | jbit, rest | ab
-                src, target = base[src & -src] ^ src, base[target & -target] ^ target
-                v = -c if (rest & signs).bit_count() & 1 else c
-                col = degree.get(src)
-                if col is None:
-                    degree[src] = {target: v}
-                else:
-                    col[target] = col.get(target, 0) + v
-    for degree in cols:
-        for src, col in list(degree.items()):
-            if not all(col.values()):
-                col = degree[src] = {key: v for key, v in col.items() if v}
+        # not full ^ ab ^ jbit: when j is a or b, that would put its bit back
+        free = rest = full & ~(ab | jbit)
+        while True:  # every submask rest of free, from free down to 0
+            src, target = rest | jbit, rest | ab
+            src, target = base[src & -src] ^ src, base[target & -target] ^ target
+            v = -c if (rest & signs).bit_count() & 1 else c
+            degree = cols[rest.bit_count() + 1]
+            col = degree.get(src)
+            if col is None:
+                degree[src] = {target: v}
+            elif v := col.get(target, 0) + v:
+                col[target] = v
+            else:  # cancelled
+                del col[target]
                 if not col:
                     del degree[src]
+            if not rest:
+                break
+            rest = (rest - 1) & free
     return cols
 
 
@@ -119,12 +121,13 @@ def differential_columns(m: int, constants: Constants, q: int) -> KeyColumns:
 
 
 def compose_is_zero(outer: KeyColumns, inner: KeyColumns) -> bool:
-    """Whether outer . inner = 0, composing key columns."""
+    """Whether outer . inner = 0, composing key columns; a column outer lacks is zero."""
     for col in inner.values():
         acc: dict[int, int] = {}
         for mid, coeff in col.items():
-            for row, c2 in outer.get(mid, {}).items():
-                acc[row] = acc.get(row, 0) + coeff * c2
+            if (out := outer.get(mid)) is not None:
+                for row, c2 in out.items():
+                    acc[row] = acc.get(row, 0) + coeff * c2
         if any(acc.values()):
             return False
     return True

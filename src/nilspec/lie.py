@@ -273,6 +273,22 @@ def _jacobi_holds(m: int, constants: Mapping[tuple[int, int, int], int]) -> bool
     return True
 
 
+def _annihilates(v: Subspace, n: Subspace) -> bool:
+    """Whether each row of v pairs to 0 with each row of n, summing over shared columns only."""
+    by_column: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)  # j -> (r, x_j) over rows x_r of v
+    for r, row in enumerate(v.rows):
+        for j, x in row.items():
+            by_column[j].append((r, x))
+    for u in n.rows:
+        pairing: defaultdict[int, int] = defaultdict(int)  # r -> <x_r, u>
+        for j, y in u.items():
+            for r, x in by_column.get(j, ()):
+                pairing[r] += x * y
+        if any(pairing.values()):
+            return False
+    return True
+
+
 @lru_cache(maxsize=256)
 def validate_algebra(a: LieAlgebra) -> Filtration:
     """The filtration of the dual, computed on integer constants and memoised
@@ -280,7 +296,7 @@ def validate_algebra(a: LieAlgebra) -> Filtration:
     for every j (checked on the constants, before any filtration work), then
     runs one loop over the levels: V_i from V_(i-1), NotNilpotentError if it
     did not grow, n^i from n^(i-1), and exterior.InternalConsistencyError
-    unless that pair has dim V_i + dim n^i = m and V_i annihilates n^i."""
+    unless dim V_i + dim n^i = m and V_i annihilates n^i (``_annihilates``)."""
     constants = exterior.clear_denominators(a.c)
     if not _jacobi_holds(a.m, constants):
         raise JacobiError("structure constants violate the Jacobi identity")
@@ -292,7 +308,7 @@ def validate_algebra(a: LieAlgebra) -> Filtration:
         n = _next_primal(a.m, constants, n)
         if v.dim + n.dim != a.m:
             raise exterior.InternalConsistencyError("dual filtration disagrees with the primal descending series")
-        if any(sum(x[j] * u[j] for j in x.keys() & u.keys()) for x in v.rows for u in n.rows):
+        if not _annihilates(v, n):
             raise exterior.InternalConsistencyError(f"V_{i} does not annihilate the primal ideal n^{i}")
         spaces.append(v)
         dims.append(n.dim)

@@ -24,6 +24,7 @@ it.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -85,23 +86,25 @@ def _bars(c: CochainComplex, n: int) -> list[tuple[int, int]]:
 
     Columns are reduced in form-key order, which is (level, position)
     order, so the low of a column, its last row in that order, is its
-    largest key.  A column whose low an earlier column holds has that
-    column eliminated from it, fraction-free (a plain multiple of it when
-    its low entry is +-1).  Content is divided out lazily, only when a
-    column becomes a pivot.
+    largest key.  A column whose low an earlier column holds is copied and
+    has that column eliminated from it, fraction-free (a plain multiple of
+    it when its low entry is +-1).  Pivots are never written to, so a column
+    whose low is free as read is stored as read, the dict of ``c.columns``
+    itself, or divided by its content into a new dict if its low entry is not +-1.
     """
-    columns = c.columns[n]
+    columns, m = c.columns[n], c.m
     pivots: dict[int, dict[int, int]] = {}
     bars = []
     for src in sorted(columns):
-        col = dict(columns[src])
+        col = read = columns[src]
         while col:
             low = max(col)
             other = pivots.get(low)
             if other is None:
-                g = math.gcd(*col.values())
-                pivots[low] = {i: v // g for i, v in col.items()} if g > 1 else col
-                bars.append((src >> c.m, low >> c.m))
+                if col[low] not in (1, -1) and (g := math.gcd(*col.values())) > 1:
+                    col = {i: v // g for i, v in col.items()}
+                pivots[low] = col
+                bars.append((src >> m, low >> m))
                 break
             if other[low] in (1, -1):
                 b = col[low] * other[low]
@@ -110,6 +113,8 @@ def _bars(c: CochainComplex, n: int) -> list[tuple[int, int]]:
                 a, b = other[low] // g, col[low] // g
                 if a != 1:
                     col = {i: a * v for i, v in col.items()}
+            if col is read:
+                col = dict(col)
             for i, v in other.items():
                 w = col.get(i, 0) - b * v
                 if w:
@@ -127,9 +132,10 @@ def require_poincare_duality(betti: Sequence[int]) -> None:
 
 def full_table(c: CochainComplex) -> SpectralTable:
     """Pages 0..r0, the limit grid, Betti numbers and r0 <= k from the
-    persistence pairing: dim E_(r+1) = dim E_r less the ends of the bars of
-    gap r, and r0 = 1 + the largest gap.  Later pages equal the limit and
-    are not computed."""
+    persistence pairing: the bars of each degree counted per (source level,
+    target level), dim E_(r+1) = dim E_r less those counts at both ends of
+    the bars of gap r, and r0 = 1 + the largest gap.  Later pages equal the
+    limit and are not computed."""
     k, m = c.k, c.m
     # cells[level - 1][n]: the n-forms at that level alive on the current page,
     # rows running from p = k-1 down to p = 0 as in a grid
@@ -138,17 +144,19 @@ def full_table(c: CochainComplex) -> SpectralTable:
     for n in range(1, m + 1):
         for j, level in enumerate(c.levels, start=1):  # n-forms whose last index is j
             cells[level - 1][n] += math.comb(j - 1, n - 1)
-    ends: list[list[tuple[int, int]]] = [[] for _ in range(k)]  # ends[g]: (level, degree) of each end
-    for n in range(m):
-        for x, y in _bars(c, n):
+    bars = [Counter(_bars(c, n)) for n in range(m)]  # bars[n][x, y]: the bars of d_n from level x to level y
+    for n, counts in enumerate(bars):
+        for x, y in counts:
             if not 0 <= x - y < k:  # a gap of k or more would leave no degeneration by page k
                 raise InternalConsistencyError(f"bar of d_{n} from level {x} to level {y}: gap outside 0..{k - 1}")
-            ends[x - y] += ((x, n), (y, n + 1))
-    r0 = max((g + 1 for g, bucket in enumerate(ends) if bucket), default=0)
+    r0 = max((x - y + 1 for counts in bars for x, y in counts), default=0)
     pages = {0: tuple(map(tuple, cells))}
     for r in range(r0):
-        for level, n in ends[r]:
-            cells[level - 1][n] -= 1
+        for n, counts in enumerate(bars):
+            for (x, y), count in counts.items():
+                if x - y == r:
+                    cells[x - 1][n] -= count
+                    cells[y - 1][n + 1] -= count
         pages[r + 1] = tuple(map(tuple, cells))
     betti = tuple(map(sum, zip(*pages[r0])))
     require_poincare_duality(betti)

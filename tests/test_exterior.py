@@ -144,6 +144,34 @@ def test_term_driven_columns_match_mask_walk(random_algebras_dim7, twins_dim7, c
     assert len(catalog_tables) == 44 and transformed >= 60 and rational > 0
 
 
+def test_columns_of_a_term_in_e_j_of_de_j_match_mask_walk():
+    """A term c e^a ^ e^b of de^j with j = a or j = b, which raw constants
+    can have, walks the subsets of the indices other than a and b:
+    form_columns equals the mask walk of tests/reference.py on every
+    degree, with and without levels, on fixed cases and 300 seeded random
+    constant sets of dimension 3-7, most of them with such a term."""
+    rng = random.Random(0x7A1B)
+    cases = [(3, {(1, 2, 1): 1}), (3, {(1, 2, 2): -2}),
+             (5, {(1, 2, 1): 1, (2, 4, 4): -2, (1, 3, 5): 3, (3, 4, 5): 1, (1, 2, 3): 2}),
+             (4, {(1, 2, 2): 0, (1, 2, 3): 1, (1, 3, 4): 1})]  # a zero constant adds no entry
+    for _ in range(300):
+        m = rng.randint(3, 7)
+        constants = {}
+        for _ in range(rng.randint(1, m)):
+            a, b = sorted(rng.sample(range(1, m + 1), 2))
+            constants[a, b, rng.choice([a, b, rng.randint(1, m)])] = rng.choice([-2, -1, 1, 2])
+        cases.append((m, constants))
+    own = 0
+    for m, constants in cases:
+        own += any(j in (a, b) for a, b, j in constants)
+        for levels in ((), sorted(rng.randint(1, m) for _ in range(m))):
+            columns = form_columns(m, constants, levels)
+            assert len(columns) == m + 1
+            for q in range(m + 1):
+                assert columns[q] == mask_walk_columns(m, constants, q, levels), (m, constants, levels, q)
+    assert own > 250, own
+
+
 def test_singular_basis_change_raises():
     constants = clear_denominators(lie.m0(4).c)
     for change in ([{0: 1}, {0: 2}, {2: 1}, {3: 1}], [{0: 1, 1: 1}, {1: 1, 2: -1}, {0: 1, 2: 1}, {3: 1}]):

@@ -1,13 +1,16 @@
 """Page entries, limit terms, tables and the structural checkers."""
 
+import copy
 import subprocess
 import sys
+from fractions import Fraction
 from functools import cache
 from itertools import combinations, zip_longest
 from math import comb, gcd
 
 import pytest
 
+from conftest import sheared
 from nilspec import catalog, exterior, lie, linalg, spectral
 from nilspec.linalg import Subspace
 from nilspec.spectral import (
@@ -342,6 +345,56 @@ def test_pairing_invariants(catalog_tables, random_algebras_dim7, twins_dim7):
             assert chi == 0, (name, r)
         assert check_limit_edges(t, c).ok, name
         assert 0 <= t.r0 <= t.k, name
+
+
+def _pivots_as_read(c, n):
+    """The columns of d_n, as read, whose low is no earlier column's low after
+    reduction: the ones ``_bars`` makes pivots without adding another column
+    to them.  The reduction runs over Q, apart from ``_bars``."""
+    pivots, kept = {}, []
+    for src in sorted(c.columns[n]):
+        read = c.columns[n][src]
+        if max(read) not in pivots:
+            kept.append(read)
+        col = {i: Fraction(v) for i, v in read.items()}
+        while col and (low := max(col)) in pivots:
+            f = col[low]
+            for i, v in pivots[low].items():
+                col[i] = col.get(i, 0) - f * v
+            col = {i: v for i, v in col.items() if v}
+        if col:
+            low = max(col)
+            pivots[low] = {i: v / col[low] for i, v in col.items()}
+    return kept
+
+
+def test_full_table_writes_no_column(catalog_tables, random_algebras_dim7, twins_dim7, rng_factory):
+    """``_bars`` keeps pivots that are the dicts of ``c.columns`` themselves,
+    so ``full_table(c)`` must write into none of them: afterwards
+    ``c.columns`` equals a deep copy taken before and
+    ``check_top_degree_forms(c)`` gives the same report.  The catalog,
+    m0(3..12), the dimension <= 7 fixtures and their twins, and sheared
+    catalog entries and m0(3..9), whose pivots include lows other than +-1:
+    columns stored as read and columns divided by their content both occur."""
+    rng = rng_factory(0xC0117)
+    catalog_algebras = [a for _, a, _, _ in catalog_tables.values()]
+    algebras = catalog_algebras + [lie.m0(m) for m in range(3, 13)]
+    algebras += [b for pair in zip(random_algebras_dim7, twins_dim7) for b in pair]
+    algebras += [sheared(a, rng) for a in [*catalog_algebras, *(lie.m0(m) for m in range(3, 10))]]
+    as_read = divided = 0
+    for a in algebras:
+        c = _fresh_complex(a)
+        before, report = copy.deepcopy(c.columns), check_top_degree_forms(c)
+        full_table(c)
+        assert c.columns == before, lie.to_salamon(a)
+        assert check_top_degree_forms(c) == report, lie.to_salamon(a)
+        for n in range(c.m):
+            for col in _pivots_as_read(c, n):
+                if col[max(col)] in (1, -1) or gcd(*col.values()) == 1:
+                    as_read += 1
+                else:
+                    divided += 1
+    assert as_read > 1000 and divided > 100, (as_read, divided)
 
 
 def test_pairing_betti_equals_rank_nullity_on_large_filiform():
