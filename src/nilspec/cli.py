@@ -138,11 +138,11 @@ RENDERERS = {"text": _render_text, "json": _render_json, "csv": _render_csv, "la
 # ---------------------------------------------------------------------------
 
 def _read(path: str, what: str) -> str:
-    """The text of a file, or of stdin for "-"; one that cannot be read is a parse error."""
+    """The text of a file, or of stdin for "-", less a leading byte-order mark; unreadable, a parse error."""
     try:
         if path == "-":
-            return sys.stdin.read()
-        with open(path, encoding="utf-8") as fh:
+            return sys.stdin.read().removeprefix("\ufeff")
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise AlgebraFormatError(f"cannot read {what}: {exc}") from exc

@@ -175,7 +175,7 @@ class CochainComplex:
         self.v_dims = tuple(v_dims)
         self.adapted_basis_change = adapted_basis_change
         self.adapted_constants = dict(adapted_constants)
-        self.levels = tuple(min(i for i in range(k + 1) if j < self.v_dims[i]) for j in range(m))
+        self.levels = tuple(i for i, (lo, hi) in enumerate(zip((0, *v_dims), v_dims)) for _ in range(hi - lo))
         self.columns = form_columns(m, self.adapted_constants, self.levels)
 
 

@@ -27,12 +27,12 @@ the algebra is nilpotent, and stores the filtration V_0 = 0,
 V_i = {x : dx in Lambda^2 V_(i-1)} of the dual, cross-checked against the
 primal central descending series through annihilator duality
 dim V_i + dim n^i = m.  One loop over the levels finds V_i and n^i together
-and checks each pair as it is found.  Each side steps on its own: where the
-previous space is spanned by basis vectors, it reads its own coordinate
-candidate for the next off the integer constants and keeps it only if a
-forward-only ``linalg._eliminate`` proves it by its rank; otherwise it
-eliminates that level: V_i as an exact kernel (w lies in Lambda^2 V iff
-i_u w = 0 for every u in ann(V)), n^i as a span.
+and checks each pair as it is found.  While V_i and n^i are spanned by basis
+vectors they are complementary int bit masks, both read off the integer
+constants by one test that a forward-only ``linalg._eliminate`` decides by
+rank.  From the first level where it declines, both are eliminated: V_i as an
+exact kernel (w lies in Lambda^2 V iff i_u w = 0 for every u in ann(V)), n^i
+as a span.
 
 Input that does not read as an algebra raises a ``ParseError``; any other
 ``LieError`` refuses a well-formed input.  A pair V_i, n^i that fails the
@@ -46,7 +46,7 @@ import re
 import sys
 from collections import defaultdict
 from functools import lru_cache
-from typing import TYPE_CHECKING, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple
 
 from . import exterior
 from .linalg import Subspace, _eliminate, _span, null_space
@@ -180,28 +180,15 @@ class LieAlgebra:
 # ---------------------------------------------------------------------------
 
 def _next_dual(m: int, constants: Mapping[tuple[int, int, int], int], prev: Subspace) -> Subspace:
-    """V_i = {x : dx in Lambda^2 V_(i-1)} from prev = V_(i-1).
-
-    Where V_(i-1) is spanned by basis covectors, V_i is read off the
-    constants: e^j joins it once de^j lies in Lambda^2 V_(i-1), and that is
-    V_i iff the parts of the other de^j off Lambda^2 V_(i-1) are independent.
-    Where that rank count fails, or V_(i-1) is not by coordinates, V_i is
-    eliminated: a 2-form w lies in Lambda^2 V iff i_u w = 0 for every u in
-    ann(V), so V_i is the kernel of x -> (i_u dx)_u over a basis u of
-    ann(V_(i-1)), with i_u (e^a ^ e^b) = u_a e^b - u_b e^a.  That basis comes
-    straight from the canonical rows of V_(i-1): for each non-pivot column c,
+    """V_i = {x : dx in Lambda^2 V_(i-1)} from prev = V_(i-1), eliminated: a
+    2-form w lies in Lambda^2 V iff i_u w = 0 for every u in ann(V), so V_i
+    is the kernel of x -> (i_u dx)_u over a basis u of ann(V_(i-1)), with
+    i_u (e^a ^ e^b) = u_a e^b - u_b e^a.  That basis comes straight from the
+    canonical rows of V_(i-1): for each non-pivot column c,
     L e_c - sum_i (L row_i[c] / row_i[p_i]) e_(p_i), L the lcm of the row_i[p_i].
     That map goes to ``null_space`` as one column per e^k, with only the
     nonzero entries (u, e^b) that some term reaches through a nonzero u_a.
     """
-    if all(len(row) == 1 for row in prev.rows):  # spanned by basis covectors
-        inside = set(prev.pivots)
-        off: defaultdict[int, dict[tuple[int, int], int]] = defaultdict(dict)  # j -> de^j off Lambda^2 V_(i-1)
-        for (a, b, j), c in constants.items():
-            if a - 1 not in inside or b - 1 not in inside:
-                off[j - 1][a, b] = c
-        if len(_eliminate(off.values(), reduced=False)) == len(off):
-            return Subspace.coordinate(set(range(m)) - off.keys(), m)
     scale = math.lcm(*(row[p] for row, p in zip(prev.rows, prev.pivots)))
     # reach[a] is {t: u_a} over the basis vectors u = u_t of ann(V) with u_a != 0
     reach: list[dict[int, int]] = [{} for _ in range(m)]
@@ -221,20 +208,8 @@ def _next_dual(m: int, constants: Mapping[tuple[int, int, int], int], prev: Subs
 
 
 def _next_primal(m: int, constants: Mapping[tuple[int, int, int], int], prev: Subspace) -> Subspace:
-    """n^i = [n, n^(i-1)] from prev = n^(i-1).  Where n^(i-1) is spanned by
-    basis vectors, n^i is read off the constants as the span of the e_k that
-    the brackets [e_a, e_b] with a or b in n^(i-1) reach, kept iff those
-    brackets have full rank on them; otherwise it is eliminated as the span
-    of the [e_g, x] over the canonical rows x of n^(i-1)."""
-    if all(len(row) == 1 for row in prev.rows):  # spanned by basis vectors
-        ideal = set(prev.pivots)
-        reached: defaultdict[tuple[int, int], dict[int, int]] = defaultdict(dict)  # (a, b) -> [e_a, e_b]
-        for (a, b, k), c in constants.items():
-            if a - 1 in ideal or b - 1 in ideal:
-                reached[a, b][k - 1] = c
-        support = {k for bracket in reached.values() for k in bracket}
-        if len(_eliminate(reached.values(), reduced=False)) == len(support):
-            return Subspace.coordinate(support, m)
+    """n^i = [n, n^(i-1)] from prev = n^(i-1), eliminated as the span of the
+    [e_g, x] over the canonical rows x of n^(i-1)."""
     # holds[j] is {r: x_j} over the canonical rows x = x_r of n^(i-1) with x_j != 0
     holds: list[dict[int, int]] = [{} for _ in range(m)]
     for r, row in enumerate(prev.rows):
@@ -275,44 +250,65 @@ def _jacobi_holds(m: int, constants: Mapping[tuple[int, int, int], int]) -> bool
 
 def _annihilates(v: Subspace, n: Subspace) -> bool:
     """Whether each row of v pairs to 0 with each row of n, summing over shared columns only."""
-    by_column: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)  # j -> (r, x_j) over rows x_r of v
-    for r, row in enumerate(v.rows):
-        for j, x in row.items():
-            by_column[j].append((r, x))
-    for u in n.rows:
-        pairing: defaultdict[int, int] = defaultdict(int)  # r -> <x_r, u>
-        for j, y in u.items():
-            for r, x in by_column.get(j, ()):
-                pairing[r] += x * y
-        if any(pairing.values()):
-            return False
-    return True
+    return not any(sum(x[j] * u[j] for j in x.keys() & u.keys()) for x in v.rows for u in n.rows)
+
+
+def _space(x: int | Subspace, m: int) -> Subspace:
+    """A level as a Subspace, a mask as the span of the unit vectors at its set bits."""
+    return x if type(x) is not int else Subspace.coordinate([p for p in range(m) if x >> p & 1], m)
+
+
+def _levels(m: int, constants: exterior.Constants) -> Iterator[tuple[int | Subspace, int | Subspace]]:
+    """(V_i, n^i) for i = 1, 2, ... without end: int bit masks while they are read
+    off the terms, decoded once to (mask of a and b, k, c), and Subspaces from the
+    first level where that declines, eliminated by ``_next_dual`` and ``_next_primal``.
+    With n^(i-1) the complement of V_(i-1), the terms with a or b in n^(i-1) are
+    both the parts of the de^k off Lambda^2 V_(i-1) and the brackets that make n^i.
+    If their rows per k are independent (a test that needs two rows), V_i is spanned
+    by the e^k they miss and n^i by the e_k they reach: the dual test and the primal
+    one (rank = number of e_k reached) read one rank, so both sides leave together."""
+    full = (1 << m) - 1
+    terms = [(1 << a - 1 | 1 << b - 1, k - 1, c) for (a, b, k), c in constants.items()]
+    v = 0
+    while True:
+        off: dict[int, dict[int, int]] = {}  # k -> the terms of de^k with a or b in n^(i-1), by pair mask
+        for ab, k, c in terms:
+            if ab & ~v:
+                off.setdefault(k, {})[ab] = c
+        if len(off) > 1 and len(_eliminate(off.values(), reduced=False)) < len(off):
+            break
+        n = sum(1 << k for k in off)
+        v = full ^ n
+        yield v, n
+    v, n = _space(v, m), _space(full ^ v, m)
+    while True:
+        v, n = _next_dual(m, constants, v), _next_primal(m, constants, n)
+        yield v, n
 
 
 @lru_cache(maxsize=256)
 def validate_algebra(a: LieAlgebra) -> Filtration:
-    """The filtration of the dual, computed on integer constants and memoised
-    per algebra (a raise is not stored); raises JacobiError unless d(de^j) = 0
-    for every j (checked on the constants, before any filtration work), then
-    runs one loop over the levels: V_i from V_(i-1), NotNilpotentError if it
-    did not grow, n^i from n^(i-1), and exterior.InternalConsistencyError
-    unless dim V_i + dim n^i = m and V_i annihilates n^i (``_annihilates``)."""
-    constants = exterior.clear_denominators(a.c)
-    if not _jacobi_holds(a.m, constants):
+    """The filtration of the dual on integer constants, memoised per algebra (a
+    raise is not stored).  JacobiError unless d(de^j) = 0 for every j, checked
+    before any filtration work; then over ``_levels``, NotNilpotentError if V_i
+    did not grow, and exterior.InternalConsistencyError unless dim V_i + dim n^i
+    = m and V_i annihilates n^i (``v & n == 0`` on two masks, else ``_annihilates``)."""
+    m, constants = a.m, exterior.clear_denominators(a.c)
+    if not _jacobi_holds(m, constants):
         raise JacobiError("structure constants violate the Jacobi identity")
-    spaces, n, dims = [Subspace.zero(a.m)], Subspace.full(a.m), [a.m]
-    while spaces[-1].dim < a.m:
-        i, v = len(spaces), _next_dual(a.m, constants, spaces[-1])
-        if v.dim == spaces[-1].dim:
+    spaces, dims = [Subspace.zero(m)], [m]
+    for i, (v, n) in enumerate(_levels(m, constants), start=1):
+        on_masks = type(v) is int
+        spaces.append(_space(v, m))
+        dims.append(n.bit_count() if on_masks else n.dim)
+        if spaces[i].dim == spaces[i - 1].dim:
             raise NotNilpotentError("algebra is not nilpotent")
-        n = _next_primal(a.m, constants, n)
-        if v.dim + n.dim != a.m:
+        if spaces[i].dim + dims[i] != m:
             raise exterior.InternalConsistencyError("dual filtration disagrees with the primal descending series")
-        if not _annihilates(v, n):
+        if v & n if on_masks else not _annihilates(spaces[i], n):
             raise exterior.InternalConsistencyError(f"V_{i} does not annihilate the primal ideal n^{i}")
-        spaces.append(v)
-        dims.append(n.dim)
-    return Filtration(len(spaces) - 1, tuple(spaces), tuple(dims))
+        if spaces[i].dim == m:
+            return Filtration(i, tuple(spaces), tuple(dims))
 
 
 def descending_series(a: LieAlgebra) -> Filtration:
@@ -381,7 +377,8 @@ def parse_salamon(text: str, label: str | None = None) -> LieAlgebra:
 
 
 def _parse_entry(entry: str, offset: int, m: int) -> list[tuple[tuple[int, int], int | Fraction]]:
-    """One differential entry: 0, or terms matched one by one by ``_TERM``.
+    """One differential entry: 0, or terms matched one by one by ``_TERM``,
+    the first of which may start with a coefficient 0 (``0*12``, ``0/1*12``).
     Its groups are checked in the order the grammar reads them, and an error
     names the start or end of its group; a coefficient stays an int unless
     it has a denominator."""
@@ -398,7 +395,7 @@ def _parse_entry(entry: str, offset: int, m: int) -> list[tuple[tuple[int, int],
     pos = len(entry) - len(entry.lstrip())
     if pos == len(entry):
         raise err("empty entry", pos)
-    if entry[pos] == "0":
+    if entry[pos] == "0" and entry[pos + 1:pos + 2] not in ("*", "/"):  # "0*12" is a term
         rest = entry[pos + 1:].lstrip()
         if rest:
             raise err("unexpected text after '0'", len(entry) - len(rest))

@@ -24,7 +24,6 @@ it.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -132,31 +131,28 @@ def require_poincare_duality(betti: Sequence[int]) -> None:
 
 def full_table(c: CochainComplex) -> SpectralTable:
     """Pages 0..r0, the limit grid, Betti numbers and r0 <= k from the
-    persistence pairing: the bars of each degree counted per (source level,
-    target level), dim E_(r+1) = dim E_r less those counts at both ends of
-    the bars of gap r, and r0 = 1 + the largest gap.  Later pages equal the
-    limit and are not computed."""
+    persistence pairing: E_0 by level rows, C(dim V_i, n) - C(dim V_(i-1), n)
+    n-forms at level i; the bars of every degree counted in one dict by (gap,
+    n, source level), dim E_(r+1) = dim E_r less the counts of gap r at both
+    ends, and r0 = 1 + the largest gap.  Later pages equal the limit and are not computed."""
     k, m = c.k, c.m
     # cells[level - 1][n]: the n-forms at that level alive on the current page,
     # rows running from p = k-1 down to p = 0 as in a grid
-    cells = [[0] * (m + 1) for _ in range(k)]
+    cells = [[math.comb(hi, n) - math.comb(lo, n) for n in range(m + 1)] for lo, hi in zip(c.v_dims, c.v_dims[1:])]
     cells[0][0] = 1  # the constants
-    for n in range(1, m + 1):
-        for j, level in enumerate(c.levels, start=1):  # n-forms whose last index is j
-            cells[level - 1][n] += math.comb(j - 1, n - 1)
-    bars = [Counter(_bars(c, n)) for n in range(m)]  # bars[n][x, y]: the bars of d_n from level x to level y
-    for n, counts in enumerate(bars):
-        for x, y in counts:
+    bars: dict[tuple[int, int, int], int] = {}  # (gap, n, x): the bars of d_n from level x to level x - gap
+    for n in range(m):
+        for x, y in _bars(c, n):
             if not 0 <= x - y < k:  # a gap of k or more would leave no degeneration by page k
                 raise InternalConsistencyError(f"bar of d_{n} from level {x} to level {y}: gap outside 0..{k - 1}")
-    r0 = max((x - y + 1 for counts in bars for x, y in counts), default=0)
+            bars[x - y, n, x] = bars.get((x - y, n, x), 0) + 1
+    r0 = max((gap + 1 for gap, _, _ in bars), default=0)
     pages = {0: tuple(map(tuple, cells))}
     for r in range(r0):
-        for n, counts in enumerate(bars):
-            for (x, y), count in counts.items():
-                if x - y == r:
-                    cells[x - 1][n] -= count
-                    cells[y - 1][n + 1] -= count
+        for (gap, n, x), count in bars.items():
+            if gap == r:
+                cells[x - 1][n] -= count
+                cells[x - gap - 1][n + 1] -= count
         pages[r + 1] = tuple(map(tuple, cells))
     betti = tuple(map(sum, zip(*pages[r0])))
     require_poincare_duality(betti)
@@ -184,15 +180,14 @@ def check_limit_edges(t: SpectralTable, c: CochainComplex) -> CheckReport:
     (3) degree m-1 concentrates at p = 0 with dim = beta_(m-1);
     (4) degree m concentrates at p = 0 with dim 1.
     """
-    k, m = t.k, t.m
-    cells = [cell for p in range(k) for cell in (
-        (p, -p, int(p == k - 1), "degree 0"),
-        (p, 1 - p, c.v_dims[1] if p == k - 1 else 0, "degree 1"),
-        (p, m - 1 - p, t.betti[m - 1] if p == 0 else 0, "degree m-1"),
-        (p, m - p, int(p == 0), "degree m"))]
-    violations = [f"{what}: e({p},{q}) = {t.entry(LIMIT, p, q)}, expected {want}"
-                  for p, q, want, what in cells if t.entry(LIMIT, p, q) != want]
-    return CheckReport("theorem-limit-edges", len(cells), tuple(violations))
+    k, m, violations = t.k, t.m, []
+    for p in range(k):
+        row, top, bottom = t.limit[k - 1 - p], p == k - 1, p == 0
+        for deg, want, what in ((0, int(top), "degree 0"), (1, c.v_dims[1] if top else 0, "degree 1"),
+                                (m - 1, t.betti[m - 1] if bottom else 0, "degree m-1"), (m, int(bottom), "degree m")):
+            if row[deg] != want:
+                violations.append(f"{what}: e({p},{deg - p}) = {row[deg]}, expected {want}")
+    return CheckReport("theorem-limit-edges", 4 * k, tuple(violations))
 
 
 def check_top_degree_forms(c: CochainComplex) -> CheckReport:
@@ -225,7 +220,8 @@ def check_abelian_extension(h: LieAlgebra, pages: Sequence[int | None], s: int =
     degree 1 at p = k-1: one more than the base; (4) degree 1 elsewhere as in
     the base, nothing at p = k; (5) every higher degree a shifted sum.  Also
     R^s (+) h degenerates at the page where h does.  The k+3 checks of (1) and
-    at p = k read outside the grid, where ``entry`` is 0: they hold by construction.
+    at p = k read outside the grid, where every entry is 0: they hold by
+    construction and are counted, not read.
     """
     if s < 1:
         raise ValueError("s must be at least 1")
@@ -236,15 +232,19 @@ def check_abelian_extension(h: LieAlgebra, pages: Sequence[int | None], s: int =
     note = [f"extension changed the nilpotency index: {base.k} -> {k}"] if base.k != k else []
 
     def report(r: int | None) -> CheckReport:
-        checks = [(ext.entry(r, p, -p - 1), 0, f"negative degree at p={p}") for p in range(-1, k + 1)]
+        # per p, ext's row and base's with a 0 at each end: base's deg and deg-1 are padded[deg + 1], padded[deg]
+        grid, below = ext.grid(r), base.grid(r)
+        rows = [(row, (0, *below[base.k - 1 - p], 0) if p < base.k else (0,) * (m + 2))
+                for p, row in enumerate(reversed(grid))]
+        violations = list(note)
         for deg in range(m + 1):
-            checks += [(ext.entry(r, p, deg - p), base.entry(r, p, deg - p) + base.entry(r, p, deg - 1 - p),
-                        f"degree {deg} at p={p}") for p in range(k)]
-            if deg == 1:
-                checks.append((ext.entry(r, k, 1 - k), 0, "degree 1 at p=k"))
-        checks.append((ext.r0, base_of_h.r0, "degeneration page"))
-        violations = note + [f"{what}: got {got}, expected {want}" for got, want, what in checks if got != want]
+            for p, (row, padded) in enumerate(rows):
+                if row[deg] != (want := padded[deg] + padded[deg + 1]):
+                    violations.append(f"degree {deg} at p={p}: got {row[deg]}, expected {want}")
+        if ext.r0 != base_of_h.r0:
+            violations.append(f"degeneration page: got {ext.r0}, expected {base_of_h.r0}")
+        # k + 2 in negative degree and one at p = k, then (m + 1) k cells and the page
         return CheckReport(f"abelian-extension s={s} r={'limit' if r is None else r}",
-                           len(checks), tuple(violations))
+                           (k + 3) + (m + 1) * k + 1, tuple(violations))
 
     return [report(r) for r in pages]

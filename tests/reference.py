@@ -28,6 +28,12 @@ cube of bar ends per (degree, level, gap) with suffix sums over the gaps
 (``ends_cube_table``), and the adapted basis change on dense rows: ``span``
 of the augmented [P | I] and all C(m, 2) ``wedge_minors`` of the rows of
 P^-1 (``dense_transform_constants``).
+It keeps the level loop that validated an algebra on subspaces, each
+level read off the constants where the previous space is by coordinates and
+otherwise eliminated, V_i by the textbook kernel and n^i by ``span``
+(``level_loop_filtration``, or with every level eliminated), and the two
+checkers that read every cell through ``SpectralTable.entry`` and format
+every message (``entry_check_limit_edges``, ``entry_check_abelian_extension``).
 Two independent cross-checks complete it: the differential by pointwise
 evaluation of the alternating-sum formula on tuples of primal basis vectors
 (``pointwise_differential``, for small dimensions), and the page-0 entries
@@ -50,7 +56,7 @@ from typing import Mapping, NamedTuple, Sequence
 from nilspec.exterior import (CochainComplex, Constants, KeyColumns, clear_denominators,
                               positional_columns)
 from nilspec.linalg import LinearMap, Subspace, contains, image, preimage, rank, span, subspace_sum
-from nilspec import spectral
+from nilspec import lie, spectral
 from nilspec.spectral import LIMIT, Grid, InternalConsistencyError, SpectralTable, require_poincare_duality
 
 
@@ -493,3 +499,133 @@ def page0_closed_form(c: CochainComplex, p: int, deg: int) -> int:
     if deg == 0:
         return 1 if p == c.k - 1 else 0
     return math.comb(c.v_dims[c.k - p], deg) - math.comb(c.v_dims[c.k - p - 1], deg)
+
+
+# ---------------------------------------------------------------------------
+# the level loop on subspaces, and the checkers on ``entry``
+# ---------------------------------------------------------------------------
+
+def _step_dual(m: int, constants: Constants, prev: Subspace, read_off: bool) -> Subspace:
+    """V_i from prev = V_(i-1) on subspaces: read off the constants where
+    prev is spanned by basis covectors and the parts of the other de^j off
+    Lambda^2 V_(i-1) are independent, else the kernel of x -> (i_u dx)_u
+    over the basis u of ann(V_(i-1)) read off the canonical rows of prev."""
+    if read_off and all(len(row) == 1 for row in prev.rows):
+        inside = set(prev.pivots)
+        off: dict[int, dict[int, int]] = {}  # j -> de^j off Lambda^2 V_(i-1), e^a ^ e^b at (a-1)*m + b-1
+        for (a, b, j), c in constants.items():
+            if a - 1 not in inside or b - 1 not in inside:
+                off.setdefault(j - 1, {})[(a - 1) * m + b - 1] = c
+        if rank(LinearMap(len(off), m * m, _transposed(off.values()))) == len(off):
+            return Subspace.coordinate(set(range(m)) - off.keys(), m)
+    scale = math.lcm(*(row[p] for row, p in zip(prev.rows, prev.pivots)))
+    reach: list[dict[int, int]] = [{} for _ in range(m)]  # reach[a]: {t: u_a} over the t-th u with u_a != 0
+    for t, c in enumerate(sorted(set(range(m)) - set(prev.pivots))):
+        reach[c][t] = scale
+        for row, p in zip(prev.rows, prev.pivots):
+            if c in row:
+                reach[p][t] = -row[c] * (scale // row[p])
+    columns: dict[int, list[tuple[int, int]]] = {}  # column k-1: the e^b coordinate of i_u de^k at row t*m + b-1
+    for (a, b, k), v in constants.items():
+        for t, u in reach[a - 1].items():
+            columns.setdefault(k - 1, []).append((t * m + b - 1, v * u))
+        for t, u in reach[b - 1].items():
+            columns.setdefault(k - 1, []).append((t * m + a - 1, -v * u))
+    return two_step_kernel(LinearMap(m * m, m, columns))
+
+
+def _step_primal(m: int, constants: Constants, prev: Subspace, read_off: bool) -> Subspace:
+    """n^i from prev = n^(i-1) on subspaces: the e_k that the brackets with
+    a or b in n^(i-1) reach, where prev is by coordinates and those brackets
+    have full rank on them, else the span of the [e_g, x] over the rows x of prev."""
+    if read_off and all(len(row) == 1 for row in prev.rows):
+        ideal = set(prev.pivots)
+        reached: dict[tuple[int, int], dict[int, int]] = {}  # (a, b) -> [e_a, e_b]
+        for (a, b, k), c in constants.items():
+            if a - 1 in ideal or b - 1 in ideal:
+                reached.setdefault((a, b), {})[k - 1] = c
+        support = {k for bracket in reached.values() for k in bracket}
+        if rank(LinearMap(len(reached), m, _transposed(reached.values()))) == len(support):
+            return Subspace.coordinate(support, m)
+    out: list[list[int]] = []
+    for x in dense(prev):
+        for g in range(1, m + 1):  # [e_g, x] from [e_a, e_b] = c e_k = -[e_b, e_a]
+            bracket = [0] * m
+            for (a, b, k), c in constants.items():
+                bracket[k - 1] += c * ((x[b - 1] if a == g else 0) - (x[a - 1] if b == g else 0))
+            out.append(bracket)
+    return span(out, m)
+
+
+def _transposed(rows) -> dict[int, list[tuple[int, int]]]:
+    """Sparse rows as the columns of a LinearMap with one row per given row."""
+    columns: dict[int, list[tuple[int, int]]] = {}
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            columns.setdefault(j, []).append((i, v))
+    return columns
+
+
+def level_loop_filtration(m: int, constants: Mapping[tuple[int, int, int], Fraction | int],
+                          read_off: bool = True) -> lie.Filtration:
+    """``lie.validate_algebra`` as one loop over the levels on subspaces: the
+    Jacobi check, then V_i, NotNilpotentError if it did not grow, n^i, and
+    the dimension and annihilation cross-checks, each level read off the
+    constants where that succeeds (or, without ``read_off``, eliminated)."""
+    constants = clear_denominators(constants)
+    if not lie._jacobi_holds(m, constants):
+        raise lie.JacobiError("structure constants violate the Jacobi identity")
+    spaces, n, dims = [Subspace.zero(m)], Subspace.full(m), [m]
+    while spaces[-1].dim < m:
+        i, v = len(spaces), _step_dual(m, constants, spaces[-1], read_off)
+        if v.dim == spaces[-1].dim:
+            raise lie.NotNilpotentError("algebra is not nilpotent")
+        n = _step_primal(m, constants, n, read_off)
+        if v.dim + n.dim != m:
+            raise InternalConsistencyError("dual filtration disagrees with the primal descending series")
+        if any(sum(x * y for x, y in zip(row, u)) for row in dense(v) for u in dense(n)):
+            raise InternalConsistencyError(f"V_{i} does not annihilate the primal ideal n^{i}")
+        spaces.append(v)
+        dims.append(n.dim)
+    return lie.Filtration(len(spaces) - 1, tuple(spaces), tuple(dims))
+
+
+def entry_check_limit_edges(t: SpectralTable, c: CochainComplex) -> spectral.CheckReport:
+    """``spectral.check_limit_edges`` through ``SpectralTable.entry``, every message formatted."""
+    k, m = t.k, t.m
+    cells = [cell for p in range(k) for cell in (
+        (p, -p, int(p == k - 1), "degree 0"),
+        (p, 1 - p, c.v_dims[1] if p == k - 1 else 0, "degree 1"),
+        (p, m - 1 - p, t.betti[m - 1] if p == 0 else 0, "degree m-1"),
+        (p, m - p, int(p == 0), "degree m"))]
+    violations = [f"{what}: e({p},{q}) = {t.entry(LIMIT, p, q)}, expected {want}"
+                  for p, q, want, what in cells if t.entry(LIMIT, p, q) != want]
+    return spectral.CheckReport("theorem-limit-edges", len(cells), tuple(violations))
+
+
+def entry_check_abelian_extension(h: lie.LieAlgebra, pages: Sequence[int | None],
+                                  s: int = 1) -> list[spectral.CheckReport]:
+    """``spectral.check_abelian_extension`` through ``SpectralTable.entry``,
+    the checks outside the grid read like the others; the tables come from
+    ``spectral.table_for``."""
+    if s < 1:
+        raise ValueError("s must be at least 1")
+    base = spectral.table_for(h if s == 1 else lie.direct_sum(lie.abelian(s - 1), h))
+    ext = spectral.table_for(lie.direct_sum(lie.abelian(s), h))
+    base_of_h = base if s == 1 else spectral.table_for(h)
+    k, m = ext.k, ext.m
+    note = [f"extension changed the nilpotency index: {base.k} -> {k}"] if base.k != k else []
+
+    def report(r: int | None) -> spectral.CheckReport:
+        checks = [(ext.entry(r, p, -p - 1), 0, f"negative degree at p={p}") for p in range(-1, k + 1)]
+        for deg in range(m + 1):
+            checks += [(ext.entry(r, p, deg - p), base.entry(r, p, deg - p) + base.entry(r, p, deg - 1 - p),
+                        f"degree {deg} at p={p}") for p in range(k)]
+            if deg == 1:
+                checks.append((ext.entry(r, k, 1 - k), 0, "degree 1 at p=k"))
+        checks.append((ext.r0, base_of_h.r0, "degeneration page"))
+        violations = note + [f"{what}: got {got}, expected {want}" for got, want, what in checks if got != want]
+        return spectral.CheckReport(f"abelian-extension s={s} r={'limit' if r is None else r}",
+                                    len(checks), tuple(violations))
+
+    return [report(r) for r in pages]

@@ -235,7 +235,8 @@ def test_unreadable_files_and_bad_json_documents_name_the_fault(tmp_path, capsys
 def test_filtration_mismatch_exits_4_without_traceback(tmp_path, capsys, monkeypatch):
     # a primal series that drops to zero at once contradicts the dual
     # filtration of every non-abelian algebra; abelian ones still agree with it
-    monkeypatch.setattr(lie, "_next_primal", lambda m, constants, prev: Subspace.zero(m))
+    levels = lie._levels
+    monkeypatch.setattr(lie, "_levels", lambda m, constants: ((v, 0) for v, _ in levels(m, constants)))
     lie.validate_algebra.cache_clear()  # a memoised filtration would hide the patched series
     code, out, err = run(capsys, "compute", "(0,0,12)")
     assert code == 4 and out == ""
@@ -441,6 +442,47 @@ def test_batch_from_stdin_that_does_not_decode_exits_2():
     assert (proc.returncode, proc.stdout) == (2, b"")
     assert proc.stderr.startswith(b"error: cannot read batch file -: 'utf-8' codec can't decode byte 0xff")
     assert proc.stderr.count(b"\n") == 1
+
+
+def test_byte_order_mark_at_the_start_of_an_input_is_dropped(tmp_path, capsys, monkeypatch):
+    """A UTF-8 byte-order mark before a Salamon file, a JSON file or a batch
+    file, read from a path or from stdin, leaves the output byte-identical to
+    the same input without one."""
+    batch = "(0,0,12)\n(0,0,0,12,12)\n"
+    for name, text, argv in [("algebra.txt", "(0,0,1/2*12,13)\n", ["compute"]),
+                             ("algebra.json", _json_doc(label="h3"), ["compute", "--format", "json"]),
+                             ("batch.txt", batch, ["compute", "--format", "csv", "--batch"])]:
+        plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        want = run(capsys, *argv, str(plain))
+        assert want[0] == 0 and want[1] and not want[2], name
+        assert run(capsys, *argv, str(marked)) == want, name
+    monkeypatch.setattr(sys, "stdin", io.StringIO(batch))
+    want = run(capsys, "compute", "--batch", "-")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff" + batch))
+    assert want[0] == 0 and run(capsys, "compute", "--batch", "-") == want
+
+
+def test_byte_order_mark_elsewhere_is_the_error_it_was(tmp_path, capsys, monkeypatch):
+    """Only one mark, at the very start, is dropped: after whitespace, inside
+    an entry, as a second mark or at the start of a later batch line it is
+    still text the grammar does not know, the same error at the same position."""
+    bom = "\ufeff"
+    cases = [(" " + bom + "(0,0,12)", [], "syntax error at position 1: expected '('"),
+             (bom + bom + "(0,0,12)", [], "syntax error at position 1: expected '('"),
+             ("(0,0," + bom + "12)", [], "syntax error at position 6: expected an index pair or coefficient"),
+             ("(0,0,12)\n" + bom + "(0,0,12)\n", ["--batch"],
+              f"{bom}(0,0,12): syntax error at position 1: input '\\ufeff(0,0,12)' is neither a '(...)' string "
+              "nor a file")]
+    path = tmp_path / "input.txt"
+    for text, flags, message in cases:
+        path.write_text(text, encoding="utf-8")
+        code, _, err = run(capsys, "compute", *flags, str(path))
+        assert (code, err) == (2, f"error: {message}\n"), text
+    monkeypatch.setattr(sys, "stdin", io.StringIO(bom + bom + "(0,0,12)\n"))
+    code, out, err = run(capsys, "compute", "--batch", "-")
+    assert (code, out) == (2, "") and err.startswith(f"error: {bom}(0,0,12): syntax error at position 1: "), err
 
 
 # ---------------------------------------------------------------------------

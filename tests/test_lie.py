@@ -11,7 +11,8 @@ import pytest
 
 from conftest import sheared
 from nilspec import lie, spectral
-from nilspec.exterior import clear_denominators, compose_is_zero, differential_columns, form_columns
+from nilspec.exterior import (InternalConsistencyError, clear_denominators, compose_is_zero, differential_columns,
+                              form_columns)
 from nilspec.linalg import LinearMap, Subspace, contains, preimage, span
 from nilspec.lie import (
     IndexPairError,
@@ -158,6 +159,32 @@ def test_every_syntax_error_names_its_message_and_position():
             lie.parse_salamon(text)
         assert (info.value.position, str(info.value)) == \
             (position, f"syntax error at position {position}: {message}"), text[:40]
+
+
+def test_zero_coefficient_reads_with_or_without_a_sign():
+    """A leading 0 followed by '*' or '/' starts a term of coefficient 0, which
+    adds nothing, as it does after a sign; any other text after a 0 entry
+    is still the error it was, at the same position."""
+    for text, same in [("(0,0,0*12)", "(0,0,0)"), ("(0,0,0/1*12)", "(0,0,0)"), ("(0,0,0/2*12+12)", "(0,0,12)"),
+                       ("(0,0,+0*12)", "(0,0,0)"), ("(0,0,-0/1*12)", "(0,0,0)"), ("(0,0, 0*12 - 12)", "(0,0,21)")]:
+        a, b = lie.parse_salamon(text), lie.parse_salamon(same)
+        assert a == b and spectral.table_for(a) == spectral.table_for(b), text
+    for text in ("(0,0,00)", "(0,0,012)", "(0,0,0x)", "(0,0,0 1)", "(0,0,0 *12)"):
+        with pytest.raises(SalamonSyntaxError) as info:
+            lie.parse_salamon(text)
+        assert str(info.value) == f"syntax error at position {7 + text.count(' ')}: unexpected text after '0'"
+    with pytest.raises(SalamonSyntaxError, match="position 8: expected an index pair$"):
+        lie.parse_salamon("(0,0,0*)")
+    with pytest.raises(SalamonSyntaxError, match=r"position 9: expected '\*' after a rational coefficient$"):
+        lie.parse_salamon("(0,0,0/1)")
+    # a malformed term after a bare 0 is the error of its signed twin, one position earlier
+    for body in ("0/1", "0*", "0/0*12", "0/", "0*1", "0/1*", "0*12+", "0/1 *12"):
+        errors = []
+        for sign in ("", "+"):
+            with pytest.raises(SalamonSyntaxError) as info:
+                lie.parse_salamon(f"(0,0,{sign}{body})")
+            errors.append((info.value.position - len(sign), str(info.value).split(": ", 1)[1]))
+        assert errors[0] == errors[1], body
 
 
 def test_cancelling_terms_give_the_abelian_algebra():
@@ -346,12 +373,14 @@ def _levels(m, constants):
     """V_0, V_1, ... and n^0, n^1, ..., stepped together as validate_algebra
     steps them, until V_i is the whole dual or stops growing."""
     spaces, series = [Subspace.zero(m)], [Subspace.full(m)]
-    while spaces[-1].dim < m:
-        v = lie._next_dual(m, constants, spaces[-1])
+    for v, n in lie._levels(m, constants):
+        v = lie._space(v, m)
         if v.dim == spaces[-1].dim:
             break
         spaces.append(v)
-        series.append(lie._next_primal(m, constants, series[-1]))
+        series.append(lie._space(n, m))
+        if v.dim == m:
+            break
     return spaces, series
 
 
@@ -519,8 +548,7 @@ def test_jacobi_error_comes_before_any_filtration_work(monkeypatch):
     def fail(*args):
         raise AssertionError("filtration work started")
 
-    monkeypatch.setattr(lie, "_next_dual", fail)
-    monkeypatch.setattr(lie, "_next_primal", fail)
+    monkeypatch.setattr(lie, "_levels", fail)
     for m, constants in _NOT_JACOBI:
         with pytest.raises(JacobiError):
             LieAlgebra(m, constants)
@@ -529,15 +557,27 @@ def test_jacobi_error_comes_before_any_filtration_work(monkeypatch):
         lie.m0(4)
 
 
+def test_annihilation_is_checked_on_masks(monkeypatch):
+    # n^i moved onto the lowest basis vectors keeps dim V_i + dim n^i = m but meets V_i
+    levels = lie._levels
+    monkeypatch.setattr(lie, "_levels", lambda m, constants: ((v, (1 << n.bit_count()) - 1)
+                                                              for v, n in levels(m, constants)))
+    lie.validate_algebra.cache_clear()  # a memoised filtration would skip the patched levels
+    assert lie.parse_salamon("(0,0,0)").filtration.k == 1  # n^1 = 0 meets nothing
+    with pytest.raises(InternalConsistencyError, match=r"^V_1 does not annihilate the primal ideal n\^1$"):
+        lie.parse_salamon("(0,0,12)")
+
+
 def test_filtration_computed_once_per_algebra(monkeypatch):
     calls = []
-    original = lie._next_dual
+    original = lie._levels
 
     def counting(*args):
-        calls.append(args)
-        return original(*args)
+        for level in original(*args):
+            calls.append(level)
+            yield level
 
-    monkeypatch.setattr(lie, "_next_dual", counting)
+    monkeypatch.setattr(lie, "_levels", counting)
     # a memoised filtration or cached complex would hide a second computation
     lie.validate_algebra.cache_clear()
     spectral.complex_for.cache_clear()
@@ -545,8 +585,8 @@ def test_filtration_computed_once_per_algebra(monkeypatch):
     b = lie.parse_salamon("(0,0,12,13,23,14+25)", label="second")
     spectral.table_for(a)
     spectral.table_for(b)
-    # one step from each of V_0 .. V_(k-1): the levels were run once
-    assert [prev for _, _, prev in calls] == list(a.filtration.spaces[:-1])
+    # one step to each of V_1 .. V_k: the levels were run once
+    assert [lie._space(v, a.m) for v, _ in calls] == list(a.filtration.spaces[1:])
     assert a.filtration is b.filtration
 
 

@@ -1,6 +1,7 @@
 """Page entries, limit terms, tables and the structural checkers."""
 
 import copy
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -23,8 +24,8 @@ from nilspec.spectral import (
     require_poincare_duality,
     table_for,
 )
-from reference import (a_space, betti_numbers, ends_cube_table, lambda_subspace, page0_closed_form, page_entry,
-                       page_grid, positional_d)
+from reference import (a_space, betti_numbers, ends_cube_table, entry_check_abelian_extension, entry_check_limit_edges,
+                       lambda_subspace, page0_closed_form, page_entry, page_grid, positional_d)
 
 
 def _c(text):
@@ -600,6 +601,67 @@ def test_check_abelian_extension_reports_each_wrong_cell(s, monkeypatch):
         (f"degree 4 at p=0: got {(s - 1) * 3}, expected {(s - 1) * 3 + 1}", degeneration),
         (f"degree 1 at p=1: got {s + 1}, expected {s + 2}", degeneration),
     ]
+
+
+def _moved_cells(rng, t, count=1, r0=False):
+    """``t`` with ``count`` seeded cells of a seeded page, or of the limit,
+    each moved by +-1 (a cell drawn twice may move back), and r0 moved if asked."""
+    r = rng.choice([*t.pages, LIMIT])
+    cells = {(r, rng.randrange(t.k), rng.randrange(t.m + 1)): rng.choice([-1, 1]) for _ in range(count)}
+    return _tampered(t, cells, r0=t.r0 + 1 if r0 else None)
+
+
+def _one_row_more_or_less(t, more):
+    """``t`` with a zero row above its top row, or without its top row: k one more or one less."""
+    def grid(g):
+        return ((0,) * (t.m + 1), *g) if more else g[1:]
+    return t._replace(k=t.k + (1 if more else -1), pages={r: grid(g) for r, g in t.pages.items()},
+                      limit=grid(t.limit))
+
+
+def test_grid_checkers_equal_the_entry_checkers(catalog_tables, monkeypatch):
+    """check_limit_edges and check_abelian_extension read the grids and format
+    only the messages of failed checks; their reports (names, check counts
+    and violations in order) equal those of the ``entry`` reference on the
+    catalog and m0(3..9) for s = 1, 2, 3 at pages 0, 1 and the limit, and
+    again on tables with one or three cells moved, r0 moved, or a base table
+    with one row more or one row less than the extension's."""
+    monkeypatch.setattr(spectral, "table_for", cache(spectral.table_for))  # both sides share the tables
+    pages, rng = (0, 1, LIMIT), random.Random(0xC4EC)
+    algebras = [a for _, a, _, _ in catalog_tables.values()] + [lie.m0(m) for m in range(3, 10)]
+    failed = 0
+    for h in algebras:
+        c, t = spectral.complex_for(h), spectral.table_for(h)
+        for table in (t, _moved_cells(rng, t), _moved_cells(rng, t, 3)._replace(betti=(*t.betti[:-2], 0, 1))):
+            report = check_limit_edges(table, c)
+            assert report == entry_check_limit_edges(table, c), lie.to_salamon(h)
+            failed += not report.ok
+        for s in (1, 2, 3):
+            reports = check_abelian_extension(h, pages, s)
+            assert reports == entry_check_abelian_extension(h, pages, s), (lie.to_salamon(h), s)
+            assert all(report.ok for report in reports)
+    real = spectral.table_for
+    for h in algebras:
+        if h.m > 6:
+            continue
+        for s in (1, 2, 3):
+            kind = rng.randrange(4)
+
+            def table(a):
+                t = real(a)
+                if a.m == h.m + s:  # the extension
+                    return _moved_cells(rng, t, 1 + 2 * (kind == 0), r0=kind == 1) if kind < 2 else t
+                if a.m == h.m + s - 1 and kind >= 2:  # the base
+                    return _one_row_more_or_less(t, more=kind == 2)
+                return t
+
+            monkeypatch.setattr(spectral, "table_for", table)
+            state = rng.getstate()
+            reports = check_abelian_extension(h, pages, s)
+            rng.setstate(state)  # the reference sees the same tampered tables
+            assert reports == entry_check_abelian_extension(h, pages, s), (lie.to_salamon(h), s, kind)
+            failed += sum(not report.ok for report in reports)
+    assert failed > 100, failed
 
 
 def test_check_top_degree_forms_reports_a_changed_column():
