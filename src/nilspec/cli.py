@@ -1,27 +1,20 @@
-"""Command-line front end.
+"""usage: nilspec compute [INPUT | --m0 N] [--pages all|limit|0,1,...] [--format text|json|csv|latex] [--batch]
+       nilspec catalog [--dim D] [--check] [--census D] [--format text|json]
+       nilspec check [INPUT | --m0 N] [--theorems] [--lemma] [--direct-sum S [--page R]...] [--format text|json]
 
-Subcommands:
-  compute   spectral pages of one algebra (or a batch), as text/json/csv/latex
-  catalog   list built-in algebras, run the golden checks, print the census
-  check     run the structural checkers on one algebra
-
-Exit codes are a contract: 0 success, 2 parse error, 3 validation error
-(well-formed input that is not a nilpotent Lie algebra, or one above
-MAX_DIM), 4 internal consistency failure.  An error's base class sets its
-code: ``lie.ParseError`` 2, any other ``lie.LieError`` 3,
-``InternalConsistencyError`` 4.  Commands raise, and ``main`` maps the error
-to one ``error:`` line and its code; only a batch line and a catalog entry
-are mapped where they fail, so that the run goes on.  The worst outcome
-wins.  A reader that closes the pipe early ends the run quietly.
+INPUT is a salamon string such as "(0,0,12)" or a file; --batch reads one string a line from INPUT,
+or from stdin for '-' or none.  An option may be shortened to a unique prefix and take its value
+as --opt=value; '--' ends the options.  Exit codes: 0 success, 2 parse error, 3 validation error,
+4 internal inconsistency; a failure prints one "error:" line.  README, "Command line", says more.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 from typing import Callable
 
 from . import catalog as catalog_mod
@@ -169,7 +162,7 @@ def _load_algebra(text: str) -> LieAlgebra:
     return parse_salamon(candidate)
 
 
-def _resolve_input(args: argparse.Namespace) -> LieAlgebra:
+def _resolve_input(args: SimpleNamespace) -> LieAlgebra:
     if args.m0 is not None:
         return m0(_within_cap(args.m0))
     if args.input is None:
@@ -188,7 +181,7 @@ def _fail(exc: Exception, prefix: str = "") -> int:
     return code
 
 
-def _print_table(algebra: LieAlgebra, args: argparse.Namespace) -> None:
+def _print_table(algebra: LieAlgebra, args: SimpleNamespace) -> None:
     table = table_for(algebra)
     if args.batch and args.format == "json":
         print(json.dumps(table_json(table, algebra, args.pages)))  # one line per algebra
@@ -196,7 +189,7 @@ def _print_table(algebra: LieAlgebra, args: argparse.Namespace) -> None:
         print(RENDERERS[args.format](table, algebra, args.pages))
 
 
-def cmd_compute(args: argparse.Namespace) -> int:
+def cmd_compute(args: SimpleNamespace) -> int:
     if not args.batch:
         _print_table(_resolve_input(args), args)
         return EXIT_OK
@@ -214,7 +207,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     return worst
 
 
-def cmd_catalog(args: argparse.Namespace) -> int:
+def cmd_catalog(args: SimpleNamespace) -> int:
     if args.census is not None:
         if args.check or args.dim is not None:
             raise ParseError("--census does not apply with --check or --dim")
@@ -262,7 +255,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     return worst
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: SimpleNamespace) -> int:
     if args.page and args.direct_sum is None:
         raise ParseError("--page applies only with --direct-sum")
     run_all = not (args.theorems or args.lemma or args.direct_sum is not None)
@@ -286,19 +279,31 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument reading
 # ---------------------------------------------------------------------------
+
+class UsageError(ParseError):
+    """A command line that ``COMMANDS`` does not accept."""
+
 
 def _at_least(low: int) -> Callable[[str], int]:
     def integer(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+            raise UsageError(f"expected an integer, got {text!r}") from None
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+            raise UsageError(f"must be at least {low}, got {value}")
         return value
     return integer
+
+
+def _one_of(*choices: str) -> Callable[[str], str]:
+    def choice(text: str) -> str:
+        if text not in choices:
+            raise UsageError(f"invalid choice: {text!r} (choose from {', '.join(choices)})")
+        return text
+    return choice
 
 
 def _page(text: str) -> int | None:
@@ -315,61 +320,93 @@ def _catalog_dim(text: str) -> int:
     dims = sorted({e.dim for e in catalog_mod.list_entries()})
     dim = _at_least(1)(text)
     if dim not in dims:
-        raise argparse.ArgumentTypeError(f"the catalog has dimensions {dims}, not {dim}")
+        raise UsageError(f"the catalog has dimensions {dims}, not {dim}")
     return dim
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by later ``main`` calls."""
-    parser = argparse.ArgumentParser(
-        prog="nilspec",
-        description="Spectral sequences of nilpotent Lie algebras, exactly.")
-    sub = parser.add_subparsers(dest="command", required=True)
+FLAG = "flag"
+HELP = ("-h", "--help")
+# command -> (function, takes an INPUT, {option: its reader, or FLAG}, defaults other than None and False);
+# --page collects a list, and every other option keeps its last value
+COMMANDS = {
+    "compute": (cmd_compute, True, {"--m0": _at_least(3), "--pages": _pages, "--format": _one_of(*RENDERERS),
+                                    "--batch": FLAG}, {"pages": "all", "format": "text"}),
+    "catalog": (cmd_catalog, False, {"--dim": _catalog_dim, "--check": FLAG, "--census": _catalog_dim,
+                                     "--format": _one_of("text", "json")}, {"format": "text"}),
+    "check": (cmd_check, True, {"--m0": _at_least(3), "--theorems": FLAG, "--lemma": FLAG, "--direct-sum": _at_least(1),
+                                "--page": _page, "--format": _one_of("text", "json")}, {"format": "text"}),
+}
 
-    p_compute = sub.add_parser("compute", help="compute and print page tables")
-    source = p_compute.add_mutually_exclusive_group()
-    source.add_argument("input", nargs="?", help="salamon string, or a file path")
-    source.add_argument("--m0", type=_at_least(3), metavar="N",
-                        help="use the filiform algebra of dimension N >= 3")
-    p_compute.add_argument("--pages", type=_pages, default="all",
-                           help="'all' (default: 0..r0), 'limit', or a comma list like 0,1,2")
-    p_compute.add_argument("--format", choices=RENDERERS, default="text")
-    p_compute.add_argument("--batch", action="store_true",
-                           help="treat input (or stdin with '-') as one salamon string per line")
-    p_compute.set_defaults(func=cmd_compute)
 
-    p_catalog = sub.add_parser("catalog", help="browse or verify the built-in catalog")
-    p_catalog.add_argument("--dim", type=_catalog_dim, default=None)
-    p_catalog.add_argument("--check", action="store_true",
-                           help="golden tables plus structural checkers over the selection")
-    p_catalog.add_argument("--census", type=_catalog_dim, metavar="DIM",
-                           help="print (classes, distinct limit tables) for a dimension")
-    p_catalog.add_argument("--format", choices=("text", "json"), default="text")
-    p_catalog.set_defaults(func=cmd_catalog)
+def _option(token: str, names: tuple[str, ...]) -> tuple[str, str | None] | None:
+    """(name, value after '=' or None) for a token naming one of ``names``, None for a positional token.
+    A long option may be shortened to a unique prefix."""
+    if token[:1] != "-" or token in ("-", "--"):
+        return None
+    name, eq, value = token.partition("=")
+    found = [n for n in names if n == name] or [n for n in names if token[1] == "-" and n.startswith(name)]
+    if len(found) > 1:
+        raise UsageError(f"ambiguous option {name!r} could match {', '.join(found)}")
+    if found:
+        return found[0], (value if eq else None)
+    if token[1] != "h" and (" " in token or re.match(r"^-\d+$|^-\d*\.\d+$", token)):
+        return None  # a negative number, or a token with a space; argparse read -hX as -h
+    raise UsageError(f"unrecognized argument {token!r}")
 
-    p_check = sub.add_parser("check", help="run structural checkers on one algebra")
-    source = p_check.add_mutually_exclusive_group()
-    source.add_argument("input", nargs="?", help="salamon string, or a file path")
-    source.add_argument("--m0", type=_at_least(3), metavar="N")
-    p_check.add_argument("--theorems", action="store_true",
-                         help="limit-edge identities (degrees 0, 1, m-1, m)")
-    p_check.add_argument("--lemma", action="store_true",
-                         help="top-degree closed/exact characterisation")
-    p_check.add_argument("--direct-sum", type=_at_least(1), metavar="S",
-                         help="direct-sum identities for R^S (+) this algebra")
-    p_check.add_argument("--page", type=_page, action="append",
-                         help="page for --direct-sum: an integer or 'limit' (repeatable)")
-    p_check.add_argument("--format", choices=("text", "json"), default="text")
-    p_check.set_defaults(func=cmd_check)
-    return parser
+
+def parse_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace a command reads, or None for -h or --help; UsageError for a command
+    line that COMMANDS does not accept.  Every token is read as argparse read it."""
+    command = argv[0] if argv else None
+    func, takes_input, options, defaults = COMMANDS.get(command) or (None, False, {}, {})
+    args = {"command": command, "func": func, **({"input": None} if takes_input else {}),
+            **{name[2:].replace("-", "_"): False if r is FLAG else None for name, r in options.items()}, **defaults}
+    names, inputs, after_input, tokens = (*options, *HELP), [], False, iter(argv[1:] if func else argv)
+    for token in tokens:
+        if token == "--":  # taken, as by argparse, only where the INPUT may still take it
+            if not takes_input or inputs and not after_input:
+                raise UsageError("unrecognized argument '--'")
+            inputs += tokens
+            break
+        found = _option(token, names)
+        if after_input := found is None:
+            inputs.append(token)
+            continue
+        name, value = found
+        reader = options.get(name, FLAG)
+        if reader is FLAG and value is not None:
+            raise UsageError(f"argument {name}: ignored explicit argument {value!r}")
+        if name in HELP:
+            return None
+        if reader is not FLAG and value is None:
+            value = next(tokens, "--")  # the end of the line reads as '--', which no option takes
+            if value == "--" or _option(value, names):
+                raise UsageError(f"argument {name}: expected one argument")
+        try:
+            value = True if reader is FLAG else reader(value)
+        except UsageError as exc:
+            raise UsageError(f"argument {name}: {exc}") from None
+        attr = name[2:].replace("-", "_")
+        args[attr] = [*(args[attr] or ()), value] if name == "--page" else value
+    if func is None:
+        raise UsageError(f"expected a command: {', '.join(COMMANDS)}")
+    if len(inputs) > takes_input:
+        raise UsageError(f"unrecognized argument {inputs[takes_input]!r}")
+    if inputs:
+        if args["m0"] is not None:
+            raise UsageError("argument --m0: not allowed with argument input")
+        args["input"] = inputs[0]
+    return SimpleNamespace(**args)
 
 
 def main(argv: list[str] | None = None) -> int:
     code = EXIT_OK
-    try:  # commands raise, and their errors are mapped here; parsing --dim and --census reads the catalog
-        args = build_parser().parse_args(argv)
-        code = args.func(args)
+    try:  # commands raise, and their errors are mapped here; reading --dim and --census reads the catalog
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            sys.stdout.write(__doc__ or "usage: nilspec compute|catalog|check ...\n")  # python -OO drops __doc__
+        else:
+            code = args.func(args)
         sys.stdout.flush()  # a reader that closed the pipe fails the flush here, not at exit
     except BrokenPipeError:  # the reader has gone: send what is left to devnull, say nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -42,21 +42,26 @@ their columns, so the tests take a map times a dense vector from ``apply``
 and compare maps by ``map_key``.  The package holds every vector as a
 sparse integer row {index: value}; the tests read dense tuples off sparse
 rows, or off a subspace's canonical rows, through ``dense``.
+
+Last, it keeps the argparse parser that ``cli.parse_args`` replaced
+(``build_parser``), with its own value readers, as the oracle for the
+command-line language.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import math
 import weakref
 from fractions import Fraction
 from math import comb
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from nilspec.exterior import (CochainComplex, Constants, KeyColumns, clear_denominators,
                               positional_columns)
 from nilspec.linalg import LinearMap, Subspace, contains, image, preimage, rank, span, subspace_sum
-from nilspec import lie, spectral
+from nilspec import catalog, cli, lie, spectral
 from nilspec.spectral import LIMIT, Grid, InternalConsistencyError, SpectralTable, require_poincare_duality
 
 
@@ -629,3 +634,82 @@ def entry_check_abelian_extension(h: lie.LieAlgebra, pages: Sequence[int | None]
                                     len(checks), tuple(violations))
 
     return [report(r) for r in pages]
+
+
+# ---------------------------------------------------------------------------
+# the argparse parser that cli.parse_args replaced
+# ---------------------------------------------------------------------------
+
+def _at_least(low: int) -> Callable[[str], int]:
+    def integer(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
+def _page(text: str) -> int | None:
+    """A page index: 'limit' (also 'inf', 'oo') or an integer >= 0."""
+    return LIMIT if text in ("limit", "inf", "oo") else _at_least(0)(text)
+
+
+def _pages(text: str) -> str | tuple[int, ...]:
+    """'all', 'limit', or a comma list of page indices >= 0 (sorted, deduplicated)."""
+    return text if text in ("all", "limit") else tuple(sorted({_at_least(0)(p) for p in text.split(",")}))
+
+
+def _catalog_dim(text: str) -> int:
+    dims = sorted({e.dim for e in catalog.list_entries()})
+    dim = _at_least(1)(text)
+    if dim not in dims:
+        raise argparse.ArgumentTypeError(f"the catalog has dimensions {dims}, not {dim}")
+    return dim
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of the ``nilspec`` command line before ``cli.parse_args``."""
+    parser = argparse.ArgumentParser(
+        prog="nilspec",
+        description="Spectral sequences of nilpotent Lie algebras, exactly.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_compute = sub.add_parser("compute", help="compute and print page tables")
+    source = p_compute.add_mutually_exclusive_group()
+    source.add_argument("input", nargs="?", help="salamon string, or a file path")
+    source.add_argument("--m0", type=_at_least(3), metavar="N",
+                        help="use the filiform algebra of dimension N >= 3")
+    p_compute.add_argument("--pages", type=_pages, default="all",
+                           help="'all' (default: 0..r0), 'limit', or a comma list like 0,1,2")
+    p_compute.add_argument("--format", choices=cli.RENDERERS, default="text")
+    p_compute.add_argument("--batch", action="store_true",
+                           help="treat input (or stdin with '-') as one salamon string per line")
+    p_compute.set_defaults(func=cli.cmd_compute)
+
+    p_catalog = sub.add_parser("catalog", help="browse or verify the built-in catalog")
+    p_catalog.add_argument("--dim", type=_catalog_dim, default=None)
+    p_catalog.add_argument("--check", action="store_true",
+                           help="golden tables plus structural checkers over the selection")
+    p_catalog.add_argument("--census", type=_catalog_dim, metavar="DIM",
+                           help="print (classes, distinct limit tables) for a dimension")
+    p_catalog.add_argument("--format", choices=("text", "json"), default="text")
+    p_catalog.set_defaults(func=cli.cmd_catalog)
+
+    p_check = sub.add_parser("check", help="run structural checkers on one algebra")
+    source = p_check.add_mutually_exclusive_group()
+    source.add_argument("input", nargs="?", help="salamon string, or a file path")
+    source.add_argument("--m0", type=_at_least(3), metavar="N")
+    p_check.add_argument("--theorems", action="store_true",
+                         help="limit-edge identities (degrees 0, 1, m-1, m)")
+    p_check.add_argument("--lemma", action="store_true",
+                         help="top-degree closed/exact characterisation")
+    p_check.add_argument("--direct-sum", type=_at_least(1), metavar="S",
+                         help="direct-sum identities for R^S (+) this algebra")
+    p_check.add_argument("--page", type=_page, action="append",
+                         help="page for --direct-sum: an integer or 'limit' (repeatable)")
+    p_check.add_argument("--format", choices=("text", "json"), default="text")
+    p_check.set_defaults(func=cli.cmd_check)
+    return parser

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from nilspec import catalog, cli, exterior, lie, spectral
-from nilspec.cli import build_parser, main
+from nilspec.cli import main
 from nilspec.linalg import Subspace
 
 
@@ -376,10 +376,7 @@ def test_bad_input_exits_2_with_one_error_line(argv, content, tables, tmp_path, 
 
     if content is not None:
         (tmp_path / "input.txt").write_text(fill(content))
-    try:
-        code = main([fill(arg) for arg in argv])
-    except SystemExit as exc:  # argparse rejects bad options itself
-        code = exc.code
+    code = main([fill(arg) for arg in argv])  # a bad command line too returns its code: SystemExit fails the test
     captured = capsys.readouterr()
     assert code == 2
     assert sum("error:" in line for line in captured.err.splitlines()) == 1, captured.err
@@ -678,8 +675,7 @@ def test_check_json_format(capsys):
 
 
 def test_repeated_main_calls_match_fresh_processes(capsys):
-    # main reuses one parser: no option value may carry over between calls
-    assert build_parser() is build_parser()
+    # no option value, such as the list --page collects, may carry over between calls
     calls = [["check", "(0,0,12)", "--direct-sum", "1", "--page", "0", "--page", "1"],
              ["check", "(0,0,12)", "--direct-sum", "1", "--page", "limit"],
              ["catalog", "--check"]]
@@ -695,18 +691,21 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
 
 def test_start_up_imports_no_introspection_modules():
     # dataclasses imports inspect, and so does importlib.resources on Python
-    # 3.12+; together they took longer than the package itself.  site may
-    # preload some of them, so only new imports count
-    script = ("import sys\n"
-              "before = set(sys.modules)\n"
-              "import nilspec.cli\n"
-              "from nilspec import catalog\n"
-              "catalog.list_entries()\n"
-              "print(' '.join(sorted(set(sys.modules) - before)))\n")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
-    loaded = set(proc.stdout.split())
-    assert "nilspec.catalog" in loaded
-    assert not loaded & {"dataclasses", "inspect", "importlib.resources"}, sorted(loaded)
+    # 3.12+; together they took longer than the package itself.  argparse,
+    # with the gettext and locale its first message imports, took longer than
+    # the table of a small algebra.  site may preload some of them, so only
+    # new imports count
+    for call in ("catalog.list_entries()", "cli.main(['catalog', '--check'])", "cli.main(['compute', '(0,0,12)'])"):
+        script = ("import sys\n"
+                  "before = set(sys.modules)\n"
+                  "from nilspec import catalog, cli\n"
+                  f"{call}\n"
+                  "print(' '.join(sorted(set(sys.modules) - before)))\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+        loaded = set(proc.stdout.splitlines()[-1].split())
+        assert "nilspec.catalog" in loaded
+        assert not loaded & {"dataclasses", "inspect", "importlib.resources", "argparse", "gettext", "locale"}, \
+            (call, sorted(loaded))
 
 
 def test_integral_input_imports_neither_fractions_nor_decimal():

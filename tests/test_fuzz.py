@@ -68,8 +68,8 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse rejects an input that looks like an option
-            code = exc.code
+        except SystemExit as exc:  # an input that looks like an option is a parse error, returned as any other
+            raise AssertionError(f"main raised SystemExit({exc.code}) for {argv}") from exc
     return code, out.getvalue(), err.getvalue()
 
 
