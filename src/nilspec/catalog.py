@@ -139,11 +139,15 @@ def golden_check(entry: CatalogEntry, table: SpectralTable) -> tuple[CheckReport
 
     Returns the ``golden-tables`` report, which counts one check per stored
     cell (the printed limit page L among them) and one for r0 <= L, and a
-    note for each suspect cell the engine contradicts.
+    note for each suspect cell the engine contradicts.  Each page is compared
+    whole with the engine's grid; only a page that differs has its cells walked.
     """
     violations, suspects, checks = [], [], 1
     for r, stored in sorted(entry.golden_pages.items()):
         computed = table.grid(r)
+        checks += len(stored) * len(stored[0])
+        if computed == stored:
+            continue
         if len(computed) != len(stored) or len(computed[0]) != len(stored[0]):
             raise CatalogFormatError(
                 f"{entry.id}: stored page {r} has shape "
@@ -154,7 +158,6 @@ def golden_check(entry: CatalogEntry, table: SpectralTable) -> tuple[CheckReport
                     suspects.append(f"suspect cell page {r} [{row}][{col}]: printed {x}, engine {y}")
                 elif x != y:
                     violations.append(f"MISMATCH page {r} [{row}][{col}]: stored {x}, engine {y}")
-        checks += len(stored) * len(stored[0])
     if table.r0 > entry.golden_limit_page:
         violations.append(f"r0 = {table.r0} is above the printed limit page {entry.golden_limit_page}")
     return CheckReport("golden-tables", checks, tuple(violations)), tuple(suspects)

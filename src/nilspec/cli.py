@@ -215,7 +215,7 @@ def cmd_catalog(args: SimpleNamespace) -> int:
         if args.format == "json":
             print(json.dumps({"dim": args.census, "classes": classes, "distinct_tables": distinct}))
         else:
-            print(f"{classes} classes, {distinct} distinct tables")
+            print(f"{classes} class{'es' * (classes != 1)}, {distinct} distinct table{'s' * (distinct != 1)}")
         return EXIT_OK
     entries = catalog_mod.list_entries(args.dim)
     if not args.check:

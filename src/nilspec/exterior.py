@@ -134,7 +134,9 @@ def compose_is_zero(outer: KeyColumns, inner: KeyColumns) -> bool:
 
 
 def clear_denominators(constants: Mapping[tuple[int, int, int], Fraction | int]) -> dict[tuple[int, int, int], int]:
-    """The constants times the lcm of their denominators."""
+    """The constants times the lcm of their denominators in a new dict, a plain copy if all are ints."""
+    if set(map(type, constants.values())) <= {int}:
+        return dict(constants)
     scale = math.lcm(*(c.denominator for c in constants.values()))
     return {key: c.numerator * (scale // c.denominator) for key, c in constants.items()}
 
@@ -166,36 +168,38 @@ class CochainComplex:
                      differential)
 
     Cochains are sparse integer rows over the basis forms of the adapted basis.
+    It stores the adapted_constants dict it is given, not a copy, so a caller passes a dict of its own.
     """
 
     def __init__(self, m: int, k: int, v_dims: Sequence[int], adapted_basis_change: tuple[SparseRow, ...],
-                 adapted_constants: Constants):
+                 adapted_constants: dict[tuple[int, int, int], int]):
         self.m = m
         self.k = k
         self.v_dims = tuple(v_dims)
         self.adapted_basis_change = adapted_basis_change
-        self.adapted_constants = dict(adapted_constants)
+        self.adapted_constants = adapted_constants
         self.levels = tuple(i for i, (lo, hi) in enumerate(zip((0, *v_dims), v_dims)) for _ in range(hi - lo))
-        self.columns = form_columns(m, self.adapted_constants, self.levels)
+        self.columns = form_columns(m, adapted_constants, self.levels)
 
 
 def build_complex(a: "LieAlgebra", f: "Filtration") -> CochainComplex:
     """Adapted basis change + differentials for a validated nilpotent algebra."""
     m, k = a.m, f.k
-    v_dims = [s.dim for s in f.spaces]
+    v_dims = tuple(len(s.rows) for s in f.spaces)
     # RREF pivots of nested subspaces are nested, so the canonical rows of
     # V_i at pivots new to V_i extend a basis of V_(i-1) to one of V_i
-    adapted_rows: list[SparseRow] = []
+    new: list[tuple[int, SparseRow]] = []  # (pivot, row) of each adapted covector
     for prev, space in zip(f.spaces, f.spaces[1:]):
         old = set(prev.pivots)
-        adapted_rows += [row for row, p in zip(space.rows, space.pivots) if p not in old]
-        if len(adapted_rows) != space.dim:
+        new += [(p, row) for row, p in zip(space.rows, space.pivots) if p not in old]
+        if len(new) != len(space.rows):
             raise InternalConsistencyError("filtration basis extension failed")
+    order, adapted_rows = zip(*new)
 
     constants = clear_denominators(a.c)
-    if any(row != {j: 1} for j, row in enumerate(adapted_rows)):
+    if order != tuple(range(m)) or any(len(row) != 1 for row in adapted_rows):  # not the unit covectors in order
         constants = transform_constants(constants, adapted_rows)
-    c = CochainComplex(m, k, v_dims, tuple(adapted_rows), constants)
+    c = CochainComplex(m, k, v_dims, adapted_rows, constants)
     for q in range(m):
         if not compose_is_zero(c.columns[q + 1], c.columns[q]):
             raise InternalConsistencyError(f"d_{q + 1} . d_{q} != 0 after basis adaptation")

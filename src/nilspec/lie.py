@@ -138,7 +138,7 @@ class LieAlgebra:
         cleaned: Constants = {}
         digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
         for (i, j, k), value in constants.items():
-            coeff = rat(value)
+            coeff = value if type(value) is int else rat(value)  # a bool is not an int here: rat refuses it
             if not coeff:
                 continue
             if not (1 <= i <= m and 1 <= j <= m and 1 <= k <= m):
@@ -149,10 +149,10 @@ class LieAlgebra:
                 i, j, coeff = j, i, -coeff
             key = (i, j, k)
             total = cleaned[key] + coeff if key in cleaned else coeff
-            if total.denominator == 1:  # a sum of Fractions may be integral
+            if type(total) is not int and total.denominator == 1:  # a sum of Fractions may be integral
                 total = total.numerator
-            big = max(abs(total.numerator), total.denominator)  # str() refuses it past `digits` digits
-            if digits and big.bit_length() > 3 * digits and big >= 10 ** digits:
+            big = abs(total) if type(total) is int else max(abs(total.numerator), total.denominator)
+            if digits and big.bit_length() > 3 * digits and big >= 10 ** digits:  # str() refuses more digits
                 raise CoefficientSizeError(f"coefficient of c[{i},{j}]^{k} has more than {digits} digits")
             if total:
                 cleaned[key] = total
@@ -255,7 +255,10 @@ def _annihilates(v: Subspace, n: Subspace) -> bool:
 
 def _space(x: int | Subspace, m: int) -> Subspace:
     """A level as a Subspace, a mask as the span of the unit vectors at its set bits."""
-    return x if type(x) is not int else Subspace.coordinate([p for p in range(m) if x >> p & 1], m)
+    if type(x) is not int:
+        return x
+    pivots = [p for p in range(m) if x >> p & 1]
+    return Subspace(m, tuple([{p: 1} for p in pivots]), tuple(pivots))
 
 
 def _levels(m: int, constants: exterior.Constants) -> Iterator[tuple[int | Subspace, int | Subspace]]:
@@ -300,14 +303,15 @@ def validate_algebra(a: LieAlgebra) -> Filtration:
     for i, (v, n) in enumerate(_levels(m, constants), start=1):
         on_masks = type(v) is int
         spaces.append(_space(v, m))
-        dims.append(n.bit_count() if on_masks else n.dim)
-        if spaces[i].dim == spaces[i - 1].dim:
+        dim, series_dim = (v.bit_count(), n.bit_count()) if on_masks else (v.dim, n.dim)
+        dims.append(series_dim)
+        if dim == len(spaces[i - 1].rows):
             raise NotNilpotentError("algebra is not nilpotent")
-        if spaces[i].dim + dims[i] != m:
+        if dim + series_dim != m:
             raise exterior.InternalConsistencyError("dual filtration disagrees with the primal descending series")
         if v & n if on_masks else not _annihilates(spaces[i], n):
             raise exterior.InternalConsistencyError(f"V_{i} does not annihilate the primal ideal n^{i}")
-        if spaces[i].dim == m:
+        if dim == m:
             return Filtration(i, tuple(spaces), tuple(dims))
 
 

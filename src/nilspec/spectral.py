@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 
 from .exterior import CochainComplex, InternalConsistencyError, build_complex, divisibility_subspace
 from .lie import LieAlgebra, abelian, descending_series, direct_sum
-from .linalg import _span
+from .linalg import _eliminate
 # the benchmark's tracer (bench/tracing.py) wraps these names here; nothing else reads them
 from .linalg import contains, image, preimage, subspace_sum  # noqa: F401
 
@@ -132,27 +132,26 @@ def require_poincare_duality(betti: Sequence[int]) -> None:
 def full_table(c: CochainComplex) -> SpectralTable:
     """Pages 0..r0, the limit grid, Betti numbers and r0 <= k from the
     persistence pairing: E_0 by level rows, C(dim V_i, n) - C(dim V_(i-1), n)
-    n-forms at level i; the bars of every degree counted in one dict by (gap,
-    n, source level), dim E_(r+1) = dim E_r less the counts of gap r at both
-    ends, and r0 = 1 + the largest gap.  Later pages equal the limit and are not computed."""
+    n-forms at level i; each bar put once in the bucket of its gap, dim
+    E_(r+1) = dim E_r less the bars of gap r at both ends, and r0 = 1 + the
+    largest gap.  Later pages equal the limit and are not computed."""
     k, m = c.k, c.m
     # cells[level - 1][n]: the n-forms at that level alive on the current page,
     # rows running from p = k-1 down to p = 0 as in a grid
     cells = [[math.comb(hi, n) - math.comb(lo, n) for n in range(m + 1)] for lo, hi in zip(c.v_dims, c.v_dims[1:])]
     cells[0][0] = 1  # the constants
-    bars: dict[tuple[int, int, int], int] = {}  # (gap, n, x): the bars of d_n from level x to level x - gap
+    gaps: list[list[tuple[int, int]]] = [[] for _ in range(k)]  # gaps[g]: (n, x) per bar of d_n, level x to x - g
     for n in range(m):
         for x, y in _bars(c, n):
-            if not 0 <= x - y < k:  # a gap of k or more would leave no degeneration by page k
+            if not 0 <= (gap := x - y) < k:  # a gap of k or more would leave no degeneration by page k
                 raise InternalConsistencyError(f"bar of d_{n} from level {x} to level {y}: gap outside 0..{k - 1}")
-            bars[x - y, n, x] = bars.get((x - y, n, x), 0) + 1
-    r0 = max((gap + 1 for gap, _, _ in bars), default=0)
+            gaps[gap].append((n, x))
+    r0 = max((gap + 1 for gap, bucket in enumerate(gaps) if bucket), default=0)
     pages = {0: tuple(map(tuple, cells))}
     for r in range(r0):
-        for (gap, n, x), count in bars.items():
-            if gap == r:
-                cells[x - 1][n] -= count
-                cells[x - gap - 1][n + 1] -= count
+        for n, x in gaps[r]:
+            cells[x - 1][n] -= 1
+            cells[x - r - 1][n + 1] -= 1
         pages[r + 1] = tuple(map(tuple, cells))
     betti = tuple(map(sum, zip(*pages[r0])))
     require_poincare_duality(betti)
@@ -193,16 +192,20 @@ def check_limit_edges(t: SpectralTable, c: CochainComplex) -> CheckReport:
 def check_top_degree_forms(c: CochainComplex) -> CheckReport:
     """Top-degree forms: d vanishes on (m-1)-forms and the exact ones are
     exactly the multiples of the wedge of a closed-1-form basis.  For m = 1
-    there are no (m-2)-forms, so the exact 0-forms are the zero subspace."""
+    there are no (m-2)-forms, so the exact 0-forms are the zero subspace.
+    ``divisibility_subspace(c)`` is spanned by unit vectors, so the exact forms
+    equal it iff the columns of d_(m-2) lie on its pivots and have its dim as rank."""
     violations = []
     if c.columns[c.m - 1]:
         violations.append("d is nonzero on (m-1)-forms")
     full = (1 << c.m) - 1  # the (m-1)-form without index i: position m - i, the one low set bit of its key
     below = c.columns[c.m - 2].values() if c.m >= 2 else ()
-    exact = _span([{(key & full).bit_length() - 1: v for key, v in col.items()} for col in below], c.m)
+    exact = [{(key & full).bit_length() - 1: v for key, v in col.items()} for col in below]
     divisible = divisibility_subspace(c)
-    if exact != divisible:
-        violations.append(f"exact (m-1)-forms have dim {exact.dim}, divisible subspace dim {divisible.dim}")
+    inside = set().union(*exact) <= set(divisible.pivots)  # read before _eliminate takes the rows over
+    rank = len(_eliminate(exact, reduced=False))
+    if not inside or rank != divisible.dim:
+        violations.append(f"exact (m-1)-forms have dim {rank}, divisible subspace dim {divisible.dim}")
     return CheckReport("top-degree-forms", 2, tuple(violations))
 
 

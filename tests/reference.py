@@ -34,6 +34,10 @@ otherwise eliminated, V_i by the textbook kernel and n^i by ``span``
 (``level_loop_filtration``, or with every level eliminated), and the two
 checkers that read every cell through ``SpectralTable.entry`` and format
 every message (``entry_check_limit_edges``, ``entry_check_abelian_extension``).
+It keeps the golden comparison that walks every cell of every stored page
+(``cell_walk_golden_check``) and the top-degree check that compares the
+canonical rows of the exact (m-1)-forms with the divisible subspace
+(``span_check_top_degree_forms``).
 Two independent cross-checks complete it: the differential by pointwise
 evaluation of the alternating-sum formula on tuples of primal basis vectors
 (``pointwise_differential``, for small dimensions), and the page-0 entries
@@ -58,9 +62,9 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from nilspec.exterior import (CochainComplex, Constants, KeyColumns, clear_denominators,
+from nilspec.exterior import (CochainComplex, Constants, KeyColumns, clear_denominators, divisibility_subspace,
                               positional_columns)
-from nilspec.linalg import LinearMap, Subspace, contains, image, preimage, rank, span, subspace_sum
+from nilspec.linalg import LinearMap, Subspace, _span, contains, image, preimage, rank, span, subspace_sum
 from nilspec import catalog, cli, lie, spectral
 from nilspec.spectral import LIMIT, Grid, InternalConsistencyError, SpectralTable, require_poincare_duality
 
@@ -634,6 +638,44 @@ def entry_check_abelian_extension(h: lie.LieAlgebra, pages: Sequence[int | None]
                                     len(checks), tuple(violations))
 
     return [report(r) for r in pages]
+
+
+def cell_walk_golden_check(entry: catalog.CatalogEntry, table: SpectralTable
+                           ) -> tuple[spectral.CheckReport, tuple[str, ...]]:
+    """``catalog.golden_check`` by a walk over every cell of every stored page,
+    equal pages included."""
+    violations, suspects, checks = [], [], 1
+    for r, stored in sorted(entry.golden_pages.items()):
+        computed = table.grid(r)
+        if len(computed) != len(stored) or len(computed[0]) != len(stored[0]):
+            raise catalog.CatalogFormatError(
+                f"{entry.id}: stored page {r} has shape "
+                f"{len(stored)}x{len(stored[0])}, engine {len(computed)}x{len(computed[0])}")
+        for row, (printed, engine) in enumerate(zip(stored, computed)):
+            for col, (x, y) in enumerate(zip(printed, engine)):
+                if x != y and (r, row, col) in entry.suspect_cells:
+                    suspects.append(f"suspect cell page {r} [{row}][{col}]: printed {x}, engine {y}")
+                elif x != y:
+                    violations.append(f"MISMATCH page {r} [{row}][{col}]: stored {x}, engine {y}")
+        checks += len(stored) * len(stored[0])
+    if table.r0 > entry.golden_limit_page:
+        violations.append(f"r0 = {table.r0} is above the printed limit page {entry.golden_limit_page}")
+    return spectral.CheckReport("golden-tables", checks, tuple(violations)), tuple(suspects)
+
+
+def span_check_top_degree_forms(c: CochainComplex) -> spectral.CheckReport:
+    """``spectral.check_top_degree_forms`` by the canonical rows of the exact
+    (m-1)-forms, compared as a ``Subspace`` with ``divisibility_subspace``."""
+    violations = []
+    if c.columns[c.m - 1]:
+        violations.append("d is nonzero on (m-1)-forms")
+    full = (1 << c.m) - 1  # the (m-1)-form without index i: position m - i, the one low set bit of its key
+    below = c.columns[c.m - 2].values() if c.m >= 2 else ()
+    exact = _span([{(key & full).bit_length() - 1: v for key, v in col.items()} for col in below], c.m)
+    divisible = divisibility_subspace(c)
+    if exact != divisible:
+        violations.append(f"exact (m-1)-forms have dim {exact.dim}, divisible subspace dim {divisible.dim}")
+    return spectral.CheckReport("top-degree-forms", 2, tuple(violations))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from nilspec import catalog, cli, lie, spectral
 from nilspec.catalog import distinct_table_census, get_entry, golden_check
+from reference import cell_walk_golden_check
 
 
 def test_entry_counts_by_dimension(catalog_entries):
@@ -57,6 +58,47 @@ def test_golden_check_all_entries(catalog_tables, capsys):
     assert cli.main(["catalog", "--check", "--format", "json"]) == 0
     reports = json.loads(capsys.readouterr().out)
     assert {r["id"]: r["notes"] for r in reports if r["notes"]} == SUSPECT_NOTES
+
+
+def _with_grids(table, grids, r0=None):
+    """``table`` whose page r reads grids[r] (lists of rows) for each r given, and optionally another r0."""
+    pages = {**table.pages, **{r: tuple(map(tuple, grid)) for r, grid in grids.items()}}
+    return table._replace(pages=pages, r0=table.r0 if r0 is None else r0)
+
+
+def test_golden_check_equals_the_cell_walk(catalog_tables, rng_factory):
+    """The whole-page comparison gives the report, the suspect notes and the
+    check count of a walk over every cell: on every entry's table, with one
+    cell per stored page raised by 1 (at random cells and at each suspect
+    cell), with each suspect cell set to its printed value, with r0 above the
+    printed limit page, and it raises the same error on a page of another shape."""
+    rng = rng_factory(0x60D)
+    failed = noted = 0
+    for e, _, _, table in catalog_tables.values():
+        grid = {r: [list(row) for row in table.grid(r)] for r in e.golden_pages}
+        tables = [table, table._replace(r0=e.golden_limit_page + 1)]
+        for _ in range(3):
+            raised = {r: [list(row) for row in g] for r, g in grid.items()}
+            for g in raised.values():
+                g[rng.randrange(len(g))][rng.randrange(len(g[0]))] += 1
+            tables.append(_with_grids(table, raised))
+        for r, row, col in sorted(e.suspect_cells):
+            raised, printed = [list(x) for x in grid[r]], [list(x) for x in grid[r]]
+            raised[row][col] += 1
+            printed[row][col] = e.golden_pages[r][row][col]
+            tables += [_with_grids(table, {r: raised}), _with_grids(table, {r: printed})]
+        for t in tables:
+            report, suspects = got = golden_check(e, t)
+            assert got == cell_walk_golden_check(e, t), e.id
+            failed += not report.ok
+            noted += bool(suspects)
+        wide = _with_grids(table, {r: [row + [0] for row in g] for r, g in grid.items()})
+        with pytest.raises(catalog.CatalogFormatError) as engine:
+            golden_check(e, wide)
+        with pytest.raises(catalog.CatalogFormatError) as walk:
+            cell_walk_golden_check(e, wide)
+        assert str(engine.value) == str(walk.value), e.id
+    assert failed >= 44 * 4 and noted >= 20, (failed, noted)
 
 
 def test_r0_never_exceeds_printed_marker(catalog_tables):

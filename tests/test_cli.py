@@ -521,12 +521,15 @@ def test_catalog_listing_as_json(capsys):
 
 
 def test_catalog_census(capsys):
-    code, out, _ = run(capsys, "catalog", "--census", "6")
-    assert code == 0
-    assert "33 classes, 15 distinct tables" in out
-    code, out, _ = run(capsys, "catalog", "--census", "6", "--format", "json")
-    assert code == 0
-    assert json.loads(out) == {"dim": 6, "classes": 33, "distinct_tables": 15}
+    # a count of 1 is in the singular; the JSON form keeps its keys
+    for dim, text, classes, distinct in [(3, "1 class, 1 distinct table", 1, 1),
+                                         (4, "2 classes, 2 distinct tables", 2, 2),
+                                         (5, "8 classes, 6 distinct tables", 8, 6),
+                                         (6, "33 classes, 15 distinct tables", 33, 15)]:
+        assert run(capsys, "catalog", "--census", str(dim)) == (0, text + "\n", ""), dim
+        code, out, _ = run(capsys, "catalog", "--census", str(dim), "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"dim": dim, "classes": classes, "distinct_tables": distinct}
 
 
 def test_catalog_check_dim5(capsys):

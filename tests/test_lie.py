@@ -1,8 +1,10 @@
 """Structure constants, notation parsing, validation, series and sums."""
 
+import enum
 import functools
 import json
 import random
+import sys
 from collections import Counter, defaultdict
 from fractions import Fraction
 from math import comb
@@ -220,6 +222,29 @@ def test_integral_sums_are_ints_and_other_constants_fractions():
         '{"dim": 5, "brackets": [{"i": 1, "j": 2, "k": 3, "c": "2"}, {"i": 1, "j": 2, "k": 5, "c": "2"}, '
         '{"i": 1, "j": 3, "k": 4, "c": "1"}, {"i": 2, "j": 3, "k": 4, "c": "-1/2"}]}')
     assert lie.rat("4/2") == 2 and type(lie.rat("4/2")) is int and type(lie.rat(Fraction(6, 3))) is int
+
+
+def test_constant_types_given_to_the_constructor():
+    """An int is stored as given; an IntEnum member and an integral Fraction
+    are stored as ints, so the algebra equals and hashes like the int one; a
+    bool raises TypeError, and an int with more digits than the interpreter
+    prints raises CoefficientSizeError."""
+    class Two(enum.IntEnum):
+        TWO = 2
+
+    plain = LieAlgebra(3, {(1, 2, 3): 2})
+    for value in (2, Two.TWO, Fraction(4, 2), Fraction(2)):
+        a = LieAlgebra(3, {(2, 1, 3): -value})  # the reversed pair flips the sign of each type alike
+        assert a.c == {(1, 2, 3): 2} and type(a.c[1, 2, 3]) is int, value
+        assert a == plain and hash(a) == hash(plain), value
+    for value in (True, False):
+        with pytest.raises(TypeError, match=f"cannot interpret {value} as a rational number"):
+            LieAlgebra(3, {(1, 2, 3): value})
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits:
+        with pytest.raises(lie.CoefficientSizeError, match=f"more than {digits} digits"):
+            LieAlgebra(3, {(1, 2, 3): 10 ** digits})
+        assert LieAlgebra(3, {(1, 2, 3): 10 ** digits - 1}).c == {(1, 2, 3): 10 ** digits - 1}
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ from nilspec.spectral import (
     table_for,
 )
 from reference import (a_space, betti_numbers, ends_cube_table, entry_check_abelian_extension, entry_check_limit_edges,
-                       lambda_subspace, page0_closed_form, page_entry, page_grid, positional_d)
+                       lambda_subspace, page0_closed_form, page_entry, page_grid, positional_d,
+                       span_check_top_degree_forms)
 
 
 def _c(text):
@@ -676,6 +677,47 @@ def test_check_top_degree_forms_reports_a_changed_column():
     rep = check_top_degree_forms(c)
     assert (rep.checks, rep.violations) == (2, ("d is nonzero on (m-1)-forms",
                                                 "exact (m-1)-forms have dim 2, divisible subspace dim 3"))
+
+
+def _with_top_columns(c, columns):
+    """A shallow copy of ``c`` whose d_(m-2) has the given key columns."""
+    mutant = copy.copy(c)
+    mutant.columns = [*c.columns[:c.m - 2], columns, *c.columns[c.m - 1:]]
+    return mutant
+
+
+def test_top_degree_check_equals_the_span_comparison(catalog_tables, random_algebras_dim7, rng_factory):
+    """The rank and support test gives the report of comparing the canonical
+    rows of the exact (m-1)-forms with ``divisibility_subspace``: on the
+    catalog, m0(3..12), (0), (0,0), sheared copies and seeded random algebras,
+    and on two mutants of each, one entry of d_(m-2) moved to an (m-1)-form
+    outside the divisible support and one column of d_(m-2) dropped."""
+    rng = rng_factory(0x70D)
+    catalog_algebras = [a for _, a, _, _ in catalog_tables.values()]
+    algebras = catalog_algebras + [lie.m0(m) for m in range(3, 13)] + [lie.parse_salamon(s) for s in ("(0)", "(0,0)")]
+    algebras += [sheared(a, rng) for a in [*catalog_algebras, *(lie.m0(m) for m in range(3, 10))]]
+    algebras += random_algebras_dim7
+    failed = 0
+    for a in algebras:
+        c = _fresh_complex(a)
+        complexes = [c]
+        cols = c.columns[c.m - 2] if c.m >= 2 else {}
+        if cols:
+            src = rng.choice(sorted(cols))
+            moved = dict(cols[src])
+            key = rng.choice(sorted(moved))
+            outside = key >> c.m << c.m | 1 << rng.randrange(c.m - c.v_dims[1], c.m)
+            if total := moved.pop(key) + moved.get(outside, 0):
+                moved[outside] = total
+            else:
+                del moved[outside]
+            complexes += [_with_top_columns(c, {**cols, src: moved}),
+                          _with_top_columns(c, {s: col for s, col in cols.items() if s != src})]
+        for x in complexes:
+            report = check_top_degree_forms(x)
+            assert report == span_check_top_degree_forms(x), lie.to_salamon(a)
+            failed += not report.ok
+    assert failed > len(algebras), failed
 
 
 def test_example_3_5_limit_values():
