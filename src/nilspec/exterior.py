@@ -50,7 +50,7 @@ from .linalg import rank  # noqa: F401
 if TYPE_CHECKING:  # pragma: no cover
     from fractions import Fraction
 
-    from .lie import Filtration, LieAlgebra
+    from .lie import LieAlgebra
 
 Constants = Mapping[tuple[int, int, int], int]
 KeyColumns = dict[int, dict[int, int]]
@@ -182,8 +182,10 @@ class CochainComplex:
         self.columns = form_columns(m, adapted_constants, self.levels)
 
 
-def build_complex(a: "LieAlgebra", f: "Filtration") -> CochainComplex:
-    """Adapted basis change + differentials for a validated nilpotent algebra."""
+def build_complex(a: "LieAlgebra") -> CochainComplex:
+    """Adapted basis change + differentials for a validated nilpotent algebra,
+    from the filtration it was validated with."""
+    f = a.filtration
     m, k = a.m, f.k
     v_dims = tuple(len(s.rows) for s in f.spaces)
     # RREF pivots of nested subspaces are nested, so the canonical rows of

@@ -1,44 +1,32 @@
 """Exact linear algebra over the rationals, carried out on integers.
 
-Filtrations, cochain complexes and the closed-form page quotients reduce to
-spans, sums, images and preimages of subspaces of Q^n.  Every row is a sparse
-integer row {column: nonzero value}, and so is every column: the package
-stores and returns no other vector format.  A subspace is stored as its
+Filtrations, cochain complexes and the top-degree check reduce to spans and
+null spaces of subspaces of Q^n.  Every vector stored or returned is a
+sparse integer row {column: nonzero value}.  A subspace is stored as its
 canonical rows: the reduced row-echelon rows, each scaled to a primitive
 integer vector (content 1) with a positive pivot.  That form is unique, so
-two subspaces are equal as sets iff their rows are equal.
+two subspaces are equal as sets iff their rows are equal.  A nonzero scalar
+changes no span or null space, so callers clear denominators once.
 
-Two input edges take other formats: ``span`` takes dense integer rows, and
-the ``LinearMap`` constructor takes each column as (row, value) pairs.  A
-``LinearMap`` is a shape and sparse integer columns, which ``image``,
-``preimage`` and ``rank`` take (``null_space`` takes the columns).  A nonzero
-scalar changes none of them, so callers clear denominators once.
-
-Every rank, span, null space and preimage goes through one fraction-free
+Every span, rank, null space and preimage goes through one fraction-free
 elimination on sparse integer rows, ``_eliminate``, leading at the least
 column and reduced to canonical rows unless only the rank counts; null
 vectors are read off marker rows, as an inverse is read off [P | I].
-``contains`` clears with the same step, ``_clear``: v lies in s iff
-``contains(s, span([v], n))``.
+
+The subspace calculus (``LinearMap``, ``span``, ``subspace_sum``,
+``contains``, ``image``, ``preimage``, ``rank``) is the paper's A-space
+quotient, which no command runs: the reference engine in
+``tests/reference.py`` calls it, and the benchmark's tracer
+(``bench/tracing.py``) wraps ``span`` here and the other names where
+``spectral`` and ``exterior`` import them.  It takes two other input
+formats, dense integer rows in ``span`` and (row, value) pairs per column in
+the ``LinearMap`` constructor, and checks no shapes or entry types.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Hashable, Iterable, Mapping, Sequence
-
-
-class DimensionMismatchError(ValueError):
-    """Operands live in different ambient spaces or have incompatible shapes."""
-
-
-def _integer_row(vector: Sequence[int], ambient_dim: int) -> SparseRow:
-    """A dense integer row, checked for length and entry type, as a sparse row."""
-    if len(vector) != ambient_dim:
-        raise DimensionMismatchError("vector length differs from ambient dimension")
-    if not set(map(type, vector)) <= {int}:
-        raise TypeError("coordinate rows must hold ints")
-    return {j: v for j, v in enumerate(vector) if v}
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +136,7 @@ class LinearMap:
             merged: SparseRow = {}
             for i, v in entries:
                 merged[i] = merged.get(i, 0) + v
-            col = {i: v for i, v in merged.items() if v}
-            if not (0 <= j < cols and all(0 <= i < rows for i in col)):
-                raise DimensionMismatchError(f"entry outside the {rows}x{cols} shape")
-            if col:
+            if col := {i: v for i, v in merged.items() if v}:
                 self.columns[j] = col
 
 
@@ -212,29 +197,18 @@ class Subspace:
 
 
 def span(vectors: Iterable[Sequence[int]], ambient_dim: int) -> Subspace:
-    """Canonical subspace spanned by the given integer coordinate rows."""
-    return _span([_integer_row(v, ambient_dim) for v in vectors], ambient_dim)
+    """Canonical subspace spanned by dense integer rows of length ambient_dim."""
+    return _span([{j: v for j, v in enumerate(vector) if v} for vector in vectors], ambient_dim)
 
 
 def _span(rows: Iterable[SparseRow], ambient_dim: int) -> Subspace:
-    """``span`` of sparse integer rows of Q^ambient_dim, unchecked and taken over."""
+    """The canonical subspace spanned by sparse integer rows of Q^ambient_dim, taken over."""
     kept = _eliminate(rows)
     pivots = tuple(sorted(kept))
     return Subspace(ambient_dim, tuple(map(kept.get, pivots)), pivots)
 
 
-def _check_same_ambient(a: Subspace, b: Subspace) -> None:
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionMismatchError(f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}")
-
-
-def _check_domain(m: LinearMap, domain: Subspace) -> None:
-    if m.cols != domain.ambient_dim:
-        raise DimensionMismatchError(f"map with {m.cols} columns applied to ambient {domain.ambient_dim}")
-
-
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    _check_same_ambient(a, b)
     if b.dim == 0:
         return a
     if a.dim == 0:
@@ -244,7 +218,6 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 def contains(a: Subspace, b: Subspace) -> bool:
     """True iff b is a subset of a."""
-    _check_same_ambient(a, b)
     if b.dim > a.dim:
         return False
     return all(a._holds(dict(row)) for row in b.rows)
@@ -252,7 +225,6 @@ def contains(a: Subspace, b: Subspace) -> bool:
 
 def image(m: LinearMap, domain: Subspace) -> Subspace:
     """Span of ``m`` applied to a basis of ``domain``; lives in Q^(m.rows)."""
-    _check_domain(m, domain)
     return _span([_apply(m.columns, row) for row in domain.rows], m.rows)
 
 
@@ -260,9 +232,6 @@ def preimage(m: LinearMap, target: Subspace, domain: Subspace) -> Subspace:
     """Largest subspace {x in domain : m x in target}, canonical: each m b_i,
     b_i a canonical row of the domain, is marked with b_i and the target rows
     are unmarked, so the marker parts are already preimage vectors."""
-    _check_domain(m, domain)
-    if m.rows != target.ambient_dim:
-        raise DimensionMismatchError(f"map with {m.rows} rows against target ambient {target.ambient_dim}")
     if domain.dim == 0 or target.dim == target.ambient_dim:
         return domain
     marked = [_apply(m.columns, b) | {m.rows + j: v for j, v in b.items()} for b in domain.rows]

@@ -28,9 +28,10 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .exterior import CochainComplex, InternalConsistencyError, build_complex, divisibility_subspace
-from .lie import LieAlgebra, abelian, descending_series, direct_sum
+from .lie import LieAlgebra, abelian, direct_sum
 from .linalg import _eliminate
 # the benchmark's tracer (bench/tracing.py) wraps these names here; nothing else reads them
+from .lie import descending_series  # noqa: F401
 from .linalg import contains, image, preimage, subspace_sum  # noqa: F401
 
 Grid = tuple[tuple[int, ...], ...]
@@ -160,7 +161,7 @@ def full_table(c: CochainComplex) -> SpectralTable:
 
 @lru_cache(maxsize=1)  # only the latest complex: a CLI command never reuses an older one
 def complex_for(algebra: LieAlgebra) -> CochainComplex:
-    return build_complex(algebra, descending_series(algebra))
+    return build_complex(algebra)
 
 
 def table_for(algebra: LieAlgebra) -> SpectralTable:

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from nilspec import catalog, cli, exterior, lie, spectral
+from nilspec import catalog, cli, exterior, lie, linalg, spectral
 from nilspec.cli import main
 from nilspec.linalg import Subspace
 
@@ -166,10 +166,9 @@ def test_exit_code_missing_input(capsys):
 
 
 def test_every_error_class_of_the_package_has_an_exit_code():
-    # an error's base class sets its code, so cli lists no classes.  linalg's
-    # DimensionMismatchError is not walked: only library calls that the CLI
-    # never makes raise it
-    classes = {value for module in (lie, exterior, spectral, catalog, cli) for value in vars(module).values()
+    # an error's base class sets its code, so cli lists no classes; every
+    # module of the package is walked, linalg too, which defines none
+    classes = {value for module in (lie, linalg, exterior, spectral, catalog, cli) for value in vars(module).values()
                if isinstance(value, type) and issubclass(value, Exception) and value.__module__ == module.__name__}
     assert {lie.LieError, lie.ParseError, cli.TooLargeError, catalog.CatalogFormatError} <= classes
     for cls in classes:

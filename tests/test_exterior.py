@@ -27,7 +27,7 @@ from reference import (apply, betti_numbers, dense, dense_transform_constants, l
 
 def _complex(text):
     a = lie.parse_salamon(text)
-    return build_complex(a, lie.descending_series(a))
+    return build_complex(a)
 
 
 def _unit(m, idx):
@@ -185,9 +185,9 @@ def test_build_complex_leaves_the_filtration_unchanged(catalog_tables, rng_facto
     for _, algebra, _, _ in catalog_tables.values():
         a = sheared(algebra, rng)
         before = [(s.ambient_dim, dense(s), s.pivots) for s in a.filtration.spaces]
-        c = build_complex(a, a.filtration)
+        c = build_complex(a)
         assert [(s.ambient_dim, dense(s), s.pivots) for s in a.filtration.spaces] == before
-        assert c.adapted_basis_change == build_complex(a, a.filtration).adapted_basis_change
+        assert c.adapted_basis_change == build_complex(a).adapted_basis_change
 
 
 def test_mask_positions_match_index_positions():
@@ -297,7 +297,7 @@ def test_adapted_rows_are_canonical_rows_at_new_pivots(catalog_tables, random_al
     algebras += [sheared(algebra, rng) for _, algebra, _, _ in catalog_tables.values()]
     differ = 0
     for a in algebras:
-        f = lie.descending_series(a)
+        f = a.filtration
         c = spectral.complex_for(a)
         for prev, space in zip(f.spaces, f.spaces[1:]):
             new = [row for row, p in zip(space.rows, space.pivots) if p not in prev.pivots]

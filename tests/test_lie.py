@@ -329,7 +329,7 @@ def test_constructor_raises_on_jacobi_failure():
 # ---------------------------------------------------------------------------
 
 def test_series_heisenberg():
-    f = lie.descending_series(lie.parse_salamon("(0,0,12)"))
+    f = lie.parse_salamon("(0,0,12)").filtration
     assert f.k == 2
     assert [s.dim for s in f.spaces] == [0, 2, 3]
     assert contains(f.spaces[1], span([[1, 0, 0]], 3))
@@ -339,13 +339,13 @@ def test_series_heisenberg():
 
 
 def test_series_abelian():
-    f = lie.descending_series(lie.abelian(4))
+    f = lie.abelian(4).filtration
     assert f.k == 1 and [s.dim for s in f.spaces] == [0, 4]
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
 def test_series_filiform(m):
-    f = lie.descending_series(lie.m0(m))
+    f = lie.m0(m).filtration
     assert f.k == m - 1
     # V_i = span{e^1 .. e^(i+1)}
     for i in range(1, f.k + 1):
@@ -358,7 +358,7 @@ def test_series_filiform(m):
 
 def test_annihilator_duality(random_algebras_dim7):
     for a in random_algebras_dim7[:12]:
-        f = lie.descending_series(a)
+        f = a.filtration
         for i in range(f.k + 1):
             assert f.spaces[i].dim + f.series_dims[i] == a.m
 
@@ -444,7 +444,7 @@ def test_contraction_filtration_equals_lambda2_preimages(catalog_tables, random_
         eliminations[a] = (calls["null_space"], calls["_span"])
         reference = _lambda2_filtration(a.m, _d1(a.m, constants))
         assert _same_spaces(spaces, reference), lie.to_salamon(a)
-        assert _same_spaces(spaces, lie.descending_series(a).spaces)
+        assert _same_spaces(spaces, a.filtration.spaces)
         # n^i = ann(V_i), whichever branch gave each level
         assert _same_spaces(series, [_annihilator(v) for v in reference]), lie.to_salamon(a)
         # a filtration by coordinates eliminates no level, any other at least one
@@ -627,7 +627,7 @@ def test_invalid_algebra_raises_on_every_construction():
 
 def test_strict_growth_to_full():
     for a in [lie.parse_salamon("(0,0,12,13)"), lie.m0(6)]:
-        f = lie.descending_series(a)
+        f = a.filtration
         dims = [s.dim for s in f.spaces]
         assert dims[0] == 0 and dims[-1] == a.m
         assert all(x < y for x, y in zip(dims, dims[1:]))
@@ -661,4 +661,4 @@ def test_direct_sum_keeps_nilpotency_index():
     h = lie.parse_salamon("(0,0,12,13)")
     for s in (1, 2, 3):
         ext = lie.direct_sum(lie.abelian(s), h)
-        assert lie.descending_series(ext).k == 3
+        assert ext.filtration.k == 3
