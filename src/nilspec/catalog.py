@@ -61,9 +61,13 @@ def _parse_golden(text: str) -> list[CatalogEntry]:
         key, _, rest = line.partition(" ")
         rest = rest.strip()
         if key == "entry":
+            if any(b["id"] == rest for b in blocks):
+                raise CatalogFormatError(f"entry {rest} appears twice")
             blocks.append({"id": rest, "pages": {}, "suspect": set()})
         elif not blocks:
             raise CatalogFormatError(f"directive before first entry: {line}")
+        elif key in blocks[-1] and key in ("salamon", "label", "decompose", "limit"):
+            raise CatalogFormatError(f"{blocks[-1]['id']}: a second {key} line")
         elif key in ("salamon", "label"):
             blocks[-1][key] = rest
         elif key == "decompose":
@@ -71,6 +75,8 @@ def _parse_golden(text: str) -> list[CatalogEntry]:
             blocks[-1]["decompose"] = (int(s), base)
         elif key == "page":
             r, nrows, ncols = (int(x) for x in rest.split())
+            if r < 0 or r in blocks[-1]["pages"]:
+                raise CatalogFormatError(f"{blocks[-1]['id']}: {'a second' if r >= 0 else 'a negative'} page {r}")
             grid = []
             for row in islice(lines, nrows):
                 grid.append(tuple(int(x) for x in row.split()))
@@ -101,6 +107,9 @@ def _parse_golden(text: str) -> list[CatalogEntry]:
                                          f"not dim + 1 = {width}")
             if len(grid) != height:
                 raise CatalogFormatError(f"{block['id']}: page {r} has {len(grid)} rows, the limit page {height}")
+        for r, row, col in sorted(block["suspect"]):
+            if r not in block["pages"] or not (0 <= row < height and 0 <= col < width):
+                raise CatalogFormatError(f"{block['id']}: suspect cell {r} {row} {col} is outside the stored pages")
     return [CatalogEntry(id=b["id"], salamon=b["salamon"], label=b.get("label"),
                          decomposition=b.get("decompose"), golden_pages=b["pages"],
                          golden_limit_page=b["limit"], suspect_cells=frozenset(b["suspect"]))

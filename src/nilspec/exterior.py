@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .linalg import SparseRow, Subspace, _eliminate
@@ -69,9 +70,7 @@ def form_columns(m: int, constants: Constants, levels: Sequence[int] = ()) -> li
     without levels every form has level 0.  A sum that cancels is deleted on
     the spot, so cancelled entries and zero columns are absent."""
     cols: list[KeyColumns] = [{} for _ in range(m + 1)]
-    full = (1 << m) - 1
-    # the key of a nonzero reversed mask R is base[R & -R] ^ R
-    base = {1 << (m - j): (lv << m) | full for j, lv in enumerate(levels or [0] * m, start=1)}
+    full, base = (1 << m) - 1, _key_base(m, tuple(levels))
     for (a, b, j), c in constants.items():
         if not c:
             continue
@@ -98,6 +97,12 @@ def form_columns(m: int, constants: Constants, levels: Sequence[int] = ()) -> li
                 break
             rest = (rest - 1) & free
     return cols
+
+
+@lru_cache(maxsize=128)
+def _key_base(m: int, levels: tuple[int, ...]) -> dict[int, int]:
+    """The key of a nonzero reversed mask R is base[R & -R] ^ R; one dict per shape, only read."""
+    return {1 << (m - j): (lv << m) | ((1 << m) - 1) for j, lv in enumerate(levels or [0] * m, start=1)}
 
 
 def _position(key: int, full: int) -> int:
@@ -150,6 +155,11 @@ class InternalConsistencyError(RuntimeError):
     raised here and in ``lie``, ``spectral`` and ``catalog``."""
 
 
+@lru_cache(maxsize=128)
+def _covector_levels(v_dims: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(i for i, (lo, hi) in enumerate(zip((0, *v_dims), v_dims)) for _ in range(hi - lo))
+
+
 class CochainComplex:
     """The Chevalley-Eilenberg complex in a filtration-adapted dual basis.
 
@@ -178,7 +188,7 @@ class CochainComplex:
         self.v_dims = tuple(v_dims)
         self.adapted_basis_change = adapted_basis_change
         self.adapted_constants = adapted_constants
-        self.levels = tuple(i for i, (lo, hi) in enumerate(zip((0, *v_dims), v_dims)) for _ in range(hi - lo))
+        self.levels = _covector_levels(self.v_dims)
         self.columns = form_columns(m, adapted_constants, self.levels)
 
 

@@ -254,9 +254,12 @@ def _annihilates(v: Subspace, n: Subspace) -> bool:
 
 
 def _space(x: int | Subspace, m: int) -> Subspace:
-    """A level as a Subspace, a mask as the span of the unit vectors at its set bits."""
-    if type(x) is not int:
-        return x
+    """A level as a Subspace, a mask as the unit vectors at its set bits: one shared Subspace per (mask, m)."""
+    return x if type(x) is not int else _mask_space(x, m)
+
+
+@lru_cache(maxsize=256)
+def _mask_space(x: int, m: int) -> Subspace:
     pivots = [p for p in range(m) if x >> p & 1]
     return Subspace(m, tuple([{p: 1} for p in pivots]), tuple(pivots))
 
@@ -299,7 +302,7 @@ def validate_algebra(a: LieAlgebra) -> Filtration:
     m, constants = a.m, exterior.clear_denominators(a.c)
     if not _jacobi_holds(m, constants):
         raise JacobiError("structure constants violate the Jacobi identity")
-    spaces, dims = [Subspace.zero(m)], [m]
+    spaces, dims = [_space(0, m)], [m]
     for i, (v, n) in enumerate(_levels(m, constants), start=1):
         on_masks = type(v) is int
         spaces.append(_space(v, m))

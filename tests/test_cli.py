@@ -617,6 +617,14 @@ def test_malformed_golden_file_exits_4_with_one_error_line(capsys, monkeypatch):
         (["limit 2"] + lines, "error: directive before first entry: limit 2\n"),
         (lines[:limit] + ["colour blue"] + lines[limit:], "error: unknown directive: colour blue\n"),
         (lines[:limit] + ["limit 7"] + lines[limit + 1:], "error: dim3-h3: limit page not stored\n"),
+        # a record that repeats or points past the stored pages would pass silently otherwise,
+        # and a negative page would end catalog --check in a KeyError
+        (lines[:limit] + ["suspect 7 0 0"] + lines[limit:],
+         "error: dim3-h3: suspect cell 7 0 0 is outside the stored pages\n"),
+        (lines[:limit] + ["page 2 2 4", "1 2 0 0", "0 0 2 1"] + lines[limit:], "error: dim3-h3: a second page 2\n"),
+        (lines[:limit] + ["page -1 2 4", "1 2 0 0", "0 0 2 1"] + lines[limit:], "error: dim3-h3: a negative page -1\n"),
+        (lines + lines[lines.index("entry dim3-h3"):limit + 1], "error: entry dim3-h3 appears twice\n"),
+        (lines[:limit] + ["salamon (0,0,13)"] + lines[limit:], "error: dim3-h3: a second salamon line\n"),
     ]
     for cut, message in cuts:
         monkeypatch.setattr(catalog, "_parse_golden", lambda text: parse("\n".join(cut)))

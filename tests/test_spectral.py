@@ -11,7 +11,7 @@ from math import comb, gcd
 
 import pytest
 
-from conftest import sheared
+from conftest import random_nilpotent, sheared
 from nilspec import catalog, exterior, lie, linalg, spectral
 from nilspec.linalg import Subspace
 from nilspec.spectral import (
@@ -541,6 +541,63 @@ def test_direct_sum_identities_h3():
 def test_direct_sum_identities_abelian_base():
     [rep] = check_abelian_extension(lie.abelian(3), [LIMIT], s=1)
     assert rep.ok, rep.violations
+
+
+def _filtration_data(f):
+    return f.k, f.series_dims, [(s.ambient_dim, [dict(row) for row in s.rows], s.pivots) for s in f.spaces]
+
+
+def test_shape_caches_hand_out_fresh_values_that_nothing_writes(capsys, monkeypatch, rng_factory):
+    """E_0 grids, levels, key bases and mask Subspaces are cached per shape and
+    shared between algebras.  After catalog --check, the direct-sum checks of
+    the catalog entries of dimension <= 5, and seeded random algebras with
+    sheared copies (s = 1 and 2) have run in one process, every value handed
+    out is still the cached one and equals a fresh computation, and no
+    algebra's filtration has changed."""
+    from nilspec import cli
+
+    handed, caches = {}, {}
+    shapes = [(spectral, "_e0"), (exterior, "_covector_levels"), (exterior, "_key_base"), (lie, "_mask_space")]
+    for module, name in shapes:
+        caches[name] = cached = getattr(module, name)
+        cached.cache_clear()
+
+        def record(*key, cached=cached, name=name):
+            handed[name, key] = value = cached(*key)
+            return value
+        monkeypatch.setattr(module, name, record)
+    lie.validate_algebra.cache_clear()
+    spectral.complex_for.cache_clear()
+
+    rng = rng_factory(0xCAC4E)
+    randoms = [random_nilpotent(rng, rng.randint(3, 7)) for _ in range(8)]
+    randoms += [sheared(a, rng, 3) for a in randoms]
+    small = [e for e in catalog.list_entries() if e.dim <= 5]
+    algebras = [e.algebra() for e in catalog.list_entries()]
+    algebras += [lie.direct_sum(lie.abelian(1), e.algebra()) for e in small]
+    algebras += randoms + [lie.direct_sum(lie.abelian(s), a) for a in randoms for s in (1, 2)]
+    before = [_filtration_data(a.filtration) for a in algebras]
+
+    assert cli.main(["catalog", "--check"]) == 0
+    for e in small:
+        assert cli.main(["check", e.salamon, "--direct-sum", "1", "--page", "0", "--page", "limit"]) == 0
+    capsys.readouterr()
+    for a in randoms:
+        assert check_limit_edges(table_for(a), spectral.complex_for(a)).ok
+        for s in (1, 2):
+            assert all(rep.ok for rep in check_abelian_extension(a, (0, 1, LIMIT), s=s))
+
+    for name, cached in caches.items():
+        info = cached.cache_info()
+        assert info.hits and info.currsize < info.maxsize, name  # used, and nothing was evicted
+        keys = [key for n, key in handed if n == name]
+        assert len(keys) == info.currsize, name
+        for key in keys:
+            value, fresh = cached(*key), cached.__wrapped__(*key)
+            assert value is handed[name, key] and value == fresh, (name, key)
+            if name == "_mask_space":
+                assert value.pivots == fresh.pivots
+    assert [_filtration_data(a.filtration) for a in algebras] == before
 
 
 def _tampered(t, cells, r0=None):
