@@ -89,6 +89,8 @@ def _parse_golden(text: str) -> list[CatalogEntry]:
             blocks[-1]["limit"] = int(rest)
         elif key == "suspect":
             r, row, col = (int(x) for x in rest.split())
+            if (r, row, col) in blocks[-1]["suspect"]:
+                raise CatalogFormatError(f"{blocks[-1]['id']}: a second suspect cell {r} {row} {col}")
             blocks[-1]["suspect"].add((r, row, col))
         else:
             raise CatalogFormatError(f"unknown directive: {line}")
@@ -110,6 +112,13 @@ def _parse_golden(text: str) -> list[CatalogEntry]:
         for r, row, col in sorted(block["suspect"]):
             if r not in block["pages"] or not (0 <= row < height and 0 <= col < width):
                 raise CatalogFormatError(f"{block['id']}: suspect cell {r} {row} {col} is outside the stored pages")
+    dims = {b["id"]: b["salamon"].count(",") + 1 for b in blocks}
+    for block in (b for b in blocks if "decompose" in b):
+        (s, base), dim = block["decompose"], dims[block["id"]]
+        if base not in dims:
+            raise CatalogFormatError(f"{block['id']}: decompose base {base} names no entry")
+        if s + dims[base] != dim:
+            raise CatalogFormatError(f"{block['id']}: R^{s} (+) {base} has dimension {s + dims[base]}, not {dim}")
     return [CatalogEntry(id=b["id"], salamon=b["salamon"], label=b.get("label"),
                          decomposition=b.get("decompose"), golden_pages=b["pages"],
                          golden_limit_page=b["limit"], suspect_cells=frozenset(b["suspect"]))

@@ -12,6 +12,9 @@ Every span, rank, null space and preimage goes through one fraction-free
 elimination on sparse integer rows, ``_eliminate``, leading at the least
 column and reduced to canonical rows unless only the rank counts; null
 vectors are read off marker rows, as an inverse is read off [P | I].
+Every elimination, the persistence pairing of ``spectral._bars`` included,
+clears a column through one step, ``_clear``, which divides no content out;
+the caller that keeps a row sets its content with ``_primitive``.
 
 The subspace calculus (``LinearMap``, ``span``, ``subspace_sum``,
 ``contains``, ``image``, ``preimage``, ``rank``) is the paper's A-space
@@ -38,11 +41,11 @@ SparseRow = dict[Hashable, int]
 
 def _clear(vec: SparseRow, prow: SparseRow, c: Hashable) -> None:
     """Clear column c of vec against prow in place, fraction-free: a plain
-    multiple of prow for a +-1 pivot, else cross-multiplied with the content
-    divided out."""
+    multiple of prow for a +-1 pivot, else one after vec is scaled by the
+    least factor that makes it one; no content is divided out."""
     f, piv = vec[c], prow[c]
     if piv == 1 or piv == -1:
-        a, f = 1, f * piv
+        f *= piv
     else:
         g = math.gcd(f, piv)
         a, f = piv // g, f // g
@@ -54,9 +57,13 @@ def _clear(vec: SparseRow, prow: SparseRow, c: Hashable) -> None:
             vec[j] = v
         else:
             del vec[j]
-    if a != 1 and vec and (g := math.gcd(*vec.values())) > 1:
-        for j in vec:
-            vec[j] //= g
+
+
+def _primitive(vec: SparseRow, c: Hashable) -> SparseRow:
+    """vec divided by its content, signed so that its entry at c is positive:
+    vec itself when that changes nothing, else a new row."""
+    g = math.gcd(*vec.values()) * (1 if vec[c] > 0 else -1)
+    return vec if g == 1 else {j: v // g for j, v in vec.items()}
 
 
 def _eliminate(rows: Iterable[SparseRow], reduced: bool = True) -> dict[Hashable, SparseRow]:
@@ -65,8 +72,9 @@ def _eliminate(rows: Iterable[SparseRow], reduced: bool = True) -> dict[Hashable
     their leading (least) column.
 
     Each row is cleared at its leading column against the rows kept so far
-    until that column is new.  ``reduced`` then back-substitutes from the last
-    kept row and makes every row primitive with a positive pivot.
+    until that column is new, and made primitive with a positive lead if that
+    lead is not +-1.  ``reduced`` then back-substitutes from the last kept row,
+    making each row primitive with a positive pivot at its turn (its last change).
     """
     kept: dict[Hashable, SparseRow] = {}
     for vec in rows:
@@ -74,16 +82,12 @@ def _eliminate(rows: Iterable[SparseRow], reduced: bool = True) -> dict[Hashable
             c = min(vec)
             prow = kept.get(c)
             if prow is None:
-                kept[c] = vec
+                kept[c] = vec if vec[c] == 1 or vec[c] == -1 else _primitive(vec, c)
                 break
             _clear(vec, prow, c)
     if reduced:
         for c in sorted(kept, reverse=True):
-            prow = kept[c]
-            g = math.gcd(*prow.values()) * (1 if prow[c] > 0 else -1)
-            if g != 1:
-                for j in prow:
-                    prow[j] //= g
+            kept[c] = prow = _primitive(kept[c], c)
             for vec in kept.values():
                 if c in vec and vec is not prow:
                     _clear(vec, prow, c)

@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 
 from .exterior import CochainComplex, InternalConsistencyError, build_complex, divisibility_subspace
 from .lie import LieAlgebra, abelian, direct_sum
-from .linalg import _eliminate
+from .linalg import _clear, _eliminate, _primitive
 # the benchmark's tracer (bench/tracing.py) wraps these names here; nothing else reads them
 from .lie import descending_series  # noqa: F401
 from .linalg import contains, image, preimage, subspace_sum  # noqa: F401
@@ -88,10 +88,10 @@ def _bars(c: CochainComplex, n: int) -> list[tuple[int, int]]:
     Columns are reduced in form-key order, which is (level, position)
     order, so the low of a column, its last row in that order, is its
     largest key.  A column whose low an earlier column holds is copied and
-    has that column eliminated from it, fraction-free (a plain multiple of
-    it when its low entry is +-1).  Pivots are never written to, so a column
-    whose low is free as read is stored as read, the dict of ``c.columns``
-    itself, or divided by its content into a new dict if its low entry is not +-1.
+    cleared against that column by ``linalg._clear``.  Pivots are never
+    written to, so a column whose low is free as read is stored as read, the
+    dict of ``c.columns`` itself, or if its low is not +-1 as returned by
+    ``linalg._primitive``, which never writes.
     """
     columns, m = c.columns[n], c.m
     pivots: dict[int, dict[int, int]] = {}
@@ -102,26 +102,12 @@ def _bars(c: CochainComplex, n: int) -> list[tuple[int, int]]:
             low = max(col)
             other = pivots.get(low)
             if other is None:
-                if col[low] not in (1, -1) and (g := math.gcd(*col.values())) > 1:
-                    col = {i: v // g for i, v in col.items()}
-                pivots[low] = col
+                pivots[low] = col if col[low] == 1 or col[low] == -1 else _primitive(col, low)
                 bars.append((src >> m, low >> m))
                 break
-            if other[low] in (1, -1):
-                b = col[low] * other[low]
-            else:
-                g = math.gcd(col[low], other[low])
-                a, b = other[low] // g, col[low] // g
-                if a != 1:
-                    col = {i: a * v for i, v in col.items()}
             if col is read:
                 col = dict(col)
-            for i, v in other.items():
-                w = col.get(i, 0) - b * v
-                if w:
-                    col[i] = w
-                else:
-                    del col[i]
+            _clear(col, other, low)
     return bars
 
 

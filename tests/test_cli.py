@@ -605,6 +605,7 @@ def test_malformed_golden_file_exits_4_with_one_error_line(capsys, monkeypatch):
     parse = catalog._parse_golden
     last_page = lines.index("page 2 2 7", lines.index("entry dim6-33"))
     limit = lines.index("limit 2", lines.index("entry dim3-h3"))
+    decompose = lines.index("decompose 1 dim3-h3", lines.index("entry dim4-1"))
     cuts = [  # (lines of the file, the error line or its start)
         (lines[:row] + lines[row + 1:], "error: golden_tables.txt: invalid literal for int() with base 10: 'page'\n"),
         (lines[:last_page + 2], "error: dim6-33: page 2 cut short by the end of the file\n"),
@@ -625,6 +626,13 @@ def test_malformed_golden_file_exits_4_with_one_error_line(capsys, monkeypatch):
         (lines[:limit] + ["page -1 2 4", "1 2 0 0", "0 0 2 1"] + lines[limit:], "error: dim3-h3: a negative page -1\n"),
         (lines + lines[lines.index("entry dim3-h3"):limit + 1], "error: entry dim3-h3 appears twice\n"),
         (lines[:limit] + ["salamon (0,0,13)"] + lines[limit:], "error: dim3-h3: a second salamon line\n"),
+        # a repeated suspect line would be folded into one, and a decomposition
+        # the catalog cannot hold would be listed as it stands
+        (lines[:limit] + ["suspect 2 0 0", "suspect 2 0 0"] + lines[limit:],
+         "error: dim3-h3: a second suspect cell 2 0 0\n"),
+        (lines[:limit] + ["decompose 1 dim9-zz"] + lines[limit:], "error: dim3-h3: decompose base dim9-zz names no entry\n"),
+        (lines[:decompose] + ["decompose 2 dim3-h3"] + lines[decompose + 1:],
+         "error: dim4-1: R^2 (+) dim3-h3 has dimension 5, not 4\n"),
     ]
     for cut, message in cuts:
         monkeypatch.setattr(catalog, "_parse_golden", lambda text: parse("\n".join(cut)))

@@ -14,7 +14,9 @@ import pytest
 
 from nilspec.linalg import (
     LinearMap,
+    _clear,
     _eliminate,
+    _primitive,
     Subspace,
     contains,
     image,
@@ -92,16 +94,43 @@ def test_rref_dependent_rows():
     assert s.dim == 1
 
 
+def test_clear_leaves_the_content_of_a_cross_multiplication():
+    """Against a non-unit pivot, ``_clear`` multiplies vec by the least
+    factor that clears the column and divides nothing out; against a +-1
+    pivot it subtracts a plain multiple.  The pivot row is only read."""
+    vec, prow = {0: 2, 1: 4, 2: 6}, {0: 3, 1: 1}
+    _clear(vec, prow, 0)
+    assert vec == {1: 10, 2: 18} and prow == {0: 3, 1: 1}  # 3 vec - 2 prow, content 2 kept
+    vec = {0: 4, 1: 6, 2: 8}
+    _clear(vec, {0: 6, 2: 3}, 0)
+    assert vec == {1: 18, 2: 18}  # 3 vec - 2 prow, not 6 vec - 4 prow
+    vec = {0: 2, 1: 4, 2: 6}
+    _clear(vec, {0: -1, 2: 1}, 0)
+    assert vec == {1: 4, 2: 8}  # vec + 2 prow
+
+
+def test_primitive_divides_the_content_and_signs_the_lead():
+    row = {0: 3, 2: 5}
+    assert _primitive(row, 0) is row
+    assert _primitive({1: -4, 3: 6}, 1) == {1: 2, 3: -3}
+    assert _primitive({1: 4, 3: -6}, 3) == {1: -2, 3: 3}
+    before = {0: -1, 1: 2}
+    assert _primitive(before, 0) == {0: 1, 1: -2} and before == {0: -1, 1: 2}  # a new row
+
+
 def test_rref_matches_naive_on_random_matrices():
     """span's canonical rows, and the forward-only rank count that the
     per-level coordinate read-off of ``lie`` runs on sparse rows with tuple
     keys (here in a shuffled column order), against the naive elimination;
-    the second batch of inputs is sparse with many +-1 pivots."""
+    the second batch of inputs is sparse with many +-1 pivots.  Every row the
+    forward elimination keeps with a lead other than +-1 is primitive with a
+    positive lead, however many non-unit clearings made it."""
     rng = random.Random(20240917)
     grids = [random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6)) for _ in range(60)]
     grids += [[[Fraction(rng.choice((-1, 0, 0, 1, 2))) for _ in range(cols)] for _ in range(rows)]
               for rows, cols in [(rng.randint(1, 8), rng.randint(1, 9)) for _ in range(200)]]
     keys = [(a, b) for a in range(3) for b in range(3)]
+    non_unit = 0
     for grid in grids:
         cols = len(grid[0])
         ours = span(integer_rows(grid), cols)
@@ -111,7 +140,13 @@ def test_rref_matches_naive_on_random_matrices():
                                    for row in naive[:naive_rank])
         shuffled = rng.sample(keys, cols)
         sparse = [{key: x for key, x in zip(shuffled, row) if x} for row in integer_rows(grid)]
-        assert len(_eliminate(sparse, reduced=False)) == naive_rank
+        kept = _eliminate(sparse, reduced=False)
+        assert len(kept) == naive_rank
+        for c, row in kept.items():
+            if row[c] not in (1, -1):
+                assert row[c] > 1 and math.gcd(*row.values()) == 1, (grid, row)
+                non_unit += 1
+    assert non_unit > 100, non_unit
 
 
 def test_rref_idempotent_and_span_preserving():
