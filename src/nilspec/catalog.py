@@ -117,6 +117,8 @@ def _parse_golden(text: str) -> list[CatalogEntry]:
         (s, base), dim = block["decompose"], dims[block["id"]]
         if base not in dims:
             raise CatalogFormatError(f"{block['id']}: decompose base {base} names no entry")
+        if s < 1 or base == block["id"]:
+            raise CatalogFormatError(f"{block['id']}: decompose {s} {base} {'has s < 1' if s < 1 else 'names itself'}")
         if s + dims[base] != dim:
             raise CatalogFormatError(f"{block['id']}: R^{s} (+) {base} has dimension {s + dims[base]}, not {dim}")
     return [CatalogEntry(id=b["id"], salamon=b["salamon"], label=b.get("label"),

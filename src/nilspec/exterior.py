@@ -17,7 +17,9 @@ one walk per term fills every degree: a term c e^a ^ e^b (a < b) of de^j
 reaches only the columns rest | j, rest any set of indices other than a, b
 and j (q - 1 of them for d_q), and adds to row rest | a | b the sign
 (-1)^(#{i in rest : i < j} + #{i in rest : i < a} + #{i in rest : i < b})
-times c, the parity of one popcount of rest.
+times c, the parity of one popcount of rest.  The constants are adapted: de^j
+lies in Lambda^2 V_(l(j)-1), so no term of de^j holds e^j, a column I and a
+row T name their one term (I - T = {j}, T - I = {a, b}), and no entry is summed.
 ``positional_columns`` relabels key columns to lexicographic positions.
 Every column, on keys or on positions, is a sparse integer row {row:
 nonzero value}, the one vector format of ``nilspec.linalg``; so are the
@@ -67,32 +69,26 @@ def form_columns(m: int, constants: Constants, levels: Sequence[int] = ()) -> li
     integer constants (each c e^a ^ e^b of de^j with a < b): a term reaches
     the columns rest | j of every degree, rest running over the submasks of
     the indices other than a, b and j.  levels[j-1] is the level of index j;
-    without levels every form has level 0.  A sum that cancels is deleted on
-    the spot, so cancelled entries and zero columns are absent."""
+    without levels every form has level 0.  The constants are adapted (no term
+    of de^j holds e^j; one that does raises), so each entry is stored once."""
     cols: list[KeyColumns] = [{} for _ in range(m + 1)]
     full, base = (1 << m) - 1, _key_base(m, tuple(levels))
     for (a, b, j), c in constants.items():
         if not c:
             continue
         jbit, ab = 1 << (m - j), (1 << (m - a)) | (1 << (m - b))
+        if jbit & ab:
+            raise InternalConsistencyError(f"de^{j} has a term in e^{j}: the constants are not adapted")
         # bits of the indices below a, below b and below j, each flipping the sign
         signs = full ^ ((2 << (m - a)) - 1) ^ ((2 << (m - b)) - 1) ^ ((2 << (m - j)) - 1)
-        # not full ^ ab ^ jbit: when j is a or b, that would put its bit back
-        free = rest = full & ~(ab | jbit)
+        free = rest = full ^ ab ^ jbit
         while True:  # every submask rest of free, from free down to 0
             src, target = rest | jbit, rest | ab
             src, target = base[src & -src] ^ src, base[target & -target] ^ target
-            v = -c if (rest & signs).bit_count() & 1 else c
             degree = cols[rest.bit_count() + 1]
-            col = degree.get(src)
-            if col is None:
-                degree[src] = {target: v}
-            elif v := col.get(target, 0) + v:
-                col[target] = v
-            else:  # cancelled
-                del col[target]
-                if not col:
-                    del degree[src]
+            if (col := degree.get(src)) is None:
+                degree[src] = col = {}
+            col[target] = -c if (rest & signs).bit_count() & 1 else c
             if not rest:
                 break
             rest = (rest - 1) & free
@@ -121,12 +117,15 @@ def positional_columns(m: int, columns: KeyColumns) -> KeyColumns:
 
 def differential_columns(m: int, constants: Constants, q: int) -> KeyColumns:
     """d_q of ``form_columns`` at lexicographic positions, on forms of level 0;
-    q = 0..m."""
+    q = 0..m, from adapted constants (no term of de^j holds e^j)."""
     return positional_columns(m, form_columns(m, constants)[q])
 
 
 def compose_is_zero(outer: KeyColumns, inner: KeyColumns) -> bool:
-    """Whether outer . inner = 0, composing key columns; a column outer lacks is zero."""
+    """Whether outer . inner = 0, composing key columns; a column outer lacks is zero,
+    so when no row of inner is a column of outer every product has a zero factor."""
+    if outer.keys().isdisjoint(itertools.chain.from_iterable(inner.values())):
+        return True
     for col in inner.values():
         acc: dict[int, int] = {}
         for mid, coeff in col.items():

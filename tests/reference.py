@@ -19,7 +19,9 @@ complex lives.  Nothing in the package imports this module.
 
 It also keeps five earlier constructions the package replaced, as references
 for tests: the differential built by walking every q-form and every term of
-each of its indices (``mask_walk_columns``), the kernel from a
+each of its indices (``mask_walk_columns``), which sums the terms at each
+entry and so also takes raw constants with a term in e^j of de^j, where
+``exterior.form_columns`` refuses them; the kernel from a
 left-to-right elimination whose null vectors are reduced a second time
 (``two_step_kernel``, on the textbook elimination ``naive_rref`` of
 (num, den) pairs rather than the package's) and the preimage from that
@@ -38,10 +40,12 @@ It keeps the golden comparison that walks every cell of every stored page
 (``cell_walk_golden_check``) and the top-degree check that compares the
 canonical rows of the exact (m-1)-forms with the divisible subspace
 (``span_check_top_degree_forms``).
-Two independent cross-checks complete it: the differential by pointwise
+Three independent cross-checks complete it: the differential by pointwise
 evaluation of the alternating-sum formula on tuples of primal basis vectors
-(``pointwise_differential``, for small dimensions), and the page-0 entries
-from binomials (``page0_closed_form``).  The package's maps only carry
+(``pointwise_differential``, for small dimensions), the page-0 entries
+from binomials (``page0_closed_form``), and the full composition of two
+differentials (``composed_columns``), which ``exterior.compose_is_zero``
+skips when no row of d_q is a column of d_(q+1).  The package's maps only carry
 their columns, so the tests take a map times a dense vector from ``apply``
 and compare maps by ``map_key``.  The package holds every vector as a
 sparse integer row {index: value}; the tests read dense tuples off sparse
@@ -272,6 +276,20 @@ def mask_walk_columns(m: int, constants: Constants, q: int, levels: Sequence[int
         if acc:
             cols[base[mask & -mask] ^ mask] = acc
     return cols
+
+
+def composed_columns(outer: KeyColumns, inner: KeyColumns) -> KeyColumns:
+    """outer . inner on key columns, summed over every entry of inner; zero
+    entries and zero columns are left out."""
+    out: KeyColumns = {}
+    for src, col in inner.items():
+        acc: dict[int, int] = {}
+        for mid, coeff in col.items():
+            for row, c2 in outer.get(mid, {}).items():
+                acc[row] = acc.get(row, 0) + coeff * c2
+        if acc := {row: v for row, v in acc.items() if v}:
+            out[src] = acc
+    return out
 
 
 def _norm(num, den):

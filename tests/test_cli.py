@@ -633,6 +633,12 @@ def test_malformed_golden_file_exits_4_with_one_error_line(capsys, monkeypatch):
         (lines[:limit] + ["decompose 1 dim9-zz"] + lines[limit:], "error: dim3-h3: decompose base dim9-zz names no entry\n"),
         (lines[:decompose] + ["decompose 2 dim3-h3"] + lines[decompose + 1:],
          "error: dim4-1: R^2 (+) dim3-h3 has dimension 5, not 4\n"),
+        # R^0 (+) dim3-h3 and R^-1 (+) dim4-1 have the right dimension, and
+        # R^1 (+) dim3-h3 on dim3-h3 would name the entry as its own summand
+        (lines[:limit] + ["decompose 0 dim3-h3"] + lines[limit:], "error: dim3-h3: decompose 0 dim3-h3 has s < 1\n"),
+        (lines[:limit] + ["decompose -1 dim4-1"] + lines[limit:], "error: dim3-h3: decompose -1 dim4-1 has s < 1\n"),
+        (lines[:limit] + ["decompose 1 dim3-h3"] + lines[limit:],
+         "error: dim3-h3: decompose 1 dim3-h3 names itself\n"),
     ]
     for cut, message in cuts:
         monkeypatch.setattr(catalog, "_parse_golden", lambda text: parse("\n".join(cut)))

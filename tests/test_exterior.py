@@ -21,8 +21,8 @@ from nilspec.exterior import (
 )
 from nilspec.linalg import LinearMap, Subspace, contains, image, span
 from nilspec.spectral import LIMIT, full_table
-from reference import (apply, betti_numbers, dense, dense_transform_constants, lambda_subspace, map_key,
-                       mask_walk_columns, page_grid, pointwise_differential, positional_d, wedge_minors)
+from reference import (apply, betti_numbers, composed_columns, dense, dense_transform_constants, lambda_subspace,
+                       map_key, mask_walk_columns, page_grid, pointwise_differential, positional_d, wedge_minors)
 
 
 def _complex(text):
@@ -116,12 +116,12 @@ def test_pointwise_oracle_matches_derivation_rule(random_algebras_dim5, random_a
 
 
 def test_term_driven_columns_match_mask_walk(random_algebras_dim7, twins_dim7, catalog_tables, rng_factory):
-    """form_columns equals the mask walk of tests/reference.py on every degree,
-    with and without levels, and transform_constants on sparse rows equals
-    the dense construction of tests/reference.py: the catalog, m0(3..12), the
-    dimension <= 7 fixtures (rational constants) and their twins, and sheared
-    algebras (fixtures, catalog copies and m0(3..12)), whose complexes take
-    transform_constants."""
+    """form_columns equals the mask walk of tests/reference.py on every degree
+    of every adapted complex, with and without levels, and transform_constants
+    on sparse rows equals the dense construction of tests/reference.py: the
+    catalog, m0(3..12), the dimension <= 7 fixtures (rational constants) and
+    their twins, and sheared algebras (fixtures, catalog copies and
+    m0(3..12)), whose complexes take transform_constants."""
     rng = rng_factory(0x7E2A)
     algebras = [b for pair in zip(random_algebras_dim7, twins_dim7) for b in pair]
     algebras += [lie.m0(m) for m in range(3, 13)] + [a for _, a, _, _ in catalog_tables.values()]
@@ -136,24 +136,25 @@ def test_term_driven_columns_match_mask_walk(random_algebras_dim7, twins_dim7, c
         rational += any(v.denominator > 1 for v in a.c.values())
         integral = clear_denominators(a.c)
         assert transform_constants(integral, change) == dense_transform_constants(integral, dense(change, a.m))
-        for constants, levels in ((integral, ()), (c.adapted_constants, c.levels), (c.adapted_constants, ())):
-            columns = form_columns(a.m, constants, levels)
+        for levels in (c.levels, ()):
+            columns = form_columns(a.m, c.adapted_constants, levels)
             assert len(columns) == a.m + 1
             for q in range(a.m + 1):
-                assert columns[q] == mask_walk_columns(a.m, constants, q, levels)
+                assert columns[q] == mask_walk_columns(a.m, c.adapted_constants, q, levels)
     assert len(catalog_tables) == 44 and transformed >= 60 and rational > 0
 
 
-def test_columns_of_a_term_in_e_j_of_de_j_match_mask_walk():
-    """A term c e^a ^ e^b of de^j with j = a or j = b, which raw constants
-    can have, walks the subsets of the indices other than a and b:
-    form_columns equals the mask walk of tests/reference.py on every
-    degree, with and without levels, on fixed cases and 300 seeded random
-    constant sets of dimension 3-7, most of them with such a term."""
+def test_form_columns_refuses_a_term_in_e_j_of_de_j():
+    """A nonzero term c e^a ^ e^b of de^j with j = a or j = b, which raw
+    constants can have and adapted ones cannot, makes form_columns and
+    differential_columns raise, with and without levels; constants without
+    one give the columns of the mask walk of tests/reference.py, which sums
+    the terms at each entry.  Fixed cases and 300 seeded random constant
+    sets of dimension 3-7, most of them with such a term."""
     rng = random.Random(0x7A1B)
     cases = [(3, {(1, 2, 1): 1}), (3, {(1, 2, 2): -2}),
              (5, {(1, 2, 1): 1, (2, 4, 4): -2, (1, 3, 5): 3, (3, 4, 5): 1, (1, 2, 3): 2}),
-             (4, {(1, 2, 2): 0, (1, 2, 3): 1, (1, 3, 4): 1})]  # a zero constant adds no entry
+             (4, {(1, 2, 2): 0, (1, 2, 3): 1, (1, 3, 4): 1})]  # a zero constant adds no term
     for _ in range(300):
         m = rng.randint(3, 7)
         constants = {}
@@ -163,13 +164,67 @@ def test_columns_of_a_term_in_e_j_of_de_j_match_mask_walk():
         cases.append((m, constants))
     own = 0
     for m, constants in cases:
-        own += any(j in (a, b) for a, b, j in constants)
+        j = next((j for (a, b, j), c in constants.items() if c and j in (a, b)), None)
+        refused = rf"^de\^{j} has a term in e\^{j}: the constants are not adapted$"
+        own += j is not None
         for levels in ((), sorted(rng.randint(1, m) for _ in range(m))):
+            if j is not None:
+                with pytest.raises(InternalConsistencyError, match=refused):
+                    form_columns(m, constants, levels)
+                continue
             columns = form_columns(m, constants, levels)
             assert len(columns) == m + 1
             for q in range(m + 1):
                 assert columns[q] == mask_walk_columns(m, constants, q, levels), (m, constants, levels, q)
-    assert own > 250, own
+        if j is not None:
+            with pytest.raises(InternalConsistencyError, match=refused):
+                differential_columns(m, constants, 1)
+    assert 250 < own < len(cases) - 10, own
+
+
+def test_d_squared_check_equals_the_full_composition(random_algebras_dim7, twins_dim7, catalog_tables, rng_factory):
+    """compose_is_zero equals the full composition of tests/reference.py on
+    every degree pair of the catalog, m0(3..12), the dimension <= 7 fixtures
+    and their twins, and sheared copies (12 shears), where it is True both
+    without composing (no row of d_q is a column of d_(q+1)) and after
+    composing; and on two mutants of every pair: one entry of d_q moved onto
+    a form that d_(q+1) has a column for, and d_(q+1) given a column at a row
+    of d_q.  Most mutants have a nonzero composite, and then it is False."""
+    rng = rng_factory(0xDD0)
+    algebras = [b for pair in zip(random_algebras_dim7, twins_dim7) for b in pair]
+    algebras += [lie.m0(m) for m in range(3, 13)] + [a for _, a, _, _ in catalog_tables.values()]
+    algebras += [sheared(a, rng, 12) for a in [*random_algebras_dim7[:20], *(lie.m0(m) for m in range(3, 13)),
+                                               *(a for _, a, _, _ in catalog_tables.values())]]
+    disjoint = composed = moved_false = grown_false = 0
+    for a in algebras:
+        c = spectral.complex_for(a)
+        for q in range(a.m):
+            outer, inner = c.columns[q + 1], c.columns[q]
+            assert compose_is_zero(outer, inner) and not composed_columns(outer, inner)
+            rows = {mid for col in inner.values() for mid in col}
+            if rows.isdisjoint(outer):
+                disjoint += 1
+            else:
+                composed += 1
+            if not inner:
+                continue
+            # one entry of d_q moved onto a form d_(q+1) has a column for
+            src = rng.choice(sorted(inner))
+            row, v = rng.choice(sorted(inner[src].items()))
+            onto = [mid for mid in sorted(outer) if mid not in inner[src]]
+            if onto:
+                moved = {**inner, src: {**{k: x for k, x in inner[src].items() if k != row}, rng.choice(onto): v}}
+                nonzero = bool(composed_columns(outer, moved))
+                assert compose_is_zero(outer, moved) != nonzero
+                moved_false += nonzero
+            # d_(q+1) given a column at a row of d_q, onto a form no other column reaches
+            if rows - outer.keys():
+                fresh = 1 + max((r for col in outer.values() for r in col), default=0)
+                grown = {**outer, rng.choice(sorted(rows - outer.keys())): {fresh: 1}}
+                assert composed_columns(grown, inner) and not compose_is_zero(grown, inner)
+                grown_false += 1
+    assert disjoint > 800 and composed > 200 and min(moved_false, grown_false) > 300, \
+        (disjoint, composed, moved_false, grown_false)
 
 
 def test_singular_basis_change_raises():
