@@ -20,15 +20,14 @@ and j (q - 1 of them for d_q), and adds to row rest | a | b the sign
 times c, the parity of one popcount of rest.  The constants are adapted: de^j
 lies in Lambda^2 V_(l(j)-1), so no term of de^j holds e^j, a column I and a
 row T name their one term (I - T = {j}, T - I = {a, b}), and no entry is summed.
-``positional_columns`` relabels key columns to lexicographic positions.
-Every column, on keys or on positions, is a sparse integer row {row:
-nonzero value}, the one vector format of ``nilspec.linalg``; so are the
-rows of the adapted basis change and every cochain.  The structure
-constants are multiplied once by the lcm of their denominators
-(``clear_denominators`` returns only the scaled constants), and the adapted
-basis change multiplies them by a further positive integer, so the complex's
-constants and its differentials are a positive multiple of the true ones; a
-positive scale changes no image, preimage, null space or rank.
+Every column is a sparse integer row {key: nonzero value}, the one vector
+format of ``nilspec.linalg``; so are the rows of the adapted basis change
+and every cochain.  The structure constants are multiplied once by the lcm
+of their denominators (``clear_denominators`` returns only the scaled
+constants), and the adapted basis change multiplies them by a further
+positive integer, so the complex's constants and its differentials are a
+positive multiple of the true ones; a positive scale changes no image,
+preimage, null space or rank.
 
 ``build_complex`` first performs a filtration-adapted change of dual basis,
 after which every piece Lambda^q V_i is a coordinate subspace: a basis
@@ -46,7 +45,7 @@ import math
 from functools import lru_cache
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .linalg import SparseRow, Subspace, _eliminate
+from .linalg import SparseRow, _eliminate
 # the benchmark's tracer (bench/tracing.py) wraps this name here; nothing else reads it
 from .linalg import rank  # noqa: F401
 
@@ -101,24 +100,10 @@ def _key_base(m: int, levels: tuple[int, ...]) -> dict[int, int]:
     return {1 << (m - j): (lv << m) | ((1 << m) - 1) for j, lv in enumerate(levels or [0] * m, start=1)}
 
 
-def _position(key: int, full: int) -> int:
-    """Lexicographic position of a basis form among the forms of its degree:
-    the rank of full ^ R in the combinatorial number system."""
-    bits = [b for b in range(full.bit_length()) if key >> b & 1]
-    return sum(math.comb(b, t) for t, b in enumerate(bits, start=1))
-
-
-def positional_columns(m: int, columns: KeyColumns) -> KeyColumns:
-    """Key columns relabelled to lexicographic positions, {position: {position: coeff}}."""
-    full = (1 << m) - 1
-    return {_position(src, full): {_position(key, full): v for key, v in col.items()}
-            for src, col in columns.items()}
-
-
 def differential_columns(m: int, constants: Constants, q: int) -> KeyColumns:
-    """d_q of ``form_columns`` at lexicographic positions, on forms of level 0;
-    q = 0..m, from adapted constants (no term of de^j holds e^j)."""
-    return positional_columns(m, form_columns(m, constants)[q])
+    """d_q of ``form_columns`` on forms of level 0, q = 0..m, from adapted
+    constants (no term of de^j holds e^j)."""
+    return form_columns(m, constants)[q]
 
 
 def compose_is_zero(outer: KeyColumns, inner: KeyColumns) -> bool:
@@ -246,19 +231,3 @@ def transform_constants(constants: Constants, change: Sequence[SparseRow]) -> di
                     two_form[key] = two_form.get(key, 0) + pb * cval * x
         out.update({(*key, jnew): coeff for key, coeff in sorted(two_form.items()) if coeff})
     return out
-
-
-# ---------------------------------------------------------------------------
-# top-degree divisibility (closed vs exact (m-1)-forms)
-# ---------------------------------------------------------------------------
-
-def divisibility_subspace(c: CochainComplex) -> Subspace:
-    """Coordinate span of (m-1)-multi-indices containing every index of V_1.
-
-    These are exactly the (m-1)-forms divisible by the wedge of a basis of
-    the closed 1-forms; by the closed/exact characterisation of top-degree
-    forms this subspace coincides with the exact (m-1)-forms.  The
-    (m-1)-form without index i sits at position m - i, and V_1 is spanned
-    by the first v_dims[1] covectors.
-    """
-    return Subspace.coordinate(range(c.m - c.v_dims[1]), c.m)

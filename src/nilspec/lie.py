@@ -260,8 +260,7 @@ def _space(x: int | Subspace, m: int) -> Subspace:
 
 @lru_cache(maxsize=256)
 def _mask_space(x: int, m: int) -> Subspace:
-    pivots = [p for p in range(m) if x >> p & 1]
-    return Subspace(m, tuple([{p: 1} for p in pivots]), tuple(pivots))
+    return Subspace.coordinate([p for p in range(m) if x >> p & 1], m)
 
 
 def _levels(m: int, constants: exterior.Constants) -> Iterator[tuple[int | Subspace, int | Subspace]]:

@@ -1,12 +1,13 @@
 """Exact linear algebra over the rationals, carried out on integers.
 
-Filtrations, cochain complexes and the top-degree check reduce to spans and
-null spaces of subspaces of Q^n.  Every vector stored or returned is a
-sparse integer row {column: nonzero value}.  A subspace is stored as its
-canonical rows: the reduced row-echelon rows, each scaled to a primitive
-integer vector (content 1) with a positive pivot.  That form is unique, so
-two subspaces are equal as sets iff their rows are equal.  A nonzero scalar
-changes no span or null space, so callers clear denominators once.
+Filtrations and cochain complexes reduce to spans and null spaces of
+subspaces of Q^n, and the top-degree check to a forward rank.  Every
+vector stored or returned is a sparse integer row {column: nonzero value}.
+A subspace is stored as its canonical rows: the reduced row-echelon rows,
+each scaled to a primitive integer vector (content 1) with a positive
+pivot.  That form is unique, so two subspaces are equal as sets iff their
+rows are equal.  A nonzero scalar changes no span or null space, so
+callers clear denominators once.
 
 Every span, rank, null space and preimage goes through one fraction-free
 elimination on sparse integer rows, ``_eliminate``, leading at the least
@@ -153,8 +154,11 @@ class Subspace:
 
     ``rows[i]`` is an RREF row scaled to a primitive integer vector with a
     positive pivot at column ``pivots[i]``, stored as {column: nonzero value}.
-    Canonicity makes equality-of-sets the same as equality-of-rows, which the
-    golden-table comparisons rely on.  A vector lies in the subspace iff ``_clear`` at every pivot leaves nothing.
+    Three users rely on canonical rows: ``build_complex`` takes the rows of
+    V_i at pivots new to V_i as adapted covectors, ``lie._next_dual`` reads
+    the annihilator of V_(i-1) off its rows, and ``==`` compares rows, so
+    equality as sets is equality of rows.  A vector lies in the subspace iff
+    ``_clear`` at every pivot leaves nothing.
     """
 
     __slots__ = ("ambient_dim", "rows", "pivots")

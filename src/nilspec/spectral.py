@@ -28,7 +28,7 @@ from functools import lru_cache
 from operator import add
 from typing import NamedTuple, Sequence
 
-from .exterior import CochainComplex, InternalConsistencyError, build_complex, divisibility_subspace
+from .exterior import CochainComplex, InternalConsistencyError, build_complex
 from .lie import LieAlgebra, abelian, direct_sum
 from .linalg import _clear, _eliminate, _primitive
 # the benchmark's tracer (bench/tracing.py) wraps these names here; nothing else reads them
@@ -189,19 +189,20 @@ def check_top_degree_forms(c: CochainComplex) -> CheckReport:
     """Top-degree forms: d vanishes on (m-1)-forms and the exact ones are
     exactly the multiples of the wedge of a closed-1-form basis.  For m = 1
     there are no (m-2)-forms, so the exact 0-forms are the zero subspace.
-    ``divisibility_subspace(c)`` is spanned by unit vectors, so the exact forms
-    equal it iff the columns of d_(m-2) lie on its pivots and have its dim as rank."""
+    The (m-1)-form without index i has one low key bit, bit m - i, and is
+    such a multiple iff i > dim V_1 (V_1 is spanned by the first dim V_1
+    covectors), that is iff that bit lies below bit m - dim V_1.  So the
+    exact forms span those m - dim V_1 basis forms iff every row key of
+    d_(m-2) is one of them and its columns have rank m - dim V_1."""
     violations = []
     if c.columns[c.m - 1]:
         violations.append("d is nonzero on (m-1)-forms")
-    full = (1 << c.m) - 1  # the (m-1)-form without index i: position m - i, the one low set bit of its key
+    full, divisible = (1 << c.m) - 1, c.m - c.v_dims[1]
     below = c.columns[c.m - 2].values() if c.m >= 2 else ()
-    exact = [{(key & full).bit_length() - 1: v for key, v in col.items()} for col in below]
-    divisible = divisibility_subspace(c)
-    inside = set().union(*exact) <= set(divisible.pivots)  # read before _eliminate takes the rows over
-    rank = len(_eliminate(exact, reduced=False))
-    if not inside or rank != divisible.dim:
-        violations.append(f"exact (m-1)-forms have dim {rank}, divisible subspace dim {divisible.dim}")
+    inside = all((key & full) >> divisible == 0 for col in below for key in col)
+    rank = len(_eliminate(list(map(dict, below)), reduced=False))
+    if not inside or rank != divisible:
+        violations.append(f"exact (m-1)-forms have dim {rank}, divisible subspace dim {divisible}")
     return CheckReport("top-degree-forms", 2, tuple(violations))
 
 

@@ -13,8 +13,9 @@ from itertools import combinations
 from math import comb
 
 from nilspec import lie
-from nilspec.exterior import clear_denominators, differential_columns
+from nilspec.exterior import clear_denominators, form_columns
 from nilspec.linalg import null_space
+from reference import positional_columns
 
 _COEFF_POOL = [0, 0, 0, 0, 1, 1, -1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2)]
 
@@ -30,7 +31,7 @@ def random_nilpotent(rng: random.Random, m: int) -> lie.LieAlgebra:
         sub = {key: v for key, v in constants.items() if key[2] < j}
         n = j - 1
         pairs = list(combinations(range(1, n + 1), 2))
-        cols = differential_columns(n, clear_denominators(sub), 2)
+        cols = positional_columns(n, form_columns(n, clear_denominators(sub))[2])
         closed = null_space(cols, comb(n, 3), len(pairs))
         if closed.dim == 0:
             continue

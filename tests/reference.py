@@ -13,7 +13,9 @@ vanishing band (zero for p < 0, p >= k, p+q < 0 or p+q > m) emerges from the
 computation.
 
 The subspaces live in Lambda^n at lexicographic positions, and d_n is the
-positional ``LinearMap`` relabelled from the complex's key columns.  The
+positional ``LinearMap`` relabelled from the complex's key columns by
+``positional_columns``; this module is the one place that knows that layout,
+and ``divisibility_subspace`` gives the divisible (m-1)-forms in it.  The
 maps, A-spaces, images and ranks are cached per complex, for as long as the
 complex lives.  Nothing in the package imports this module.
 
@@ -66,8 +68,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from nilspec.exterior import (CochainComplex, Constants, KeyColumns, clear_denominators, divisibility_subspace,
-                              positional_columns)
+from nilspec.exterior import CochainComplex, Constants, KeyColumns, clear_denominators
 from nilspec.linalg import LinearMap, Subspace, _span, contains, image, preimage, rank, span, subspace_sum
 from nilspec import catalog, cli, lie, spectral
 from nilspec.spectral import LIMIT, Grid, InternalConsistencyError, SpectralTable, require_poincare_duality
@@ -91,6 +92,32 @@ _caches: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def _cache(c: CochainComplex, name: str) -> dict:
     """The cache ``name`` of complex c."""
     return _caches.setdefault(c, {}).setdefault(name, {})
+
+
+def key_position(key: int, full: int) -> int:
+    """Lexicographic position of a basis form among the forms of its degree:
+    the rank of full ^ R in the combinatorial number system."""
+    bits = [b for b in range(full.bit_length()) if key >> b & 1]
+    return sum(comb(b, t) for t, b in enumerate(bits, start=1))
+
+
+def positional_columns(m: int, columns: KeyColumns) -> KeyColumns:
+    """Key columns relabelled to lexicographic positions, {position: {position: coeff}}."""
+    full = (1 << m) - 1
+    return {key_position(src, full): {key_position(key, full): v for key, v in col.items()}
+            for src, col in columns.items()}
+
+
+def divisibility_subspace(c: CochainComplex) -> Subspace:
+    """Coordinate span of (m-1)-multi-indices containing every index of V_1.
+
+    These are exactly the (m-1)-forms divisible by the wedge of a basis of
+    the closed 1-forms; by the closed/exact characterisation of top-degree
+    forms this subspace coincides with the exact (m-1)-forms.  The
+    (m-1)-form without index i sits at position m - i, and V_1 is spanned
+    by the first v_dims[1] covectors.
+    """
+    return Subspace.coordinate(range(c.m - c.v_dims[1]), c.m)
 
 
 def positional_d(c: CochainComplex, q: int) -> LinearMap:

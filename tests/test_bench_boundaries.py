@@ -35,5 +35,16 @@ def test_differential_columns_returns_sparse_entry_lists():
         assert isinstance(columns, dict)
         for col, entries in columns.items():
             assert isinstance(col, int) and isinstance(entries, dict)
-            assert all(isinstance(pos, int) and isinstance(v, int) and v for pos, v in entries.items())
+            assert all(isinstance(key, int) and isinstance(v, int) and v for key, v in entries.items())
     assert sum(len(e) for e in exterior.differential_columns(c.m, c.adapted_constants, 1).values()) > 0
+
+
+def test_differential_columns_are_the_complex_columns_at_level_zero(catalog_tables):
+    # the traced exterior.d_nnz counts the entries of the complex's own differentials
+    complexes = [comp for _, _, comp, _ in catalog_tables.values()]
+    complexes += [spectral.complex_for(lie.m0(m)) for m in range(3, 11)]
+    for c in complexes:
+        full = (1 << c.m) - 1
+        for q in range(c.m + 1):
+            level_zero = {src & full: {key & full: v for key, v in col.items()} for src, col in c.columns[q].items()}
+            assert exterior.differential_columns(c.m, c.adapted_constants, q) == level_zero, (c.m, q)

@@ -678,12 +678,25 @@ def test_check_lemma_abelian(capsys):
 
 
 def test_check_lemma_compares_the_exact_forms_also_in_dimension_one(capsys, monkeypatch):
-    # m = 1: the exact 0-forms are the zero subspace, and a divisible subspace that is not fails
+    # m = 1: the exact 0-forms are the zero subspace, and a complex whose V_1 is zero,
+    # so that every 0-form counts as divisible, fails
     assert run(capsys, "check", "(0)", "--lemma") == (0, "PASS top-degree-forms (2 checks)\n", "")
-    monkeypatch.setattr(spectral, "divisibility_subspace", lambda c: Subspace.full(c.m))
-    code, out, _ = run(capsys, "check", "(0)", "--lemma")
+    build = spectral.build_complex
+
+    def without_v1(algebra):
+        c = build(algebra)
+        c.v_dims = (0, 0)
+        return c
+    monkeypatch.setattr(spectral, "build_complex", without_v1)
+    spectral.complex_for.cache_clear()
+    try:
+        code, out, _ = run(capsys, "check", "(0)", "--lemma")
+    finally:
+        spectral.complex_for.cache_clear()  # the mutated complex leaves the memo
     assert code != 0 and out.splitlines()[0] == "FAIL top-degree-forms (2 checks)"
     assert "exact (m-1)-forms have dim 0, divisible subspace dim 1" in out
+    monkeypatch.undo()
+    assert run(capsys, "check", "(0)", "--lemma") == (0, "PASS top-degree-forms (2 checks)\n", "")
 
 
 def test_check_default_runs_both(capsys):

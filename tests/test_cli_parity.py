@@ -68,10 +68,10 @@ def shell_argvs(text: str) -> list[list[str]]:
     "compute --m0 12" and Python argv lists, each up to its first redirection or pipe."""
     argvs = []
     for line in text.splitlines():
-        if "$(" in line:  # drop the closing ')', or the whole substitution when it closes on a later line
+        if "$(" in line:  # drop the closing ')', or only the '$(' when the substitution closes on a later line
             start = line.index("$(")
             unclosed = line.count("(", start) > line.count(")", start)
-            line = line[:start] if unclosed else line[:line.rindex(")")]
+            line = line[:start] + line[start + 2:] if unclosed else line[:line.rindex(")")]
         quoted = re.findall(r'"((?:compute|catalog|check)\b[^"]*)"', line)
         for words in re.findall(r"\bnilspec(?:\.cli)? +(.*)", line) + quoted:
             argv = []
@@ -203,13 +203,14 @@ def compare_corpus() -> dict[str, int]:
 
 def test_shell_argvs_reads_command_substitutions():
     """A substitution closed on its own line loses its ')'; one closed on a later
-    line, even with a '(' ')' pair inside, is dropped; neither raises."""
+    line, even with a '(' ')' pair inside, loses only its '$(' and keeps its
+    command; neither raises."""
     text = """x=$(nilspec compute --m0 5 --pages limit)
 out=$(PYTHONPATH=src python3 -c '
 print(1)')
 y=$(python3 -m nilspec.cli check "(0,0,12)" --page 0 |
   tail -n 1)"""
-    assert shell_argvs(text) == [["compute", "--m0", "5", "--pages", "limit"]]
+    assert shell_argvs(text) == [["compute", "--m0", "5", "--pages", "limit"], ["check", "(0,0,12)", "--page", "0"]]
 
 
 def test_reader_accepts_and_rejects_what_argparse_did():

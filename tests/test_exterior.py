@@ -14,15 +14,14 @@ from nilspec.exterior import (
     clear_denominators,
     compose_is_zero,
     differential_columns,
-    divisibility_subspace,
-    _position,
     form_columns,
     transform_constants,
 )
 from nilspec.linalg import LinearMap, Subspace, contains, image, span
 from nilspec.spectral import LIMIT, full_table
-from reference import (apply, betti_numbers, composed_columns, dense, dense_transform_constants, lambda_subspace,
-                       map_key, mask_walk_columns, page_grid, pointwise_differential, positional_d, wedge_minors)
+from reference import (apply, betti_numbers, composed_columns, dense, dense_transform_constants, divisibility_subspace,
+                       key_position, lambda_subspace, map_key, mask_walk_columns, page_grid, pointwise_differential,
+                       positional_columns, positional_d, wedge_minors)
 
 
 def _complex(text):
@@ -107,7 +106,7 @@ def test_pointwise_oracle_matches_derivation_rule(random_algebras_dim5, random_a
     signs = set()
     for c in complexes:
         for q in range(c.m + 1):
-            built = differential_columns(c.m, c.adapted_constants, q)
+            built = positional_columns(c.m, differential_columns(c.m, c.adapted_constants, q))
             signs.update(v > 0 for col in built.values() for v in col.values())
             as_map = LinearMap(comb(c.m, q + 1), comb(c.m, q), {j: col.items() for j, col in built.items()})
             oracle = pointwise_differential(c.m, c.adapted_constants, q)
@@ -254,7 +253,7 @@ def test_mask_positions_match_index_positions():
             # the key of a level-0 form is full ^ R, R its reversed mask
             keys = {idx: full ^ sum(1 << (m - i) for i in idx) for idx in indices}
             for idx, pos in indices.items():
-                assert _position(keys[idx], full) == pos
+                assert key_position(keys[idx], full) == pos
             assert sorted(indices, key=keys.get) == list(indices)
 
 
@@ -267,7 +266,7 @@ def test_index_level_is_max_index_level(random_algebras_dim7, twins_dim7, catalo
         for q in range(c.m):
             for src, col in c.columns[q].items():
                 for key, degree in ((src, q), *((key, q + 1) for key in col)):
-                    idx = indices[degree][_position(key, full)]
+                    idx = indices[degree][key_position(key, full)]
                     assert key >> c.m == max(c.levels[j - 1] for j in idx)
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import sheared
 from nilspec import lie, spectral
-from nilspec.exterior import InternalConsistencyError, clear_denominators, compose_is_zero, positional_columns
+from nilspec.exterior import InternalConsistencyError, clear_denominators, compose_is_zero
 from nilspec.linalg import LinearMap, Subspace, contains, preimage, span
 from nilspec.lie import (
     IndexPairError,
@@ -23,7 +23,7 @@ from nilspec.lie import (
     NotNilpotentError,
     SalamonSyntaxError,
 )
-from reference import dense, mask_walk_columns, two_step_kernel, wedge_minors
+from reference import dense, mask_walk_columns, positional_columns, two_step_kernel, wedge_minors
 
 
 # ---------------------------------------------------------------------------

@@ -446,26 +446,22 @@ def test_heisenberg_betti_numbers_match_santharoubane():
 
 def test_table_builds_no_positional_map():
     # in a fresh interpreter: the table path and catalog --check, top-degree
-    # check included, read the key columns only and relabel nothing
+    # check included, keep no positional map on a complex
     script = ("import contextlib, io\n"
-              "from nilspec import catalog, cli, exterior, lie, spectral\n"
-              "relabelled = []\n"
-              "def counting(m, columns):\n"
-              "    relabelled.append(m)\n"
-              "    return positional(m, columns)\n"
-              "positional = exterior.positional_columns\n"
-              "exterior.positional_columns = counting\n"
+              "from nilspec import catalog, cli, lie, spectral\n"
               "spectral.table_for(lie.m0(12))\n"
               "c = spectral.complex_for(lie.m0(12))\n"
-              "print(int(hasattr(c, 'd')), len(relabelled))\n"
+              "print(int(hasattr(c, 'd')))\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    code = cli.main(['catalog', '--check'])\n"
               "entries = catalog.list_entries()\n"
-              "print(code, sum(hasattr(spectral.complex_for(e.algebra()), 'd') for e in entries),\n"
-              "      len(relabelled))\n")
+              "print(code, sum(hasattr(spectral.complex_for(e.algebra()), 'd') for e in entries))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == ["0", "0", "0", "0", "0"]
-    assert not hasattr(spectral, "positional_columns")
+    assert proc.stdout.split() == ["0", "0", "0"]
+    # the package knows one layout for basis forms, the form key: the
+    # lexicographic relabelling and the positional divisible subspace live in tests/reference.py
+    relabelling = ("positional_columns", "_position", "divisibility_subspace")
+    assert [name for name in relabelling for module in (exterior, spectral) if hasattr(module, name)] == []
     assert not hasattr(exterior, "mask_positions") and not hasattr(exterior, "multi_indices")
     # nor do the helpers that only tests called come back to the package
     assert not hasattr(linalg, "kernel") and not hasattr(Subspace, "contains_vector")
