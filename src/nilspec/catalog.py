@@ -15,8 +15,8 @@ from functools import lru_cache
 from itertools import islice
 from typing import NamedTuple
 
-from .lie import parse_salamon
-from .spectral import CheckReport, Grid, InternalConsistencyError, SpectralTable
+from .lie import InternalConsistencyError, parse_salamon
+from .spectral import CheckReport, Grid, SpectralTable
 
 
 class CatalogEntry(NamedTuple):

@@ -18,10 +18,10 @@ from types import SimpleNamespace
 from typing import Callable
 
 from . import catalog as catalog_mod
-from .lie import (AlgebraFormatError, LieAlgebra, LieError, ParseError, SalamonSyntaxError, algebra_from_json,
-                  m0, parse_salamon, to_salamon)
-from .spectral import (LIMIT, InternalConsistencyError, SpectralTable, check_abelian_extension, check_limit_edges,
-                       check_top_degree_forms, complex_for, table_for)
+from .lie import (AlgebraFormatError, InternalConsistencyError, LieAlgebra, LieError, ParseError, SalamonSyntaxError,
+                  algebra_from_json, m0, parse_salamon, to_salamon)
+from .spectral import (LIMIT, SpectralTable, check_abelian_extension, check_limit_edges, check_top_degree_forms,
+                       complex_for, table_for)
 
 EXIT_OK = 0
 EXIT_PARSE = 2

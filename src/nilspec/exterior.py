@@ -23,7 +23,7 @@ row T name their one term (I - T = {j}, T - I = {a, b}), and no entry is summed.
 Every column is a sparse integer row {key: nonzero value}, the one vector
 format of ``nilspec.linalg``; so are the rows of the adapted basis change
 and every cochain.  The structure constants are multiplied once by the lcm
-of their denominators (``clear_denominators`` returns only the scaled
+of their denominators (``lie.clear_denominators`` returns only the scaled
 constants), and the adapted basis change multiplies them by a further
 positive integer, so the complex's constants and its differentials are a
 positive multiple of the true ones; a positive scale changes no image,
@@ -43,16 +43,12 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
+from .lie import InternalConsistencyError, LieAlgebra, clear_denominators
 from .linalg import SparseRow, _eliminate
 # the benchmark's tracer (bench/tracing.py) wraps this name here; nothing else reads it
 from .linalg import rank  # noqa: F401
-
-if TYPE_CHECKING:  # pragma: no cover
-    from fractions import Fraction
-
-    from .lie import LieAlgebra
 
 Constants = Mapping[tuple[int, int, int], int]
 KeyColumns = dict[int, dict[int, int]]
@@ -122,27 +118,9 @@ def compose_is_zero(outer: KeyColumns, inner: KeyColumns) -> bool:
     return True
 
 
-def clear_denominators(constants: Mapping[tuple[int, int, int], Fraction | int]) -> dict[tuple[int, int, int], int]:
-    """The constants times the lcm of their denominators in a new dict, a plain copy if all are ints."""
-    if set(map(type, constants.values())) <= {int}:
-        return dict(constants)
-    scale = math.lcm(*(c.denominator for c in constants.values()))
-    return {key: c.numerator * (scale // c.denominator) for key, c in constants.items()}
-
-
 # ---------------------------------------------------------------------------
 # the adapted cochain complex
 # ---------------------------------------------------------------------------
-
-class InternalConsistencyError(RuntimeError):
-    """A structural invariant failed (engine bug): the package's one such error,
-    raised here and in ``lie``, ``spectral`` and ``catalog``."""
-
-
-@lru_cache(maxsize=128)
-def _covector_levels(v_dims: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(i for i, (lo, hi) in enumerate(zip((0, *v_dims), v_dims)) for _ in range(hi - lo))
-
 
 class CochainComplex:
     """The Chevalley-Eilenberg complex in a filtration-adapted dual basis.
@@ -151,7 +129,8 @@ class CochainComplex:
     ----------
     m, k:            dimension and nilpotency index
     v_dims:          dims of V_0 .. V_k
-    levels:          levels[j-1] = min{i : adapted covector j lies in V_i}
+    levels:          levels[j-1] = min{i : adapted covector j lies in V_i}, as
+                     ``build_complex`` picks the covectors level by level
     adapted_basis_change:  sparse integer rows {j: value}, 0-based: the adapted
                            covectors in the original dual basis, the canonical
                            rows of each V_i at the pivots new to V_i
@@ -165,18 +144,18 @@ class CochainComplex:
     It stores the adapted_constants dict it is given, not a copy, so a caller passes a dict of its own.
     """
 
-    def __init__(self, m: int, k: int, v_dims: Sequence[int], adapted_basis_change: tuple[SparseRow, ...],
-                 adapted_constants: dict[tuple[int, int, int], int]):
+    def __init__(self, m: int, k: int, v_dims: Sequence[int], levels: tuple[int, ...],
+                 adapted_basis_change: tuple[SparseRow, ...], adapted_constants: dict[tuple[int, int, int], int]):
         self.m = m
         self.k = k
         self.v_dims = tuple(v_dims)
+        self.levels = levels
         self.adapted_basis_change = adapted_basis_change
         self.adapted_constants = adapted_constants
-        self.levels = _covector_levels(self.v_dims)
         self.columns = form_columns(m, adapted_constants, self.levels)
 
 
-def build_complex(a: "LieAlgebra") -> CochainComplex:
+def build_complex(a: LieAlgebra) -> CochainComplex:
     """Adapted basis change + differentials for a validated nilpotent algebra,
     from the filtration it was validated with."""
     f = a.filtration
@@ -184,18 +163,18 @@ def build_complex(a: "LieAlgebra") -> CochainComplex:
     v_dims = tuple(len(s.rows) for s in f.spaces)
     # RREF pivots of nested subspaces are nested, so the canonical rows of
     # V_i at pivots new to V_i extend a basis of V_(i-1) to one of V_i
-    new: list[tuple[int, SparseRow]] = []  # (pivot, row) of each adapted covector
-    for prev, space in zip(f.spaces, f.spaces[1:]):
+    new: list[tuple[int, SparseRow, int]] = []  # (pivot, row, level) of each adapted covector
+    for level, (prev, space) in enumerate(zip(f.spaces, f.spaces[1:]), start=1):
         old = set(prev.pivots)
-        new += [(p, row) for row, p in zip(space.rows, space.pivots) if p not in old]
+        new += [(p, row, level) for row, p in zip(space.rows, space.pivots) if p not in old]
         if len(new) != len(space.rows):
             raise InternalConsistencyError("filtration basis extension failed")
-    order, adapted_rows = zip(*new)
+    order, adapted_rows, levels = zip(*new)
 
     constants = clear_denominators(a.c)
     if order != tuple(range(m)) or any(len(row) != 1 for row in adapted_rows):  # not the unit covectors in order
         constants = transform_constants(constants, adapted_rows)
-    c = CochainComplex(m, k, v_dims, adapted_rows, constants)
+    c = CochainComplex(m, k, v_dims, levels, adapted_rows, constants)
     for q in range(m):
         if not compose_is_zero(c.columns[q + 1], c.columns[q]):
             raise InternalConsistencyError(f"d_{q + 1} . d_{q} != 0 after basis adaptation")

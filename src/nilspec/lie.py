@@ -36,7 +36,7 @@ as a span.
 
 Input that does not read as an algebra raises a ``ParseError``; any other
 ``LieError`` refuses a well-formed input.  A pair V_i, n^i that fails the
-cross-check is an engine bug: ``exterior.InternalConsistencyError``.
+cross-check is an engine bug: ``InternalConsistencyError``, defined here.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from collections import defaultdict
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple
 
-from . import exterior
 from .linalg import Subspace, _eliminate, _span, null_space
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -67,6 +66,11 @@ class LieError(Exception):
 
 class ParseError(LieError):
     """Base class for input that does not read as an algebra."""
+
+
+class InternalConsistencyError(RuntimeError):
+    """A structural invariant failed (engine bug): the package's one such error,
+    raised in ``lie``, ``exterior``, ``spectral`` and ``catalog``."""
 
 
 class SalamonSyntaxError(ParseError):
@@ -124,6 +128,14 @@ def rat(value: int | str | Fraction) -> int | Fraction:
     elif not isinstance(value, Fraction):
         raise TypeError(f"cannot interpret {value!r} as a rational number")
     return value.numerator if value.denominator == 1 else value
+
+
+def clear_denominators(constants: Mapping[tuple[int, int, int], Fraction | int]) -> dict[tuple[int, int, int], int]:
+    """The constants times the lcm of their denominators in a new dict, a plain copy if all are ints."""
+    if set(map(type, constants.values())) <= {int}:
+        return dict(constants)
+    scale = math.lcm(*(c.denominator for c in constants.values()))
+    return {key: c.numerator * (scale // c.denominator) for key, c in constants.items()}
 
 
 class LieAlgebra:
@@ -263,7 +275,7 @@ def _mask_space(x: int, m: int) -> Subspace:
     return Subspace.coordinate([p for p in range(m) if x >> p & 1], m)
 
 
-def _levels(m: int, constants: exterior.Constants) -> Iterator[tuple[int | Subspace, int | Subspace]]:
+def _levels(m: int, constants: Mapping[tuple[int, int, int], int]) -> Iterator[tuple[int | Subspace, int | Subspace]]:
     """(V_i, n^i) for i = 1, 2, ... without end: int bit masks while they are read
     off the terms, decoded once to (mask of a and b, k, c), and Subspaces from the
     first level where that declines, eliminated by ``_next_dual`` and ``_next_primal``.
@@ -296,9 +308,9 @@ def validate_algebra(a: LieAlgebra) -> Filtration:
     """The filtration of the dual on integer constants, memoised per algebra (a
     raise is not stored).  JacobiError unless d(de^j) = 0 for every j, checked
     before any filtration work; then over ``_levels``, NotNilpotentError if V_i
-    did not grow, and exterior.InternalConsistencyError unless dim V_i + dim n^i
+    did not grow, and InternalConsistencyError unless dim V_i + dim n^i
     = m and V_i annihilates n^i (``v & n == 0`` on two masks, else ``_annihilates``)."""
-    m, constants = a.m, exterior.clear_denominators(a.c)
+    m, constants = a.m, clear_denominators(a.c)
     if not _jacobi_holds(m, constants):
         raise JacobiError("structure constants violate the Jacobi identity")
     spaces, dims = [_space(0, m)], [m]
@@ -310,9 +322,9 @@ def validate_algebra(a: LieAlgebra) -> Filtration:
         if dim == len(spaces[i - 1].rows):
             raise NotNilpotentError("algebra is not nilpotent")
         if dim + series_dim != m:
-            raise exterior.InternalConsistencyError("dual filtration disagrees with the primal descending series")
+            raise InternalConsistencyError("dual filtration disagrees with the primal descending series")
         if v & n if on_masks else not _annihilates(spaces[i], n):
-            raise exterior.InternalConsistencyError(f"V_{i} does not annihilate the primal ideal n^{i}")
+            raise InternalConsistencyError(f"V_{i} does not annihilate the primal ideal n^{i}")
         if dim == m:
             return Filtration(i, tuple(spaces), tuple(dims))
 

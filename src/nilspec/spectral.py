@@ -28,8 +28,8 @@ from functools import lru_cache
 from operator import add
 from typing import NamedTuple, Sequence
 
-from .exterior import CochainComplex, InternalConsistencyError, build_complex
-from .lie import LieAlgebra, abelian, direct_sum
+from .exterior import CochainComplex, build_complex
+from .lie import InternalConsistencyError, LieAlgebra, abelian, direct_sum
 from .linalg import _clear, _eliminate, _primitive
 # the benchmark's tracer (bench/tracing.py) wraps these names here; nothing else reads them
 from .lie import descending_series  # noqa: F401

@@ -260,6 +260,7 @@ def test_mask_positions_match_index_positions():
 def test_index_level_is_max_index_level(random_algebras_dim7, twins_dim7, catalog_tables):
     for c in _kernel_test_complexes(random_algebras_dim7, twins_dim7, catalog_tables):
         assert list(c.levels) == sorted(c.levels)
+        assert c.levels == tuple(i for i in range(1, c.k + 1) for _ in range(c.v_dims[i] - c.v_dims[i - 1]))
         assert not c.columns[0] and not c.columns[c.m]
         full = (1 << c.m) - 1
         indices = [list(itertools.combinations(range(1, c.m + 1), q)) for q in range(c.m + 1)]

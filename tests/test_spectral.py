@@ -544,7 +544,7 @@ def _filtration_data(f):
 
 
 def test_shape_caches_hand_out_fresh_values_that_nothing_writes(capsys, monkeypatch, rng_factory):
-    """E_0 grids, levels, key bases and mask Subspaces are cached per shape and
+    """E_0 grids, key bases and mask Subspaces are cached per shape and
     shared between algebras.  After catalog --check, the direct-sum checks of
     the catalog entries of dimension <= 5, and seeded random algebras with
     sheared copies (s = 1 and 2) have run in one process, every value handed
@@ -553,7 +553,7 @@ def test_shape_caches_hand_out_fresh_values_that_nothing_writes(capsys, monkeypa
     from nilspec import cli
 
     handed, caches = {}, {}
-    shapes = [(spectral, "_e0"), (exterior, "_covector_levels"), (exterior, "_key_base"), (lie, "_mask_space")]
+    shapes = [(spectral, "_e0"), (exterior, "_key_base"), (lie, "_mask_space")]
     for module, name in shapes:
         caches[name] = cached = getattr(module, name)
         cached.cache_clear()
